@@ -38,16 +38,13 @@ missed.
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
 import time
 from pathlib import Path
 
+from _harness import merge_report_section
 from repro.core.domain import DomainOfInterest, TimeInterval
 from repro.core.source_quality import SourceQualityModel
-from repro.perf.buildinfo import git_build_stamp
-from repro.persistence.format import atomic_write_json
 from repro.search.engine import SearchEngine
 from repro.serving import EagerRefreshScheduler, RefreshMode
 from repro.sources.corpus import SourceCorpus
@@ -268,24 +265,7 @@ def run(
         "scheduler_counters": scheduler.counters.snapshot(),
         "model_counters": eager_model.counters.snapshot(),
     }
-
-    report: dict = {}
-    if output_path.exists():
-        try:
-            report = json.loads(output_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            report = {}
-    report.setdefault(
-        "meta",
-        {"python": platform.python_version(), "platform": platform.platform()},
-    )
-    report["meta"].update(git_build_stamp())
-    report["eager_refresh"] = section
-    try:
-        atomic_write_json(output_path, report)
-    except OSError as exc:
-        print(f"FATAL: could not write {output_path}: {exc}", file=sys.stderr)
-        sys.exit(1)
+    merge_report_section(output_path, "eager_refresh", section)
     return section
 
 

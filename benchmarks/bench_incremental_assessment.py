@@ -35,16 +35,13 @@ with ``make perf`` or::
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
 import time
 from pathlib import Path
 
+from _harness import merge_report_section
 from repro.core.domain import DomainOfInterest, TimeInterval
 from repro.core.source_quality import SourceQualityModel
-from repro.perf.buildinfo import git_build_stamp
-from repro.persistence.format import atomic_write_json
 from repro.sources.corpus import SourceCorpus
 from repro.sources.generators import CorpusGenerator, CorpusSpec
 from repro.sources.models import Discussion, Post
@@ -188,31 +185,19 @@ def run(output_path: Path, source_count: int, spare_count: int, events: int) -> 
         "target_speedup": TARGET_INCREMENTAL_SPEEDUP,
         "model_counters": model.counters.snapshot(),
     }
-
-    report: dict = {}
-    if output_path.exists():
-        try:
-            report = json.loads(output_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            report = {}
-    report.setdefault(
-        "meta",
-        {"python": platform.python_version(), "platform": platform.platform()},
-    )
-    report["meta"].update(git_build_stamp())
-    report["meta"]["incremental_assessment_tier"] = {
+    tier = {
         "source_count": source_count,
         "seed": CORPUS_SEED,
         "discussion_budget": DISCUSSION_BUDGET,
         "user_budget": USER_BUDGET,
         "events": events,
     }
-    report["incremental_assessment"] = section
-    try:
-        atomic_write_json(output_path, report)
-    except OSError as exc:
-        print(f"FATAL: could not write {output_path}: {exc}", file=sys.stderr)
-        sys.exit(1)
+    merge_report_section(
+        output_path,
+        "incremental_assessment",
+        section,
+        meta={"incremental_assessment_tier": tier},
+    )
     return section
 
 

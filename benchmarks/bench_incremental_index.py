@@ -31,14 +31,11 @@ Results are merged into ``BENCH_perf.json`` under the
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
 import time
 from pathlib import Path
 
-from repro.perf.buildinfo import git_build_stamp
-from repro.persistence.format import atomic_write_json
+from _harness import merge_report_section
 from repro.search.engine import SearchEngine
 from repro.sources.corpus import SourceCorpus
 from repro.sources.generators import CorpusGenerator, CorpusSpec
@@ -180,24 +177,7 @@ def run(output_path: Path, source_count: int, spare_count: int, events: int) -> 
         "equivalence_queries": len(PROBE_QUERIES),
         "engine_counters": engine.counters.snapshot(),
     }
-
-    report: dict = {}
-    if output_path.exists():
-        try:
-            report = json.loads(output_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            report = {}
-    report.setdefault(
-        "meta",
-        {"python": platform.python_version(), "platform": platform.platform()},
-    )
-    report["meta"].update(git_build_stamp())
-    report["incremental_index"] = section
-    try:
-        atomic_write_json(output_path, report)
-    except OSError as exc:
-        print(f"FATAL: could not write {output_path}: {exc}", file=sys.stderr)
-        sys.exit(1)
+    merge_report_section(output_path, "incremental_index", section)
     return section
 
 

@@ -9,16 +9,17 @@ section runs at the 10k-source tier the columnar core targets:
 * **corpus_assessment** — the assessment core (normaliser fit →
   normalisation → scoring → ranking) over a seeded 10 000-source corpus's
   measured matrix: the columnar float64 kernels
-  (:mod:`repro.core.columnar`) versus the preserved scalar batched
-  pipeline (``fit``/``normalize_many``/``build_quality_scores``).  Both
-  sides share one precomputed raw-measure matrix, so the comparison
-  isolates exactly the math the columnar refactor vectorised — crawling
-  and measuring are identical Python in both and would only dilute it;
+  (:mod:`repro.core.columnar`) versus the per-value reference arithmetic
+  (``fit_scalar``/``normalize_many``/``build_quality_scores`` in
+  ``tests/_reference.py``).  Both sides share one precomputed raw-measure
+  matrix, so the comparison isolates exactly the math the columnar
+  refactor vectorised — crawling and measuring are identical Python in
+  both and would only dilute it;
 * **repeated_rank** — N ``rank()`` calls over an unchanged corpus: the
   fingerprint-keyed context cache versus full recomputation per call;
 * **search_throughput** — the full query workload through the inverted-
-  index hot path versus :meth:`SearchEngine.search_fullscan`, in
-  queries/second;
+  index hot path versus the reference full scan (``search_fullscan`` in
+  ``tests/_reference.py``), in queries/second;
 * **sentiment_aggregation** — repeated sentiment indicators over the Milan
   corpus with and without the analyser's per-text memo.
 
@@ -44,18 +45,27 @@ from repro.core.columnar import (
     ensure_finite_columns,
 )
 from repro.core.domain import DomainOfInterest, TimeInterval
-from repro.core.normalization import collect_reference_values
-from repro.core.scoring import build_quality_score_columns, build_quality_scores
+from repro.core.scoring import build_quality_score_columns
 from repro.core.source_quality import SourceQualityModel
 from repro.datasets.google_study import GoogleStudySpec, build_google_study
 from repro.datasets.milan_tourism import MilanTourismSpec, build_milan_tourism
 from repro.perf.buildinfo import git_build_stamp
-from repro.perf.reference import naive_rank
 from repro.perf.timers import time_call
 from repro.persistence.format import atomic_write_json
 from repro.sentiment.analyzer import SentimentAnalyzer
 from repro.sentiment.indicators import SentimentIndicatorService
 from repro.sources.generators import CorpusGenerator, CorpusSpec
+
+# The naive baselines are the test suite's oracles (one copy, test-side).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from _reference import (  # noqa: E402
+    build_quality_scores,
+    fit_scalar,
+    naive_rank,
+    normalize_many,
+    reference_values,
+    search_fullscan,
+)
 
 #: Mirrors BENCH_STUDY_SPEC in benchmarks/conftest.py (kept in sync by hand:
 #: this script must run without pytest).
@@ -89,7 +99,7 @@ def _fresh_model(dataset) -> SourceQualityModel:
 
 
 def bench_corpus_assessment(source_count: int, repetitions: int = 3) -> dict:
-    """Columnar assessment kernels vs the scalar batched pipeline at 10k tier.
+    """Columnar assessment kernels vs the per-value reference at 10k tier.
 
     One seeded corpus is measured once (through the model's ordinary
     batched pass) and the resulting raw-measure matrix is shared by both
@@ -115,9 +125,10 @@ def bench_corpus_assessment(source_count: int, repetitions: int = 3) -> dict:
     scalar_model = SourceQualityModel(domain)
 
     def run_scalar():
-        normalizer = scalar_model._normalizer
-        normalizer.fit(collect_reference_values(raw_vectors.values()))
-        normalized = normalizer.normalize_many(raw_vectors)
+        normalizer = fit_scalar(
+            scalar_model._normalizer, reference_values(raw_vectors.values())
+        )
+        normalized = normalize_many(normalizer, raw_vectors)
         scores = build_quality_scores(
             raw_vectors,
             normalized,
@@ -208,14 +219,14 @@ def bench_search_throughput(dataset, rounds: int) -> dict:
 
     for text in queries:  # equivalence guard before timing
         _assert_same_ranking(
-            [r.source_id for r in engine.search_fullscan(text, limit)],
+            [r.source_id for r in search_fullscan(engine, text, limit)],
             [r.source_id for r in engine.search(text, limit)],
             f"search({text!r})",
         )
 
     def run_fullscan():
         for text in queries:
-            engine.search_fullscan(text, limit)
+            search_fullscan(engine, text, limit)
 
     def run_indexed():
         for text in queries:

@@ -42,19 +42,16 @@ key.  Run with ``make perf`` or::
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import shutil
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+from _harness import merge_report_section
 from repro.core.domain import DomainOfInterest
 from repro.core.source_quality import SourceQualityModel
 from repro.persistence import CorpusStore
-from repro.perf.buildinfo import git_build_stamp
-from repro.persistence.format import atomic_write_json
 from repro.search.engine import SearchEngine
 from repro.sources.corpus import SourceCorpus
 from repro.sources.generators import CorpusGenerator, CorpusSpec
@@ -226,24 +223,7 @@ def run(
         "bit_identical": bit_identical,
         "equivalence_queries": len(PROBE_QUERIES),
     }
-
-    report: dict = {}
-    if output_path.exists():
-        try:
-            report = json.loads(output_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            report = {}
-    report.setdefault(
-        "meta",
-        {"python": platform.python_version(), "platform": platform.platform()},
-    )
-    report["meta"].update(git_build_stamp())
-    report["persistence"] = section
-    try:
-        atomic_write_json(output_path, report)
-    except OSError as exc:
-        print(f"FATAL: could not write {output_path}: {exc}", file=sys.stderr)
-        sys.exit(1)
+    merge_report_section(output_path, "persistence", section)
     return section
 
 

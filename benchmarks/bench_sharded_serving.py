@@ -26,7 +26,7 @@ single CPU to the container:
 
 The coordinator's merge cost is the *serial fraction* of the design: it
 does not shrink with the worker count, so PR 10 attacks its constant
-instead — binary columnar ``rank_measures`` replies (raw ``float64``
+instead — binary columnar ``rank_measure_cols`` replies (raw ``float64``
 bytes straight into numpy, no JSON decode of O(corpus) floats),
 per-shard gather threads, and worker-side rank pre-merge.  It is
 recorded honestly (``coordinator_cpu_seconds_*``, plus per-read CPU and
@@ -55,17 +55,14 @@ Results are merged into ``BENCH_perf.json`` under the
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
 import sys
 import time
 from pathlib import Path
 
+from _harness import merge_report_section
 from repro.core.domain import DomainOfInterest, TimeInterval
 from repro.core.source_quality import SourceQualityModel
-from repro.perf.buildinfo import git_build_stamp
-from repro.persistence.format import atomic_write_json
 from repro.search.engine import SearchEngine
 from repro.sharding import ShardCoordinator
 from repro.sources.corpus import SourceCorpus
@@ -302,24 +299,7 @@ def run(
         "bit_identical_at_quiesce": True,
         "host_cpus": os.cpu_count(),
     }
-
-    report: dict = {}
-    if output_path.exists():
-        try:
-            report = json.loads(output_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            report = {}
-    report.setdefault(
-        "meta",
-        {"python": platform.python_version(), "platform": platform.platform()},
-    )
-    report["meta"].update(git_build_stamp())
-    report["sharded_serving"] = section
-    try:
-        atomic_write_json(output_path, report)
-    except OSError as exc:
-        print(f"FATAL: could not write {output_path}: {exc}", file=sys.stderr)
-        sys.exit(1)
+    merge_report_section(output_path, "sharded_serving", section)
     return section
 
 

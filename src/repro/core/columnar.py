@@ -1,18 +1,20 @@
 """Columnar (vectorized) assessment state and kernels.
 
-The measure → normalize → score → rank pipeline of the quality models
-used to iterate per source in pure Python; at corpus scale that loop is
-the dominant cost of every rebuild, patch and warm start.  This module
-holds the columnar layout the pipeline now runs on — one parallel
-float64 array per measure, keyed by a stable source-index map — plus the
-kernels that operate on whole columns at once.
+The measure → normalize → score → rank pipeline of both quality models
+runs on one columnar layout — one parallel float64 array per measure,
+keyed by a stable source-index map — and the kernels in this module and
+in :mod:`repro.core.normalization` / :mod:`repro.core.scoring` operate
+on whole columns at once.  There is no second, per-value pipeline in
+production: the per-value arithmetic survives only as the test oracle
+(``tests/_reference.py``).
 
 Bit-identity is the design constraint, not an afterthought.  Every
-kernel reproduces the scalar reference (``Normalizer.normalize_many``,
-``build_quality_scores``, the ``sorted((-overall, source_id))`` ranking)
-**exactly**, to the last bit, because the incremental/eager/concurrent
-equivalence suites pin warm results against cold rebuilds with plain
-float equality.  The rules that make that possible:
+kernel reproduces that per-value reference (per-subject normalisation,
+per-subject score composition, the ``sorted((-overall, source_id))``
+ranking) **exactly**, to the last bit, because the
+incremental/eager/concurrent equivalence suites pin warm results
+against cold rebuilds with plain float equality.  The rules that make
+that possible:
 
 * element-wise array ops (divide, subtract, ``np.minimum``/``np.maximum``
   clamps, the ``1.0 - x`` direction flip) are IEEE-754 operations applied
@@ -69,9 +71,9 @@ def freeze(column: np.ndarray) -> np.ndarray:
 def ensure_finite_columns(columns: Mapping[str, np.ndarray]) -> None:
     """Reject NaN/inf raw measures before they can corrupt a fit.
 
-    The scalar pipeline would silently propagate a non-finite measure
-    into the normalizer state and every later score; the columnar build
-    refuses it up front with a diagnosable error instead.
+    A non-finite measure would otherwise propagate silently into the
+    normalizer state and every later score; the columnar build refuses
+    it up front with a diagnosable error instead.
     """
     for name, column in columns.items():
         if column.size and not np.isfinite(column).all():
@@ -93,7 +95,7 @@ def columns_from_vectors(
     the same measure set (the batched pipeline guarantees it: every
     vector comes from the same registry); a ragged matrix raises
     :class:`~repro.errors.AssessmentError` rather than producing columns
-    that silently disagree with the scalar reference.
+    that silently disagree with the per-subject vectors.
     """
     subject_ids = tuple(vectors)
     if names is None:
@@ -290,16 +292,22 @@ def confine_renormalization_columns(
     previous_signature: Mapping[str, tuple],
     fit_signature: Mapping[str, tuple],
 ) -> dict[str, np.ndarray]:
-    """Columnar twin of :func:`repro.core.normalization.confine_renormalization`.
+    """Normalise a patched column set after a refit, confined per measure.
 
-    ``fresh_rows`` indexes the rows whose raw vector changed (or that are
-    new); ``previous_normalized`` holds the prior normalized columns
+    Shared by both quality models.  ``fresh_rows`` indexes the rows whose
+    raw vector changed (or that are new); ``previous_normalized`` holds
+    the prior normalized columns
     *already aligned to the current row order* (fresh rows may carry
     stale values — they are overwritten).  Measures whose fit signature
     moved are renormalised as whole columns; for the rest only the fresh
     rows are recomputed and every other value is carried over verbatim.
-    Bit-identical to a full ``normalize_columns`` pass in every branch,
-    because each element is produced by the same per-value arithmetic.
+    When either signature or the previous columns are unavailable, every
+    column is renormalised.  Bit-identical to a full ``normalize_columns``
+    pass in every branch, because each element is produced by the same
+    per-value arithmetic.  ``counters`` (a
+    :class:`~repro.perf.counters.PerfCounters`) records which branch ran
+    (``fit_signature_skips`` / ``partial_renormalisations`` +
+    ``measures_renormalized``).
     """
     if not previous_signature or not fit_signature or previous_normalized is None:
         return normalizer.normalize_columns(raw_columns)

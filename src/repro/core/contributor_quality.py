@@ -52,9 +52,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional
+from typing import AbstractSet, Any, Iterable, Mapping, Optional
 
-from repro.core.columnar import columns_from_vectors, ensure_finite_columns
+import numpy as np
+
+from repro.core.columnar import (
+    columns_from_vectors,
+    confine_renormalization_columns,
+    ensure_finite_columns,
+)
 from repro.core.contributor_measures import (
     ContributorMeasurementContext,
     compute_contributor_measures,
@@ -62,17 +68,11 @@ from repro.core.contributor_measures import (
 from repro.core.dimensions import QualityAttribute
 from repro.core.domain import DomainOfInterest
 from repro.core.measures import MeasureRegistry, contributor_measure_registry
-from repro.core.normalization import (
-    BenchmarkNormalizer,
-    Normalizer,
-    collect_reference_values,
-    confine_renormalization,
-)
+from repro.core.normalization import BenchmarkNormalizer, Normalizer
 from repro.core.scoring import (
     QualityScore,
     WeightingScheme,
     build_quality_score_columns,
-    build_quality_scores,
     scores_from_columns,
     uniform_scheme,
 )
@@ -331,15 +331,100 @@ class ContributorQualityModel:
             return tuple(sorted(source.contributors()))
         return tuple(user_ids)
 
-    def _fit_normalizer(self, reference_values: Mapping[str, Any]) -> None:
-        """Fit the shared normaliser (its ``fit_count`` advances itself)."""
-        self._normalizer.fit(reference_values)
-        self.counters.increment("normalizer_fits")
+    def _assess_columns(
+        self,
+        source: Source,
+        snapshots: Mapping[str, ContributorSnapshot],
+        raw_vectors: Mapping[str, Mapping[str, float]],
+        refit: bool,
+        previous: Optional[_CommunityEntry] = None,
+        changed_ids: AbstractSet[str] = frozenset(),
+    ) -> tuple[dict[str, ContributorAssessment], dict]:
+        """The columnar tail shared by context builds and patches.
 
-    def _fit_normalizer_columns(self, reference_columns: Mapping[str, Any]) -> None:
-        """Columnar fit (bit-identical to :meth:`_fit_normalizer`)."""
-        self._normalizer.fit_columns(reference_columns)
-        self.counters.increment("normalizer_fits")
+        Pivots the raw vectors into columns, refits the shared normaliser
+        when ``refit`` is set, normalises — confined, against the
+        ``previous`` entry, to the measures whose fit moved and to the
+        rows of ``changed_ids`` and new users — then scores every row and
+        materialises the assessments.  Users outside ``changed_ids``
+        whose score did not change keep their previous assessment object.
+        Without a refit the population is unchanged, so every previously
+        normalised value still holds.  Returns the assessments plus the
+        fit signature they correspond to.
+        """
+        names, _ = self._registry.column_layout()
+        user_ids, measures, raw_columns = columns_from_vectors(raw_vectors, names)
+        ensure_finite_columns(raw_columns)
+        kept = previous.context[2] if previous is not None else {}
+        previous_signature = previous.fit_signature if previous is not None else {}
+        previous_normalized = None
+        if kept:
+            # Prior normalised columns aligned to the current user order;
+            # a new user's row is a placeholder, always recomputed below.
+            _, _, previous_normalized = columns_from_vectors(
+                {
+                    user_id: (
+                        kept[user_id].score.normalized_values
+                        if user_id in kept
+                        else raw_vectors[user_id]
+                    )
+                    for user_id in user_ids
+                },
+                measures,
+            )
+        if refit:
+            fresh_rows = np.asarray(
+                [
+                    row
+                    for row, user_id in enumerate(user_ids)
+                    if user_id in changed_ids or user_id not in kept
+                ],
+                dtype=np.intp,
+            )
+            self._normalizer.fit_columns(raw_columns)  # advances its fit_count
+            self.counters.increment("normalizer_fits")
+            fit_signature = self._normalizer.fit_signature()
+            normalized = confine_renormalization_columns(
+                self._normalizer,
+                self.counters,
+                raw_columns,
+                fresh_rows,
+                previous_normalized,
+                previous_signature,
+                fit_signature,
+            )
+        else:
+            fit_signature = previous_signature
+            normalized = previous_normalized
+        overall, dimension_scores, attribute_scores = build_quality_score_columns(
+            user_ids, measures, normalized, self._registry, self._scheme
+        )
+        scores = scores_from_columns(
+            user_ids,
+            measures,
+            raw_columns,
+            normalized,
+            overall,
+            dimension_scores,
+            attribute_scores,
+            self._scheme.name,
+        )
+        assessments: dict[str, ContributorAssessment] = {}
+        for user_id in user_ids:
+            assessment = kept.get(user_id)
+            if (
+                assessment is None
+                or user_id in changed_ids
+                or assessment.score != scores[user_id]
+            ):
+                assessment = ContributorAssessment(
+                    user_id=user_id,
+                    source_id=source.source_id,
+                    score=scores[user_id],
+                    snapshot=snapshots[user_id],
+                )
+            assessments[user_id] = assessment
+        return assessments, fit_signature
 
     def _build_context(
         self,
@@ -368,38 +453,9 @@ class ContributorQualityModel:
             raw_vectors[user_id] = compute_contributor_measures(
                 context, registry=self._registry
             )
-        # Columnar build: fit, normalisation and scoring run as whole-column
-        # kernels (communities are usually small, but a first assessment of
-        # a large one — or a post-restore cold build — is the same O(U·M)
-        # Python loop the source model had); bit-identical to the scalar
-        # path, which the patcher still uses for its per-user confinement.
-        names, _ = self._registry.column_layout()
-        user_ids, measures, raw_columns = columns_from_vectors(raw_vectors, names)
-        ensure_finite_columns(raw_columns)
-        self._fit_normalizer_columns(raw_columns)
-        normalized = self._normalizer.normalize_columns(raw_columns)
-        overall, dimension_scores, attribute_scores = build_quality_score_columns(
-            user_ids, measures, normalized, self._registry, self._scheme
+        assessments, _ = self._assess_columns(
+            source, snapshots, raw_vectors, refit=True
         )
-        scores = scores_from_columns(
-            user_ids,
-            measures,
-            raw_columns,
-            normalized,
-            overall,
-            dimension_scores,
-            attribute_scores,
-            self._scheme.name,
-        )
-        assessments = {
-            user_id: ContributorAssessment(
-                user_id=user_id,
-                source_id=source.source_id,
-                score=scores[user_id],
-                snapshot=snapshots[user_id],
-            )
-            for user_id in user_ids
-        }
         return snapshots, raw_vectors, assessments
 
     def _patch_community(
@@ -470,71 +526,20 @@ class ContributorQualityModel:
             previous_raw
         )
         needs_refit = population_changed or entry.fit_token != self._normalizer.fit_count
-        if needs_refit:
-            previous_signature = entry.fit_signature
-            self._fit_normalizer(collect_reference_values(raw_vectors.values()))
-            fit_signature = self._normalizer.fit_signature()
-            # ROADMAP (f): confine renormalisation to measures whose fit
-            # actually moved; bit-identical to a full normalize_many pass.
-            normalized_vectors = confine_renormalization(
-                self._normalizer,
-                self.counters,
+        if needs_refit or snapshot_changed:
+            # A raw vector changes only with its snapshot (new users have
+            # none), so ``snapshot_changed`` covers every changed row.
+            assessments, fit_signature = self._assess_columns(
+                source,
+                snapshots,
                 raw_vectors,
-                changed_vector_ids,
-                {
-                    user_id: assessment.score.normalized_values
-                    for user_id, assessment in previous_assessments.items()
-                },
-                previous_signature,
-                fit_signature,
+                needs_refit,
+                previous=entry,
+                changed_ids=snapshot_changed,
             )
         else:
-            fit_signature = entry.fit_signature
-            normalized_vectors = {
-                user_id: previous_assessments[user_id].score.normalized_values
-                for user_id in raw_vectors
-            }
-
-        rebuild_ids = set(changed_vector_ids) | snapshot_changed
-        if needs_refit:
-            for user_id in raw_vectors:
-                if user_id in rebuild_ids:
-                    continue
-                previous_normalized = previous_assessments[
-                    user_id
-                ].score.normalized_values
-                if normalized_vectors[user_id] != previous_normalized:
-                    rebuild_ids.add(user_id)
-        rebuild_ids |= {
-            user_id for user_id in raw_vectors if user_id not in previous_assessments
-        }
-
-        if rebuild_ids:
-            scores = build_quality_scores(
-                {uid: raw_vectors[uid] for uid in raw_vectors if uid in rebuild_ids},
-                {
-                    uid: normalized_vectors[uid]
-                    for uid in raw_vectors
-                    if uid in rebuild_ids
-                },
-                registry=self._registry,
-                scheme=self._scheme,
-            )
-        else:
-            scores = {}
-        assessments = {
-            user_id: (
-                ContributorAssessment(
-                    user_id=user_id,
-                    source_id=source.source_id,
-                    score=scores[user_id],
-                    snapshot=snapshots[user_id],
-                )
-                if user_id in rebuild_ids
-                else previous_assessments[user_id]
-            )
-            for user_id in raw_vectors
-        }
+            # No contributor's activity changed: every assessment stands.
+            assessments, fit_signature = dict(previous_assessments), entry.fit_signature
         self.counters.increment("context_patches")
         return (
             (snapshots, raw_vectors, assessments),

@@ -9,14 +9,16 @@ described in DESIGN.md.
 
 All normalizers map raw values into ``[0, 1]`` where 1 is best, taking the
 ``higher_is_better`` flag of each measure into account (e.g. traffic rank
-and bounce rate improve as they decrease).
+and bounce rate improve as they decrease).  Every strategy is one pair of
+column kernels (fit, normalise); the per-value :meth:`Normalizer.fit` /
+:meth:`Normalizer.normalize` forms are thin wrappers over them.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +31,6 @@ __all__ = [
     "BenchmarkNormalizer",
     "MinMaxNormalizer",
     "ZScoreNormalizer",
-    "confine_renormalization",
 ]
 
 
@@ -38,8 +39,8 @@ def _log1p_column(column: np.ndarray) -> np.ndarray:
 
     numpy's vectorized ``log1p`` dispatches to SIMD implementations whose
     results differ from ``math.log1p`` by an ulp on some platforms (they
-    do on this one), which would break the bit-identity contract between
-    columnar and scalar normalisation — so the transcendental stays a
+    do on this one), which would break the bit-identity contract with the
+    per-value reference arithmetic — so the transcendental stays a
     per-value ``math`` call.
     """
     return np.asarray(
@@ -93,28 +94,29 @@ class Normalizer(ABC):
         return self._fit_count
 
     def fit(self, reference_values: Mapping[str, Sequence[float]]) -> "Normalizer":
-        """Fit the normalizer on per-measure reference values."""
-        if not reference_values:
-            raise NormalizationError("reference values must not be empty")
-        for name, values in reference_values.items():
-            if len(values) == 0:
-                raise NormalizationError(f"measure {name!r} has no reference values")
-            self._fit_measure(name, [float(value) for value in values])
-        self._fitted = True
-        self._fit_count += 1
-        return self
+        """Fit the normalizer on per-measure reference values.
+
+        A wrapper over :meth:`fit_columns`: each value list becomes one
+        float64 column.
+        """
+        return self.fit_columns(
+            {
+                name: np.asarray(values, dtype=np.float64)
+                for name, values in reference_values.items()
+            }
+        )
 
     def fit_signature(self) -> dict[str, tuple]:
         """Per-measure signature of the fitted state, for refit confinement.
 
-        Each entry captures *everything* :meth:`_normalize_measure` reads
+        Each entry captures *everything* :meth:`_normalize_column` reads
         for that measure, so two fits with equal signatures for a measure
         are guaranteed to normalise it identically — a refit whose
         signature did not move for a measure leaves every previously
         normalised value of that measure valid bit for bit.  Incremental
         consumers (the quality models) compare signatures across refits and
         re-normalise only the measures whose fit actually moved
-        (see :meth:`renormalize_measures`).
+        (see :func:`~repro.core.columnar.confine_renormalization_columns`).
 
         The base implementation returns ``{}``, meaning "signatures
         unavailable": consumers must then treat every measure as moved.
@@ -129,7 +131,7 @@ class Normalizer(ABC):
         normalizer that scores every value bit-identically to this one:
         the floats travel verbatim (JSON's ``repr`` round-trip is exact
         for float64), and the loaded instance runs exactly the same
-        :meth:`_normalize_measure` arithmetic.  This is how a coordinator
+        :meth:`_normalize_column` arithmetic.  This is how a coordinator
         fits once and broadcasts the fit to shard workers.  The base
         implementation returns None ("not transportable"); the built-in
         strategies all override it.
@@ -152,115 +154,23 @@ class Normalizer(ABC):
         self._fit_count += 1
         return self
 
-    def renormalize_measures(
-        self,
-        vectors: Mapping[str, Mapping[str, float]],
-        names: Iterable[str],
-        previous: Mapping[str, Mapping[str, float]],
-    ) -> dict[str, dict[str, float]]:
-        """Re-normalise only the measures in ``names``, reusing ``previous``.
-
-        For every vector in ``vectors`` whose subject also appears in
-        ``previous``, measures outside ``names`` copy the previously
-        normalised value; measures in ``names`` (and every measure of a
-        subject missing from ``previous``) are recomputed with exactly the
-        arithmetic of :meth:`normalize_many`.  Provided ``previous`` was
-        produced by a fit whose signature differs from the current one only
-        on ``names`` (see :meth:`fit_signature`) and the raw vectors are
-        unchanged, the result is bit-identical to a full
-        :meth:`normalize_many` pass over ``vectors``.
-        """
-        if not self._fitted:
-            raise NormalizationError("normalizer must be fitted before use")
-        stale = set(names)
-        directions: dict[str, bool] = {}
-        normalized_vectors: dict[str, dict[str, float]] = {}
-        for subject_id, values in vectors.items():
-            previous_values = previous.get(subject_id)
-            normalized: dict[str, float] = {}
-            for name, value in values.items():
-                if (
-                    previous_values is not None
-                    and name not in stale
-                    and name in previous_values
-                ):
-                    normalized[name] = previous_values[name]
-                    continue
-                higher_is_better = directions.get(name)
-                if higher_is_better is None:
-                    higher_is_better = self._registry.get(name).higher_is_better
-                    directions[name] = higher_is_better
-                normalized[name] = self._normalize_directed(
-                    name, value, higher_is_better
-                )
-            normalized_vectors[subject_id] = normalized
-        return normalized_vectors
-
-    def _normalize_directed(
-        self, name: str, value: float, higher_is_better: bool
-    ) -> float:
-        """Single home of the per-value arithmetic: scale, clamp, flip.
-
-        Every public normalisation path (:meth:`normalize`,
-        :meth:`normalize_many`, :meth:`renormalize_measures`) goes through
-        this helper, so partially renormalised matrices can never drift
-        from full passes.
-        """
-        score = self._normalize_measure(name, float(value))
-        score = min(1.0, max(0.0, score))
-        if not higher_is_better:
-            score = 1.0 - score
-        return score
-
     def normalize(self, name: str, value: float) -> float:
-        """Normalise ``value`` of measure ``name`` into ``[0, 1]`` (1 = best)."""
-        if not self._fitted:
-            raise NormalizationError("normalizer must be fitted before use")
-        definition = self._registry.get(name)
-        return self._normalize_directed(name, value, definition.higher_is_better)
+        """Normalise ``value`` of measure ``name`` into ``[0, 1]`` (1 = best).
 
-    def normalize_all(self, values: Mapping[str, float]) -> dict[str, float]:
-        """Normalise a full measure vector."""
-        return {name: self.normalize(name, value) for name, value in values.items()}
-
-    def normalize_many(
-        self, vectors: Mapping[str, Mapping[str, float]]
-    ) -> dict[str, dict[str, float]]:
-        """Normalise a batch of measure vectors keyed by subject identifier.
-
-        Arithmetic is identical to calling :meth:`normalize_all` per vector;
-        the batch form resolves each measure definition once instead of once
-        per (subject, measure) pair, which matters on corpus-sized batches.
+        A one-row wrapper over :meth:`normalize_column`.
         """
-        if not self._fitted:
-            raise NormalizationError("normalizer must be fitted before use")
-        directions: dict[str, bool] = {}
-        normalized_vectors: dict[str, dict[str, float]] = {}
-        for subject_id, values in vectors.items():
-            normalized: dict[str, float] = {}
-            for name, value in values.items():
-                higher_is_better = directions.get(name)
-                if higher_is_better is None:
-                    higher_is_better = self._registry.get(name).higher_is_better
-                    directions[name] = higher_is_better
-                normalized[name] = self._normalize_directed(
-                    name, value, higher_is_better
-                )
-            normalized_vectors[subject_id] = normalized
-        return normalized_vectors
+        column = np.asarray([value], dtype=np.float64)
+        return float(self.normalize_column(name, column)[0])
 
     # -- columnar kernels ---------------------------------------------------------
 
     def fit_columns(
         self, reference_columns: Mapping[str, np.ndarray]
     ) -> "Normalizer":
-        """Columnar twin of :meth:`fit` over per-measure float64 columns.
+        """Fit the normalizer on per-measure float64 reference columns.
 
-        Delegates to the :meth:`_fit_measure_column` hook, whose base
-        implementation falls back to the scalar :meth:`_fit_measure` —
-        custom normalizer subclasses stay bit-identical without opting in
-        to vectorized fits.  Counts as one :meth:`fit` for
-        :attr:`fit_count` purposes.
+        Delegates to the strategy's :meth:`_fit_measure_column` hook per
+        measure.  Counts as one fit for :attr:`fit_count` purposes.
         """
         if not reference_columns:
             raise NormalizationError("reference values must not be empty")
@@ -275,20 +185,25 @@ class Normalizer(ABC):
         return self
 
     def normalize_column(self, name: str, column: np.ndarray) -> np.ndarray:
-        """Normalise one measure column; bit-identical to :meth:`normalize`.
+        """Normalise one measure column into ``[0, 1]`` (1 = best).
 
-        The clamp adds ``+ 0.0`` after ``np.maximum``: Python's
+        The measure definition is resolved before the strategy kernel
+        runs, so an unregistered measure raises
+        :class:`~repro.errors.UnknownMeasureError` under every strategy.
+
+        The clamp adds ``+ 0.0`` after ``np.maximum``: the per-value
         ``max(0.0, score)`` never yields ``-0.0`` (it returns its first
         argument on ties) while ``np.maximum`` preserves the sign of zero,
-        and ``-0.0 + 0.0 == +0.0`` restores the scalar bit pattern without
+        and ``-0.0 + 0.0 == +0.0`` restores that bit pattern without
         touching any other value.
         """
         if not self._fitted:
             raise NormalizationError("normalizer must be fitted before use")
+        definition = self._registry.get(name)
         column = np.asarray(column, dtype=np.float64)
         scores = self._normalize_column(name, column)
         scores = np.minimum(1.0, np.maximum(scores, 0.0) + 0.0)
-        if not self._registry.get(name).higher_is_better:
+        if not definition.higher_is_better:
             scores = 1.0 - scores
         return freeze(scores)
 
@@ -307,28 +222,12 @@ class Normalizer(ABC):
     # -- strategy-specific hooks --------------------------------------------------
 
     @abstractmethod
-    def _fit_measure(self, name: str, values: list[float]) -> None:
+    def _fit_measure_column(self, name: str, column: np.ndarray) -> None:
         """Record whatever statistics the strategy needs for one measure."""
 
     @abstractmethod
-    def _normalize_measure(self, name: str, value: float) -> float:
-        """Map a raw value into [0, 1] *before* direction correction."""
-
-    def _fit_measure_column(self, name: str, column: np.ndarray) -> None:
-        """Columnar fit hook; the default defers to the scalar fit."""
-        self._fit_measure(name, column.tolist())
-
     def _normalize_column(self, name: str, column: np.ndarray) -> np.ndarray:
-        """Columnar normalisation hook (pre-clamp, pre-flip).
-
-        The default runs the scalar :meth:`_normalize_measure` per value,
-        so any subclass is columnar-correct out of the box; the built-in
-        strategies override it with vectorized kernels.
-        """
-        return np.asarray(
-            [self._normalize_measure(name, value) for value in column.tolist()],
-            dtype=np.float64,
-        )
+        """Map a raw column into [0, 1] *before* clamp and direction correction."""
 
     def _definition(self, name: str) -> MeasureDefinition:
         return self._registry.get(name)
@@ -407,47 +306,19 @@ class BenchmarkNormalizer(Normalizer):
         self._log_scaled = set(state["log_scaled"])
         return self._adopt_fit()
 
-    def _fit_measure(self, name: str, values: list[float]) -> None:
-        ordered = sorted(values)
-        index = min(len(ordered) - 1, int(round(self._quantile * (len(ordered) - 1))))
-        low_index = max(0, int(round((1.0 - self._quantile) * (len(ordered) - 1))))
-        definition = self._definition(name)
-        median = ordered[len(ordered) // 2]
-        # Membership in the log-scaled set is recomputed (not just added)
-        # per fit: a re-fit must normalise exactly like a fresh instance
-        # fitted on the same values, or long-lived incremental models
-        # would diverge from from-scratch rebuilds once a measure's
-        # spread crosses the threshold downward.
-        if definition.higher_is_better:
-            self._benchmarks[name] = ordered[index]
-            self._floors[name] = ordered[0]
-            log_scaled = (
-                median > 0
-                and self._benchmarks[name] / median > self._log_scale_threshold
-            )
-        else:
-            # For lower-is-better measures the "benchmark" is the low quantile.
-            self._benchmarks[name] = ordered[-1]
-            self._floors[name] = ordered[low_index]
-            log_scaled = (
-                self._floors[name] > 0
-                and self._benchmarks[name] / self._floors[name]
-                > self._log_scale_threshold
-            )
-        if log_scaled:
-            self._log_scaled.add(name)
-        else:
-            self._log_scaled.discard(name)
-
     def _fit_measure_column(self, name: str, column: np.ndarray) -> None:
-        # ``np.sort`` + element picks reproduce ``sorted(values)[i]``
-        # exactly, so the vectorized fit shares the scalar fit's index
-        # arithmetic verbatim.
+        # ``np.sort`` + element picks are exact: the fit reads the sorted
+        # multiset only.
         ordered = np.sort(column)
         index = min(len(ordered) - 1, int(round(self._quantile * (len(ordered) - 1))))
         low_index = max(0, int(round((1.0 - self._quantile) * (len(ordered) - 1))))
         definition = self._definition(name)
         median = float(ordered[len(ordered) // 2])
+        # Membership in the log-scaled set is recomputed (not just added)
+        # per fit: a re-fit must normalise exactly like a fresh instance
+        # fitted on the same values, or long-lived incremental models
+        # would diverge from from-scratch rebuilds once a measure's
+        # spread crosses the threshold downward.
         if definition.higher_is_better:
             self._benchmarks[name] = float(ordered[index])
             self._floors[name] = float(ordered[0])
@@ -456,6 +327,7 @@ class BenchmarkNormalizer(Normalizer):
                 and self._benchmarks[name] / median > self._log_scale_threshold
             )
         else:
+            # For lower-is-better measures the "benchmark" is the low quantile.
             self._benchmarks[name] = float(ordered[-1])
             self._floors[name] = float(ordered[low_index])
             log_scaled = (
@@ -481,6 +353,9 @@ class BenchmarkNormalizer(Normalizer):
             if benchmark <= 0:
                 return np.where(column >= benchmark, 1.0, 0.0)
             return column / benchmark
+        # Lower-is-better: map [floor, worst] linearly onto [0, 1] where the
+        # floor (best observed region) maps to 0 so that the direction flip in
+        # :meth:`normalize_column` turns it into 1.
         floor = self._floors[name]
         worst = self._benchmarks[name]
         values = column
@@ -492,33 +367,6 @@ class BenchmarkNormalizer(Normalizer):
         if span <= 0:
             return np.where(values <= floor, 0.0, 1.0)
         return (values - floor) / span
-
-    def _normalize_measure(self, name: str, value: float) -> float:
-        definition = self._definition(name)
-        log_scaled = name in self._log_scaled
-        if definition.higher_is_better:
-            benchmark = self._benchmarks[name]
-            if log_scaled:
-                scaled_benchmark = math.log1p(max(0.0, benchmark))
-                if scaled_benchmark <= 0:
-                    return 1.0 if value >= benchmark else 0.0
-                return math.log1p(max(0.0, value)) / scaled_benchmark
-            if benchmark <= 0:
-                return 1.0 if value >= benchmark else 0.0
-            return value / benchmark
-        # Lower-is-better: map [floor, worst] linearly onto [0, 1] where the
-        # floor (best observed region) maps to 0 so that the direction flip in
-        # :meth:`normalize` turns it into 1.
-        floor = self._floors[name]
-        worst = self._benchmarks[name]
-        if log_scaled:
-            floor = math.log1p(max(0.0, floor))
-            worst = math.log1p(max(0.0, worst))
-            value = math.log1p(max(0.0, value))
-        span = worst - floor
-        if span <= 0:
-            return 0.0 if value <= floor else 1.0
-        return (value - floor) / span
 
 
 class MinMaxNormalizer(Normalizer):
@@ -555,21 +403,9 @@ class MinMaxNormalizer(Normalizer):
         self._maxima = {name: float(v) for name, v in state["maxima"].items()}
         return self._adopt_fit()
 
-    def _fit_measure(self, name: str, values: list[float]) -> None:
-        self._minima[name] = min(values)
-        self._maxima[name] = max(values)
-
     def _fit_measure_column(self, name: str, column: np.ndarray) -> None:
         self._minima[name] = float(column.min())
         self._maxima[name] = float(column.max())
-
-    def _normalize_measure(self, name: str, value: float) -> float:
-        low = self._minima[name]
-        high = self._maxima[name]
-        span = high - low
-        if span <= 0:
-            return 0.5
-        return (value - low) / span
 
     def _normalize_column(self, name: str, column: np.ndarray) -> np.ndarray:
         low = self._minima[name]
@@ -618,26 +454,21 @@ class ZScoreNormalizer(Normalizer):
         self._stds = {name: float(v) for name, v in state["stds"].items()}
         return self._adopt_fit()
 
-    def _fit_measure(self, name: str, values: list[float]) -> None:
+    def _fit_measure_column(self, name: str, column: np.ndarray) -> None:
+        # Sequential ``sum`` on purpose: numpy's pairwise reduction rounds
+        # differently, and the fit is pinned to the sequential order.
+        values = column.tolist()
         mean = sum(values) / len(values)
         variance = sum((value - mean) ** 2 for value in values) / len(values)
         self._means[name] = mean
         self._stds[name] = math.sqrt(variance)
 
-    def _normalize_measure(self, name: str, value: float) -> float:
-        std = self._stds[name]
-        if std == 0:
-            return 0.5
-        # Clamp the z-score so that the logistic never overflows for values
-        # lying extremely far outside the reference distribution.
-        z = max(-50.0, min(50.0, (value - self._means[name]) / std))
-        return 1.0 / (1.0 + math.exp(-z / self._scale))
-
     def _normalize_column(self, name: str, column: np.ndarray) -> np.ndarray:
-        # The fit stays sequential-scalar (``sum``'s rounding differs from
-        # numpy's pairwise reduction) and so does the logistic's ``exp``
-        # (SIMD ulp drift, same reason as ``_log1p_column``); only the
-        # z-score arithmetic and its clamp vectorize.
+        # The logistic's ``exp`` stays a per-value ``math`` call (SIMD ulp
+        # drift, same reason as ``_log1p_column``); only the z-score
+        # arithmetic and its clamp vectorize.  The clamp keeps the
+        # logistic from overflowing for values lying extremely far
+        # outside the reference distribution.
         std = self._stds[name]
         if std == 0:
             return np.full(len(column), 0.5)
@@ -646,94 +477,3 @@ class ZScoreNormalizer(Normalizer):
             [1.0 / (1.0 + math.exp(-value / self._scale)) for value in z.tolist()],
             dtype=np.float64,
         )
-
-
-def confine_renormalization(
-    normalizer: Normalizer,
-    counters: Any,
-    raw_vectors: Mapping[str, Mapping[str, float]],
-    changed_ids: "set[str]",
-    previous_normalized: Mapping[str, Mapping[str, float]],
-    previous_signature: Mapping[str, tuple],
-    fit_signature: Mapping[str, tuple],
-) -> dict:
-    """Normalise a patched matrix after a refit, confined per measure.
-
-    Shared by both quality models (ROADMAP (f)).  Subjects whose raw
-    vector changed (``changed_ids``) or that have no previous normalised
-    vector are normalised in full.  For the rest, the refit's per-measure
-    fit signatures are compared against the previous fit's: measures
-    whose fit did not move keep their previously normalised values
-    verbatim, and only the moved measures are recomputed.  When either
-    signature is unavailable the whole matrix is renormalised.  The
-    result is bit-identical to a full :meth:`Normalizer.normalize_many`
-    pass in every branch; ``counters`` (a
-    :class:`~repro.perf.counters.PerfCounters`) records which branch ran
-    (``fit_signature_skips`` / ``partial_renormalisations`` +
-    ``measures_renormalized``).
-    """
-    if not previous_signature or not fit_signature:
-        return normalizer.normalize_many(raw_vectors)
-    stale = {
-        name
-        for name, signature in fit_signature.items()
-        if previous_signature.get(name) != signature
-    }
-    changed = {
-        subject_id: vector
-        for subject_id, vector in raw_vectors.items()
-        if subject_id in changed_ids or subject_id not in previous_normalized
-    }
-    unchanged = {
-        subject_id: vector
-        for subject_id, vector in raw_vectors.items()
-        if subject_id not in changed
-    }
-    normalized_changed = normalizer.normalize_many(changed) if changed else {}
-    if not stale:
-        # The refit reproduced the previous fit exactly: every cached
-        # normalised value is still exact.
-        counters.increment("fit_signature_skips")
-        normalized_unchanged = {
-            subject_id: previous_normalized[subject_id] for subject_id in unchanged
-        }
-    elif len(stale) < len(fit_signature):
-        counters.increment("partial_renormalisations")
-        counters.increment("measures_renormalized", len(stale))
-        normalized_unchanged = normalizer.renormalize_measures(
-            unchanged, stale, previous_normalized
-        )
-    else:
-        normalized_unchanged = (
-            normalizer.normalize_many(unchanged) if unchanged else {}
-        )
-    return {
-        subject_id: (
-            normalized_changed[subject_id]
-            if subject_id in normalized_changed
-            else normalized_unchanged[subject_id]
-        )
-        for subject_id in raw_vectors
-    }
-
-
-def collect_reference_values(
-    measure_vectors: Iterable[Mapping[str, float]],
-    names: Optional[Iterable[str]] = None,
-) -> dict[str, list[float]]:
-    """Pivot per-individual measure vectors into per-measure value lists.
-
-    Convenience helper used by the quality models to fit normalizers on the
-    measure vectors of a reference (benchmark) population.
-    """
-    vectors = list(measure_vectors)
-    if not vectors:
-        raise NormalizationError("no measure vectors provided")
-    if names is None:
-        names = vectors[0].keys()
-    reference: dict[str, list[float]] = {name: [] for name in names}
-    for vector in vectors:
-        for name in reference:
-            if name in vector:
-                reference[name].append(float(vector[name]))
-    return {name: values for name, values in reference.items() if values}

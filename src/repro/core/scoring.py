@@ -10,8 +10,9 @@ scores, and the overall weighted average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+import math
+from dataclasses import dataclass
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -26,8 +27,6 @@ __all__ = [
     "dimension_weighted_scheme",
     "attribute_weighted_scheme",
     "QualityScore",
-    "build_quality_score",
-    "build_quality_scores",
     "build_quality_score_columns",
     "scores_from_columns",
 ]
@@ -49,6 +48,12 @@ class WeightingScheme:
         if not self.weights:
             raise ConfigurationError("a weighting scheme needs at least one weight")
         for measure_name, weight in self.weights.items():
+            # ``NaN < 0`` is False: without the finiteness check a NaN or
+            # infinite weight would pass and poison every overall score.
+            if not math.isfinite(weight):
+                raise ConfigurationError(
+                    f"weight of measure {measure_name!r} must be finite, got {weight!r}"
+                )
             if weight < 0:
                 raise ConfigurationError(
                     f"weight of measure {measure_name!r} must be non-negative"
@@ -57,32 +62,6 @@ class WeightingScheme:
     def weight(self, measure_name: str) -> float:
         """Weight of ``measure_name`` (0.0 when the measure is not covered)."""
         return float(self.weights.get(measure_name, 0.0))
-
-    def weighted_average(self, normalized_values: Mapping[str, float]) -> float:
-        """Weighted average of ``normalized_values`` under this scheme."""
-        total_weight = 0.0
-        accumulator = 0.0
-        for measure_name, value in normalized_values.items():
-            weight = self.weight(measure_name)
-            total_weight += weight
-            accumulator += weight * value
-        if total_weight == 0:
-            raise AssessmentError(
-                "no measure in the assessment has a positive weight under "
-                f"scheme {self.name!r}"
-            )
-        return accumulator / total_weight
-
-    def restricted_to(self, measure_names: set[str]) -> "WeightingScheme":
-        """Return a scheme covering only ``measure_names``."""
-        restricted = {
-            name: weight
-            for name, weight in self.weights.items()
-            if name in measure_names
-        }
-        if not restricted:
-            raise ConfigurationError("restriction removed every weighted measure")
-        return WeightingScheme(name=f"{self.name}-restricted", weights=restricted)
 
 
 def uniform_scheme(registry: MeasureRegistry, name: str = "uniform") -> WeightingScheme:
@@ -200,104 +179,6 @@ class QualityScore:
         )
 
 
-def build_quality_score(
-    subject_id: str,
-    raw_values: Mapping[str, float],
-    normalized_values: Mapping[str, float],
-    registry: MeasureRegistry,
-    scheme: WeightingScheme,
-) -> QualityScore:
-    """Aggregate normalised values into dimension/attribute/overall scores."""
-    if not normalized_values:
-        raise AssessmentError(f"no measures computed for {subject_id!r}")
-
-    dimension_bins: dict[QualityDimension, list[float]] = {}
-    attribute_bins: dict[QualityAttribute, list[float]] = {}
-    for name, value in normalized_values.items():
-        definition = registry.get(name)
-        dimension_bins.setdefault(definition.dimension, []).append(value)
-        attribute_bins.setdefault(definition.attribute, []).append(value)
-
-    dimension_scores = {
-        dimension: sum(values) / len(values)
-        for dimension, values in dimension_bins.items()
-    }
-    attribute_scores = {
-        attribute: sum(values) / len(values)
-        for attribute, values in attribute_bins.items()
-    }
-    overall = scheme.weighted_average(normalized_values)
-
-    return QualityScore(
-        subject_id=subject_id,
-        raw_values=dict(raw_values),
-        normalized_values=dict(normalized_values),
-        dimension_scores=dimension_scores,
-        attribute_scores=attribute_scores,
-        overall=overall,
-        scheme_name=scheme.name,
-    )
-
-
-def build_quality_scores(
-    raw_vectors: Mapping[str, Mapping[str, float]],
-    normalized_vectors: Mapping[str, Mapping[str, float]],
-    registry: MeasureRegistry,
-    scheme: WeightingScheme,
-) -> dict[str, QualityScore]:
-    """Batch form of :func:`build_quality_score` over a whole population.
-
-    Measure definitions and weights are resolved once per measure name
-    instead of once per (subject, measure) pair; per-subject arithmetic is
-    identical to the single-subject builder, so scores match exactly.
-    """
-    definitions: dict[str, Any] = {}
-    weights: dict[str, float] = {}
-    scores: dict[str, QualityScore] = {}
-
-    for subject_id, normalized_values in normalized_vectors.items():
-        if not normalized_values:
-            raise AssessmentError(f"no measures computed for {subject_id!r}")
-
-        dimension_bins: dict[QualityDimension, list[float]] = {}
-        attribute_bins: dict[QualityAttribute, list[float]] = {}
-        total_weight = 0.0
-        accumulator = 0.0
-        for name, value in normalized_values.items():
-            definition = definitions.get(name)
-            if definition is None:
-                definition = registry.get(name)
-                definitions[name] = definition
-                weights[name] = scheme.weight(name)
-            dimension_bins.setdefault(definition.dimension, []).append(value)
-            attribute_bins.setdefault(definition.attribute, []).append(value)
-            weight = weights[name]
-            total_weight += weight
-            accumulator += weight * value
-        if total_weight == 0:
-            raise AssessmentError(
-                "no measure in the assessment has a positive weight under "
-                f"scheme {scheme.name!r}"
-            )
-
-        scores[subject_id] = QualityScore(
-            subject_id=subject_id,
-            raw_values=dict(raw_vectors[subject_id]),
-            normalized_values=dict(normalized_values),
-            dimension_scores={
-                dimension: sum(values) / len(values)
-                for dimension, values in dimension_bins.items()
-            },
-            attribute_scores={
-                attribute: sum(values) / len(values)
-                for attribute, values in attribute_bins.items()
-            },
-            overall=accumulator / total_weight,
-            scheme_name=scheme.name,
-        )
-    return scores
-
-
 def build_quality_score_columns(
     subject_ids: Sequence[str],
     measures: Sequence[str],
@@ -311,11 +192,14 @@ def build_quality_score_columns(
 ]:
     """Columnar score kernel: overall/dimension/attribute score arrays.
 
-    Bit-identical to :func:`build_quality_scores` over a uniform measure
-    matrix, which requires reproducing its *accumulation order*, not just
+    The overall score is the weighted average of each subject's
+    normalised measures, renormalised over the weights of ``measures``;
+    dimension and attribute scores are the plain means of their member
+    measures.  Bit-identical to composing each subject alone, which
+    requires reproducing the per-subject *accumulation order*, not just
     its arithmetic: cross-measure reductions accumulate column by column
     in measure order (``acc += weight * column``) so every element sees
-    exactly the float-op sequence of the per-subject scalar loop — a
+    exactly the float-op sequence of a sequential per-subject loop — a
     ``np.sum``-style pairwise reduction would round differently.
     Dimension/attribute bins likewise accumulate members in measure
     order before one division by the member count.
@@ -369,9 +253,9 @@ def scores_from_columns(
     """Materialise per-subject :class:`QualityScore` views of columnar state.
 
     ``tolist()`` round-trips float64 bit-exactly, so the materialised
-    scores equal the ones :func:`build_quality_scores` would have built
-    directly.  Used by the lazy dict-shaped surface of the columnar
-    assessment context and by snapshot restore.
+    scores carry exactly the column floats.  Used by the lazy
+    dict-shaped surface of the columnar assessment context, by the
+    contributor model and by snapshot restore.
     """
     names = list(measures)
     raw_lists = [raw[name].tolist() for name in names]

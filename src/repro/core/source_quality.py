@@ -544,7 +544,7 @@ class SourceQualityModel:
           re-fit does run, its per-measure fit signatures are compared to
           the previous fit's and renormalisation is confined to measures
           whose fit actually moved (see
-          :func:`~repro.core.normalization.confine_renormalization`);
+          :func:`~repro.core.columnar.confine_renormalization_columns`);
         * measure columns are patched in place by changed-source index:
           one gather per column carries the unchanged values over bit for
           bit, then exactly the re-measured rows are overwritten; scoring
@@ -1259,67 +1259,22 @@ class SourceQualityModel:
 
     # -- sharded scatter-gather protocol (repro.sharding) ----------------------------
 
-    def shard_raw_measures(
-        self, corpus: SourceCorpus, *, corpus_max_open_discussions: int
-    ) -> dict[str, dict[str, float]]:
-        """Raw measure vectors of one shard against the *global* aggregates.
-
-        Phase 2 of a sharded assessment: the worker crawls and measures
-        only its own sources, but the "compared to largest forum" measures
-        normalise against the corpus-wide open-discussion maximum, which
-        the coordinator gathers in phase 1 and injects here.  Everything
-        downstream of the raw vectors — normaliser fit, scoring, ranking —
-        is *global* arithmetic over the merged matrix and runs on the
-        coordinator (:meth:`rank_from_raw`).
-
-        Results are cached under ``(content fingerprint, injected
-        maximum)`` with the source objects anchored, exactly like
-        :meth:`raw_measures`; the returned mapping is a copy.
-        """
-        if len(corpus) == 0:
-            return {}
-        key = (corpus.content_fingerprint(), corpus_max_open_discussions)
-        entry = self._measure_cache.get_or_create(
-            key,
-            lambda: (
-                tuple(corpus),
-                *self._measure_corpus(corpus, corpus_max_open_discussions),
-            ),
-        )
-        return {source_id: dict(vector) for source_id, vector in entry[2].items()}
-
-    def rank_from_raw(
-        self, raw_vectors: Mapping[str, Mapping[str, float]]
-    ) -> list[tuple[str, QualityScore]]:
-        """Normalise, score and rank a merged raw-measure matrix.
-
-        Phase 3 of a sharded assessment, run on the coordinator over the
-        gathered per-shard vectors (assembled in the coordinator corpus's
-        insertion order).  The pipeline is operation-for-operation the
-        single-process :meth:`_build_context` tail — column assembly,
-        finiteness check, normaliser fit on the matrix itself, scoring,
-        lexsorted rank keys — so the returned ranking is bit-identical to
-        a single-process :meth:`rank` over the same corpus content.
-        Returns ``(source_id, score)`` pairs in ranking order.
-        """
-        if not raw_vectors:
-            raise AssessmentError("cannot assess an empty corpus")
-        names, _ = self._registry.column_layout()
-        subject_ids, _, raw_columns = columns_from_vectors(raw_vectors, names)
-        return self.rank_from_columns(subject_ids, raw_columns)
-
     def rank_from_columns(
         self,
         subject_ids: "tuple[str, ...]",
         raw_columns: Mapping[str, np.ndarray],
     ) -> list[tuple[str, QualityScore]]:
-        """Columnar twin of :meth:`rank_from_raw` over assembled columns.
+        """Normalise, score and rank a merged raw-measure column set.
 
-        The binary wire path hands the gathered per-shard ``float64``
-        columns (already in coordinator corpus order) directly to this
-        method, skipping the per-source dict detour entirely; the
-        arithmetic is identical to :meth:`rank_from_raw` — the two differ
-        only in how the columns were materialised.
+        Phase 3 of a sharded assessment, run on the coordinator over the
+        gathered per-shard ``float64`` columns (:meth:`shard_measure_columns`,
+        assembled in the coordinator corpus's insertion order).  The
+        pipeline is operation-for-operation the single-process
+        :meth:`_build_context` tail — finiteness check, normaliser fit on
+        the matrix itself, scoring, lexsorted rank keys — so the returned
+        ranking is bit-identical to a single-process :meth:`rank` over the
+        same corpus content.  Returns ``(source_id, score)`` pairs in
+        ranking order.
         """
         if not len(subject_ids):
             raise AssessmentError("cannot assess an empty corpus")
@@ -1371,14 +1326,22 @@ class SourceQualityModel:
     def shard_measure_columns(
         self, corpus: SourceCorpus, *, corpus_max_open_discussions: int
     ) -> "tuple[tuple[str, ...], tuple[str, ...], dict[str, np.ndarray]]":
-        """Columnar twin of :meth:`shard_raw_measures` for the binary wire.
+        """Raw measure columns of one shard against the *global* aggregates.
+
+        Phase 2 of a sharded assessment: the worker crawls and measures
+        only its own sources, but the "compared to largest forum" measures
+        normalise against the corpus-wide open-discussion maximum, which
+        the coordinator gathers in phase 1 and injects here.  Everything
+        downstream of the raw columns — normaliser fit, scoring, ranking —
+        is *global* arithmetic over the merged matrix and runs on the
+        coordinator (:meth:`rank_from_columns`) or, pre-merged, on the
+        workers under a broadcast fit (:meth:`shard_rank_candidates`).
 
         Returns ``(source ids, measure names, {name: float64 column})`` in
-        the shard corpus's insertion order, cached exactly like the
-        vector form (same key shape, sources anchored).  The columns are
-        what :func:`~repro.core.columnar.columns_from_vectors` would
-        build from the vectors — the wire just ships them as raw bytes
-        instead of JSON.
+        the shard corpus's insertion order, cached under ``(content
+        fingerprint, injected maximum)`` with the source objects anchored,
+        like :meth:`raw_measures`.  The wire ships the columns as raw
+        IEEE-754 bytes.
         """
         names, _ = self._registry.column_layout()
         if len(corpus) == 0:

@@ -10,10 +10,10 @@ pipeline, the search engine and the sentiment layer:
 * :mod:`repro.perf.cache` — a deterministic LRU cache plus the structural
   fingerprint helpers that key the assessment-context caches.
 
-:mod:`repro.perf.reference` keeps the seed's naive single-object loops as
-reference implementations; the equivalence tests and the perf benchmark
-harness use them to prove the optimised paths return identical results and
-to record honest baseline timings.
+The seed's naive single-object loops are not part of the package: they
+live test-side in ``tests/_reference.py``, where the equivalence tests and
+the perf benchmark harness use them to prove the optimised paths return
+identical results and to record honest baseline timings.
 """
 
 from repro.perf.cache import (

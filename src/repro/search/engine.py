@@ -19,9 +19,9 @@ precomputed term-frequency/document-length ratio), static scores and the
 static ordering, so :meth:`SearchEngine.search` scores only the union of
 the query terms' postings lists instead of scanning every indexed source,
 hoists each term's IDF out of the per-source loop and selects the top-k
-with a bounded heap.  :meth:`SearchEngine.search_fullscan` keeps the
-original full-scan scoring as a reference path; both return identical
-results (see ``tests/test_perf_equivalence.py``).
+with a bounded heap.  The original full-scan scoring survives only as the
+test oracle (``search_fullscan`` in ``tests/_reference.py``); both
+return identical results (see ``tests/test_perf_equivalence.py``).
 
 The index is *mutation-safe*: the engine subscribes to the corpus's
 ``CorpusChange`` notifications and every read path auto-refreshes before
@@ -141,8 +141,8 @@ def _noise_from_prefix(prefix: bytes, source_id: str) -> float:
     """Noise value from a pre-encoded ``salt|query_key|`` prefix.
 
     Single home of the noise formula (digest algorithm, digest size,
-    scaling); both the full-scan path and the indexed hot loop go through
-    it, so the two can never diverge bit-wise.
+    scaling); both :func:`_query_noise` and the indexed hot loops go
+    through it, so the two can never diverge bit-wise.
     """
     digest = hashlib.blake2b(
         prefix + source_id.encode("utf-8"), digest_size=8
@@ -897,7 +897,7 @@ class SearchEngine:
     def _topical_score(
         self, state: _IndexState, source_id: str, terms: list[str]
     ) -> float:
-        """Refresh-free scoring core shared with the full-scan loop."""
+        """Refresh-free scoring core of :meth:`topical_score`."""
         counter = state.term_frequencies.get(source_id)
         if counter is None:
             raise SearchError(f"source {source_id!r} is not indexed")
@@ -930,7 +930,7 @@ class SearchEngine:
 
         Accumulates per-term postings contributions in query-term order, so
         each source's score is the sum of exactly the same addends, in the
-        same order, as the full-scan :meth:`topical_score` — the floats are
+        same order, as the per-source :meth:`topical_score` — the floats are
         bit-identical.
         """
         n_documents = state.n_documents
@@ -950,15 +950,18 @@ class SearchEngine:
         Only sources in the union of the query terms' postings lists are
         scored; sources matching no term have topical score 0 and would be
         filtered by ``minimum_topical_score`` anyway.  When
-        ``minimum_topical_score`` is negative that shortcut would change
-        results, so the engine falls back to the full scan.
+        ``minimum_topical_score`` is negative those sources pass the
+        filter, so every indexed source becomes a candidate with topical
+        score 0.0 unless its postings say otherwise.
 
         Results are additionally memoised per (terms, limit), scoped to the
         indexed corpus epoch: the call auto-refreshes first (see
         :meth:`refresh`), which drops exactly the memo entries a corpus
         mutation could have affected — repeated queries over an unchanged
         corpus, the common case in a real workload, are answered from the
-        result cache.
+        result cache.  A negative threshold bypasses the memo: its results
+        include sources matching no query term, whose static scores can
+        move without touching the memo's terms.
         """
         if limit <= 0:
             raise SearchError("limit must be positive")
@@ -967,18 +970,22 @@ class SearchEngine:
         if not terms:
             _reject_untokenizable(query)
         config = self._config
-        if config.minimum_topical_score < 0:
-            return self.search_fullscan(query, limit)
+        admit_unmatched = config.minimum_topical_score < 0
 
         with self._rwlock.read_lock():
             state = self._state
             cache_key = (terms, limit)
-            cached = state.result_cache.get(cache_key)
+            cached = None if admit_unmatched else state.result_cache.get(cache_key)
             if cached is not None:
                 self.counters.increment("result_cache_hits")
                 return list(cached)
 
             topical_scores = self._raw_topical_scores(state, terms)
+            if admit_unmatched:
+                topical_scores = {
+                    source_id: topical_scores.get(source_id, 0.0)
+                    for source_id in state.term_frequencies
+                }
             self.counters.increment("queries")
             self.counters.increment("candidates_scored", len(topical_scores))
             max_topical = max(topical_scores.values(), default=0.0)
@@ -993,8 +1000,7 @@ class SearchEngine:
             noise_from_prefix = _noise_from_prefix
 
             # Candidates are ranked as lightweight tuples; SearchResult
-            # objects are only materialised for the final top-k.  The
-            # arithmetic matches the full-scan path operation for operation.
+            # objects are only materialised for the final top-k.
             scored: list[tuple[float, str, float]] = []
             for source_id, raw_topical in topical_scores.items():
                 if raw_topical <= minimum_topical:
@@ -1022,69 +1028,9 @@ class SearchEngine:
                 )
                 for index, (combined, source_id, normalized_topical) in enumerate(top)
             ]
-            state.result_cache.put(cache_key, tuple(results))
+            if not admit_unmatched:
+                state.result_cache.put(cache_key, tuple(results))
             return results
-
-    def search_fullscan(self, query: str, limit: int = 20) -> list[SearchResult]:
-        """Reference full-scan implementation of :meth:`search`.
-
-        Scores every indexed source, exactly as the engine did before the
-        inverted index existed.  Kept as the equivalence oracle for the
-        indexed hot path and as the baseline the perf benchmark harness
-        times against; it is also the correct path when
-        ``minimum_topical_score`` is negative.
-        """
-        if limit <= 0:
-            raise SearchError("limit must be positive")
-        self.refresh()
-        terms = list(self._query_terms(query))
-        if not terms:
-            _reject_untokenizable(query)
-
-        config = self._config
-        with self._rwlock.read_lock():
-            state = self._state
-            topical_scores = {
-                source_id: self._topical_score(state, source_id, terms)
-                for source_id in state.term_frequencies
-            }
-        max_topical = max(topical_scores.values(), default=0.0)
-        query_key = " ".join(terms)
-
-        scored: list[SearchResult] = []
-        for source_id, raw_topical in topical_scores.items():
-            if raw_topical <= config.minimum_topical_score:
-                continue
-            normalized_topical = raw_topical / max_topical if max_topical > 0 else 0.0
-            noise = _query_noise(query_key, source_id)
-            total_weight = (
-                config.static_weight + config.topical_weight + config.query_noise_weight
-            )
-            combined = (
-                config.static_weight * state.static_scores[source_id]
-                + config.topical_weight * normalized_topical
-                + config.query_noise_weight * noise
-            ) / total_weight
-            scored.append(
-                SearchResult(
-                    rank=0,
-                    source_id=source_id,
-                    score=combined,
-                    static_score=state.static_scores[source_id],
-                    topical_score=normalized_topical,
-                )
-            )
-        scored.sort(key=lambda result: (-result.score, result.source_id))
-        return [
-            SearchResult(
-                rank=index + 1,
-                source_id=result.source_id,
-                score=result.score,
-                static_score=result.static_score,
-                topical_score=result.topical_score,
-            )
-            for index, result in enumerate(scored[:limit])
-        ]
 
     def result_ids(self, query: str, limit: int = 20) -> list[str]:
         """Source identifiers of the ranked results for ``query``."""

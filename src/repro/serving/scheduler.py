@@ -64,8 +64,7 @@ only the consumer's shared lock.  For callers that want to freeze every
 registered consumer at once (multi-consumer consistency, end-of-run
 assertions), :meth:`~EagerRefreshScheduler.read_lock` and
 :meth:`~EagerRefreshScheduler.write_lock` return composite context
-managers over all queues; the legacy ``scheduler.lock`` property remains
-as a deprecated alias for the write side.
+managers over all queues.
 :meth:`~EagerRefreshScheduler.start` launches a daemon worker that
 applies deferred/coalescing patches in the background; notifications
 from mutating threads only record the event into the bus and poke the
@@ -90,7 +89,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from enum import Enum
 from typing import Any, Callable, Iterable, Optional
 
@@ -251,24 +249,6 @@ class EagerRefreshScheduler:
         the per-consumer locks are reentrant for their holder.
         """
         return _CompositeLock(self, write=True)
-
-    @property
-    def lock(self) -> _CompositeLock:
-        """Deprecated alias for :meth:`write_lock`.
-
-        PR 4 exposed one raw ``RLock`` serialising every patch and guarded
-        read; the concurrent core replaced it with per-consumer
-        reader/writer locks.  Use ``with scheduler.read_lock():`` for
-        guarded reads and ``with scheduler.write_lock():`` for exclusive
-        freezes instead of holding the exclusive side for reads.
-        """
-        warnings.warn(
-            "EagerRefreshScheduler.lock is deprecated; use read_lock() for "
-            "guarded reads or write_lock() for exclusive access",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.write_lock()
 
     @property
     def pending(self) -> bool:

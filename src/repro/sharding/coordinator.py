@@ -28,8 +28,7 @@ build at quiesce:
   bytes, no JSON decode), reassembles them in the coordinator corpus's
   insertion order and runs the model's global tail
   (:meth:`~repro.core.source_quality.SourceQualityModel.rank_from_columns`)
-  locally.  ``rank(columnar=False)`` keeps the original per-source JSON
-  path as the bit-identity oracle.
+  locally.
 * ``rank_top(limit)`` goes further: workers pre-sort their fit columns,
   the coordinator merges them and broadcasts the fitted normaliser
   state, and workers score their own rows and return only their top
@@ -461,7 +460,7 @@ class ShardCoordinator:
         if self._engine_config.minimum_topical_score < 0:
             raise SearchError(
                 "sharded search does not support a negative minimum_topical_score "
-                "(the single-process engine falls back to a full scan)"
+                "(it admits every indexed source, matching or not, as a candidate)"
             )
         if len(self._corpus) == 0:
             raise SearchError("cannot index an empty corpus")
@@ -546,57 +545,34 @@ class ShardCoordinator:
             for index, entry in enumerate(top)
         ]
 
-    def rank(
-        self, *, allow_degraded: bool = False, columnar: bool = True
-    ) -> list[tuple[str, QualityScore]]:
+    def rank(self, *, allow_degraded: bool = False) -> list[tuple[str, QualityScore]]:
         """Scatter-gather assessment ranking, bit-identical at quiesce.
 
         Returns ``(source_id, score)`` pairs in decreasing overall
         quality (ties by source id) — the pair view of the single-process
         :meth:`~repro.core.source_quality.SourceQualityModel.rank`.
 
-        The default path gathers raw measure *columns* as binary
-        ``float64`` payloads (``rank_measure_cols``), reassembles them in
-        coordinator corpus order and runs the columnar global tail.
-        ``columnar=False`` keeps the original per-source JSON path as the
-        bit-identity oracle — both produce the exact same floats, the
-        binary path because the worker's IEEE-754 bytes travel verbatim,
-        the JSON path because the repr round-trip is exact.
+        Gathers raw measure *columns* as binary ``float64`` payloads
+        (``rank_measure_cols``) — the worker's IEEE-754 bytes travel
+        verbatim — reassembles them in coordinator corpus order and runs
+        the columnar global tail.
         """
         if self._model is None:
             raise ShardingError("coordinator was built without a domain")
         self.flush()
         stats = self._scatter("rank_stats", {}, allow_degraded=allow_degraded)
         max_open = max((int(s["max_open"]) for s in stats.values()), default=0)
-        kind = "rank_measure_cols" if columnar else "rank_measures"
         gathered = self._scatter(
-            kind,
+            "rank_measure_cols",
             {"max_open": max_open},
             allow_degraded=allow_degraded,
             only=set(stats),
         )
-        order = list(self._corpus.source_ids())
-        if columnar:
-            blocks = [
-                decode_columns(result["_binary"]) for result in gathered.values()
-            ]
-            subject_ids, raw_columns = assemble_columns(
-                order, blocks, strict=not allow_degraded
-            )
-            return self._model.rank_from_columns(subject_ids, raw_columns)
-        vectors: dict[str, dict[str, float]] = {}
-        for result in gathered.values():
-            vectors.update(result["vectors"])
-        raw_vectors = {}
-        for source_id in order:
-            if source_id in vectors:
-                raw_vectors[source_id] = vectors[source_id]
-            elif not allow_degraded:
-                raise ShardingError(
-                    f"shard {partition_shard(source_id, self.shard_count)} did not "
-                    f"report measures for source {source_id!r}"
-                )
-        return self._model.rank_from_raw(raw_vectors)
+        blocks = [decode_columns(result["_binary"]) for result in gathered.values()]
+        subject_ids, raw_columns = assemble_columns(
+            list(self._corpus.source_ids()), blocks, strict=not allow_degraded
+        )
+        return self._model.rank_from_columns(subject_ids, raw_columns)
 
     def rank_top(
         self, limit: int, *, allow_degraded: bool = False

@@ -28,9 +28,10 @@ every consumer is invalidated through its normal incremental path.
 
 Read requests implement the worker-side phases of the scatter-gather
 protocols (``shard_term_stats`` / ``shard_score`` / ``shard_select`` on
-the engine, ``largest_source_open_discussions`` / ``shard_raw_measures``
-on the model); the coordinator merges them into results bit-identical to
-a single-process build — see ``docs/ARCHITECTURE.md``.
+the engine, ``largest_source_open_discussions`` / ``shard_measure_columns``
+and the ``shard_*`` pre-merge phases on the model); the coordinator merges
+them into results bit-identical to a single-process build — see
+``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -318,14 +319,6 @@ class ShardWorker:
             return {"max_open": 0}
         return {"max_open": self._corpus.largest_source_open_discussions()}
 
-    def _handle_rank_measures(self, message: dict[str, Any]) -> dict[str, Any]:
-        if self._model is None:
-            raise ShardingError("worker was configured without a domain")
-        vectors = self._model.shard_raw_measures(
-            self._corpus, corpus_max_open_discussions=int(message["max_open"])
-        )
-        return {"vectors": vectors}
-
     def _require_model(self) -> SourceQualityModel:
         if self._model is None:
             raise ShardingError("worker was configured without a domain")
@@ -334,7 +327,7 @@ class ShardWorker:
     def _handle_rank_measure_cols(
         self, message: dict[str, Any]
     ) -> tuple[dict[str, Any], bytes]:
-        """Binary twin of ``rank_measures``: the raw matrix as column bytes."""
+        """``rank()`` phase 2: this shard's raw matrix as column bytes."""
         ids, names, columns = self._require_model().shard_measure_columns(
             self._corpus, corpus_max_open_discussions=int(message["max_open"])
         )
@@ -389,7 +382,6 @@ class ShardWorker:
         "search_score": _handle_search_score,
         "search_select": _handle_search_select,
         "rank_stats": _handle_rank_stats,
-        "rank_measures": _handle_rank_measures,
         "rank_measure_cols": _handle_rank_measure_cols,
         "rank_fit": _handle_rank_fit,
         "rank_score": _handle_rank_score,

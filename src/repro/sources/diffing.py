@@ -200,7 +200,7 @@ def patch_measure_columns(
 
     Bit-identical to rebuilding the columns from the full vector set: a
     gather copies bits verbatim and the fresh rows are written from the
-    same floats the scalar pipeline would have stored.
+    same floats a from-scratch build would have stored.
     """
     rows = gather_rows(previous_index, subject_ids)
     for i, subject_id in enumerate(subject_ids):

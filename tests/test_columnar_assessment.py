@@ -1,13 +1,14 @@
-"""Columnar assessment core: scalar-vs-columnar bit-equality.
+"""Columnar assessment core: per-value-reference-vs-columnar bit-equality.
 
 The columnar kernels (:mod:`repro.core.columnar`, the ``*_columns``
 hooks on the normalisers, :func:`repro.core.scoring.build_quality_score_columns`)
-must reproduce the preserved scalar pipeline **exactly** — bit-for-bit
-float equality, no tolerance — including across the degenerate shapes
-where vectorised math likes to diverge: single subjects, all-identical
-measure values (the near-zero-std guard), and empty inputs.  Non-finite
-measures are rejected up front (:func:`ensure_finite_columns`) so NaN
-can never poison a column silently.
+must reproduce the per-value reference arithmetic of ``_reference.py``
+**exactly** — bit-for-bit float equality, no tolerance — including
+across the degenerate shapes where vectorised math likes to diverge:
+single subjects, all-identical measure values (the near-zero-std guard),
+and empty inputs.  Non-finite measures are rejected up front
+(:func:`ensure_finite_columns`) so NaN can never poison a column
+silently.
 
 The mutation-stream class mirrors ``tests/test_incremental_assessment.py``
 one level down: a long-lived model's incrementally patched *columns*
@@ -19,6 +20,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _reference import (
+    build_quality_scores,
+    fit_scalar,
+    normalize_many,
+    normalize_value,
+    reference_values,
+)
 from repro.core.columnar import (
     SortedRankKeys,
     columns_from_vectors,
@@ -30,15 +38,10 @@ from repro.core.normalization import (
     BenchmarkNormalizer,
     MinMaxNormalizer,
     ZScoreNormalizer,
-    collect_reference_values,
 )
-from repro.core.scoring import (
-    build_quality_score_columns,
-    build_quality_scores,
-    uniform_scheme,
-)
+from repro.core.scoring import build_quality_score_columns, uniform_scheme
 from repro.core.source_quality import SourceQualityModel
-from repro.errors import AssessmentError, NormalizationError
+from repro.errors import AssessmentError, NormalizationError, UnknownMeasureError
 from repro.sources.corpus import SourceCorpus
 from repro.sources.generators import (
     CorpusGenerator,
@@ -71,13 +74,16 @@ def _normalizers():
     ]
 
 
+def _columns(raw_vectors):
+    return columns_from_vectors(raw_vectors, MEASURES)[2]
+
+
 def _assert_scalar_columnar_equal(raw_vectors, make_normalizer) -> None:
     """Fit + normalise + score + rank both ways; every float must match."""
     scheme = uniform_scheme(REGISTRY)
 
-    scalar_norm = make_normalizer()
-    scalar_norm.fit(collect_reference_values(raw_vectors.values()))
-    normalized = scalar_norm.normalize_many(raw_vectors)
+    scalar_norm = fit_scalar(make_normalizer(), reference_values(raw_vectors.values()))
+    normalized = normalize_many(scalar_norm, raw_vectors)
     scores = build_quality_scores(
         raw_vectors, normalized, registry=REGISTRY, scheme=scheme
     )
@@ -139,6 +145,31 @@ class TestKernelEquality:
         }
         _assert_scalar_columnar_equal(raw, lambda: ZScoreNormalizer(REGISTRY))
 
+    @pytest.mark.parametrize("normalizer", _normalizers(), ids=lambda n: type(n).__name__)
+    def test_one_row_wrappers_match_per_value_reference(self, normalizer):
+        # ``fit()``/``normalize()`` wrap the column kernels; probes span the
+        # fitted range, its edges and values far outside it.
+        raw = _vectors_from_seed(32, seed=19)
+        reference = reference_values(raw.values())
+        wrapped = type(normalizer)(REGISTRY).fit(reference)
+        scalar = fit_scalar(type(normalizer)(REGISTRY), reference)
+        assert wrapped.fit_signature() == scalar.fit_signature()
+        probes = [-1e6, -1.0, 0.0, 1e-9, 0.5, 7.25, 49.9, 50.0, 1e9]
+        for name in MEASURES:
+            for value in probes + reference[name]:
+                assert wrapped.normalize(name, value) == normalize_value(
+                    scalar, name, value
+                )  # exact
+
+    @pytest.mark.parametrize("normalizer", _normalizers(), ids=lambda n: type(n).__name__)
+    def test_unknown_measure_raises_typed_error(self, normalizer):
+        fitted = type(normalizer)(REGISTRY)
+        fitted.fit_columns(_columns(_vectors_from_seed(8, seed=5)))
+        with pytest.raises(UnknownMeasureError):
+            fitted.normalize_column("bogus", np.asarray([1.0, 2.0]))
+        with pytest.raises(UnknownMeasureError):
+            fitted.normalize("bogus", 1.0)
+
 
 class TestFitStateTransport:
     """The pre-merge contract: fit states travel, order-invariant fits merge."""
@@ -147,7 +178,7 @@ class TestFitStateTransport:
     def test_fit_state_round_trip_normalizes_identically(self, normalizer):
         raw = _vectors_from_seed(24, seed=13)
         fitted = type(normalizer)(REGISTRY)
-        fitted.fit(collect_reference_values(raw.values()))
+        fitted.fit_columns(_columns(raw))
         state = fitted.fit_state()
         assert state is not None
         loaded = type(normalizer)(REGISTRY)
@@ -183,7 +214,7 @@ class TestFitStateTransport:
 
     def test_load_rejects_foreign_strategy(self):
         fitted = BenchmarkNormalizer(REGISTRY)
-        fitted.fit(collect_reference_values(_vectors_from_seed(8, seed=3).values()))
+        fitted.fit_columns(_columns(_vectors_from_seed(8, seed=3)))
         state = fitted.fit_state()
         with pytest.raises(NormalizationError):
             MinMaxNormalizer(REGISTRY).load_fit_state(state)

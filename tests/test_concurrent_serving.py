@@ -525,16 +525,6 @@ class TestSchedulerQueues:
             thread.join(timeout=10.0)
             assert not thread.is_alive()
 
-    def test_lock_alias_is_deprecated_but_works(self):
-        corpus = _fresh_corpus(3)
-        engine = SearchEngine(corpus, panel=AlexaLikeService())
-        with EagerRefreshScheduler(corpus, RefreshMode.DEFERRED) as scheduler:
-            scheduler.register_search_engine(engine, name="engine")
-            with pytest.warns(DeprecationWarning):
-                composite = scheduler.lock
-            with composite:
-                assert engine.search("travel flight resort", 3)
-
 
 def _serial_oracle(domain, corpus, watched_source, query):
     """Fresh single-threaded consumers over the quiesced corpus."""

@@ -3,6 +3,7 @@ measure computation, normalisation and scoring."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.contributor_measures import (
@@ -27,12 +28,13 @@ from repro.core.normalization import (
     BenchmarkNormalizer,
     MinMaxNormalizer,
     ZScoreNormalizer,
-    collect_reference_values,
 )
 from repro.core.scoring import (
+    WeightingScheme,
     attribute_weighted_scheme,
-    build_quality_score,
+    build_quality_score_columns,
     dimension_weighted_scheme,
+    scores_from_columns,
     uniform_scheme,
 )
 from repro.core.source_measures import (
@@ -303,12 +305,18 @@ class TestNormalizers:
         with pytest.raises(NormalizationError):
             BenchmarkNormalizer(registry).fit({"daily_visitors": []})
 
-    def test_collect_reference_values_pivots(self):
-        vectors = [{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": 4.0}]
-        reference = collect_reference_values(vectors)
-        assert reference == {"a": [1.0, 3.0], "b": [2.0, 4.0]}
-        with pytest.raises(NormalizationError):
-            collect_reference_values([])
+
+def _score_one(normalized, registry, scheme):
+    """Score one subject ``"s"`` through the column kernel."""
+    measures = tuple(normalized)
+    columns = {name: np.asarray([value]) for name, value in normalized.items()}
+    overall, dimensions, attributes = build_quality_score_columns(
+        ("s",), measures, columns, registry, scheme
+    )
+    return scores_from_columns(
+        ("s",), measures, columns, columns, overall, dimensions, attributes,
+        scheme.name,
+    )["s"]
 
 
 class TestScoring:
@@ -320,14 +328,29 @@ class TestScoring:
     def test_weighted_average_renormalises(self):
         registry = source_measure_registry().subset(["daily_visitors", "bounce_rate"])
         scheme = uniform_scheme(registry)
-        assert scheme.weighted_average({"daily_visitors": 1.0, "bounce_rate": 0.0}) == 0.5
-        assert scheme.weighted_average({"daily_visitors": 1.0}) == 1.0
+        both = {"daily_visitors": 1.0, "bounce_rate": 0.0}
+        assert _score_one(both, registry, scheme).overall == 0.5
+        assert _score_one({"daily_visitors": 1.0}, registry, scheme).overall == 1.0
 
     def test_weighted_average_with_no_covered_measure_rejected(self):
-        registry = source_measure_registry().subset(["daily_visitors"])
-        scheme = uniform_scheme(registry)
+        registry = source_measure_registry()
+        scheme = uniform_scheme(registry.subset(["daily_visitors"]))
         with pytest.raises(AssessmentError):
-            scheme.weighted_average({"unknown": 0.5})
+            _score_one({"bounce_rate": 0.5}, registry, scheme)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        """Regression: ``NaN < 0`` is False, so a NaN (or infinite) weight
+        used to pass validation and make every overall score NaN."""
+        registry = source_measure_registry()
+        with pytest.raises(ConfigurationError):
+            WeightingScheme(name="bad", weights={"daily_visitors": bad})
+        with pytest.raises(ConfigurationError):
+            dimension_weighted_scheme(registry, {QualityDimension.AUTHORITY: bad})
+        with pytest.raises(ConfigurationError):
+            attribute_weighted_scheme(
+                contributor_measure_registry(), {QualityAttribute.ACTIVITY: bad}
+            )
 
     def test_dimension_weighted_scheme_prioritises_dimension(self):
         registry = source_measure_registry()
@@ -360,7 +383,7 @@ class TestScoring:
             "daily_page_views": 0.5,
             "comments_per_discussion": 0.0,
         }
-        score = build_quality_score("s", normalized, normalized, registry, scheme)
+        score = _score_one(normalized, registry, scheme)
         assert score.overall == pytest.approx(0.5)
         assert score.dimension(QualityDimension.AUTHORITY) == pytest.approx(0.75)
         assert score.attribute(QualityAttribute.BREADTH) == pytest.approx(0.0)
@@ -371,4 +394,4 @@ class TestScoring:
     def test_build_quality_score_requires_measures(self):
         registry = source_measure_registry()
         with pytest.raises(AssessmentError):
-            build_quality_score("s", {}, {}, registry, uniform_scheme(registry))
+            _score_one({}, registry, uniform_scheme(registry))

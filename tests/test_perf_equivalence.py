@@ -3,7 +3,7 @@
 The perf refactor (batched assessment contexts, inverted-index search,
 memoised sentiment) must be a pure optimisation: every ranking and every
 score has to match the naive reference implementations to within 1e-9.
-The naive references live in :mod:`repro.perf.reference` and replicate the
+The naive references live in ``tests/_reference.py`` and replicate the
 seed's per-source / full-scan loops exactly.
 """
 
@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.contributor_quality import ContributorQualityModel
-from repro.core.source_quality import SourceQualityModel
-from repro.datasets.google_study import GoogleStudySpec, build_google_study
-from repro.perf.reference import (
+from _reference import (
     naive_assess_contributors,
     naive_assess_corpus,
     naive_rank,
+    search_fullscan,
 )
+from repro.core.contributor_quality import ContributorQualityModel
+from repro.core.source_quality import SourceQualityModel
+from repro.datasets.google_study import GoogleStudySpec, build_google_study
 from repro.sentiment.analyzer import SentimentAnalyzer
 from repro.sentiment.indicators import SentimentIndicatorService
 from repro.sources.generators import CorpusGenerator, CorpusSpec
@@ -178,7 +179,7 @@ class TestSearchEquivalence:
         limit = google_dataset.spec.results_per_query
         for query in google_dataset.workload:
             indexed = engine.search(query.text, limit)
-            fullscan = engine.search_fullscan(query.text, limit)
+            fullscan = search_fullscan(engine, query.text, limit)
             assert [r.source_id for r in indexed] == [r.source_id for r in fullscan]
             assert [r.rank for r in indexed] == [r.rank for r in fullscan]
             for left, right in zip(indexed, fullscan):
@@ -191,7 +192,7 @@ class TestSearchEquivalence:
         query = google_dataset.workload.texts()[0]
         for limit in (1, 3, 7):
             assert [r.source_id for r in engine.search(query, limit)] == [
-                r.source_id for r in engine.search_fullscan(query, limit)
+                r.source_id for r in search_fullscan(engine, query, limit)
             ]
 
     def test_result_cache_serves_repeated_queries(self, google_dataset):

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.measures import source_measure_registry
 from repro.core.normalization import BenchmarkNormalizer, MinMaxNormalizer, ZScoreNormalizer
-from repro.core.scoring import uniform_scheme
+from repro.core.scoring import build_quality_score_columns, uniform_scheme
 from repro.sentiment.analyzer import SentimentAnalyzer
 from repro.stats.anova import bonferroni_pairwise, one_way_anova
 from repro.stats.descriptive import describe, pearson_correlation, standardize
@@ -158,7 +159,11 @@ class TestNormalizerProperties:
     )
     def test_weighted_average_stays_in_convex_hull(self, normalized):
         scheme = uniform_scheme(self._registry)
-        average = scheme.weighted_average(normalized)
+        columns = {name: np.asarray([value]) for name, value in normalized.items()}
+        overall, _, _ = build_quality_score_columns(
+            ("s",), tuple(normalized), columns, self._registry, scheme
+        )
+        average = overall[0]
         assert min(normalized.values()) - 1e-9 <= average <= max(normalized.values()) + 1e-9
 
 

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from _reference import search_fullscan
 from repro.errors import ConfigurationError, SearchError, UnsearchableQueryError
 from repro.search.engine import SearchEngine, SearchEngineConfig, _query_noise, tokenize
 from repro.search.queries import QueryWorkload, QueryWorkloadSpec
 from repro.sources.corpus import SourceCorpus
+from repro.sources.webstats import AlexaLikeService
+from test_mutation_safety import _hand_built_corpus
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +130,7 @@ class TestSearchEngine:
         with pytest.raises(UnsearchableQueryError):
             engine.result_ids("x")
         with pytest.raises(UnsearchableQueryError):
-            engine.search_fullscan("x")
+            search_fullscan(engine, "x")
 
     def test_queries_without_alphanumeric_content_keep_generic_error(self, engine):
         with pytest.raises(SearchError) as excinfo:
@@ -192,6 +195,40 @@ class TestSearchEngine:
         assert popular_first.result_ids(query, 10) != topical_first.result_ids(query, 10) or (
             len(popular_first.result_ids(query, 10)) <= 1
         )
+
+
+class TestNegativeTopicalThreshold:
+    """A negative ``minimum_topical_score`` admits sources matching no term."""
+
+    QUERY = "alpha beta"
+
+    def _assert_matches_oracle(self, engine):
+        for limit in (1, 2, 10):
+            assert engine.search(self.QUERY, limit) == search_fullscan(
+                engine, self.QUERY, limit
+            )  # exact: ids, ranks and every score
+
+    def test_indexed_search_matches_full_scan(self):
+        corpus = _hand_built_corpus()  # disjoint vocabularies
+        engine = SearchEngine(
+            corpus,
+            panel=AlexaLikeService(),
+            config=SearchEngineConfig(minimum_topical_score=-1.0),
+        )
+        self._assert_matches_oracle(engine)
+        # Sources matching neither term are ranked too, at topical 0.0.
+        results = engine.search(self.QUERY, 10)
+        assert {r.source_id for r in results} == set(corpus.source_ids())
+        assert {r.topical_score for r in results if r.source_id != "src-alpha"} == {0.0}
+
+        # Mutate a source containing none of the query terms: its static
+        # score moves while the corpus size and static maxima stay put —
+        # exactly the change a term-scoped memo eviction would miss.
+        before = engine.static_score("src-eta")
+        corpus.get("src-eta").latent_popularity = 0.3
+        corpus.touch("src-eta")
+        assert engine.static_score("src-eta") != before
+        self._assert_matches_oracle(engine)
 
 
 class TestQueryWorkload:

@@ -409,9 +409,8 @@ class TestSchedulerRegistration:
             assert not scheduler.running
         # No lock needed: the worker is stopped and the scheduler closed,
         # so nothing patches concurrently with the rebuild comparison.
-        # (The deprecated ``scheduler.lock`` alias has its own dedicated
-        # test; holding a composite write lock while a *fresh* private
-        # model builds its context also trips the runtime lock-order
+        # (Holding a composite write lock while a *fresh* private model
+        # builds its context would also trip the runtime lock-order
         # validator, which cannot see that the fresh model's locks are
         # thread-private.)
         _assert_model_matches_rebuild(model, corpus)
@@ -547,29 +546,6 @@ class TestFitSignatures:
         ) as scheduler:
             with pytest.raises(ServingError):
                 scheduler.start()
-
-    def test_renormalize_measures_matches_normalize_many(self):
-        registry = source_measure_registry()
-        normalizer = BenchmarkNormalizer(registry)
-        vectors = {
-            f"s{i}": {"traffic_rank": float(i + 1), "daily_visitors": float(i * 10)}
-            for i in range(6)
-        }
-        normalizer.fit(
-            {
-                "traffic_rank": [v["traffic_rank"] for v in vectors.values()],
-                "daily_visitors": [v["daily_visitors"] for v in vectors.values()],
-            }
-        )
-        full = normalizer.normalize_many(vectors)
-        partial = normalizer.renormalize_measures(
-            vectors, {"daily_visitors"}, previous=full
-        )
-        assert partial == full
-        # The reused measure really was copied, not recomputed.
-        assert all(
-            partial[s]["traffic_rank"] == full[s]["traffic_rank"] for s in vectors
-        )
 
     def test_token_mismatch_refit_with_unmoved_fit_skips_renormalisation(
         self, travel_domain

@@ -537,16 +537,6 @@ class TestPreMergedRanking:
                     (a.source_id, a.score.to_dict()) for a in expected[:limit]
                 ]
 
-    def test_columnar_rank_matches_json_oracle(
-        self, coordinator_factory, travel_domain
-    ):
-        corpus = _fresh_corpus(10)
-        coordinator = coordinator_factory(corpus, 3, domain=travel_domain)
-        coordinator.quiesce()
-        binary = coordinator.rank()
-        oracle = coordinator.rank(columnar=False)
-        assert self._score_pairs(binary) == self._score_pairs(oracle)
-
     def test_fit_scatter_cached_until_corpus_changes(
         self, coordinator_factory, travel_domain
     ):
