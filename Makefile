@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 BENCH_JSON := BENCH_perf.json
 
-.PHONY: test stress recovery-stress shard-stress bench perf perf-smoke docs lint
+.PHONY: test stress recovery-stress shard-stress bench perf perf-smoke bench-selftest docs lint
 
 ## tier-1 test suite (must stay green; see ROADMAP.md)
 test:
@@ -49,6 +49,11 @@ perf-smoke:
 	$(PYTHON) benchmarks/bench_persistence.py --output $(BENCH_JSON) --sources 120 --discussion-budget 12 --events 4
 	$(PYTHON) benchmarks/bench_sharded_serving.py --output $(BENCH_JSON) --smoke
 	$(PYTHON) scripts/check_bench_keys.py $(BENCH_JSON)
+
+## end-to-end benchmark self-test: every workload at smoke scale through
+## perfbench/, so a src/ change that breaks a name it imports fails here
+bench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 ## invariant lint suite: lock-order, float-exactness, durability and bus
 ## hygiene checkers over src/ (see docs/INVARIANTS.md); fails on any

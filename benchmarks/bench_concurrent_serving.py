@@ -44,13 +44,12 @@ missed.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import threading
 import time
 from pathlib import Path
 
-from _harness import merge_report_section
+from _harness import finish, harness_parser, merge_report_section
 from repro.core.contributor_quality import ContributorQualityModel
 from repro.core.domain import DomainOfInterest, TimeInterval
 from repro.core.source_quality import SourceQualityModel
@@ -60,8 +59,6 @@ from repro.sources.corpus import SourceCorpus
 from repro.sources.generators import CorpusGenerator, CorpusSpec
 from repro.sources.models import Discussion, Post
 from repro.sources.webstats import AlexaLikeService
-
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 #: Aggregate-read-throughput target recorded in the JSON so future PRs
 #: see the goalposts: the concurrent core must serve ≥3x the reads of the
@@ -423,11 +420,7 @@ def run(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--output", type=Path, default=DEFAULT_OUTPUT,
-        help=f"JSON report to merge into (default: {DEFAULT_OUTPUT})",
-    )
+    parser = harness_parser(__doc__)
     parser.add_argument(
         "--sources", type=int, default=1000,
         help="corpus size served while mutations stream in (default: 1000)",
@@ -444,31 +437,17 @@ def main(argv: list[str] | None = None) -> int:
         "--readers", type=int, default=2,
         help="reader threads per consumer (default: 2; three consumers)",
     )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero when the throughput-speedup target is missed",
-    )
     args = parser.parse_args(argv)
 
     section = run(args.output, args.sources, args.events, args.pace, args.readers)
-    status = (
-        "[ok]"
-        if section["speedup"] >= section["target_speedup"]
-        else f"[BELOW {section['target_speedup']}x TARGET]"
-    )
-    print(
+    return finish(
+        args,
+        section,
         f"concurrent_serving   single-lock {section['baseline_read_qps']:10.0f} reads/s  "
         f"concurrent {section['concurrent_read_qps']:10.0f} reads/s  "
-        f"speedup {section['speedup']:6.1f}x  {status}"
+        f"speedup {section['speedup']:6.1f}x",
+        "concurrent-serving throughput speedup",
     )
-    print(f"wrote {args.output}")
-    if args.strict and section["speedup"] < section["target_speedup"]:
-        print(
-            "FATAL: concurrent-serving throughput speedup target missed",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

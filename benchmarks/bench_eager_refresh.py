@@ -37,12 +37,11 @@ missed.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
 
-from _harness import merge_report_section
+from _harness import finish, harness_parser, merge_report_section
 from repro.core.domain import DomainOfInterest, TimeInterval
 from repro.core.source_quality import SourceQualityModel
 from repro.search.engine import SearchEngine
@@ -51,8 +50,6 @@ from repro.sources.corpus import SourceCorpus
 from repro.sources.generators import CorpusGenerator, CorpusSpec
 from repro.sources.models import Discussion, Post
 from repro.sources.webstats import AlexaLikeService
-
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 #: First-read latency target recorded in the JSON so future PRs see the
 #: goalposts: eager mode must serve the first post-burst read ≥5x faster.
@@ -270,11 +267,7 @@ def run(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--output", type=Path, default=DEFAULT_OUTPUT,
-        help=f"JSON report to merge into (default: {DEFAULT_OUTPUT})",
-    )
+    parser = harness_parser(__doc__)
     parser.add_argument(
         "--sources", type=int, default=1000,
         help="corpus size served while mutations stream in (default: 1000)",
@@ -287,29 +280,18 @@ def main(argv: list[str] | None = None) -> int:
         "--burst", type=int, default=4,
         help="mutations per burst, coalesced into one eager patch (default: 4)",
     )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero when the speedup target is missed",
-    )
     args = parser.parse_args(argv)
     spare_count = (args.events * args.burst + 3) // 4 + 1  # one spare per 'add'
 
     section = run(args.output, args.sources, spare_count, args.events, args.burst)
-    status = (
-        "[ok]"
-        if section["speedup"] >= section["target_speedup"]
-        else f"[BELOW {section['target_speedup']}x TARGET]"
-    )
-    print(
+    return finish(
+        args,
+        section,
         f"eager_refresh   lazy first read {section['lazy_first_read_seconds']:8.3f}s  "
         f"eager first read {section['eager_first_read_seconds']:8.3f}s  "
-        f"speedup {section['speedup']:7.1f}x  {status}"
+        f"speedup {section['speedup']:7.1f}x",
+        "eager-refresh first-read speedup",
     )
-    print(f"wrote {args.output}")
-    if args.strict and section["speedup"] < section["target_speedup"]:
-        print("FATAL: eager-refresh first-read speedup target missed", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

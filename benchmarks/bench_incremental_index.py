@@ -30,19 +30,16 @@ Results are merged into ``BENCH_perf.json`` under the
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
 
-from _harness import merge_report_section
+from _harness import finish, harness_parser, merge_report_section
 from repro.search.engine import SearchEngine
 from repro.sources.corpus import SourceCorpus
 from repro.sources.generators import CorpusGenerator, CorpusSpec
 from repro.sources.models import Discussion, Post
 from repro.sources.webstats import AlexaLikeService
-
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 #: Speedup target recorded in the JSON so future PRs see the goalposts.
 TARGET_INCREMENTAL_SPEEDUP = 10.0
@@ -182,11 +179,7 @@ def run(output_path: Path, source_count: int, spare_count: int, events: int) -> 
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--output", type=Path, default=DEFAULT_OUTPUT,
-        help=f"JSON report to merge into (default: {DEFAULT_OUTPUT})",
-    )
+    parser = harness_parser(__doc__)
     parser.add_argument(
         "--sources", type=int, default=2000,
         help="corpus size the engine serves while mutations stream in (default: 2000)",
@@ -195,29 +188,18 @@ def main(argv: list[str] | None = None) -> int:
         "--events", type=int, default=12,
         help="number of streamed mutations (default: 12)",
     )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero when the speedup target is missed",
-    )
     args = parser.parse_args(argv)
     spare_count = (args.events + 3) // 4 + 1  # one spare per 'add' event
 
     section = run(args.output, args.sources, spare_count, args.events)
-    status = (
-        "[ok]"
-        if section["speedup"] >= section["target_speedup"]
-        else f"[BELOW {section['target_speedup']}x TARGET]"
-    )
-    print(
+    return finish(
+        args,
+        section,
         f"incremental_index        rebuild {section['full_rebuild_seconds']:8.3f}s  "
         f"incremental {section['incremental_seconds']:8.3f}s  "
-        f"speedup {section['speedup']:7.1f}x  {status}"
+        f"speedup {section['speedup']:7.1f}x",
+        "incremental-index speedup",
     )
-    print(f"wrote {args.output}")
-    if args.strict and section["speedup"] < section["target_speedup"]:
-        print("FATAL: incremental-index speedup target missed", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -34,11 +34,11 @@ The harness exits non-zero if ``BENCH_perf.json`` cannot be written.
 
 from __future__ import annotations
 
-import argparse
 import platform
 import sys
 from pathlib import Path
 
+from _harness import harness_parser
 from repro.core.columnar import (
     SortedRankKeys,
     columns_from_vectors,
@@ -76,8 +76,6 @@ BENCH_STUDY_SPEC = GoogleStudySpec(source_count=240, query_count=60)
 ASSESSMENT_TIER = CorpusSpec(
     source_count=10_000, seed=31, discussion_budget=4, user_budget=6
 )
-
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 #: Speedup targets recorded in the JSON so future PRs see the goalposts.
 TARGET_ASSESSMENT_SPEEDUP = 10.0
@@ -367,11 +365,7 @@ def summarise(report: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--output", type=Path, default=DEFAULT_OUTPUT,
-        help=f"where to write the JSON report (default: {DEFAULT_OUTPUT})",
-    )
+    parser = harness_parser(__doc__)
     parser.add_argument(
         "--rank-repetitions", type=int, default=5,
         help="rank() calls per side in the repeated-rank section (default: 5)",
@@ -384,10 +378,6 @@ def main(argv: list[str] | None = None) -> int:
         "--assessment-sources", type=int, default=ASSESSMENT_TIER.source_count,
         help="corpus size of the assessment-core tier "
              f"(default: {ASSESSMENT_TIER.source_count})",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero when a section misses its speedup target",
     )
     args = parser.parse_args(argv)
 

@@ -41,14 +41,13 @@ key.  Run with ``make perf`` or::
 
 from __future__ import annotations
 
-import argparse
 import shutil
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from _harness import merge_report_section
+from _harness import finish, harness_parser, merge_report_section
 from repro.core.domain import DomainOfInterest
 from repro.core.source_quality import SourceQualityModel
 from repro.persistence import CorpusStore
@@ -56,8 +55,6 @@ from repro.search.engine import SearchEngine
 from repro.sources.corpus import SourceCorpus
 from repro.sources.generators import CorpusGenerator, CorpusSpec
 from repro.sources.models import Discussion, Post
-
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 #: Speedup target recorded in the JSON so future PRs see the goalposts.
 TARGET_WARM_START_SPEEDUP = 20.0
@@ -228,11 +225,7 @@ def run(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--output", type=Path, default=DEFAULT_OUTPUT,
-        help=f"JSON report to merge into (default: {DEFAULT_OUTPUT})",
-    )
+    parser = harness_parser(__doc__)
     parser.add_argument(
         "--sources", type=int, default=800,
         help="corpus size snapshotted and recovered (default: 800)",
@@ -246,29 +239,18 @@ def main(argv: list[str] | None = None) -> int:
         "--events", type=int, default=8,
         help="journaled mutations between checkpoint and crash (default: 8)",
     )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero when the speedup target is missed",
-    )
     args = parser.parse_args(argv)
 
     section = run(args.output, args.sources, args.events, args.discussion_budget)
-    status = (
-        "[ok]"
-        if section["speedup"] >= section["target_speedup"]
-        else f"[BELOW {section['target_speedup']}x TARGET]"
-    )
-    print(
+    return finish(
+        args,
+        section,
         f"persistence              cold {section['cold_rebuild_seconds']:8.3f}s  "
         f"warm {section['warm_start_seconds']:8.3f}s  "
         f"(+{section['corpus_load_seconds']:.3f}s shared corpus load)  "
-        f"speedup {section['speedup']:7.1f}x  {status}"
+        f"speedup {section['speedup']:7.1f}x",
+        "warm-start speedup",
     )
-    print(f"wrote {args.output}")
-    if args.strict and section["speedup"] < section["target_speedup"]:
-        print("FATAL: warm-start speedup target missed", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -54,13 +54,12 @@ Results are merged into ``BENCH_perf.json`` under the
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
 from pathlib import Path
 
-from _harness import merge_report_section
+from _harness import finish, harness_parser, merge_report_section
 from repro.core.domain import DomainOfInterest, TimeInterval
 from repro.core.source_quality import SourceQualityModel
 from repro.search.engine import SearchEngine
@@ -72,8 +71,6 @@ from repro.sources.generators import (
     SourceGenerator,
     SourceSpec,
 )
-
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 #: Capacity-QPS target recorded in the JSON so future PRs see the
 #: goalposts: 8 workers must sustain ≥6x the reads of 1 worker on the
@@ -304,11 +301,7 @@ def run(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--output", type=Path, default=DEFAULT_OUTPUT,
-        help=f"JSON report to merge into (default: {DEFAULT_OUTPUT})",
-    )
+    parser = harness_parser(__doc__)
     parser.add_argument(
         "--sources", type=int, default=1200,
         help="corpus size partitioned across the workers (default: 1200)",
@@ -334,10 +327,6 @@ def main(argv: list[str] | None = None) -> int:
         "--smoke", action="store_true",
         help="small fast run (150 sources, 15 searches, 2 rankings)",
     )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero when the capacity-speedup target is missed",
-    )
     args = parser.parse_args(argv)
     if args.smoke:
         args.sources = min(args.sources, 150)
@@ -352,24 +341,14 @@ def main(argv: list[str] | None = None) -> int:
         args.ranks,
         args.repetitions,
     )
-    status = (
-        "[ok]"
-        if section["speedup"] >= section["target_speedup"]
-        else f"[BELOW {section['target_speedup']}x TARGET]"
-    )
-    print(
+    return finish(
+        args,
+        section,
         f"sharded_serving   1 worker {section['capacity_qps_1worker']:8.1f} reads/s  "
         f"8 workers {section['capacity_qps_8workers']:8.1f} reads/s  "
-        f"capacity speedup {section['speedup']:5.2f}x  {status}"
+        f"capacity speedup {section['speedup']:5.2f}x",
+        "sharded-serving capacity speedup",
     )
-    print(f"wrote {args.output}")
-    if args.strict and section["speedup"] < section["target_speedup"]:
-        print(
-            "FATAL: sharded-serving capacity speedup target missed",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -117,7 +117,6 @@ _RECEIVER_HINTS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("subscription", ("BusSubscription",)),
     ("subscriber", ("DurableJournalSubscriber",)),
     ("marker", ("BusSubscription",)),
-    ("tracker", ("CorpusChangeTracker",)),
     ("queue", ("ConsumerQueue",)),
     ("previous", ("ConsumerQueue",)),
     ("corpus", ("SourceCorpus",)),

@@ -55,21 +55,7 @@ class Normalizer(ABC):
     A normalizer is *fitted* on the raw measure values of a reference set of
     sources (or contributors) and then used to normalise the values of any
     individual.  Fitting is per measure name.
-
-    ``fit_is_order_invariant`` declares whether a strategy's fit depends
-    only on the *multiset* of reference values (True) or also on their
-    order (False).  Order-invariant fits can be computed from per-shard
-    pre-sorted columns merged in any order — the basis of the sharded
-    rank pre-merge (see :meth:`SourceQualityModel.shard_sorted_fit_columns`);
-    order-dependent fits (like the z-score's sequential sum) must see the
-    corpus in its canonical order and fall back to the full-matrix path.
     """
-
-    #: True when :meth:`fit` depends only on the multiset of reference
-    #: values, never their order.  Strategies that set this True must also
-    #: implement :meth:`fit_state` / :meth:`load_fit_state` so a fit can
-    #: travel to shard workers.
-    fit_is_order_invariant = False
 
     def __init__(self, registry: MeasureRegistry) -> None:
         self._registry = registry
@@ -248,11 +234,13 @@ class BenchmarkNormalizer(Normalizer):
     distinctions among mid-sized sources.  When a measure's benchmark is
     more than ``log_scale_threshold`` times its median, the ratio is
     therefore computed on a ``log1p`` scale.
-    """
 
-    #: Quantile/floor/median picks read ``np.sort(values)`` only — the fit
-    #: depends on the sorted multiset, never the input order.
-    fit_is_order_invariant = True
+    The fit reads ``np.sort(values)`` only, so it depends on the sorted
+    multiset, never the input order: fitting on per-shard sorted columns
+    merged in any order reproduces the corpus-order fit exactly.  That is
+    the basis of the sharded rank pre-merge (see
+    :meth:`~repro.core.source_quality.SourceQualityModel.shard_sorted_fit_columns`).
+    """
 
     def __init__(
         self,
@@ -372,9 +360,6 @@ class BenchmarkNormalizer(Normalizer):
 class MinMaxNormalizer(Normalizer):
     """Classic min-max normalisation over the reference values."""
 
-    #: min/max of a multiset do not depend on input order.
-    fit_is_order_invariant = True
-
     def __init__(self, registry: MeasureRegistry) -> None:
         super().__init__(registry)
         self._minima: dict[str, float] = {}
@@ -433,9 +418,8 @@ class ZScoreNormalizer(Normalizer):
     def fit_state(self) -> dict:
         """Transportable ``{means, stds}`` fit snapshot.
 
-        The *fit* stays order-dependent (its sequential ``sum`` rounds
-        differently under reordering, so ``fit_is_order_invariant`` is
-        False and sharded pre-merge cannot rebuild it from sorted
+        The *fit* is order-dependent (its sequential ``sum`` rounds
+        differently under reordering, so it cannot be rebuilt from sorted
         columns) — but an already-computed fit is just two float maps and
         transports exactly.
         """

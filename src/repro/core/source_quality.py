@@ -19,8 +19,8 @@ are computed once instead of once per source, and the normaliser is fitted
 once and applied to the whole raw-measure matrix.
 
 Contexts are maintained *incrementally*.  The model subscribes to the
-corpus's ``CorpusChange`` notifications (see
-:class:`~repro.sources.diffing.CorpusChangeTracker`), so repeated
+corpus's invalidation bus (see
+:class:`~repro.sources.diffing.BusSubscription`), so repeated
 ``assess_corpus`` / ``rank`` / ``ranking_ids`` calls over an unchanged
 corpus are an O(1) dirty-flag check — no per-read fingerprint scan.  When
 the flag fires, the corpus is diffed against the cached context's
@@ -63,7 +63,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -98,9 +98,8 @@ from repro.serving.rwlock import ReadWriteLock, ordered
 from repro.sources.corpus import SourceCorpus
 from repro.sources.crawler import Crawler, CrawlSnapshot
 from repro.sources.diffing import (
-    CorpusChangeTracker,
+    BusSubscription,
     diff_fingerprint_maps,
-    gather_rows,
     patch_measure_columns,
     scoped_fingerprints,
 )
@@ -242,15 +241,16 @@ class AssessmentContext:
 class _IncrementalEntry:
     """Per-(corpus, benchmark) incremental state of a quality model.
 
-    Holds the latest context (which anchors its source objects), the O(1)
-    dirty-flag trackers, and the normaliser fit token the context's
+    Holds the latest context (which anchors its source objects), the
+    unfiltered bus subscriptions whose ``dirty`` flag is the O(1)
+    staleness check, and the normaliser fit token the context's
     normalised matrix corresponds to (see ``Normalizer.fit_count``).
     """
 
     corpus_ref: "weakref.ref[SourceCorpus]"
-    tracker: CorpusChangeTracker
+    subscription: BusSubscription
     benchmark_ref: Optional["weakref.ref[SourceCorpus]"]
-    benchmark_tracker: Optional[CorpusChangeTracker]
+    benchmark_subscription: Optional[BusSubscription]
     context: AssessmentContext
     fit_token: int
     #: Per-measure fit signature the context's normalised matrix was
@@ -796,26 +796,29 @@ class SourceQualityModel:
         return entry
 
     def _entry_clean(self, entry: _IncrementalEntry, deep: bool) -> bool:
-        """The O(1) staleness check over an entry's bus-backed trackers."""
+        """The O(1) staleness check over an entry's bus subscriptions."""
         return (
             not deep
-            and not entry.tracker.dirty
-            and (entry.benchmark_tracker is None or not entry.benchmark_tracker.dirty)
+            and not entry.subscription.dirty
+            and (
+                entry.benchmark_subscription is None
+                or not entry.benchmark_subscription.dirty
+            )
         )
 
     def _discard_entry(self, key: tuple[int, Optional[int]]) -> None:
         """Drop one incremental entry, detaching its bus subscriptions.
 
-        The trackers' subscriptions are only weakly held by the bus, but
-        closing them here makes the detach deterministic: a pruned entry
-        stops paying per-mutation intake bookkeeping immediately.
+        The subscriptions are only weakly held by the bus, but closing
+        them here makes the detach deterministic: a pruned entry stops
+        paying per-mutation intake bookkeeping immediately.
         """
         entry = self._incremental.pop(key, None)
         if entry is None:
             return
-        entry.tracker.close()
-        if entry.benchmark_tracker is not None:
-            entry.benchmark_tracker.close()
+        entry.subscription.close()
+        if entry.benchmark_subscription is not None:
+            entry.benchmark_subscription.close()
 
     def _prune_incremental(self) -> None:
         """Drop entries whose corpus died; bound the table to a small multiple."""
@@ -856,12 +859,13 @@ class SourceQualityModel:
         Thread-safety: the clean path is a lock-free snapshot read
         (contexts are immutable once published; the shared read lock is
         taken only around grabbing the reference).  Builders are
-        serialised under ``refresh_mutex``; they mark the entry's trackers
-        clean *before* reading the corpus and publish the patched context
-        under the write lock in O(1), so a mutation landing mid-build
-        leaves the entry dirty and the next read patches again — a read
-        racing a patch serves the previous consistent context, and a
-        quiesced model is bit-identical to a from-scratch rebuild.
+        serialised under ``refresh_mutex``; they mark the entry's
+        subscriptions clean *before* reading the corpus and publish the
+        patched context under the write lock in O(1), so a mutation
+        landing mid-build leaves the entry dirty and the next read
+        patches again — a read racing a patch serves the previous
+        consistent context, and a quiesced model is bit-identical to a
+        from-scratch rebuild.
         """
         if len(corpus) == 0:
             raise AssessmentError("cannot assess an empty corpus")
@@ -886,20 +890,24 @@ class SourceQualityModel:
             fresh_entry = entry is None
             pending = None
             if fresh_entry:
-                # Create the trackers *before* reading the corpus: their
-                # clean version captures "now", so any mutation landing
-                # during the build below re-dirties the entry.
+                # Subscribe *before* reading the corpus: the clean version
+                # captures "now", so any mutation landing during the build
+                # below re-dirties the entry.
                 self._prune_incremental()
                 entry = _IncrementalEntry(
                     corpus_ref=weakref.ref(corpus),
-                    tracker=CorpusChangeTracker(corpus),
+                    subscription=corpus.invalidation_bus().subscribe(
+                        name="source-model"
+                    ),
                     benchmark_ref=(
                         weakref.ref(benchmark_corpus)
                         if benchmark_corpus is not None
                         else None
                     ),
-                    benchmark_tracker=(
-                        CorpusChangeTracker(benchmark_corpus)
+                    benchmark_subscription=(
+                        benchmark_corpus.invalidation_bus().subscribe(
+                            name="source-model"
+                        )
                         if benchmark_corpus is not None
                         else None
                     ),
@@ -907,9 +915,9 @@ class SourceQualityModel:
                     fit_token=-1,
                 )
             else:
-                pending = entry.tracker.subscription.drain()
-                if entry.benchmark_tracker is not None:
-                    entry.benchmark_tracker.mark_clean()
+                pending = entry.subscription.drain()
+                if entry.benchmark_subscription is not None:
+                    entry.benchmark_subscription.mark_clean()
 
             try:
                 # Burst-scoped fingerprinting: the drained burst names every
@@ -967,16 +975,16 @@ class SourceQualityModel:
                     fit_signature = self._normalizer.fit_signature()
                     self._contexts.put(cache_key, context)
             except BaseException:
-                # The trackers were marked clean above; a failed rebuild
+                # The subscriptions were drained above; a failed rebuild
                 # must not leave the stale published context looking
                 # fresh — restore the staleness so the next read retries.
                 # The drained burst detail is lost with the failure, so
                 # the retry must run the full fingerprint scan.
                 if not fresh_entry:
                     entry.scope_lost = True
-                    entry.tracker.force_dirty()
-                    if entry.benchmark_tracker is not None:
-                        entry.benchmark_tracker.force_dirty()
+                    entry.subscription.force_dirty()
+                    if entry.benchmark_subscription is not None:
+                        entry.benchmark_subscription.force_dirty()
                 raise
 
             # Publish: the context was built aside, the swap is O(1).
@@ -1128,10 +1136,10 @@ class SourceQualityModel:
             raise CorruptSnapshotError(
                 "assessment ranking does not cover the recovered corpus"
             )
-        # Tracker before the corpus read, like the build path: a mutation
+        # Subscribe before the corpus read, like the build path: a mutation
         # landing mid-restore leaves the entry dirty, so the next read
         # patches instead of trusting the just-installed context.
-        tracker = CorpusChangeTracker(corpus)
+        subscription = corpus.invalidation_bus().subscribe(name="source-model")
         # ROADMAP open item 3: trust the section-carried post totals
         # instead of rescanning content — every other fingerprint field is
         # an O(1) live read, so composing is O(1) per source where
@@ -1178,9 +1186,9 @@ class SourceQualityModel:
             self._prune_incremental()
             entry = _IncrementalEntry(
                 corpus_ref=weakref.ref(corpus),
-                tracker=tracker,
+                subscription=subscription,
                 benchmark_ref=None,
-                benchmark_tracker=None,
+                benchmark_subscription=None,
                 context=context,
                 fit_token=-1,  # unknown normaliser: re-fit on the first patch
             )
@@ -1310,19 +1318,6 @@ class SourceQualityModel:
     _ATTR_PREFIX = "attr:"
     _OVERALL_KEY = "overall"
 
-    def supports_shard_premerge(self) -> bool:
-        """True when the normaliser's fit can be rebuilt from sorted columns.
-
-        Order-invariant strategies (benchmark, min-max) depend only on
-        each measure's sorted multiset, so per-shard pre-sorted columns
-        merged in any order reproduce the global fit exactly; the fit
-        then travels to the workers as
-        :meth:`~repro.core.normalization.Normalizer.fit_state`.
-        Order-dependent strategies (z-score) make the coordinator fall
-        back to gathering the full raw matrix.
-        """
-        return self._normalizer.fit_is_order_invariant
-
     def shard_measure_columns(
         self, corpus: SourceCorpus, *, corpus_max_open_discussions: int
     ) -> "tuple[tuple[str, ...], tuple[str, ...], dict[str, np.ndarray]]":
@@ -1364,8 +1359,8 @@ class SourceQualityModel:
 
         Sorting moves values without changing them, and sorting the
         concatenation of per-shard sorted columns equals sorting the full
-        column — all an order-invariant fit ever reads.  Returns the row
-        count plus the sorted columns.
+        column — all the benchmark normaliser's fit ever reads.  Returns
+        the row count plus the sorted columns.
         """
         subject_ids, _, columns = self.shard_measure_columns(
             corpus, corpus_max_open_discussions=corpus_max_open_discussions
@@ -1380,23 +1375,19 @@ class SourceQualityModel:
         """Fit the normaliser on merged sorted columns; return its fit state.
 
         Coordinator side of the pre-merge: the merged sorted columns hold
-        exactly the multiset the full-matrix fit would see, and the fit is
-        order-invariant (:meth:`supports_shard_premerge` guards callers),
-        so the resulting state is bit-identical to fitting on the
-        assembled corpus-order matrix.  The returned state is broadcast
-        to the workers for :meth:`shard_rank_candidates`.
+        exactly the multiset the full-matrix fit would see, and the
+        default :class:`~repro.core.normalization.BenchmarkNormalizer`
+        fit reads only that sorted multiset, so the resulting state is
+        bit-identical to fitting on the assembled corpus-order matrix.
+        The returned state is broadcast to the workers for
+        :meth:`shard_rank_candidates`, whose ``load_fit_state`` rejects a
+        foreign strategy with :class:`~repro.errors.NormalizationError`.
         """
-        if not self.supports_shard_premerge():
-            raise AssessmentError(
-                "normalizer fit is order-dependent; sharded pre-merge unavailable"
-            )
         with ordered(self._refresh_mutex, "consumer.gate"):
             self._fit_normalizer_columns(sorted_columns)
             state = self._normalizer.fit_state()
         if state is None:
-            raise AssessmentError(
-                "normalizer declares an order-invariant fit but no transportable state"
-            )
+            raise AssessmentError("normalizer has no transportable fit state")
         return state
 
     def shard_rank_candidates(

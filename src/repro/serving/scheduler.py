@@ -662,13 +662,15 @@ def register_worker_stack(
 ) -> list[str]:
     """Register a shard worker's serving stack under shard-scoped names.
 
-    The sharded worker (:mod:`repro.sharding.worker`) runs the very same
+    The sharded worker (:mod:`repro.sharding.worker`) runs the same
     consumers a single-process deployment does; this helper registers
-    whichever of them exist under ``shard<i>.``-prefixed names — e.g.
+    whichever of them are given under ``shard<i>.``-prefixed names — e.g.
     ``shard2.search-engine`` — so consumer stats, stress output and test
     assertions can tell the shards apart at a glance.  Pass only the
     pieces that already exist (the worker builds its engine lazily and
-    registers it on first build); returns the registered names.
+    registers it on first build); returns the registered names.  The
+    worker passes its engine and store; ``source_model`` and ``corpus``
+    register an eagerly patched model for a stack that keeps one.
     """
     names: list[str] = []
     prefix = f"shard{shard_index}."

@@ -327,7 +327,13 @@ class ShardCoordinator:
                 return self._request(shard, "sync", {})
 
     def close(self) -> None:
-        """Shut down every worker and detach from the corpus (idempotent)."""
+        """Drain buffered mutations, shut down every worker (idempotent).
+
+        Records still buffered reach the live shards before the shutdown
+        requests; records for a down shard are dropped and counted, as
+        in :meth:`flush`.  A failing drain still shuts every worker down
+        before its error propagates.
+        """
         if self._closed:
             return
         self._closed = True
@@ -335,22 +341,25 @@ class ShardCoordinator:
         for shard in self._shards:
             shard.jobs.put(None)  # stop the persistent gather runner
         with ordered(self._io, "shard.io"):
-            for shard in self._shards:
-                if shard.alive:
+            try:
+                self.flush()
+            finally:
+                for shard in self._shards:
+                    if shard.alive:
+                        try:
+                            self._request(shard, "shutdown", {})
+                        except ShardingError:
+                            pass
+                    if shard.connection is not None:
+                        shard.connection.close()
+                for shard in self._shards:
+                    if shard.process is None:
+                        continue
                     try:
-                        self._request(shard, "shutdown", {})
-                    except (ShardingError, WireProtocolError, OSError):
-                        pass
-                if shard.connection is not None:
-                    shard.connection.close()
-            for shard in self._shards:
-                if shard.process is None:
-                    continue
-                try:
-                    shard.process.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    shard.process.kill()
-                    shard.process.wait()
+                        shard.process.wait(timeout=10)
+                    except subprocess.TimeoutExpired:
+                        shard.process.kill()
+                        shard.process.wait()
         for shard in self._shards:
             if shard.runner is not None:
                 shard.runner.join(timeout=10)
@@ -588,15 +597,15 @@ class ShardCoordinator:
         bit-identical to ``rank()[:limit]``: shards partition the corpus,
         so any global top source is within its shard's top ``limit``.
 
-        Falls back to ``rank()[:limit]`` when the domain's normaliser fit
-        is order-dependent (see ``supports_shard_premerge``).
+        The coordinator and every worker build the default
+        :class:`~repro.core.normalization.BenchmarkNormalizer`, whose fit
+        reads only each measure's sorted multiset — so fitting on the
+        merged sorted columns equals fitting on the corpus-order matrix.
         """
         if self._model is None:
             raise ShardingError("coordinator was built without a domain")
         if limit <= 0:
             raise ShardingError(f"limit must be positive, got {limit}")
-        if not self._model.supports_shard_premerge():
-            return self.rank(allow_degraded=allow_degraded)[:limit]
         self.flush()
         stats = self._scatter("rank_stats", {}, allow_degraded=allow_degraded)
         max_open = max((int(s["max_open"]) for s in stats.values()), default=0)
@@ -657,51 +666,31 @@ class ShardCoordinator:
 
     # -- wire plumbing -----------------------------------------------------------------
 
-    @staticmethod
-    def _attach_binary(reply: dict[str, Any]) -> Any:
-        """The reply's result, with any binary payload merged in as ``_binary``."""
-        result = reply.get("result")
-        if "_binary" in reply and isinstance(result, dict):
-            result = dict(result)
-            result["_binary"] = reply["_binary"]
-        return result
-
     def _request(self, shard: _Shard, kind: str, payload: dict[str, Any]) -> Any:
         """One request/reply round-trip with a single shard.
 
-        Serialised per *connection* (``shard.conn``), not coordinator-wide:
-        a round-trip with one shard never blocks traffic to another.  The
-        send and its matching recv happen under one hold so concurrent
-        callers cannot interleave frames or steal each other's replies.
+        The one-shard form of :meth:`_gather_one`: a wire failure marks
+        the shard down and raises :class:`ShardUnavailableError` with the
+        reason, and a worker-side error re-raises as its local type.
         """
-        message = {"id": next(self._message_ids), "kind": kind, **payload}
-        with ordered(shard.lock, "shard.conn"):
-            connection = shard.connection
-            try:
-                connection.send(message)
-                reply = connection.recv()
-            except (WireProtocolError, OSError) as exc:
-                self._mark_down(shard)
-                raise ShardUnavailableError(shard.index, str(exc)) from exc
-            if reply is None:
-                self._mark_down(shard)
-                raise ShardUnavailableError(shard.index, "connection closed by worker")
-            if reply.get("id") != message["id"]:
-                self._mark_down(shard)
-                raise ShardUnavailableError(shard.index, "reply out of order")
-        if not reply.get("ok", False):
-            raise self._remote_error(reply.get("error") or {})
-        return self._attach_binary(reply)
+        message_id = next(self._message_ids)
+        status, value = self._gather_one(
+            shard, message_id, json_record({"id": message_id, "kind": kind, **payload})
+        )
+        if status == "down":
+            raise ShardUnavailableError(shard.index, value)
+        if status == "error":
+            raise value
+        return value
 
     def _run_gathers(self, shard: _Shard) -> None:
         """Persistent gather-thread body: serve this shard's scatter jobs.
 
         One runner per shard lives for the coordinator's lifetime (a
         thread spawned per scatter costs more CPU than the serial drain
-        it replaces).  Each job is one full round-trip; the outcome —
-        ``("ok", result)``, ``("down", index)`` or ``("error", exc)`` —
-        is posted to the job's completion queue.  ``None`` shuts the
-        runner down.
+        it replaces).  Each job is one full round-trip; its outcome (see
+        :meth:`_gather_one`) is posted to the job's completion queue with
+        the shard index.  ``None`` shuts the runner down.
         """
         while True:
             job = shard.jobs.get()
@@ -715,29 +704,37 @@ class ShardCoordinator:
     def _gather_one(
         self, shard: _Shard, message_id: int, encoded: bytes
     ) -> tuple[str, Any]:
-        """One shard's scatter round-trip; returns an outcome tag + value.
+        """One round-trip: ``("ok", result)``, ``("down", reason)`` or
+        ``("error", the worker's exception rebuilt locally)``.
 
-        ``encoded`` is the request payload already serialised (the same
-        bytes go to every shard in the fan-out; connections are
-        independent, so one message id serves them all).  Runs the full
-        send+recv under the shard's connection lock, so the reply is
-        always drained from a shard the request reached — leaving it
-        unread would desynchronise the connection.
+        ``encoded`` is the request already serialised (a scatter sends the
+        same bytes to every shard under one message id).  The send and its
+        recv run under one hold of the shard's connection lock — per
+        connection, not coordinator-wide — so concurrent callers never
+        interleave frames or steal replies, and a request that reached a
+        shard always has its reply drained.  A reply's binary payload
+        rides in the result as ``_binary``.
         """
         with ordered(shard.lock, "shard.conn"):
             connection = shard.connection
             try:
                 connection.send_payload(encoded)
                 reply = connection.recv()
-            except (WireProtocolError, OSError):
+            except (WireProtocolError, OSError) as exc:
                 self._mark_down(shard)
-                return "down", None
-            if reply is None or reply.get("id") != message_id:
+                return "down", str(exc)
+            if reply is None:
                 self._mark_down(shard)
-                return "down", None
+                return "down", "connection closed by worker"
+            if reply.get("id") != message_id:
+                self._mark_down(shard)
+                return "down", "reply out of order"
         if not reply.get("ok", False):
             return "error", self._remote_error(reply.get("error") or {})
-        return "ok", self._attach_binary(reply)
+        result = reply.get("result")
+        if "_binary" in reply and isinstance(result, dict):
+            result = {**result, "_binary": reply["_binary"]}
+        return "ok", result
 
     def _scatter(
         self,

@@ -13,11 +13,15 @@ The worker owns an ordinary serving stack for its shard: a
 :class:`~repro.sources.corpus.SourceCorpus`, an optional per-shard
 :class:`~repro.persistence.store.CorpusStore` (stamped with the shard
 identity), a lazily built :class:`~repro.search.engine.SearchEngine`
-(an empty shard has nothing to index), a
-:class:`~repro.core.source_quality.SourceQualityModel`, and optionally an
-:class:`~repro.serving.EagerRefreshScheduler` pumped in the foreground
-via ``flush()`` after every replicated batch (the background thread is
-never started — the dispatch loop *is* the thread).
+(an empty shard has nothing to index), and optionally an
+:class:`~repro.serving.EagerRefreshScheduler` that keeps the engine and
+the store's checkpoints current, pumped in the foreground via
+``flush()`` after every replicated batch (the background thread is
+never started — the dispatch loop *is* the thread).  A
+:class:`~repro.core.source_quality.SourceQualityModel` serves the
+``rank_*`` phases from its measure-column cache and holds no assessment
+context: the store does not snapshot it and the scheduler does not patch
+it, because no request reads one.
 
 Replicated mutations arrive as journal-schema records (produced by the
 coordinator's :class:`~repro.sources.diffing.WireBridgeSubscriber`) and
@@ -152,11 +156,8 @@ class ShardWorker:
         self._engine_config = SearchEngineConfig(**(message.get("engine_config") or {}))
         self._engine_config.validate()
         domain_payload = message.get("domain")
-        domain = (
-            DomainOfInterest.from_dict(domain_payload)
-            if domain_payload is not None
-            else None
-        )
+        if domain_payload is not None:
+            self._model = SourceQualityModel(DomainOfInterest.from_dict(domain_payload))
         store_dir = message.get("store_dir")
         recovered = False
         if store_dir is not None:
@@ -169,25 +170,18 @@ class ShardWorker:
         if bool(message.get("recover", False)):
             if self._store is None:
                 raise PersistenceError("recover requested but no store_dir given")
-            stack = self._store.recover_stack(
-                domain=domain, build_engine=True, attach=True
-            )
+            stack = self._store.recover_stack()
             self._corpus = stack.corpus
             self._engine = stack.engine
-            self._model = stack.source_model
             recovered = True
-        if self._model is None and domain is not None:
-            self._model = SourceQualityModel(domain)
-        if not recovered and self._store is not None:
-            self._store.attach(self._corpus, source_model=self._model)
+        elif self._store is not None:
+            self._store.attach(self._corpus)
         if bool(message.get("eager", False)):
             self._scheduler = EagerRefreshScheduler(self._corpus)
             register_worker_stack(
                 self._scheduler,
                 shard_index=self._shard_index,
                 engine=self._engine,
-                source_model=self._model,
-                corpus=self._corpus,
                 store=self._store,
             )
         self._configured = True
@@ -211,10 +205,10 @@ class ShardWorker:
         return self._engine
 
     def _flush_scheduler(self) -> None:
-        # An emptied shard must not be eagerly refreshed: both the engine
-        # and the model refuse an empty corpus (reads short-circuit to
-        # empty replies instead).  Pending events stay queued and coalesce
-        # into the next flush once the shard has sources again.
+        # An emptied shard must not be eagerly refreshed: the engine
+        # refuses an empty corpus (reads short-circuit to empty replies
+        # instead).  Pending events stay queued and coalesce into the
+        # next flush once the shard has sources again.
         if self._scheduler is not None and len(self._corpus) > 0:
             self._scheduler.flush()
 
@@ -363,9 +357,6 @@ class ShardWorker:
         self._ensure_engine()
         return {"version": self._store.checkpoint()}
 
-    def _handle_version(self, message: dict[str, Any]) -> dict[str, Any]:
-        return {"version": self._corpus.version, "sources": len(self._corpus)}
-
     def _handle_busy_time(self, message: dict[str, Any]) -> dict[str, Any]:
         return {"busy_seconds": self._busy_seconds}
 
@@ -386,7 +377,6 @@ class ShardWorker:
         "rank_fit": _handle_rank_fit,
         "rank_score": _handle_rank_score,
         "checkpoint": _handle_checkpoint,
-        "version": _handle_version,
         "busy_time": _handle_busy_time,
         "shutdown": _handle_shutdown,
     }

@@ -17,7 +17,7 @@ growth and ``Source.touch()`` surface as ``"touch"`` events.  Consumers
 that derive state from the corpus (the search index, panel observation
 caches, assessment contexts) key their staleness checks on an O(1) dirty
 flag fed by those notifications (see
-:class:`repro.sources.diffing.CorpusChangeTracker`), falling back to the
+:class:`repro.sources.diffing.BusSubscription`), falling back to the
 content fingerprint only to localise a detected change — or on explicit
 ``deep=True`` reads covering unannounced growth that bypassed the
 helpers.

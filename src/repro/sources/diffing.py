@@ -12,13 +12,13 @@ This module is the single home of both mechanisms, extracted from the
 search engine's incremental refresh so the quality models can reuse them
 verbatim:
 
-* :class:`CorpusChangeTracker` — the O(1) staleness tier.  It subscribes
-  (weakly) to :class:`~repro.sources.corpus.CorpusChange` notifications
-  and keeps a dirty flag, so a read over an unchanged corpus costs one
-  attribute check instead of an O(source count) content probe.  Every
-  mutation made through the corpus API *and* every in-place mutation made
-  through the ``Source`` helpers (which announce themselves to their
-  owning corpora) raises the flag.  Mutations that bypass both — direct
+* :attr:`BusSubscription.dirty` — the O(1) staleness tier.  A consumer's
+  subscription to the corpus's :class:`InvalidationBus` records every
+  :class:`~repro.sources.corpus.CorpusChange`, so a read over an
+  unchanged corpus costs one attribute check instead of an O(source
+  count) content probe.  Every mutation made through the corpus API
+  *and* every in-place mutation made through the ``Source`` helpers
+  (which announce themselves to their owning corpora) raises the flag.  Mutations that bypass both — direct
   appends into a source's internal lists, count-preserving edits without
   ``touch()`` — are invisible to the flag; consumers expose a
   ``deep=True`` escape hatch that forces a full fingerprint scan for
@@ -51,10 +51,9 @@ and the contributor model each kept a private corpus subscription and
 private pending state: the bus records an event once and fans it out to
 every matching subscription under a single lock, so independent consumers
 can observe, drain and patch concurrently without sharing any mutable
-state beyond the bus itself.  :class:`CorpusChangeTracker` survives as a
-thin dirty-flag adapter over an unfiltered subscription, and
-:class:`SourceChangeTracker` is the same tier one granularity down (a
-single :class:`~repro.sources.models.Source` watched through its mutation
+state beyond the bus itself.  :class:`SourceChangeTracker` is the same
+dirty-flag tier one granularity down (a single
+:class:`~repro.sources.models.Source` watched through its mutation
 watchers — the channel the contributor model uses, since a community can
 be assessed without ever joining a corpus).
 """
@@ -101,7 +100,6 @@ __all__ = [
     "PendingInvalidation",
     "BusSubscription",
     "InvalidationBus",
-    "CorpusChangeTracker",
     "SourceChangeTracker",
     "DurableJournalSubscriber",
     "WireBridgeSubscriber",
@@ -338,7 +336,7 @@ def scoped_fingerprints(
     *unannounced* growth (direct appends into ``discussion.posts``) in an
     untouched source is invisible here — exactly the blind spot the
     consumers' ``deep=True`` full-scan escape hatch exists for, and the
-    same contract :class:`CorpusChangeTracker`'s dirty flag already has.
+    same contract an unfiltered subscription's dirty flag already has.
 
     Returns ``(current_sources, current_fingerprints)`` keyed by source
     identifier in corpus order, the same shapes :func:`diff_fingerprints`
@@ -666,60 +664,6 @@ class InvalidationBus:
             hook(change)
 
 
-class CorpusChangeTracker:
-    """O(1) dirty flag over a corpus — an unfiltered bus subscription.
-
-    Kept as the simplest face of the invalidation layer: ``dirty`` and
-    :meth:`mark_clean`, nothing else.  Since the bus refactor it is a thin
-    adapter over :meth:`InvalidationBus.subscribe`, so every tracker in
-    the process shares the corpus's single change subscription instead of
-    registering its own.  The semantics are unchanged: ``dirty`` is True
-    whenever a mutation notification arrived since the last
-    :meth:`mark_clean`, whenever the corpus version moved without a
-    notification, and whenever the corpus itself has been collected.
-    """
-
-    def __init__(self, corpus: "SourceCorpus") -> None:
-        self._subscription = corpus.invalidation_bus().subscribe(name="tracker")
-
-    @property
-    def subscription(self) -> BusSubscription:
-        """The underlying bus subscription (for drain-based callers)."""
-        return self._subscription
-
-    @property
-    def corpus(self) -> Any:
-        """The tracked corpus, or None once it has been garbage collected."""
-        return self._subscription.corpus
-
-    @property
-    def dirty(self) -> bool:
-        """True when a mutation may have happened since :meth:`mark_clean`."""
-        return self._subscription.dirty
-
-    def mark_clean(self) -> None:
-        """Record that the owner's derived state matches the corpus now."""
-        self._subscription.mark_clean()
-
-    def force_dirty(self) -> None:
-        """Force the next :attr:`dirty` check to fire (refresh-failure path).
-
-        An owner that marked the tracker clean but then failed to rebuild
-        its derived state calls this so the staleness is not lost.
-        """
-        self._subscription.force_dirty()
-
-    def close(self) -> None:
-        """Detach the tracker's subscription from the bus (idempotent).
-
-        Owners that cache trackers (e.g. the source-quality model's
-        incremental entries) call this when an entry is discarded, so a
-        pruned entry stops paying per-mutation intake bookkeeping
-        immediately instead of waiting for garbage collection.
-        """
-        self._subscription.close()
-
-
 class DurableJournalSubscriber:
     """Bus subscriber that appends every corpus change to a durable sink.
 
@@ -863,11 +807,11 @@ class WireBridgeSubscriber(DurableJournalSubscriber):
 class SourceChangeTracker:
     """O(1) dirty flag over a single :class:`~repro.sources.models.Source`.
 
-    The per-source analogue of :class:`CorpusChangeTracker`, extracted
-    from the contributor model so any per-community consumer can share it:
-    it registers a mutation watcher (weakly held by the source) and keeps
-    a dirty flag cross-checked against the source's ``content_revision``
-    counter.  The cross-check is what makes eager refresh race-free: an
+    The per-source analogue of an unfiltered :class:`BusSubscription`,
+    extracted from the contributor model so any per-community consumer can
+    share it: it registers a mutation watcher (weakly held by the source)
+    and keeps a dirty flag cross-checked against the source's
+    ``content_revision`` counter.  The cross-check is what makes eager refresh race-free: an
     announced mutation bumps the revision *before* watchers run, so a
     refresh driven from inside the announcement (a sync-mode serving
     scheduler) detects the mutation even when it runs ahead of this

@@ -640,15 +640,6 @@ class TestSubscriptionLifecycle:
         assert engine._subscription.closed
         engine.close()  # idempotent
 
-    def test_corpus_change_tracker_close_detaches(self):
-        from repro.sources.diffing import CorpusChangeTracker
-
-        corpus = _small_corpus()
-        tracker = CorpusChangeTracker(corpus)
-        assert not tracker.subscription.closed
-        tracker.close()
-        assert tracker.subscription.closed
-
     def test_source_model_close_discards_entries_and_trackers(self, travel_domain):
         from repro.core.source_quality import SourceQualityModel
 
@@ -660,6 +651,6 @@ class TestSubscriptionLifecycle:
         model.close()
         assert model._incremental == {}
         for entry in entries:
-            assert entry.tracker.subscription.closed
-            if entry.benchmark_tracker is not None:
-                assert entry.benchmark_tracker.subscription.closed
+            assert entry.subscription.closed
+            if entry.benchmark_subscription is not None:
+                assert entry.benchmark_subscription.closed

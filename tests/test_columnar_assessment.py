@@ -197,9 +197,8 @@ class TestFitStateTransport:
     def test_order_invariant_fit_survives_sorted_shard_merge(self, normalizer):
         # Fitting on np.sort of the pooled column equals fitting on the
         # corpus-order column — the identity the coordinator's pre-merge
-        # fit relies on (z-score is excluded: fit_is_order_invariant is
-        # False and the coordinator falls back to the full gather).
-        assert type(normalizer)(REGISTRY).fit_is_order_invariant
+        # fit relies on (z-score's sequential sum is excluded: its fit
+        # depends on the order).
         raw = _vectors_from_seed(32, seed=17)
         _, measures, columns = columns_from_vectors(raw, tuple(MEASURES))
         direct = type(normalizer)(REGISTRY)
@@ -208,9 +207,6 @@ class TestFitStateTransport:
         merged = type(normalizer)(REGISTRY)
         merged.fit_columns(sorted_columns)
         assert merged.fit_state() == direct.fit_state()
-
-    def test_z_score_fit_is_declared_order_dependent(self):
-        assert not ZScoreNormalizer(REGISTRY).fit_is_order_invariant
 
     def test_load_rejects_foreign_strategy(self):
         fitted = BenchmarkNormalizer(REGISTRY)

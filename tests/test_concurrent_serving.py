@@ -31,7 +31,7 @@ from repro.perf.cache import LRUCache
 from repro.search.engine import SearchEngine
 from repro.serving import EagerRefreshScheduler, ReadWriteLock, RefreshMode
 from repro.sources.corpus import SourceCorpus
-from repro.sources.diffing import CorpusChangeTracker, SourceChangeTracker
+from repro.sources.diffing import SourceChangeTracker
 from repro.sources.generators import (
     CorpusGenerator,
     CorpusSpec,
@@ -171,15 +171,25 @@ class TestInvalidationBus:
         subscription.force_dirty()  # the patch failed: do not lose the event
         assert subscription.dirty
 
-    def test_trackers_ride_the_shared_bus(self):
+    def test_trackers_ride_the_shared_bus(self, travel_domain):
+        # The source model's O(1) staleness flag is a plain subscription
+        # on the corpus's shared bus, not a private corpus listener.
         corpus = _fresh_corpus(3)
-        tracker = CorpusChangeTracker(corpus)
-        assert not tracker.dirty
+        bus = corpus.invalidation_bus()
+        before = bus.subscription_count()
+        model = SourceQualityModel(travel_domain)
+        model.assessment_context(corpus)
+        (entry,) = model._incremental.values()
+        subscription = entry.subscription
+        assert bus.subscription_count() == before + 1
+        assert subscription.corpus is corpus
+        assert not subscription.dirty
         corpus.touch(corpus.source_ids()[0])
-        assert tracker.dirty
-        tracker.mark_clean()
-        assert not tracker.dirty
-        assert tracker.corpus is corpus
+        assert subscription.dirty
+        model.assessment_context(corpus)
+        assert not subscription.dirty
+        model.close()
+        assert bus.subscription_count() == before
 
     def test_source_change_tracker_revision_cross_check(self):
         source = _extra_source("tracker-source")

@@ -28,6 +28,7 @@ from repro.errors import (
     AssessmentError,
     CorruptSnapshotError,
     MissingShardSnapshotError,
+    NormalizationError,
     PersistenceError,
     SearchError,
     ShardingError,
@@ -35,7 +36,7 @@ from repro.errors import (
     UnsearchableQueryError,
     WireProtocolError,
 )
-from repro.persistence import ClusterStore, CorpusStore
+from repro.persistence import ClusterStore, CorpusStore, read_snapshot
 from repro.persistence.codec import decode_column_block
 from repro.persistence.format import RECORD_HEADER, json_record, pack_record
 from repro.search.engine import SearchEngine, SearchEngineConfig
@@ -581,16 +582,21 @@ class TestPreMergedRanking:
         assert kinds.count("search_stats") == 3  # version bump dropped it
         assert [r.source_id for r in refreshed] == [r.source_id for r in first]
 
-    def test_order_dependent_normalizer_falls_back_to_full_rank(
+    def test_order_dependent_normalizer_is_rejected(
         self, coordinator_factory, travel_domain
     ):
+        # Workers fit nothing themselves: they load the broadcast fit
+        # state into their default benchmark normaliser, which refuses a
+        # z-score state with a typed error instead of scoring under it.
         corpus = _fresh_corpus(8)
         coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
         model = coordinator._model
         model._normalizer = ZScoreNormalizer(model._registry)
-        assert not model.supports_shard_premerge()
-        expected = self._score_pairs(coordinator.rank()[:3])
-        assert self._score_pairs(coordinator.rank_top(3)) == expected
+        with pytest.raises(NormalizationError, match="z_score"):
+            coordinator.rank_top(3)
+        # A typed worker reply leaves every shard up and serving.
+        assert coordinator.live_shards == [0, 1]
+        assert coordinator.search("travel", limit=3)
 
     def test_rank_top_rejects_non_positive_limit(
         self, coordinator_factory, travel_domain
@@ -872,6 +878,74 @@ class TestPerShardPersistence:
         assert [a.source_id for a in recovered] == [a.source_id for a in expected]
         for mine, theirs in zip(recovered, expected):
             assert mine.score.to_dict() == theirs.score.to_dict()
+
+    def test_close_drains_buffered_mutations(
+        self, coordinator_factory, travel_domain, tmp_path
+    ):
+        corpus = _fresh_corpus(6)
+        coordinator = coordinator_factory(
+            corpus, 2, domain=travel_domain, store_directory=tmp_path / "c"
+        )
+        removed = corpus.source_ids()[0]
+        corpus.add(_extra_source("late-source", seed=5))
+        corpus.remove(removed)
+        coordinator.close()  # no flush(): the buffer drains on close
+        stack = ClusterStore(tmp_path / "c").recover_stack()
+        assert "late-source" in stack.corpus
+        assert removed not in stack.corpus
+        assert stack.corpus.source_ids() == sorted(corpus.source_ids())
+        assert coordinator.dropped_mutations == 0
+
+    def test_shard_snapshots_hold_no_model_section(
+        self, coordinator_factory, travel_domain, tmp_path
+    ):
+        # Workers keep one assessment state (the rank phases' measure
+        # columns), so a shard checkpoint exports no source_model section
+        # and a restart over those stores still serves bit-identically.
+        rng = random.Random(17)
+        corpus = _fresh_corpus(9)
+        directory = tmp_path / "c"
+        coordinator = coordinator_factory(
+            corpus, 3, domain=travel_domain, store_directory=directory, eager=True
+        )
+        for step in range(4):
+            _mutate(rng, corpus, step)
+        coordinator.rank_top(3)
+        coordinator.checkpoint()
+        coordinator.close()
+        checked = 0
+        for index in range(3):
+            shard_directory = ClusterStore(directory).shard_directory(index)
+            sections = read_snapshot(shard_directory / CorpusStore.SNAPSHOT_NAME)
+            if sections["corpus"]["sources"]:
+                assert set(sections) == {"meta", "corpus", "shard", "index"}
+                checked += 1
+        assert checked >= 2
+        stack = ClusterStore(directory).recover_stack(build_engine=False)
+        recovered = coordinator_factory(
+            stack.corpus,
+            3,
+            domain=travel_domain,
+            store_directory=directory,
+            recover=True,
+        )
+        _assert_bit_identical(recovered, stack.corpus, travel_domain)
+
+    def test_older_model_section_is_ignored(
+        self, coordinator_factory, travel_domain, tmp_path
+    ):
+        # A shard snapshot from an older worker may carry a source_model
+        # section; a worker's recovery never reads it.
+        corpus = _fresh_corpus(6)
+        store = ClusterStore(tmp_path / "c", shard_count=1).shard_store(0)
+        store.attach(corpus, source_model=SourceQualityModel(travel_domain))
+        store.checkpoint()
+        store.close()
+        assert "source_model" in read_snapshot(store.snapshot_path)
+        coordinator = coordinator_factory(
+            corpus, 1, domain=travel_domain, store_directory=tmp_path / "c", recover=True
+        )
+        _assert_bit_identical(coordinator, corpus, travel_domain)
 
     def test_missing_shard_raises_typed_error(self, tmp_path):
         cluster = ClusterStore(tmp_path / "c", shard_count=3)
