@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 BENCH_JSON := BENCH_perf.json
 
-.PHONY: test stress recovery-stress shard-stress bench perf perf-smoke bench-selftest docs lint
+.PHONY: test stress recovery-stress shard-stress bench perf perf-smoke bench-selftest e2e docs lint
 
 ## tier-1 test suite (must stay green; see ROADMAP.md)
 test:
@@ -54,6 +54,12 @@ perf-smoke:
 ## perfbench/, so a src/ change that breaks a name it imports fails here
 bench-selftest:
 	$(PYTHON) perfbench/selftest.py
+
+## end-to-end benchmark (BENCHMARK.json): each gated workload once, seed 1,
+## for the 15 s run length BENCHMARK.json declares; one JSON result line each
+e2e:
+	$(PYTHON) perfbench/run.py --workload ingest --seed 1 --seconds 15
+	$(PYTHON) perfbench/run.py --workload churn --seed 1 --seconds 15
 
 ## invariant lint suite: lock-order, float-exactness, durability and bus
 ## hygiene checkers over src/ (see docs/INVARIANTS.md); fails on any

@@ -35,11 +35,11 @@ flatten by Amdahl's law.
 
 Each timed ranking is preceded by a ``touch`` so the measure path
 really runs: a cache-warm rank costs the workers almost nothing and
-would measure only wire overhead.  The touch also exposes the second
-scaling effect of partitioning — the mutation invalidates the measure
-cache of the *owning shard only*, so one worker re-measures 1/N of the
-corpus while its peers serve from cache, where the 1-worker cluster
-re-measures everything.
+would measure only wire overhead.  The owning worker patches its
+measure columns for the one touched source (every cluster size
+re-measures one source), so the worker-side cost of a timed ranking
+that still grows with the shard is its fingerprint scan, the column
+patch and the column reply — the part partitioning divides.
 
 ``speedup`` is the capacity-QPS ratio (8 workers over 1) and the ≥6x
 target is enforced only under ``--strict``.  A small deterministic

@@ -99,7 +99,9 @@ from repro.sources.corpus import SourceCorpus
 from repro.sources.crawler import Crawler, CrawlSnapshot
 from repro.sources.diffing import (
     BusSubscription,
+    CorpusDiff,
     diff_fingerprint_maps,
+    fingerprint_map,
     patch_measure_columns,
     scoped_fingerprints,
 )
@@ -263,6 +265,26 @@ class _IncrementalEntry:
     scope_lost: bool = False
 
 
+@dataclass(frozen=True)
+class _ShardColumns:
+    """One shard corpus's raw measure columns, and the base of the next patch.
+
+    ``sources`` anchors the source objects the ``fingerprints`` embed the
+    ``id()`` of, as every fingerprint-keyed cache entry does; the crawl
+    snapshots and raw vectors let a patch re-measure without re-crawling.
+    ``max_open`` is the injected open-discussion maximum the vectors
+    were measured against.  The column rows follow ``fingerprints``,
+    which is keyed in corpus order.
+    """
+
+    sources: tuple[Source, ...]
+    fingerprints: dict[str, tuple]
+    snapshots: dict[str, CrawlSnapshot]
+    vectors: dict[str, dict[str, float]]
+    max_open: int
+    columns: dict[str, np.ndarray]
+
+
 class SourceQualityModel:
     """Assess and rank Web 2.0 sources against a Domain of Interest."""
 
@@ -292,6 +314,10 @@ class SourceQualityModel:
         self._crawler = crawler or Crawler()
         self._contexts = LRUCache(maxsize=self.CONTEXT_CACHE_SIZE)
         self._measure_cache = LRUCache(maxsize=self.CONTEXT_CACHE_SIZE)
+        #: id(corpus) -> the latest :class:`_ShardColumns` measured for it:
+        #: what :meth:`shard_measure_columns` serves while the content and
+        #: the injected maximum match, and patches when they do not.
+        self._shard_columns = LRUCache(maxsize=self.CONTEXT_CACHE_SIZE)
         #: (id(corpus), id(benchmark) or None) -> incremental state.  The
         #: id keys are guarded by weakrefs inside the entries, so a reused
         #: id can never serve another corpus's context.  Each entry records
@@ -350,6 +376,7 @@ class SourceQualityModel:
         with ordered(self._refresh_mutex, "consumer.gate"):
             self._contexts.invalidate()
             self._measure_cache.invalidate()
+            self._shard_columns.invalidate()
             for key in list(self._incremental):
                 self._discard_entry(key)
 
@@ -516,6 +543,87 @@ class SourceQualityModel:
             ),
         )
 
+    def _remeasure(
+        self,
+        sources: Mapping[str, Source],
+        diff: CorpusDiff,
+        previous_snapshots: Mapping[str, CrawlSnapshot],
+        previous_vectors: Mapping[str, dict[str, float]],
+        previous_max_open: int,
+        max_open: Optional[int] = None,
+    ) -> tuple[dict[str, CrawlSnapshot], dict[str, dict[str, float]], set[str], int]:
+        """Re-crawl and re-measure what ``diff`` touched, reusing the rest.
+
+        The one incremental measure step, shared by :meth:`_patch_context`
+        and :meth:`shard_measure_columns`.  ``sources`` is the current
+        corpus in corpus order; the previous snapshots and raw vectors are
+        the diff base.  Only added/changed sources are re-crawled and
+        re-measured, unless the open-discussion maximum moved: then every
+        vector is re-measured, from the *cached* snapshots — still no
+        re-crawl.  ``max_open`` injects that maximum (the sharded path
+        passes the corpus-wide value); ``None`` derives it from the
+        snapshots.  Returns ``(snapshots, raw vectors, ids whose vector
+        changed, max_open)``, both maps keyed in corpus order.
+        """
+        snapshots = dict(previous_snapshots)
+        raw_vectors = dict(previous_vectors)
+        for source_id in diff.removed:
+            snapshots.pop(source_id, None)
+            raw_vectors.pop(source_id, None)
+
+        recrawl_ids = list(diff.touched)
+        if recrawl_ids:
+            snapshots.update(
+                self._crawler.crawl_corpus(
+                    sources[source_id] for source_id in recrawl_ids
+                )
+            )
+            self.counters.increment("sources_recrawled", len(recrawl_ids))
+
+        if max_open is None:
+            # The corpus-wide maximum comes from the snapshots (fresh ones
+            # for every changed source, cached ones for the rest): O(n)
+            # with no per-source list materialisation, and consistent with
+            # the content view the vectors are computed from.
+            max_open = max(
+                (snapshots[source_id].open_discussions for source_id in sources),
+                default=0,
+            )
+        if max_open != previous_max_open:
+            # The "compared to largest forum" measures renormalise against
+            # this maximum: every vector changes, but from cached snapshots.
+            measure_ids = list(sources)
+            self.counters.increment("measure_renormalisations")
+        else:
+            measure_ids = recrawl_ids
+
+        changed_vector_ids: set[str] = set()
+        if measure_ids:
+            self.counters.increment("sources_remeasured", len(measure_ids))
+        for source_id in measure_ids:
+            source = sources[source_id]
+            measurement = SourceMeasurementContext(
+                snapshot=snapshots[source_id],
+                domain=self._domain,
+                alexa=self._alexa.observe(source),
+                feedburner=self._feedburner.observe(source),
+                corpus_max_open_discussions=max_open,
+            )
+            vector = compute_source_measures(measurement, registry=self._registry)
+            if raw_vectors.get(source_id) != vector:
+                changed_vector_ids.add(source_id)
+            raw_vectors[source_id] = vector
+
+        # Re-key every map in corpus order so a patched state is
+        # indistinguishable from a rebuild even for order-sensitive float
+        # accumulations (e.g. a z-score normaliser's reference sums).
+        return (
+            {source_id: snapshots[source_id] for source_id in sources},
+            {source_id: raw_vectors[source_id] for source_id in sources},
+            changed_vector_ids,
+            max_open,
+        )
+
     def _patch_context(
         self,
         entry: _IncrementalEntry,
@@ -561,66 +669,13 @@ class SourceQualityModel:
         diff = diff_fingerprint_maps(previous.source_fingerprints, current_fingerprints)
         corpus_order = list(current_sources)
         previous_order = [entry_fp[0] for entry_fp in previous.fingerprint]
-
-        snapshots = dict(previous.snapshots)
-        raw_vectors = dict(previous.raw_vectors)
-        for source_id in diff.removed:
-            snapshots.pop(source_id, None)
-            raw_vectors.pop(source_id, None)
-
-        recrawl_ids = list(diff.touched)
-        if recrawl_ids:
-            fresh_snapshots = self._crawler.crawl_corpus(
-                current_sources[source_id] for source_id in recrawl_ids
-            )
-            self.counters.increment("sources_recrawled", len(recrawl_ids))
-        else:
-            fresh_snapshots = {}
-        snapshot_changed = {
-            source_id
-            for source_id, snapshot in fresh_snapshots.items()
-            if snapshots.get(source_id) != snapshot
-        }
-        snapshots.update(fresh_snapshots)
-
-        # The corpus-wide maximum comes from the snapshots (fresh ones for
-        # every changed source, cached ones for the rest): O(n) with no
-        # per-source list materialisation, and consistent with the content
-        # view the vectors are computed from.
-        max_open = max(
-            (snapshots[source_id].open_discussions for source_id in current_sources),
-            default=0,
+        snapshots, raw_vectors, changed_vector_ids, max_open = self._remeasure(
+            current_sources,
+            diff,
+            previous.snapshots,
+            previous.raw_vectors,
+            previous.max_open_discussions,
         )
-        if max_open != previous.max_open_discussions:
-            # The "compared to largest forum" measures renormalise against
-            # this maximum: every vector changes, but from cached snapshots.
-            measure_ids = corpus_order
-            self.counters.increment("measure_renormalisations")
-        else:
-            measure_ids = recrawl_ids
-
-        changed_vector_ids: set[str] = set()
-        if measure_ids:
-            self.counters.increment("sources_remeasured", len(measure_ids))
-        for source_id in measure_ids:
-            source = current_sources[source_id]
-            measurement = SourceMeasurementContext(
-                snapshot=snapshots[source_id],
-                domain=self._domain,
-                alexa=self._alexa.observe(source),
-                feedburner=self._feedburner.observe(source),
-                corpus_max_open_discussions=max_open,
-            )
-            vector = compute_source_measures(measurement, registry=self._registry)
-            if raw_vectors.get(source_id) != vector:
-                changed_vector_ids.add(source_id)
-            raw_vectors[source_id] = vector
-
-        # Re-key every map in corpus order so the patched context is
-        # indistinguishable from a rebuild even for order-sensitive float
-        # accumulations (e.g. a z-score normaliser's reference sums).
-        snapshots = {source_id: snapshots[source_id] for source_id in corpus_order}
-        raw_vectors = {source_id: raw_vectors[source_id] for source_id in corpus_order}
 
         # Columnar patch: carry every unchanged value over with one gather
         # per measure column, overwrite exactly the re-measured rows.
@@ -1333,24 +1388,80 @@ class SourceQualityModel:
         workers under a broadcast fit (:meth:`shard_rank_candidates`).
 
         Returns ``(source ids, measure names, {name: float64 column})`` in
-        the shard corpus's insertion order, cached under ``(content
-        fingerprint, injected maximum)`` with the source objects anchored,
-        like :meth:`raw_measures`.  The wire ships the columns as raw
+        the shard corpus's insertion order, kept per corpus with the
+        source objects anchored and served while the per-source
+        fingerprints and the injected maximum match.  Otherwise the kept
+        columns are *patched* (the first call patches an empty base): the
+        fingerprints are diffed, only new or changed sources are
+        re-crawled and re-measured, every source is re-measured from its
+        cached snapshot only when the injected maximum moved, and removed
+        sources' rows are dropped — the :meth:`_remeasure` step
+        :meth:`_patch_context` runs, so the columns are bit-identical to a
+        from-scratch build.  The entry is keyed by ``id(corpus)`` for
+        reuse only: any base patches correctly, because the diff runs on
+        its anchored fingerprints.  The wire ships the columns as raw
         IEEE-754 bytes.
         """
         names, _ = self._registry.column_layout()
+        measures = tuple(names)
         if len(corpus) == 0:
-            return (), tuple(names), {}
-        key = ("columns", corpus.content_fingerprint(), corpus_max_open_discussions)
+            return (), measures, {}
+        sources = {source.source_id: source for source in corpus}
+        fingerprints = fingerprint_map(sources.values())
+        state = self._shard_columns.get(id(corpus))
+        if (
+            state is None
+            or state.fingerprints != fingerprints
+            or state.max_open != corpus_max_open_discussions
+        ):
+            state = self._patch_shard_columns(
+                state, sources, fingerprints, corpus_max_open_discussions, measures
+            )
+            self._shard_columns.put(id(corpus), state)
+        return tuple(state.fingerprints), measures, state.columns
 
-        def build() -> tuple:
-            sources = tuple(corpus)
-            _, vectors = self._measure_corpus(corpus, corpus_max_open_discussions)
-            subject_ids, measures, columns = columns_from_vectors(vectors, names)
-            return (sources, subject_ids, measures, columns)
-
-        entry = self._measure_cache.get_or_create(key, build)
-        return entry[1], entry[2], entry[3]
+    def _patch_shard_columns(
+        self,
+        previous: Optional[_ShardColumns],
+        sources: Mapping[str, Source],
+        fingerprints: dict[str, tuple],
+        max_open: int,
+        measures: tuple[str, ...],
+    ) -> _ShardColumns:
+        """Patch ``previous`` (or an empty base) to the current content."""
+        if previous is None:
+            previous = _ShardColumns(
+                sources=(),
+                fingerprints={},
+                snapshots={},
+                vectors={},
+                max_open=max_open,
+                columns={name: np.empty(0) for name in measures},
+            )
+        diff = diff_fingerprint_maps(previous.fingerprints, fingerprints)
+        snapshots, vectors, changed, _ = self._remeasure(
+            sources,
+            diff,
+            previous.snapshots,
+            previous.vectors,
+            previous.max_open,
+            max_open,
+        )
+        columns, _, _ = patch_measure_columns(
+            {source_id: row for row, source_id in enumerate(previous.fingerprints)},
+            previous.columns,
+            tuple(sources),
+            {source_id: vectors[source_id] for source_id in changed},
+            measures,
+        )
+        return _ShardColumns(
+            sources=tuple(sources.values()),
+            fingerprints=fingerprints,
+            snapshots=snapshots,
+            vectors=vectors,
+            max_open=max_open,
+            columns=columns,
+        )
 
     def shard_sorted_fit_columns(
         self, corpus: SourceCorpus, *, corpus_max_open_discussions: int

@@ -2,10 +2,13 @@
 
 The journal is the durability tier between two snapshots: every
 :class:`~repro.sources.corpus.CorpusChange` the corpus announces is
-appended (with the mutated source's full serialised content, since the
-change event itself carries only identifiers) and fsynced before the
-append returns, so a crash at any instant loses nothing that the writer
-acknowledged.
+appended and fsynced before the append returns, so a crash at any instant
+loses nothing that the writer acknowledged.  A thread appended through
+``Source.add_discussion`` is recorded as a typed delta holding that
+thread alone, when the corpus delivered the change in order (see
+:class:`~repro.sources.corpus.CorpusChange`); every other change carries
+the mutated source's full serialised content, since the change event
+itself holds only identifiers.
 
 File layout::
 
@@ -15,12 +18,26 @@ File layout::
 ``base version`` is the corpus version the journal starts *after* — on a
 fresh checkpoint it equals the snapshot's recorded corpus version, so
 recovery can cross-check that a journal belongs behind a snapshot.  Each
-record payload is::
+record payload is one of::
 
     {"version": <corpus version after the mutation>,
      "op": "add" | "remove" | "touch",
      "source_id": <id>,
      "source": <Source.to_dict() or null for removes>}
+
+    {"version": <corpus version after the mutation>,
+     "op": "add_discussion",
+     "source_id": <id>,
+     "at": <index of the appended thread>,
+     "discussion": <Discussion.to_dict()>}
+
+Replay (:func:`repro.persistence.store.replay_journal`) appends an
+``add_discussion`` thread when the source holds exactly ``at`` threads,
+skips it when the thread at ``at`` already has its id (a full-source
+record serialised later already holds it), and raises
+:class:`~repro.errors.JournalReplayError` otherwise; a delta for a
+source the corpus does not hold is skipped like a contentless record.
+The sharding wire carries the same records.
 
 Reading is *tolerant by design*: the reader scans records until the first
 invalid one (truncated header, truncated payload, CRC mismatch — the

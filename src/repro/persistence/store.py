@@ -68,7 +68,7 @@ from repro.persistence.snapshot import (
 from repro.serving.rwlock import ordered
 from repro.sources.corpus import SourceCorpus
 from repro.sources.diffing import DurableJournalSubscriber
-from repro.sources.models import Source
+from repro.sources.models import Discussion, Source
 
 __all__ = [
     "CorpusStore",
@@ -101,6 +101,50 @@ def _overlay_source(live: Source, payload: Mapping[str, Any]) -> None:
     live.interactions = template.interactions
 
 
+def _record_version(record: Any) -> int:
+    """The corpus version of one journal record, validated before sorting."""
+    if not isinstance(record, dict):
+        raise JournalReplayError(
+            f"malformed journal record: expected an object, got {type(record).__name__}"
+        )
+    try:
+        return int(record["version"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise JournalReplayError(f"malformed journal record: {exc!r}") from exc
+
+
+def _replay_add_discussion(
+    corpus: SourceCorpus, version: int, source_id: str, record: Mapping[str, Any]
+) -> bool:
+    """Apply one ``add_discussion`` delta; False when it is already in place.
+
+    The delta appends when the source holds exactly ``at`` threads.  When
+    the thread at ``at`` already has the recorded id, a full-source
+    record serialised after the append has converged past it, so the
+    delta is skipped; any other shape means the record does not follow
+    the corpus state and raises.  A source the corpus does not hold is
+    skipped like a contentless record: its add record was serialised
+    after a later remove, which the journal also holds.
+    """
+    if source_id not in corpus:
+        return False
+    source = corpus.get(source_id)
+    at = record["at"]
+    payload = record["discussion"]
+    discussions = source.discussions
+    if type(at) is not int or at < 0:
+        raise JournalReplayError(f"invalid thread index {at!r} at version {version}")
+    if at == len(discussions):
+        source.add_discussion(Discussion.from_dict(payload))
+        return True
+    if at < len(discussions) and discussions[at].discussion_id == payload["discussion_id"]:
+        return False
+    raise JournalReplayError(
+        f"add_discussion at {at} does not follow source {source_id!r} "
+        f"({len(discussions)} threads) at version {version}"
+    )
+
+
 def replay_journal(
     corpus: SourceCorpus, records: list[dict[str, Any]]
 ) -> tuple[int, int]:
@@ -112,16 +156,25 @@ def replay_journal(
     journal twice — or a journal whose head the snapshot already contains
     — converges to the same state.  Replay drives the ordinary corpus
     mutation API, so every restored consumer is invalidated and patched
-    through the same incremental paths live mutations use.
+    through the same incremental paths live mutations use: a full-source
+    record overlays the live source and touches it, and an
+    ``add_discussion`` delta appends its thread through
+    ``Source.add_discussion`` (see :func:`_replay_add_discussion`).
+    Every record's shape and version are checked before the sort, so a
+    record without a usable version raises
+    :class:`~repro.errors.JournalReplayError` before anything is applied.
     """
+    versioned = sorted(
+        ((_record_version(record), record) for record in records),
+        key=lambda pair: pair[0],
+    )
     applied = 0
     skipped = 0
-    for record in sorted(records, key=lambda r: int(r.get("version", 0))):
+    for version, record in versioned:
         try:
-            version = int(record["version"])
             op = record["op"]
             source_id = record["source_id"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise JournalReplayError(f"malformed journal record: {exc!r}") from exc
         if version <= corpus.version:
             skipped += 1
@@ -130,6 +183,11 @@ def replay_journal(
             if op == "remove":
                 if source_id in corpus:
                     corpus.remove(source_id)
+                    applied += 1
+                else:
+                    skipped += 1
+            elif op == "add_discussion":
+                if _replay_add_discussion(corpus, version, source_id, record):
                     applied += 1
                 else:
                     skipped += 1

@@ -384,6 +384,9 @@ class ShardCoordinator:
 
         Records routed to a down shard are dropped and counted — the
         shard's eventual :meth:`restart_shard` resync supersedes them.
+        Every batch is sent before a worker-side error re-raises (lowest
+        shard index first, as in :meth:`_scatter`), so one shard failing
+        to apply its batch never strands another shard's records.
         """
         with self._buffer_lock:
             # Fast path for the every-read flush: nothing buffered, so
@@ -398,6 +401,7 @@ class ShardCoordinator:
                 batches = self._pending
                 self._pending = {index: [] for index in range(self.shard_count)}
             sent = 0
+            failures: dict[int, BaseException] = {}
             for index, records in batches.items():
                 if not records:
                     continue
@@ -405,11 +409,20 @@ class ShardCoordinator:
                 if not shard.alive:
                     self._dropped += len(records)
                     continue
-                try:
-                    self._request(shard, "apply", {"records": records})
+                message_id = next(self._message_ids)
+                status, value = self._gather_one(
+                    shard,
+                    message_id,
+                    json_record({"id": message_id, "kind": "apply", "records": records}),
+                )
+                if status == "ok":
                     sent += len(records)
-                except ShardUnavailableError:
+                elif status == "down":
                     self._dropped += len(records)
+                else:
+                    failures[index] = value
+            if failures:
+                raise failures[min(failures)]
             return sent
 
     def quiesce(self, *, allow_degraded: bool = False) -> dict[int, dict[str, Any]]:

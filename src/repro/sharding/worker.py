@@ -19,7 +19,8 @@ the store's checkpoints current, pumped in the foreground via
 ``flush()`` after every replicated batch (the background thread is
 never started — the dispatch loop *is* the thread).  A
 :class:`~repro.core.source_quality.SourceQualityModel` serves the
-``rank_*`` phases from its measure-column cache and holds no assessment
+``rank_*`` phases from its measure columns (patched per touched source
+by the first ``rank_*`` read after a batch) and holds no assessment
 context: the store does not snapshot it and the scheduler does not patch
 it, because no request reads one.
 

@@ -38,7 +38,7 @@ import sys
 import threading
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
@@ -84,12 +84,28 @@ class CorpusChange:
     """One mutation event delivered to corpus subscribers.
 
     ``op`` is ``"add"``, ``"remove"`` or ``"touch"``; ``version`` is the
-    corpus version *after* the mutation was applied.
+    corpus version *after* the mutation was applied.  A ``"touch"``
+    announced by ``Source.add_discussion`` also carries its typed
+    ``delta`` — ``(at, discussion)``, the appended thread and its index —
+    which the journal and the sharding wire record instead of the whole
+    source; every other change has ``delta=None``.  The delta is excluded
+    from equality, hashing and ``repr``.
+
+    A delta is delivered only when a record of it can be replayed in
+    version order: the thread extends exactly the threads the source's
+    earlier changes announced, and every change with a lower version was
+    delivered first.  Racing mutator threads can break either condition;
+    the change then carries no delta, and its record holds the whole
+    source (see :meth:`SourceCorpus._on_source_mutated` and
+    :meth:`SourceCorpus._flush_outbox`).
     """
 
     version: int
     op: str
     source_id: str
+    delta: Optional[tuple[int, Discussion]] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass
@@ -137,6 +153,11 @@ class SourceCorpus:
         #: locks can never deadlock against a lock holder mutating the
         #: corpus (see :meth:`_mutating`).
         self._outbox: list[CorpusChange] = []
+        #: Versions of queued changes not yet delivered to every listener.
+        self._undelivered: set[int] = set()
+        #: Per source, how many leading threads the changes announced so
+        #: far cover: an ``add_discussion`` delta must append right there.
+        self._announced_threads: dict[str, int] = {}
         #: Per-thread mutation nesting depth; only the outermost frame
         #: flushes the outbox.
         self._mutation_depth = threading.local()
@@ -252,16 +273,33 @@ class SourceCorpus:
             if depth == 0:
                 self._flush_outbox()
 
-    def _notify(self, op: str, source_id: str) -> None:
+    def _notify(
+        self,
+        op: str,
+        source_id: str,
+        delta: Optional[tuple[int, Discussion]] = None,
+    ) -> None:
         """Bump the version and queue the change (mutation lock held)."""
         self._version += 1
         if self._listeners:
+            self._undelivered.add(self._version)
             self._outbox.append(
-                CorpusChange(version=self._version, op=op, source_id=source_id)
+                CorpusChange(
+                    version=self._version, op=op, source_id=source_id, delta=delta
+                )
             )
 
     def _flush_outbox(self) -> None:
-        """Deliver queued changes to the listeners (mutation lock NOT held)."""
+        """Deliver queued changes to the listeners (mutation lock NOT held).
+
+        Racing mutator threads each deliver the batch they took, so a
+        change can reach the listeners before one with a lower version.
+        A delta delivered then could be recorded ahead of a change it
+        depends on (the add of its source, the thread before it), so it is
+        dropped and the change is delivered as a plain ``"touch"``.  A
+        delivery that raised leaves its version undelivered: every later
+        change then carries no delta.
+        """
         while True:
             with self._mutation_lock:
                 if not self._outbox:
@@ -271,6 +309,10 @@ class SourceCorpus:
                 entries = tuple(self._listeners)
             dead: list[Any] = []
             for change in changes:
+                if change.delta is not None:
+                    with self._mutation_lock:
+                        if min(self._undelivered) < change.version:
+                            change = replace(change, delta=None)
                 for entry in entries:
                     if isinstance(entry, weakref.ref):
                         listener = entry()
@@ -281,6 +323,8 @@ class SourceCorpus:
                     else:
                         listener = entry
                     listener(change)
+                with self._mutation_lock:
+                    self._undelivered.discard(change.version)
             if dead:
                 with self._mutation_lock:
                     for entry in dead:
@@ -323,6 +367,7 @@ class SourceCorpus:
                     f"duplicate source identifier: {source.source_id!r}"
                 )
             self._sources[source.source_id] = source
+            self._announced_threads[source.source_id] = len(source.discussions)
             source.watch_mutations(self._on_source_mutated)
             self._notify("add", source.source_id)
 
@@ -333,6 +378,7 @@ class SourceCorpus:
                 source = self._sources.pop(source_id)
             except KeyError as exc:
                 raise UnknownSourceError(source_id) from exc
+            del self._announced_threads[source_id]
             source.unwatch_mutations(self._on_source_mutated)
             self._notify("remove", source_id)
         return source
@@ -366,11 +412,33 @@ class SourceCorpus:
         with self._mutation_lock:
             self._version = max(self._version, int(version))
 
-    def _on_source_mutated(self, source: Source) -> None:
-        """Propagate an announced in-place source mutation as a corpus event."""
+    def _on_source_mutated(
+        self, source: Source, delta: Optional[tuple[int, Discussion]]
+    ) -> None:
+        """Propagate an announced in-place source mutation as a corpus event.
+
+        The event is a ``"touch"`` that carries the helper's typed delta,
+        when the helper announced one and its thread extends exactly the
+        threads earlier versions announced.  Two threads appending to one
+        source can take their versions in the other order than their
+        appends (or read the same ``at``); such a delta is dropped.
+        """
         with self._mutating():
             if self._sources.get(source.source_id) is source:
-                self._notify("touch", source.source_id)
+                threads = source.discussions
+                covered = len(threads)
+                if delta is not None:
+                    at, discussion = delta
+                    if (
+                        at == self._announced_threads[source.source_id]
+                        and at < covered
+                        and threads[at] is discussion
+                    ):
+                        covered = at + 1
+                    else:
+                        delta = None
+                self._announced_threads[source.source_id] = covered
+                self._notify("touch", source.source_id, delta)
 
     # -- lookup -----------------------------------------------------------------------
 

@@ -670,16 +670,19 @@ class DurableJournalSubscriber:
     The write-ahead-journal intake of :mod:`repro.persistence`: it
     registers an unfiltered ``on_event`` subscription on the corpus's
     :class:`InvalidationBus` and forwards each
-    :class:`~repro.sources.corpus.CorpusChange` — *with the mutated
-    source's full serialised content*, which the change event itself does
-    not carry — to an injected ``sink`` callable (in production,
+    :class:`~repro.sources.corpus.CorpusChange` as one record to an
+    injected ``sink`` callable (in production,
     :meth:`repro.persistence.journal.JournalWriter.append` wrapped by the
     store).  The sink indirection keeps this module free of any
-    persistence import.
+    persistence import.  A change carrying a typed delta (a thread
+    appended through ``Source.add_discussion``, delivered in order by the
+    corpus) becomes an ``"add_discussion"`` record holding that thread
+    alone; only records without a delta carry the mutated source's full
+    serialised content, which the change event itself does not hold.
 
     Delivery runs on the mutating thread, outside the corpus mutation
     lock, after the mutation committed; appends are serialised under the
-    subscriber's own lock.  Two consequences, both documented properties
+    subscriber's own lock.  Three consequences, all documented properties
     of the journal rather than bugs:
 
     * with *concurrent* mutator threads, append order may deviate
@@ -688,7 +691,10 @@ class DurableJournalSubscriber:
     * a source added (or touched) and then removed before its event was
       delivered serialises with ``"source": null`` — replay skips the
       contentless record, and the trailing ``remove`` record restores
-      the correct net state.
+      the correct net state;
+    * a full-source record delivered late may already hold a thread
+      whose ``add_discussion`` record has a higher version — replay
+      skips that delta, because the thread is already in place.
 
     A sink failure propagates to the mutating caller: the in-memory
     mutation has already committed, but the caller learns durability was
@@ -729,21 +735,31 @@ class DurableJournalSubscriber:
 
     def _on_event(self, change: "CorpusChange") -> None:
         corpus = self._corpus_ref()
-        payload = None
+        source = None
         if corpus is not None and change.op in ("add", "touch"):
+            source = corpus._sources.get(change.source_id)
+        record: dict[str, Any]
+        if source is not None and change.delta is not None:
+            at, discussion = change.delta
+            record = {
+                "version": change.version,
+                "op": "add_discussion",
+                "source_id": change.source_id,
+                "at": at,
+                "discussion": discussion.to_dict(),
+            }
+        else:
             # Serialise the source's *current* content.  For a touch this
             # may already include later mutations — replay copies content
-            # states forward, so converging early is harmless.  A source
-            # already removed again yields null (see class docstring).
-            source = corpus._sources.get(change.source_id)
-            if source is not None:
-                payload = source.to_dict()
-        record = {
-            "version": change.version,
-            "op": change.op,
-            "source_id": change.source_id,
-            "source": payload,
-        }
+            # states forward, and skips a later delta the copy already
+            # holds.  A source already removed again yields null (see the
+            # class docstring), delta or not.
+            record = {
+                "version": change.version,
+                "op": change.op,
+                "source_id": change.source_id,
+                "source": source.to_dict() if source is not None else None,
+            }
         with _journal_append_lock(self._lock):
             self._sink(record)
             self.events_journaled += 1
@@ -776,16 +792,18 @@ class WireBridgeSubscriber(DurableJournalSubscriber):
     """Bus subscriber that replicates corpus changes onto the sharding wire.
 
     The cross-process face of :class:`DurableJournalSubscriber`: same
-    intake (unfiltered ``on_event`` subscription, full source payload
-    serialised on the mutating thread, appends serialised under the
-    subscriber's lock), but the sink is a
-    :class:`~repro.sharding.coordinator.ShardCoordinator` routing
+    intake (unfiltered ``on_event`` subscription, records serialised on
+    the mutating thread — the appended thread alone for an
+    ``add_discussion`` delta, the full source only for records without a
+    delta — appends serialised under the subscriber's lock), but the sink
+    is a :class:`~repro.sharding.coordinator.ShardCoordinator` routing
     callable instead of a journal writer.  The record schema is *exactly*
-    the journal-record schema (``{"version", "op", "source_id",
-    "source"}``), so a worker applies a replicated burst with the very
-    same :func:`repro.persistence.store.replay_journal` code path that
-    crash recovery uses — one replay semantics for disk and wire,
-    including version-keyed idempotence and contentless-record skipping.
+    the journal-record schema (see :mod:`repro.persistence.journal`), so
+    a worker applies a replicated burst with the very same
+    :func:`repro.persistence.store.replay_journal` code path that crash
+    recovery uses — one replay semantics for disk and wire, including
+    version-keyed idempotence, contentless-record skipping and delta
+    convergence.
 
     The coordinator buffers routed records per shard and flushes them in
     batches, so replication consistency is *at quiesce*, not per event
@@ -864,5 +882,5 @@ class SourceChangeTracker:
         """
         self._dirty = True
 
-    def _on_mutation(self, source: "Source") -> None:
+    def _on_mutation(self, source: "Source", delta: Any) -> None:
         self._dirty = True

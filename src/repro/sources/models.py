@@ -309,6 +309,12 @@ class Discussion:
         )
 
 
+#: A mutation watcher (see :meth:`Source.watch_mutations`): called with the
+#: source and the mutation's delta — ``(at, discussion)`` for
+#: ``add_discussion``, ``None`` for every other mutation.
+MutationWatcher = Callable[["Source", Optional[tuple[int, Discussion]]], None]
+
+
 @dataclass
 class Source:
     """A Web 2.0 source: a blog, forum, microblog channel or review site.
@@ -436,11 +442,14 @@ class Source:
 
     # -- mutation announcements ------------------------------------------------------
 
-    def watch_mutations(self, callback: Callable[["Source"], None]) -> None:
+    def watch_mutations(self, callback: "MutationWatcher") -> None:
         """Register ``callback`` to be invoked after every announced mutation.
 
         Announced mutations are the mutation helpers below and
-        :meth:`touch`; the callback receives the source itself.  Bound
+        :meth:`touch`; the callback receives the source itself and the
+        mutation's *delta* — ``(at, discussion)`` for
+        :meth:`add_discussion` (the thread now at index ``at``), ``None``
+        for every other mutation, which carries no typed delta.  Bound
         methods are held through a ``WeakMethod`` — the watcher never keeps
         its owner (a corpus, a quality model) alive, and dead entries are
         pruned on the next announcement; plain callables (functions,
@@ -458,14 +467,14 @@ class Source:
         if entry not in self._mutation_watchers:
             self._mutation_watchers.append(entry)
 
-    def unwatch_mutations(self, callback: Callable[["Source"], None]) -> None:
+    def unwatch_mutations(self, callback: "MutationWatcher") -> None:
         """Remove a previously registered mutation watcher (no-op when unknown)."""
         for entry in list(self._mutation_watchers):
             resolved = entry() if isinstance(entry, weakref.ref) else entry
             if resolved == callback or entry == callback:
                 self._mutation_watchers.remove(entry)
 
-    def _announce_mutation(self) -> None:
+    def _announce_mutation(self, delta: Optional[tuple[int, Discussion]] = None) -> None:
         dead: list[Any] = []
         for entry in tuple(self._mutation_watchers):
             if isinstance(entry, weakref.ref):
@@ -475,7 +484,7 @@ class Source:
                     continue
             else:
                 watcher = entry
-            watcher(self)
+            watcher(self, delta)
         for entry in dead:
             if entry in self._mutation_watchers:
                 self._mutation_watchers.remove(entry)
@@ -503,10 +512,17 @@ class Source:
         return self.content_revision
 
     def add_discussion(self, discussion: Discussion) -> None:
-        """Append a discussion thread to the source."""
+        """Append a discussion thread to the source.
+
+        The one helper that announces a typed delta: watchers receive
+        ``(at, discussion)``, where ``at`` is the thread's index, so the
+        journal and the sharding wire can carry the thread alone instead
+        of the whole source.
+        """
+        at = len(self.discussions)
         self.discussions.append(discussion)
         self.content_revision += 1
-        self._announce_mutation()
+        self._announce_mutation((at, discussion))
 
     def add_user(self, profile: UserProfile) -> None:
         """Register a user profile on the source."""

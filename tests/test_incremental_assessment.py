@@ -13,6 +13,8 @@ poisoning the fingerprint entry points and reading anyway).
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.contributor_quality import ContributorQualityModel
@@ -267,6 +269,86 @@ class TestIncrementalSourceModelEquivalence:
             corpus.remove(source_id)
         with pytest.raises(AssessmentError):
             model.rank(corpus)
+
+
+def _assert_columns_identical(model: SourceQualityModel, corpus, max_open: int) -> None:
+    """A long-lived model's shard columns must equal a fresh model's, bit for bit."""
+    live = model.shard_measure_columns(corpus, corpus_max_open_discussions=max_open)
+    fresh = SourceQualityModel(model.domain).shard_measure_columns(
+        corpus, corpus_max_open_discussions=max_open
+    )
+    assert live[:2] == fresh[:2]
+    assert set(live[2]) == set(fresh[2])
+    for name, column in fresh[2].items():
+        assert live[2][name].dtype == column.dtype
+        assert live[2][name].tobytes() == column.tobytes()  # float for float
+
+
+class TestIncrementalShardColumns:
+    """``shard_measure_columns`` patches per touched source, bit-identically."""
+
+    def test_seeded_mutation_run_equals_fresh_columns(self, travel_domain):
+        rng = random.Random(14)
+        corpus = _fresh_corpus()
+        model = SourceQualityModel(travel_domain)
+        max_open = corpus.largest_source_open_discussions()
+        _assert_columns_identical(model, corpus, max_open)
+        for step in range(24):
+            ids = corpus.source_ids()
+            op = rng.choice(("grow", "touch", "add", "remove", "grow"))
+            if op == "add" or len(ids) <= 4:
+                corpus.add(_extra_source(f"cols-{step}", popularity=rng.random()))
+            elif op == "remove":
+                corpus.remove(rng.choice(ids))
+            elif op == "touch":
+                corpus.touch(rng.choice(ids))
+            else:
+                _grow(corpus.get(rng.choice(ids)), f"travel food growth {step}")
+            if step == 12:
+                # The coordinator broadcasts a larger corpus-wide maximum:
+                # every row is re-measured from its cached snapshot.
+                max_open = corpus.largest_source_open_discussions() + 7
+                recrawled = model.counters.get("sources_recrawled")
+                remeasured = model.counters.get("sources_remeasured")
+                _assert_columns_identical(model, corpus, max_open)
+                assert model.counters.get("measure_renormalisations") == 1
+                assert model.counters.get("sources_recrawled") - recrawled <= 1
+                assert model.counters.get("sources_remeasured") - remeasured == len(
+                    corpus
+                )
+            else:
+                max_open = max(max_open, corpus.largest_source_open_discussions())
+                _assert_columns_identical(model, corpus, max_open)
+        assert model.counters.get("measure_passes") == 0
+
+    def test_one_grow_recrawls_one_source(self, travel_domain):
+        corpus = _fresh_corpus()
+        model = SourceQualityModel(travel_domain)
+        max_open = corpus.largest_source_open_discussions() + 5
+        model.shard_measure_columns(corpus, corpus_max_open_discussions=max_open)
+        recrawled = model.counters.get("sources_recrawled")
+        remeasured = model.counters.get("sources_remeasured")
+        _grow(corpus.sources()[4], "travel flight resort review")
+        _assert_columns_identical(model, corpus, max_open)
+        assert model.counters.get("sources_recrawled") - recrawled == 1
+        assert model.counters.get("sources_remeasured") - remeasured == 1
+
+    def test_invalidate_drops_the_patch_base(self, travel_domain):
+        corpus = _fresh_corpus()
+        model = SourceQualityModel(travel_domain)
+        max_open = corpus.largest_source_open_discussions()
+        model.shard_measure_columns(corpus, corpus_max_open_discussions=max_open)
+        # A count-preserving edit no fingerprint can see: only invalidate()
+        # makes the next read re-crawl it.
+        discussion = corpus.sources()[0].discussions[0]
+        discussion.is_open = not discussion.is_open
+        stale = model.shard_measure_columns(corpus, corpus_max_open_discussions=max_open)
+        model.invalidate()
+        _assert_columns_identical(model, corpus, max_open)
+        fresh = model.shard_measure_columns(corpus, corpus_max_open_discussions=max_open)
+        assert any(
+            stale[2][name].tobytes() != fresh[2][name].tobytes() for name in fresh[2]
+        )
 
 
 class TestO1Staleness:

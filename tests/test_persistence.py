@@ -9,7 +9,10 @@ stale journals, duplicate replay, corrupt and undecodable sections.
 from __future__ import annotations
 
 import json
+import random
 import struct
+import sys
+import threading
 
 import pytest
 
@@ -39,6 +42,7 @@ from repro.persistence.codec import INDEX_MAGIC, is_index_payload
 from repro.persistence.format import (
     RECORD_HEADER,
     SNAPSHOT_MAGIC,
+    json_record,
     pack_record,
     pack_sections,
     read_record,
@@ -47,6 +51,7 @@ from repro.persistence.format import (
 from repro.persistence.journal import HEADER_SIZE
 from repro.search.engine import SearchEngine
 from repro.sources.corpus import SourceCorpus
+from repro.sources.diffing import DurableJournalSubscriber
 from repro.sources.generators import CorpusGenerator, CorpusSpec
 from repro.sources.models import Discussion, Post
 
@@ -596,6 +601,258 @@ class TestStoreRecovery:
                 store.attach(make_corpus())
         finally:
             store.close()
+
+
+# -- typed add_discussion records --------------------------------------------------------
+
+
+def grow(source, tag: str, posts: int = 1) -> Discussion:
+    """Append one ``posts``-post thread through ``Source.add_discussion``."""
+    discussion = Discussion(
+        discussion_id=f"delta-{tag}",
+        category="travel",
+        title="travel flight resort",
+        opened_at=1.0,
+    )
+    for index in range(posts):
+        discussion.posts.append(
+            Post(
+                post_id=f"delta-{tag}-{index}",
+                author_id="u1",
+                day=2.0,
+                text=f"travel flight resort beach comment {index}",
+            )
+        )
+    source.add_discussion(discussion)
+    return discussion
+
+
+def replica_of(corpus: SourceCorpus) -> SourceCorpus:
+    """An independent copy of ``corpus`` pinned to its version."""
+    replica = SourceCorpus.from_dict(corpus.to_dict())
+    replica._restore_version(corpus.version)
+    return replica
+
+
+class TestDeltaRecords:
+    def test_grow_journals_only_the_thread(self, tmp_path):
+        corpus = make_corpus()
+        store = CorpusStore(tmp_path, fsync=False)
+        store.attach(corpus)
+        source = corpus.sources()[1]
+        discussion = grow(source, "journaled", posts=3)
+        store.close()
+        (record,) = read_journal(store.journal_path).records
+        assert record == {
+            "version": corpus.version,
+            "op": "add_discussion",
+            "source_id": source.source_id,
+            "at": len(source.discussions) - 1,
+            "discussion": discussion.to_dict(),
+        }
+
+    def test_one_grow_journals_under_8_kb(self, tmp_path):
+        corpus = make_corpus(count=3, seed=31, budget=40)
+        source = max(corpus, key=lambda item: len(json_record(item.to_dict())))
+        # The grown source is far larger than the bound, so only a delta
+        # record fits under it.
+        assert len(json_record(source.to_dict())) > 4 * 8192
+        store = CorpusStore(tmp_path, fsync=False)
+        store.attach(corpus)
+        grow(source, "eight-posts", posts=8)
+        store.close()
+        grown = store.journal_path.stat().st_size - HEADER_SIZE
+        assert 0 < grown < 8192
+
+    def test_full_record_then_its_delta_adds_no_duplicate(self):
+        corpus = make_corpus()
+        replica = replica_of(corpus)
+        records: list[dict] = []
+        subscriber = DurableJournalSubscriber(corpus, records.append)
+        source = corpus.sources()[0]
+        try:
+            corpus.touch(source.source_id)
+            grow(source, "converged")
+        finally:
+            subscriber.close()
+        # A touch delivered late serialises the source after the grow: its
+        # full record already holds the thread the next delta appends.
+        assert [record["op"] for record in records] == ["touch", "add_discussion"]
+        records[0]["source"] = source.to_dict()
+        assert replay_journal(replica, records) == (1, 1)
+        assert replica.to_dict() == corpus.to_dict()
+        assert replica.version == corpus.version
+        ids = [item.discussion_id for item in replica.get(source.source_id).discussions]
+        assert len(ids) == len(set(ids))
+
+    def test_replaying_one_journal_twice_converges(self, tmp_path):
+        corpus = make_corpus()
+        checkpointed_store(tmp_path, corpus)
+        store = CorpusStore(tmp_path, fsync=False)
+        store.attach(corpus)
+        for event in range(6):
+            mutate(corpus, event)
+        grow(corpus.sources()[2], "twice-a")
+        grow(corpus.sources()[2], "twice-b", posts=4)
+        store.close()
+        records = read_journal(store.journal_path).records
+        assert {"add_discussion", "touch"} <= {record["op"] for record in records}
+        with CorpusStore(tmp_path, fsync=False) as fresh:
+            result = fresh.recover()
+        replica = result.corpus
+        assert replay_journal(replica, records) == (len(records), 0)
+        once = replica.to_dict()
+        assert replay_journal(replica, records) == (0, len(records))
+        assert replica.to_dict() == once == corpus.to_dict()
+        assert replica.version == corpus.version
+
+    def test_delta_that_fits_neither_case_raises(self):
+        corpus = make_corpus()
+        source = corpus.sources()[0]
+        threads = len(source.discussions)
+        payload = Discussion(
+            discussion_id="never-seen", category="travel", title="t", opened_at=1.0
+        ).to_dict()
+        for at in (threads + 1, 0, -1, "0"):
+            with pytest.raises(JournalReplayError):
+                replay_journal(
+                    corpus,
+                    [
+                        {
+                            "version": corpus.version + 1,
+                            "op": "add_discussion",
+                            "source_id": source.source_id,
+                            "at": at,
+                            "discussion": payload,
+                        }
+                    ],
+                )
+        assert len(source.discussions) == threads
+
+    def test_recover_stack_over_mixed_journal_matches_cold_rebuild(self, tmp_path):
+        corpus = make_corpus(count=8, seed=41, budget=5)
+        engine = SearchEngine(corpus)
+        model = SourceQualityModel(DOMAIN)
+        model.assessment_context(corpus)
+        store = CorpusStore(tmp_path, fsync=False)
+        store.attach(corpus, engine=engine, source_model=model)
+        store.checkpoint()
+        for event in range(6):
+            mutate(corpus, event)
+        grow(corpus.sources()[3], "mixed", posts=8)
+        store.close()
+        ops = [record["op"] for record in read_journal(store.journal_path).records]
+        assert ops.count("add_discussion") == 4 and ops.count("touch") == 3
+
+        with CorpusStore(tmp_path, fsync=False) as warm_store:
+            stack = warm_store.recover_stack(domain=DOMAIN, attach=False)
+        assert stack.corpus.to_dict() == corpus.to_dict()
+        assert stack.corpus.version == corpus.version
+        cold_engine = SearchEngine(stack.corpus)
+        assert list(stack.engine.static_rank()) == list(cold_engine.static_rank())
+        for query in ("travel resort", "flight beach"):
+            assert stack.engine.search(query, 10) == cold_engine.search(query, 10)
+        warm = stack.source_model.assessment_context(stack.corpus)
+        cold = SourceQualityModel(DOMAIN).assessment_context(stack.corpus)
+        assert [a.source_id for a in warm.ranking] == [a.source_id for a in cold.ranking]
+        assert warm.raw_vectors == cold.raw_vectors
+        assert warm.normalized_vectors == cold.normalized_vectors
+        for name in cold.columns.measures:
+            assert warm.columns.raw[name].tobytes() == cold.columns.raw[name].tobytes()
+        assert warm.columns.overall.tobytes() == cold.columns.overall.tobytes()
+
+    def test_racing_appends_to_one_source_journal_whole_sources(self, tmp_path):
+        corpus = make_corpus()
+        # Re-added, the source calls the parking watcher before the corpus's.
+        source = corpus.remove(corpus.source_ids()[1])
+        parked = threading.Event()
+        released = threading.Event()
+        first = threading.Thread(target=grow, args=(source, "race-first"))
+
+        def park(*_):
+            if threading.current_thread() is first and not parked.is_set():
+                parked.set()
+                assert released.wait(timeout=10.0)
+
+        source.watch_mutations(park)
+        corpus.add(source)
+        checkpointed_store(tmp_path, corpus)
+        store = CorpusStore(tmp_path, fsync=False)
+        store.attach(corpus)
+        first.start()
+        assert parked.wait(timeout=10.0)
+        # Appended second but versioned first: as a delta it would follow
+        # a thread no earlier record holds.
+        grow(source, "race-second")
+        released.set()
+        first.join(timeout=10.0)
+        store.close()
+        with CorpusStore(tmp_path, fsync=False) as fresh:
+            result = fresh.recover()
+            result.replay()
+        assert result.corpus.to_dict() == corpus.to_dict()
+        ops = [record["op"] for record in read_journal(store.journal_path).records]
+        assert ops == ["touch", "touch"]
+
+    def test_replay_rejects_records_without_a_usable_version(self):
+        corpus = make_corpus()
+        before = corpus.to_dict()
+        valid = {
+            "version": corpus.version + 1,
+            "op": "remove",
+            "source_id": corpus.source_ids()[0],
+        }
+        for malformed in (
+            {"version": "x", "op": "touch", "source_id": "s"},
+            {"version": None, "op": "touch", "source_id": "s"},
+            ["not", "a", "record"],
+        ):
+            with pytest.raises(JournalReplayError):
+                replay_journal(corpus, [valid, malformed])
+        # Validation runs before the sort: the valid record was not applied.
+        assert corpus.to_dict() == before
+
+
+@pytest.mark.stress
+def test_racing_mutators_journal_replays_to_the_live_corpus(tmp_path):
+    """More mutator threads than cores grow and touch a few shared sources
+    under a short switch interval: whatever mix of deltas and full records
+    the races leave, the journal replays to the live corpus."""
+    corpus = make_corpus(count=3)
+    checkpointed_store(tmp_path, corpus)
+    store = CorpusStore(tmp_path, fsync=False)
+    store.attach(corpus)
+    errors: list[BaseException] = []
+
+    def mutator(worker: int) -> None:
+        rng = random.Random(worker)
+        try:
+            for step in range(80):
+                source = rng.choice(corpus.sources())
+                if rng.random() < 0.8:
+                    grow(source, f"stress-{worker}-{step}")
+                else:
+                    corpus.touch(source.source_id)
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=mutator, args=(worker,)) for worker in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    store.close()
+    with CorpusStore(tmp_path, fsync=False) as fresh:
+        result = fresh.recover()
+        result.replay()
+    assert result.corpus.to_dict() == corpus.to_dict()
 
 
 # -- serving integration -----------------------------------------------------------------

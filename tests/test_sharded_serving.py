@@ -27,6 +27,7 @@ from repro.core.source_quality import SourceQualityModel
 from repro.errors import (
     AssessmentError,
     CorruptSnapshotError,
+    JournalReplayError,
     MissingShardSnapshotError,
     NormalizationError,
     PersistenceError,
@@ -36,7 +37,7 @@ from repro.errors import (
     UnsearchableQueryError,
     WireProtocolError,
 )
-from repro.persistence import ClusterStore, CorpusStore, read_snapshot
+from repro.persistence import ClusterStore, CorpusStore, read_journal, read_snapshot
 from repro.persistence.codec import decode_column_block
 from repro.persistence.format import RECORD_HEADER, json_record, pack_record
 from repro.search.engine import SearchEngine, SearchEngineConfig
@@ -699,6 +700,28 @@ class TestCoordinatorSemantics:
         assert all(v["version"] <= corpus.version for v in versions.values())
         assert sum(v["sources"] for v in versions.values()) == len(corpus)
 
+    def test_flush_sends_every_batch_before_a_worker_error(
+        self, coordinator_factory, travel_domain
+    ):
+        corpus = _fresh_corpus(12)
+        coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
+        owned = next(
+            source_id
+            for source_id in corpus.source_ids()
+            if partition_shard(source_id, 2) == 1
+        )
+        # Shard 0's batch fails in the worker's replay; shard 1's batch
+        # (the touch) must still reach shard 1, and nothing is dropped.
+        with coordinator._buffer_lock:
+            coordinator._pending[0].append(
+                {"version": corpus.version + 1, "op": "bogus", "source_id": "x"}
+            )
+        corpus.touch(owned)
+        with pytest.raises(JournalReplayError):
+            coordinator.flush()
+        assert coordinator.quiesce()[1]["version"] == corpus.version
+        assert coordinator.dropped_mutations == 0
+
     def test_busy_times_accumulate_read_cpu(self, coordinator_factory, travel_domain):
         corpus = _fresh_corpus(8)
         coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
@@ -720,6 +743,110 @@ class TestCoordinatorSemantics:
         coordinator.close()
         coordinator.close()  # idempotent
         assert all(process.poll() is not None for process in processes)
+
+
+# -- typed delta replication -----------------------------------------------------------
+
+
+class _ParkedDelivery:
+    """Corpus listener that parks ``thread``'s first delivery until released.
+
+    Subscribed before the coordinator exists, it runs ahead of the bus —
+    hence ahead of the wire bridge — so a change committed later on
+    another thread reaches the shards first.
+    """
+
+    def __init__(self) -> None:
+        self.thread: threading.Thread | None = None
+        self.parked = threading.Event()
+        self.released = threading.Event()
+
+    def __call__(self, change) -> None:
+        if threading.current_thread() is self.thread and not self.parked.is_set():
+            self.parked.set()
+            assert self.released.wait(timeout=10.0)
+
+    def run(self, target, *args) -> None:
+        self.thread = threading.Thread(target=target, args=args)
+        self.thread.start()
+        assert self.parked.wait(timeout=10.0)
+
+    def finish(self) -> None:
+        self.released.set()
+        self.thread.join(timeout=10.0)
+        assert not self.thread.is_alive()
+
+
+class TestDeltaReplication:
+    def test_apply_of_a_grow_matches_the_coordinator_source(
+        self, coordinator_factory, travel_domain, tmp_path
+    ):
+        corpus = _fresh_corpus(8)
+        directory = tmp_path / "c"
+        coordinator = coordinator_factory(
+            corpus, 2, domain=travel_domain, store_directory=directory
+        )
+        source = corpus.sources()[2]
+        _grow(source, "travel food grown on the wire")
+        coordinator.flush()
+        shard_directory = ClusterStore(directory).shard_directory(
+            partition_shard(source.source_id, 2)
+        )
+        # The worker replayed a delta, so its own journal ends with one too.
+        record = read_journal(shard_directory / CorpusStore.JOURNAL_NAME).records[-1]
+        assert record["op"] == "add_discussion"
+        assert record["at"] == len(source.discussions) - 1
+        coordinator.checkpoint()
+        sections = read_snapshot(shard_directory / CorpusStore.SNAPSHOT_NAME)
+        replicated = {
+            payload["source_id"]: payload for payload in sections["corpus"]["sources"]
+        }
+        assert replicated[source.source_id] == source.to_dict()
+
+    @pytest.mark.parametrize("eager", [False, True])
+    def test_rank_top_after_grows_is_bit_identical(
+        self, coordinator_factory, travel_domain, eager
+    ):
+        corpus = _fresh_corpus(10)
+        coordinator = coordinator_factory(corpus, 2, domain=travel_domain, eager=eager)
+        coordinator.rank_top(3)  # the workers' columns the grows below patch
+        largest = max(corpus, key=lambda source: len(source.open_discussions()))
+        # The middle grow moves the corpus-wide open-discussion maximum.
+        for step, source in enumerate((corpus.sources()[0], largest, corpus.sources()[-1])):
+            for _ in range(step + 1):
+                _grow(source, f"travel food growth {step}")
+            _assert_bit_identical(coordinator, corpus, travel_domain)
+
+    def test_grow_delivered_before_its_source_add(
+        self, coordinator_factory, travel_domain
+    ):
+        corpus = _fresh_corpus(8)
+        park = _ParkedDelivery()
+        corpus.subscribe(park)
+        coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
+        source = _extra_source("late-add", seed=71)
+        park.run(corpus.add, source)
+        # The grow reaches the shard, and is flushed, before the add does.
+        _grow(source, "travel food grown before its add was delivered")
+        coordinator.flush()
+        park.finish()
+        coordinator.flush()
+        _assert_bit_identical(coordinator, corpus, travel_domain)
+
+    def test_grows_delivered_out_of_version_order(
+        self, coordinator_factory, travel_domain
+    ):
+        corpus = _fresh_corpus(8)
+        park = _ParkedDelivery()
+        corpus.subscribe(park)
+        coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
+        source = corpus.sources()[3]
+        park.run(_grow, source, "travel food first grow")
+        _grow(source, "travel food second grow")
+        coordinator.flush()
+        park.finish()
+        coordinator.flush()
+        _assert_bit_identical(coordinator, corpus, travel_domain)
 
 
 # -- fault matrix ----------------------------------------------------------------------
