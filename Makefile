@@ -5,6 +5,9 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 BENCH_JSON := BENCH_perf.json
+## perf-smoke's own report (gitignored): reduced-scale sections never
+## reach the committed $(BENCH_JSON)
+SMOKE_JSON ?= .perf-smoke.json
 
 .PHONY: test stress recovery-stress shard-stress bench perf perf-smoke bench-selftest e2e docs lint
 
@@ -40,15 +43,17 @@ perf:
 	@test -s $(BENCH_JSON) || { echo "FATAL: $(BENCH_JSON) was not written" >&2; exit 1; }
 
 ## reduced-scale perf smoke for CI: proves every harness produces its section
+## in a fresh $(SMOKE_JSON); the committed $(BENCH_JSON) stays untouched
 perf-smoke:
-	$(PYTHON) benchmarks/bench_perf_pipeline.py --output $(BENCH_JSON) --rank-repetitions 2 --search-rounds 2 --assessment-sources 1500
-	$(PYTHON) benchmarks/bench_incremental_index.py --output $(BENCH_JSON) --sources 200 --events 4
-	$(PYTHON) benchmarks/bench_incremental_assessment.py --output $(BENCH_JSON) --sources 200 --events 4
-	$(PYTHON) benchmarks/bench_eager_refresh.py --output $(BENCH_JSON) --sources 200 --events 4
-	$(PYTHON) benchmarks/bench_concurrent_serving.py --output $(BENCH_JSON) --sources 200 --events 12
-	$(PYTHON) benchmarks/bench_persistence.py --output $(BENCH_JSON) --sources 120 --discussion-budget 12 --events 4
-	$(PYTHON) benchmarks/bench_sharded_serving.py --output $(BENCH_JSON) --smoke
-	$(PYTHON) scripts/check_bench_keys.py $(BENCH_JSON)
+	rm -f $(SMOKE_JSON)
+	$(PYTHON) benchmarks/bench_perf_pipeline.py --output $(SMOKE_JSON) --rank-repetitions 2 --search-rounds 2 --assessment-sources 1500
+	$(PYTHON) benchmarks/bench_incremental_index.py --output $(SMOKE_JSON) --sources 200 --events 4
+	$(PYTHON) benchmarks/bench_incremental_assessment.py --output $(SMOKE_JSON) --sources 200 --events 4
+	$(PYTHON) benchmarks/bench_eager_refresh.py --output $(SMOKE_JSON) --sources 200 --events 4
+	$(PYTHON) benchmarks/bench_concurrent_serving.py --output $(SMOKE_JSON) --sources 200 --events 12
+	$(PYTHON) benchmarks/bench_persistence.py --output $(SMOKE_JSON) --sources 120 --discussion-budget 12 --events 4
+	$(PYTHON) benchmarks/bench_sharded_serving.py --output $(SMOKE_JSON) --smoke
+	$(PYTHON) scripts/check_bench_keys.py $(SMOKE_JSON)
 
 ## end-to-end benchmark self-test: every workload at smoke scale through
 ## perfbench/, so a src/ change that breaks a name it imports fails here

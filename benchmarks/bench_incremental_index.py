@@ -8,8 +8,9 @@ removes, in-place growth, announced ``touch`` edits) through a live
 times two ways of bringing the index back in sync:
 
 * **incremental** — ``engine.refresh()``: the epoch diff plus patching of
-  postings lists, document frequencies, static scores and the static
-  order for just the affected sources;
+  postings, document frequencies, static scores and the static order
+  for just the affected sources (a changed source re-tokenises only
+  the discussion threads that changed);
 * **full rebuild** — constructing a brand-new ``SearchEngine`` over the
   mutated corpus, exactly what a caller had to do before the index became
   mutation-safe.

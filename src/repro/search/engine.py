@@ -14,14 +14,15 @@ configuration the static part dominates, so re-ranking by the quality model
 produces the substantial displacements reported in Section 4.1.
 
 The query hot path is index-driven: the engine materialises an inverted
-index mapping each term to the sources containing it (postings carry the
-precomputed term-frequency/document-length ratio), static scores and the
-static ordering, so :meth:`SearchEngine.search` scores only the union of
-the query terms' postings lists instead of scanning every indexed source,
-hoists each term's IDF out of the per-source loop and selects the top-k
-with a bounded heap.  The original full-scan scoring survives only as the
-test oracle (``search_fullscan`` in ``tests/_reference.py``); both
-return identical results (see ``tests/test_perf_equivalence.py``).
+index mapping each term to the sources containing it (postings map each
+source id to the precomputed term-frequency/document-length ratio),
+static scores and the static ordering, so :meth:`SearchEngine.search`
+scores only the union of the query terms' postings instead of scanning
+every indexed source, hoists each term's IDF out of the per-source loop
+and selects the top-k with a bounded heap.  The original full-scan
+scoring survives only as the test oracle (``search_fullscan`` in
+``tests/_reference.py``); both return identical results (see
+``tests/test_perf_equivalence.py``).
 
 The index is *mutation-safe*: the engine subscribes to the corpus's
 ``CorpusChange`` notifications and every read path auto-refreshes before
@@ -30,11 +31,15 @@ check fed by the subscription (announced mutations: everything made
 through the corpus API or the ``Source`` mutation helpers, which announce
 themselves to their owning corpora).  Only when the flag fires does the
 engine compute the full fingerprint diff and apply an *incremental*
-update: postings lists, document frequencies, static scores and the
-static order are patched for just the added/removed/changed sources (the
-static order via ``np.searchsorted`` on the sorted score array, not a
-re-sort), and only the affected
-result-cache entries are dropped.  ``refresh(deep=True)`` remains the
+update: postings, document frequencies, static scores and the static
+order are patched for just the added/removed/changed sources (the static
+order via ``np.searchsorted`` on the sorted score array, not a re-sort),
+and only the affected result-cache entries are dropped.  A changed
+source is not re-read in full: the snapshot records the source's text as
+*fragment groups* (a header, then one group per discussion thread), and
+a patch tokenises only the groups that differ from the recorded ones,
+adjusts the source's term counts by their tokens and rewrites the
+source's postings entries in place.  ``refresh(deep=True)`` remains the
 escape hatch forcing a full fingerprint scan for *unannounced* mutations
 (direct appends into a source's internal lists); see
 :meth:`SearchEngine.refresh` and ``docs/PERFORMANCE.md`` for the cost
@@ -72,6 +77,7 @@ import re
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -111,6 +117,29 @@ TOKENIZATION_RULE = (
 def tokenize(text: str) -> list[str]:
     """Lower-case alphanumeric tokenisation used by the index and queries."""
     return _TOKEN_PATTERN.findall(text.lower())
+
+
+#: One source's indexed text: a header group ``(name, *categories)``, then
+#: one group per discussion thread ``(title, category, text, *tags, …)``
+#: in thread order.  The groups reference the corpus's own strings.
+FragmentGroups = tuple[tuple[str, ...], ...]
+
+
+def _fragment_groups(source: Source) -> FragmentGroups:
+    """The text surface the index counts, grouped per discussion thread."""
+    groups = [(source.name, *source.categories)]
+    for discussion in source.discussions:
+        group = [discussion.title, discussion.category]
+        for post in discussion.posts:
+            group.append(post.text)
+            group.extend(post.tags)
+        groups.append(tuple(group))
+    return tuple(groups)
+
+
+def _count_tokens(groups: Iterable[tuple[str, ...]]) -> Counter:
+    """Token counts over every fragment of ``groups``, in one ``Counter`` pass."""
+    return Counter(chain.from_iterable(map(tokenize, chain.from_iterable(groups))))
 
 
 def _reject_untokenizable(query: str) -> None:
@@ -241,12 +270,23 @@ class _IndexState:
     selective-invalidation behaviour).
     """
 
+    #: source_id -> token counts over its fragment groups.  A patch
+    #: replaces a changed source's Counter; it never mutates one.
     term_frequencies: dict[str, Counter]
     document_frequencies: Counter
     document_lengths: dict[str, int]
     static_scores: dict[str, float]
-    #: term -> list of (source_id, term_frequency / document_length).
-    postings: dict[str, list[tuple[str, float]]]
+    #: term -> {source_id: term_frequency / document_length}.  A build
+    #: copies a term's dict before its first write to it (``copied`` in
+    #: :meth:`SearchEngine._index_source`), so a published dict is never
+    #: mutated.  Reads sum per source in query-term order, so no read
+    #: depends on the entries' order.
+    postings: dict[str, dict[str, float]]
+    #: source_id -> the fragment groups its ``term_frequencies`` entry was
+    #: counted from: the diff base of the source's next patch.  Not
+    #: persisted; a source without an entry (a restored snapshot, a new
+    #: source) is counted in full by its next index.
+    fragment_groups: dict[str, FragmentGroups] = field(default_factory=dict)
     static_order: tuple[str, ...] = ()
     #: Sorted ``(-static score, source_id)`` rank keys backing the static
     #: order (a columnar :class:`~repro.core.columnar.SortedRankKeys`);
@@ -365,16 +405,6 @@ class SearchEngine:
 
     # -- indexing -----------------------------------------------------------------
 
-    def _document_text(self, source: Source) -> Iterable[str]:
-        yield source.name
-        yield from source.categories
-        for discussion in source.discussions:
-            yield discussion.title
-            yield discussion.category
-            for post in discussion.posts:
-                yield post.text
-                yield from post.tags
-
     def _build_index(self) -> _IndexState:
         """Build a complete snapshot from scratch (initial index)."""
         if len(self._corpus) == 0:
@@ -416,33 +446,69 @@ class SearchEngine:
     def _index_source(
         self, state: _IndexState, source: Source, copied: set[str]
     ) -> None:
-        """Add one source's text surface to the snapshot's postings.
+        """Count one added or changed source and rewrite its postings entries.
 
-        ``copied`` tracks the postings lists this build already owns:
-        lists inherited from the previous snapshot are replaced (never
-        mutated — a concurrent reader may be iterating them), lists
-        created or copied during this build are appended in place.
+        A source with recorded fragment groups is patched: the previous
+        and current groups are compared as multisets, only the removed
+        and added groups are tokenised, and their tokens are subtracted
+        from and added to a copy of the previous counts (exact: counts
+        are integers and :func:`tokenize` is a pure function of each
+        fragment).  The comparison keys on value, so fresh objects with
+        the same text tokenise nothing.  Any other source — new, re-added,
+        restored from a snapshot, or at the initial build — is counted
+        in full.  Either way the result equals a full count.
+
+        ``copied`` tracks the postings dicts this build already owns:
+        dicts inherited from the previous snapshot are copied before
+        their first write (a concurrent reader may be iterating them),
+        dicts created or copied during this build are written in place.
         """
-        counter: Counter[str] = Counter()
-        for fragment in self._document_text(source):
-            counter.update(tokenize(fragment))
         source_id = source.source_id
+        groups = _fragment_groups(source)
+        previous = state.term_frequencies.get(source_id)
+        previous_groups = state.fragment_groups.get(source_id)
+        state.fragment_groups[source_id] = groups
+        if previous_groups is None:
+            counter = _count_tokens(groups)
+            self.counters.increment("fragment_groups_tokenised", len(groups))
+        else:
+            before, after = Counter(previous_groups), Counter(groups)
+            dropped, gained = before - after, after - before
+            tokenised = sum(dropped.values()) + sum(gained.values())
+            if not tokenised:
+                return
+            self.counters.increment("fragment_groups_tokenised", tokenised)
+            counter = previous.copy()
+            counter.update(_count_tokens(gained.elements()))
+            lost = _count_tokens(dropped.elements())
+            counter.subtract(lost)
+            for token in lost:
+                if not counter[token]:
+                    del counter[token]
         length = max(1, sum(counter.values()))
         state.term_frequencies[source_id] = counter
         state.document_lengths[source_id] = length
         postings = state.postings
+        document_frequencies = state.document_frequencies
         for token, frequency in counter.items():
-            state.document_frequencies[token] += 1
-            entry = (source_id, frequency / length)
-            existing = postings.get(token)
-            if existing is None:
-                postings[token] = [entry]
+            ratio = frequency / length
+            entries = postings.get(token)
+            if entries is None:
+                postings[token] = {source_id: ratio}
                 copied.add(token)
-            elif token in copied:
-                existing.append(entry)
-            else:
-                postings[token] = existing + [entry]
+                document_frequencies[token] += 1
+                continue
+            held = entries.get(source_id)
+            if held == ratio:
+                continue
+            if held is None:
+                document_frequencies[token] += 1
+            if token not in copied:
+                entries = postings[token] = dict(entries)
                 copied.add(token)
+            entries[source_id] = ratio
+        if previous is not None:
+            self._drop_postings(state, source_id, previous.keys() - counter.keys(), copied)
 
     def _unindex_source(
         self, state: _IndexState, source_id: str, copied: set[str]
@@ -450,25 +516,32 @@ class SearchEngine:
         """Remove one source from the snapshot's postings; return its terms."""
         counter = state.term_frequencies.pop(source_id)
         del state.document_lengths[source_id]
+        state.fragment_groups.pop(source_id, None)
+        self._drop_postings(state, source_id, counter, copied)
+        state.static_scores.pop(source_id, None)
+        state.observations.pop(source_id, None)
+        return counter
+
+    @staticmethod
+    def _drop_postings(
+        state: _IndexState, source_id: str, tokens: Iterable[str], copied: set[str]
+    ) -> None:
+        """Delete ``source_id``'s postings entries for ``tokens``: O(len(tokens))."""
         document_frequencies = state.document_frequencies
         postings = state.postings
-        for token in counter:
+        for token in tokens:
             remaining = document_frequencies[token] - 1
             if remaining:
                 document_frequencies[token] = remaining
-                # The comprehension allocates a fresh list either way, so
-                # the previous snapshot's list is never mutated.
-                postings[token] = [
-                    entry for entry in postings[token] if entry[0] != source_id
-                ]
-                copied.add(token)
+                entries = postings[token]
+                if token not in copied:
+                    entries = postings[token] = dict(entries)
+                    copied.add(token)
+                del entries[source_id]
             else:
                 del document_frequencies[token]
                 del postings[token]
                 copied.discard(token)
-        state.static_scores.pop(source_id, None)
-        state.observations.pop(source_id, None)
-        return counter
 
     def _rebuild_static_order(self, state: _IndexState) -> None:
         scores = np.asarray(list(state.static_scores.values()), dtype=np.float64)
@@ -532,10 +605,11 @@ class SearchEngine:
         demand).  The per-source post totals — the one fingerprint field
         that costs O(discussions) to recompute — *are* exported, so the
         restore composes trusted fingerprints from the section instead of
-        rescanning content.  Dict orders are preserved through JSON, so
-        restored Counters and postings iterate exactly as the originals
-        did — the restored engine is bit-identical to a cold rebuild of
-        the same corpus.
+        rescanning content.  Postings travel as ``[source_id, ratio]``
+        pairs per term.  The fragment groups are not exported: the first
+        patch of each source after a restore counts it in full.  The
+        restored engine is bit-identical to a cold rebuild of the same
+        corpus (no read depends on Counter or postings order).
         """
         self.refresh()
         with self._rwlock.read_lock():
@@ -549,7 +623,7 @@ class SearchEngine:
             "document_lengths": dict(state.document_lengths),
             "static_scores": dict(state.static_scores),
             "postings": {
-                term: [[source_id, ratio] for source_id, ratio in entries]
+                term: [[source_id, ratio] for source_id, ratio in entries.items()]
                 for term, entries in state.postings.items()
             },
             "static_keys": [
@@ -583,8 +657,7 @@ class SearchEngine:
             document_lengths=dict(payload["document_lengths"]),
             static_scores=dict(payload["static_scores"]),
             postings={
-                term: [(source_id, ratio) for source_id, ratio in entries]
-                for term, entries in payload["postings"].items()
+                term: dict(entries) for term, entries in payload["postings"].items()
             },
             static_keys=SortedRankKeys.from_pairs(
                 (score, source_id) for score, source_id in payload["static_keys"]
@@ -745,6 +818,7 @@ class SearchEngine:
                 document_lengths=previous.document_lengths,
                 static_scores=previous.static_scores,
                 postings=previous.postings,
+                fragment_groups=previous.fragment_groups,
                 static_order=previous.static_order,
                 static_keys=previous.static_keys,
                 observations=previous.observations,
@@ -769,6 +843,7 @@ class SearchEngine:
             document_lengths=dict(previous.document_lengths),
             static_scores=dict(previous.static_scores),
             postings=dict(previous.postings),
+            fragment_groups=dict(previous.fragment_groups),
             static_order=previous.static_order,
             static_keys=previous.static_keys.copy(),
             observations=dict(previous.observations),
@@ -777,7 +852,7 @@ class SearchEngine:
             source_fingerprints=current_fingerprints,
             anchored_sources=current_sources,
         )
-        #: Postings lists this build already owns (safe to mutate in place).
+        #: Postings dicts this build already owns (safe to mutate in place).
         copied: set[str] = set()
         #: Scores currently keyed into the static order, captured before the
         #: patch so their (score, id) keys can be bisect-removed.
@@ -790,14 +865,13 @@ class SearchEngine:
         for source_id in removed:
             affected_terms.update(self._unindex_source(state, source_id, copied))
             self.counters.increment("sources_unindexed")
-        for source_id in changed:
-            affected_terms.update(self._unindex_source(state, source_id, copied))
-            self.counters.increment("sources_unindexed")
+        term_frequencies = state.term_frequencies
         for source_id in (*changed, *added):
             source = current_sources[source_id]
             state.observations[source_id] = self._panel.observe(source)
+            affected_terms.update(term_frequencies.get(source_id, ()))
             self._index_source(state, source, copied)
-            affected_terms.update(state.term_frequencies[source_id])
+            affected_terms.update(term_frequencies[source_id])
             self.counters.increment("sources_reindexed")
         state.n_documents = len(current_sources)
 
@@ -940,14 +1014,14 @@ class SearchEngine:
             if not postings:
                 continue
             idf = math.log((1 + n_documents) / (1 + state.document_frequencies[term])) + 1.0
-            for source_id, ratio in postings:
+            for source_id, ratio in postings.items():
                 scores[source_id] = scores.get(source_id, 0.0) + ratio * idf
         return scores
 
     def search(self, query: str, limit: int = 20) -> list[SearchResult]:
         """Answer ``query`` returning at most ``limit`` ranked results.
 
-        Only sources in the union of the query terms' postings lists are
+        Only sources in the union of the query terms' postings are
         scored; sources matching no term have topical score 0 and would be
         filtered by ``minimum_topical_score`` anyway.  When
         ``minimum_topical_score`` is negative those sources pass the
@@ -1107,7 +1181,7 @@ class SearchEngine:
                     math.log((1 + n_documents) / (1 + document_frequencies.get(term, 0)))
                     + 1.0
                 )
-                for source_id, ratio in postings:
+                for source_id, ratio in postings.items():
                     scores[source_id] = scores.get(source_id, 0.0) + ratio * idf
             statics = {
                 source_id: self._static_score(
