@@ -147,11 +147,13 @@ class ClusterStore:
         :class:`~repro.errors.MissingShardSnapshotError` *before* any
         shard is materialised.  The merged corpus holds the union of the
         shards' sources in sorted source-id order at the maximum of the
-        shard versions; consumers are cold-built over it (per-shard index
-        sections are normalised by shard-local statistics and cannot be
-        merged warm).  Unlike ``CorpusStore.recover_stack`` this never
-        attaches — a recovered cluster is re-served by restarting the
-        shard workers, each attaching to its own store.
+        shard versions, with the shards' per-source versions (see
+        :meth:`~repro.sources.corpus.SourceCorpus.version_map`); consumers
+        are cold-built over it (per-shard index sections are normalised by
+        shard-local statistics and cannot be merged warm).  Unlike
+        ``CorpusStore.recover_stack`` this never attaches — a recovered
+        cluster is re-served by restarting the shard workers, each
+        attaching to its own store and resyncing by version.
         """
         for shard_index in range(self.shard_count):
             shard_dir = self.directory / f"shard-{shard_index}"
@@ -163,6 +165,7 @@ class ClusterStore:
         skipped = 0
         version = 0
         sources: dict[str, Any] = {}
+        source_versions: dict[str, int] = {}
         for shard_index in range(self.shard_count):
             result = self.shard_store(shard_index).recover()
             result.replay()
@@ -172,6 +175,7 @@ class ClusterStore:
             merged_notes.extend(
                 f"shard {shard_index}: {note}" for note in result.notes
             )
+            source_versions.update(result.corpus.version_map()["sources"])
             for source in result.corpus:
                 if source.source_id in sources:
                     raise PersistenceError(
@@ -185,6 +189,21 @@ class ClusterStore:
         for source_id in sorted(sources):
             corpus.add(sources[source_id])
         corpus._restore_version(version)
+        # The shards' per-source versions carry over, so a coordinator
+        # serving this corpus resyncs its recovered workers by version.  A
+        # source whose shard store predates them takes the merged version.
+        # Nothing is in flight yet: every change is reflected.
+        corpus._restore_version_map(
+            {
+                "floor": version,
+                "sources": {
+                    source_id: source_versions.get(source_id, version)
+                    for source_id in sources
+                },
+                "removed": {},
+            },
+            version,
+        )
         merged = RecoveryResult(
             corpus=corpus,
             snapshot_used=f"cluster ({self.shard_count} shard stores)",

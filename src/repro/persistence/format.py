@@ -61,6 +61,7 @@ __all__ = [
     "unpack_sections",
     "fsync_file",
     "fsync_directory",
+    "rename_file",
 ]
 
 #: 4-byte magic prefixes identifying the two file kinds.
@@ -135,6 +136,19 @@ def fsync_directory(path: Path) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def rename_file(source: str | Path, destination: str | Path, *, fsync: bool = True) -> None:
+    """Rename ``source`` over ``destination`` through the (fault-injectable) channel.
+
+    With ``fsync`` the directory entry is fsynced afterwards, so the
+    rename survives a power cut.  The store rotates its previous snapshot
+    aside this way instead of copying it.
+    """
+    destination = Path(destination)
+    _io.replace(Path(source), destination)
+    if fsync:
+        fsync_directory(destination.parent)
 
 
 def atomic_write_bytes(path: str | Path, data: bytes, *, fsync: bool = True) -> None:

@@ -31,7 +31,12 @@ record payload is one of::
      "at": <index of the appended thread>,
      "discussion": <Discussion.to_dict()>}
 
-Replay (:func:`repro.persistence.store.replay_journal`) appends an
+A replica's journal (a shard worker's) records the version of the
+replayed record that drove each change, so it is numbered as the
+coordinator numbered it.  Replay
+(:func:`repro.persistence.store.replay_journal`) skips a record at or
+below its own source's version (its last change, its tombstone or the
+corpus's version floor), appends an
 ``add_discussion`` thread when the source holds exactly ``at`` threads,
 skips it when the thread at ``at`` already has its id (a full-source
 record serialised later already holds it), and raises
@@ -222,7 +227,7 @@ class JournalWriter:
 
         Runs *after* the snapshot rename: a crash in between leaves the
         old journal with records the snapshot already contains, which
-        replay skips by version cross-check — stale records are harmless,
+        replay skips by their sources' versions — stale records are harmless,
         lost ones would not be.
         """
         if self._handle is not None:

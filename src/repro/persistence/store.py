@@ -14,14 +14,18 @@ is on disk (fsynced) before the mutating call returns.
 :meth:`CorpusStore.checkpoint` then folds the journal into a fresh
 snapshot: inside the subscriber's ``paused()`` window (so no event can
 slip into the journal between export and reset) it exports the corpus and
-every attached consumer, rotates the previous snapshot aside, writes the
+every attached consumer, renames the previous snapshot aside, writes the
 new one atomically, and resets the journal to the snapshot's corpus
 version.  The orderings are what make every crash window recoverable:
 
-* crash before the snapshot rename — the old snapshot and the full
+* crash before the rotation rename — the old snapshot and the full
   journal are intact; nothing happened;
+* crash between the rotation and the new snapshot's rename — only the
+  previous snapshot exists, and the full journal behind it; recovery
+  takes both;
 * crash between rename and journal reset — the journal holds records the
-  new snapshot already contains; replay skips them by version cross-check;
+  new snapshot already contains; replay skips them by their sources'
+  versions;
 * crash mid-append — the torn tail is detected by CRC and truncated; every
   *acknowledged* append is before it.
 
@@ -54,7 +58,7 @@ from typing import Any, Mapping, Optional
 
 from repro.errors import JournalReplayError, PersistenceError
 from repro.persistence.codec import encode_index_state
-from repro.persistence.format import atomic_write_bytes
+from repro.persistence.format import rename_file
 from repro.persistence.journal import (
     JournalWriter,
     read_journal,
@@ -151,17 +155,25 @@ def replay_journal(
     """Apply journal records to ``corpus``; return ``(applied, skipped)``.
 
     Records are replayed in *version* order (concurrent mutators may have
-    appended slightly out of order) and idempotently: a record whose
-    version the corpus already reached is skipped, so replaying the same
-    journal twice — or a journal whose head the snapshot already contains
-    — converges to the same state.  Replay drives the ordinary corpus
-    mutation API, so every restored consumer is invalidated and patched
-    through the same incremental paths live mutations use: a full-source
-    record overlays the live source and touches it, and an
+    appended slightly out of order) and idempotently, per source: a record
+    at or below its own source's version (the source's last change, its
+    tombstone, or the corpus's version floor — see
+    :meth:`~repro.sources.corpus.SourceCorpus.version_of`) is skipped, so
+    replaying the same journal twice — or a journal whose head the
+    snapshot already contains — converges to the same state, and records
+    of *different* sources may arrive in any order across calls.  Replay
+    drives the ordinary corpus mutation API under the record's version
+    (:meth:`~repro.sources.corpus.SourceCorpus._replaying`), so every
+    restored consumer is invalidated and patched through the same
+    incremental paths live mutations use, and the change events — and a
+    replica's own journal records — carry the record's version: a
+    full-source record overlays the live source and touches it, and an
     ``add_discussion`` delta appends its thread through
-    ``Source.add_discussion`` (see :func:`_replay_add_discussion`).
-    Every record's shape and version are checked before the sort, so a
-    record without a usable version raises
+    ``Source.add_discussion`` (see :func:`_replay_add_discussion`).  A
+    record whose effect is already in place (a delta a later full record
+    carried, a remove of an absent source) moves the source's version up
+    without a change event.  Every record's shape and version are checked
+    before the sort, so a record without a usable version raises
     :class:`~repro.errors.JournalReplayError` before anything is applied.
     """
     versioned = sorted(
@@ -176,39 +188,43 @@ def replay_journal(
             source_id = record["source_id"]
         except KeyError as exc:
             raise JournalReplayError(f"malformed journal record: {exc!r}") from exc
-        if version <= corpus.version:
+        if version <= corpus.version_of(source_id):
             skipped += 1
             continue
         try:
-            if op == "remove":
-                if source_id in corpus:
-                    corpus.remove(source_id)
-                    applied += 1
-                else:
-                    skipped += 1
-            elif op == "add_discussion":
-                if _replay_add_discussion(corpus, version, source_id, record):
-                    applied += 1
-                else:
-                    skipped += 1
-            elif op in ("add", "touch"):
-                payload = record.get("source")
-                if payload is None:
-                    # Contentless record: the source was removed again
+            with corpus._replaying(version):
+                if op == "remove":
+                    done = source_id in corpus
+                    if done:
+                        corpus.remove(source_id)
+                    else:
+                        # The tombstone still turns away an older record
+                        # of the source that arrives after this one.
+                        corpus._stamp_version(source_id, version)
+                elif op == "add_discussion":
+                    done = _replay_add_discussion(corpus, version, source_id, record)
+                    if not done and source_id in corpus:
+                        corpus._stamp_version(source_id, version)
+                elif op in ("add", "touch"):
+                    payload = record.get("source")
+                    # A contentless record: the source was removed again
                     # before the event was journaled; the trailing remove
                     # record restores the net state.
-                    skipped += 1
-                elif source_id in corpus:
-                    _overlay_source(corpus.get(source_id), payload)
-                    corpus.touch(source_id)
-                    applied += 1
+                    done = payload is not None
+                    if done:
+                        if source_id in corpus:
+                            _overlay_source(corpus.get(source_id), payload)
+                            corpus.touch(source_id)
+                        else:
+                            corpus.add(Source.from_dict(dict(payload)))
                 else:
-                    corpus.add(Source.from_dict(dict(payload)))
-                    applied += 1
+                    raise JournalReplayError(
+                        f"unknown journal op {op!r} at version {version}"
+                    )
+            if done:
+                applied += 1
             else:
-                raise JournalReplayError(
-                    f"unknown journal op {op!r} at version {version}"
-                )
+                skipped += 1
         except JournalReplayError:
             raise
         except Exception as exc:
@@ -413,9 +429,12 @@ class CorpusStore:
         export, the snapshot rename and the journal reset form one atomic
         epoch switch with respect to concurrent mutators (they block
         briefly at their journal append).  Ordering: previous snapshot
-        rotated aside, new snapshot renamed into place, journal reset —
-        a crash between the last two leaves only already-snapshotted
-        records in the journal, which replay skips.
+        renamed aside, new snapshot renamed into place, journal reset — a
+        crash between the first two leaves the previous snapshot and the
+        full journal behind it, and a crash between the last two leaves
+        only already-snapshotted records in the journal, which replay
+        skips.  The ``versions`` section persists the corpus's per-source
+        versions (see :meth:`~repro.sources.corpus.SourceCorpus.version_map`).
         """
         with ordered(self._lock, "store.lock"):
             corpus = self._corpus
@@ -427,7 +446,14 @@ class CorpusStore:
                 )
             with subscriber.paused():
                 version = corpus.version
-                sections: dict[str, Any] = {"corpus": corpus.to_dict()}
+                # The versions before the content: a change racing in
+                # between then lands in the content with its entry still
+                # below it, so its journal record is replayed, not skipped.
+                versions = corpus.version_map()
+                sections: dict[str, Any] = {
+                    "corpus": corpus.to_dict(),
+                    "versions": versions,
+                }
                 if self.shard is not None:
                     sections["shard"] = {
                         "index": self.shard[0],
@@ -450,9 +476,9 @@ class CorpusStore:
                     if contributors:
                         sections["contributors"] = contributors
                 if self.snapshot_path.exists():
-                    atomic_write_bytes(
+                    rename_file(
+                        self.snapshot_path,
                         self.previous_snapshot_path,
-                        self.snapshot_path.read_bytes(),
                         fsync=self._fsync,
                     )
                 write_snapshot(
@@ -539,6 +565,8 @@ class CorpusStore:
                     corpus._restore_version(snapshot_version(candidate))
                 except (PersistenceError, KeyError, TypeError, ValueError):
                     corpus = None
+                else:
+                    self._restore_versions(corpus, candidate, notes)
             if corpus is not None:
                 sections = candidate
                 used = label
@@ -602,6 +630,27 @@ class CorpusStore:
                 else:
                     result.journal_records = list(reader.records)
         return result
+
+    @staticmethod
+    def _restore_versions(
+        corpus: SourceCorpus, sections: Mapping[str, Any], notes: list[str]
+    ) -> None:
+        """Install the snapshot's per-source versions on the recovered corpus.
+
+        A snapshot written before the ``versions`` section existed — or
+        one whose section a broken writer left undecodable — leaves every
+        source without an entry, with the snapshot version as the floor:
+        replay then skips what the snapshot holds, as the corpus-wide
+        version did, and a shard worker reports no entries, so its resync
+        ships every owned source.
+        """
+        if "versions" in sections:
+            try:
+                corpus._restore_version_map(sections["versions"], corpus.version)
+                return
+            except (PersistenceError, KeyError, TypeError, ValueError, AttributeError) as exc:
+                notes.append(f"versions section unusable ({exc!r}); no per-source versions")
+        corpus._restore_version_map(None, corpus.version)
 
     def _section(self, result: RecoveryResult, name: str) -> Optional[Any]:
         """Decode one consumer section, degrading to None on corruption.

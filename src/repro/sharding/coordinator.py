@@ -50,8 +50,9 @@ shard index — unless ``allow_degraded=True``, which serves from the
 live shards.  Mutations routed to a down shard are dropped and counted;
 :meth:`restart_shard` respawns the worker, lets it recover warm from
 its per-shard store, then reconciles it against the authoritative
-corpus with a ``resync`` — after which the cluster is bit-identical to
-its pre-fault self.  See ``docs/ARCHITECTURE.md``.
+corpus with a ``resync`` by per-source version — after which the cluster
+is bit-identical to its pre-fault self.  Start-up configures and resyncs
+every shard concurrently the same way.  See ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class _Shard:
     shard's connection: a send and its matching recv happen under one
     hold, so concurrent readers can never interleave frames or steal
     each other's replies.  Reentrant because a lifecycle holder
-    (restart) re-enters through :meth:`ShardCoordinator._request`.
+    (restart) re-enters through :meth:`ShardCoordinator._scatter`.
     """
 
     index: int
@@ -126,7 +127,14 @@ class _Shard:
 
 
 class ShardCoordinator:
-    """Authoritative corpus + scatter-gather serving over worker processes."""
+    """Authoritative corpus + scatter-gather serving over worker processes.
+
+    With ``recover=True`` the workers recover from the per-shard stores
+    and are resynced by per-source version, so ``corpus`` must continue
+    the stores' history: the corpus :meth:`ClusterStore.recover_stack`
+    returns, or the one whose cluster wrote them.  Versions are compared,
+    not content.
+    """
 
     def __init__(
         self,
@@ -206,8 +214,7 @@ class ShardCoordinator:
             shard.runner.start()
         self._bridge = WireBridgeSubscriber(corpus, self._route)
         try:
-            for shard in self._shards:
-                self._spawn(shard, recover=recover)
+            self._start(self._shards, recover=recover)
         except BaseException:
             self.close()
             raise
@@ -236,7 +243,34 @@ class ShardCoordinator:
 
     # -- lifecycle ---------------------------------------------------------------------
 
-    def _spawn(self, shard: _Shard, *, recover: bool) -> None:
+    def _start(self, shards: list[_Shard], *, recover: bool) -> dict[int, Any]:
+        """Spawn, configure and resync ``shards``; return their resync replies.
+
+        Every worker is spawned, then every ``configure`` is sent before
+        any reply is awaited, so the workers import and recover
+        concurrently; the resyncs fan out the same way.  The first failing
+        shard (lowest index) raises after every reply was gathered.
+        """
+        for shard in shards:
+            self._spawn(shard)
+        indices = {shard.index for shard in shards}
+        configured = self._scatter(
+            "configure",
+            {},
+            per_shard={index: self._configure_payload(index, recover) for index in indices},
+            allow_degraded=False,
+        )
+        return self._scatter(
+            "resync",
+            {},
+            per_shard={
+                index: self._resync_payload(index, reply["versions"])
+                for index, reply in configured.items()
+            },
+            allow_degraded=False,
+        )
+
+    def _spawn(self, shard: _Shard) -> None:
         parent, child = socket.socketpair()
         env = dict(os.environ)
         source_root = str(Path(repro.__file__).resolve().parents[1])
@@ -264,45 +298,83 @@ class ShardCoordinator:
             self._retired_bytes_received += shard.connection.bytes_received
         shard.connection = WireConnection(parent, timeout=self._timeout)
         shard.alive = True
-        self._request(
-            shard,
-            "configure",
-            {
-                "shard_index": shard.index,
-                "shard_count": self.shard_count,
-                "domain": self._domain.to_dict() if self._domain is not None else None,
-                "engine_config": dataclasses.asdict(self._engine_config),
-                "store_dir": (
-                    str(self._cluster.shard_directory(shard.index))
-                    if self._cluster is not None
-                    else None
-                ),
-                "fsync": self._fsync,
-                "checkpoint_every": self._checkpoint_every,
-                "eager": self._eager,
-                "recover": recover,
-            },
-        )
-        self._resync_shard(shard)
 
-    def _resync_shard(self, shard: _Shard) -> dict[str, Any]:
-        """Reconcile a (fresh or recovered) worker with the authoritative corpus."""
-        owned = {
-            source_id: self._corpus.get(source_id).to_dict()
-            for source_id in self._corpus.source_ids()
-            if partition_shard(source_id, self.shard_count) == shard.index
+    def _configure_payload(self, index: int, recover: bool) -> dict[str, Any]:
+        return {
+            "shard_index": index,
+            "shard_count": self.shard_count,
+            "domain": self._domain.to_dict() if self._domain is not None else None,
+            "engine_config": dataclasses.asdict(self._engine_config),
+            "store_dir": (
+                str(self._cluster.shard_directory(index))
+                if self._cluster is not None
+                else None
+            ),
+            "fsync": self._fsync,
+            "checkpoint_every": self._checkpoint_every,
+            "eager": self._eager,
+            "recover": recover,
         }
-        return self._request(
-            shard, "resync", {"sources": owned, "version": self._corpus.version}
-        )
+
+    def _resync_payload(
+        self, index: int, reported: dict[str, Optional[int]]
+    ) -> dict[str, Any]:
+        """What shard ``index`` lacks, given the versions its worker reported.
+
+        ``reported`` maps each source the worker holds to its version
+        (``None`` when the worker's state predates per-source versions).
+        The payload ships the full record of every owned source whose
+        version differs, and names every source the worker must drop,
+        with the version of its remove; owned tombstones the worker lacks
+        ride along, so an older record still on its way is turned away.
+        The corpus's version floor goes along as the watermark.
+
+        The versions are read before any content: a change racing in
+        between lands in the shipped content above its stamped version,
+        so its own record still applies (or converges) when it arrives.
+        """
+        versions = self._corpus.version_map()
+        entries = versions["sources"]
+        tombstones = versions["removed"]
+        floor = versions["floor"]
+        shard_count = self.shard_count
+        owned = {
+            source.source_id: source
+            for source in self._corpus
+            if partition_shard(source.source_id, shard_count) == index
+        }
+        shipped: dict[str, Any] = {}
+        for source_id, source in owned.items():
+            version = entries.get(source_id)
+            if version is None:
+                version = self._corpus.version_of(source_id)
+            if reported.get(source_id) != version:
+                shipped[source_id] = {"version": version, "source": source.to_dict()}
+        removed = {
+            source_id: version
+            for source_id, version in tombstones.items()
+            if source_id not in owned and partition_shard(source_id, shard_count) == index
+        }
+        for source_id in reported:
+            if source_id not in owned:
+                removed.setdefault(source_id, floor)
+        return {
+            "sources": shipped,
+            "removed": removed,
+            "watermark": floor,
+            "version": self._corpus.version,
+        }
 
     def restart_shard(self, shard_index: int) -> dict[str, Any]:
         """Respawn a (dead or live) worker and bring its shard back in sync.
 
         The worker recovers warm from its per-shard store when the
-        coordinator has one, then the resync overlays whatever the store
-        had not yet made durable.  Buffered mutations for the shard are
-        discarded — the resync supersedes them.
+        coordinator has one and reports its per-source versions; the
+        resync then ships only the sources whose versions differ — what
+        the store had not yet made durable.  Buffered mutations for the
+        shard are discarded — the resync supersedes them.  Returns the
+        worker's resync reply (its version and source count, and how many
+        sources were shipped, removed, overlaid and added).
         """
         if not 0 <= shard_index < self.shard_count:
             raise ShardingError(
@@ -323,8 +395,8 @@ class ShardCoordinator:
                     shard.process.wait()
                 with self._buffer_lock:
                     self._pending[shard_index] = []
-                self._spawn(shard, recover=self._cluster is not None)
-                return self._request(shard, "sync", {})
+                replies = self._start([shard], recover=self._cluster is not None)
+                return replies[shard_index]
 
     def close(self) -> None:
         """Drain buffered mutations, shut down every worker (idempotent).
@@ -397,6 +469,10 @@ class ShardCoordinator:
             if not any(self._pending.values()):
                 return 0
         with ordered(self._io, "shard.io"):
+            # Read before the swap: every record at or below the watermark
+            # was routed by now, so it rides in this batch or an earlier
+            # one, and a worker may drop its tombstones up to it.
+            watermark = self._corpus.version_floor
             with self._buffer_lock:
                 batches = self._pending
                 self._pending = {index: [] for index in range(self.shard_count)}
@@ -413,7 +489,14 @@ class ShardCoordinator:
                 status, value = self._gather_one(
                     shard,
                     message_id,
-                    json_record({"id": message_id, "kind": "apply", "records": records}),
+                    json_record(
+                        {
+                            "id": message_id,
+                            "kind": "apply",
+                            "records": records,
+                            "watermark": watermark,
+                        }
+                    ),
                 )
                 if status == "ok":
                     sent += len(records)
@@ -426,18 +509,29 @@ class ShardCoordinator:
             return sent
 
     def quiesce(self, *, allow_degraded: bool = False) -> dict[int, dict[str, Any]]:
-        """Flush and barrier every live worker; return per-shard versions."""
+        """Flush and barrier every live worker; return per-shard versions.
+
+        The barrier carries the watermark read before the flush, so every
+        worker — including one this flush sent nothing — drops the
+        tombstones no record can still need.
+        """
         with ordered(self._io, "shard.io"):
+            watermark = self._corpus.version_floor
             self.flush()
-            return self._scatter("sync", {}, allow_degraded=allow_degraded)
+            return self._scatter(
+                "sync", {"watermark": watermark}, allow_degraded=allow_degraded
+            )
 
     def checkpoint(self, *, allow_degraded: bool = False) -> dict[int, int]:
         """Flush, then checkpoint every shard store; return per-shard versions."""
         if self._cluster is None:
             raise PersistenceError("coordinator was built without a store_directory")
         with ordered(self._io, "shard.io"):
+            watermark = self._corpus.version_floor
             self.flush()
-            results = self._scatter("checkpoint", {}, allow_degraded=allow_degraded)
+            results = self._scatter(
+                "checkpoint", {"watermark": watermark}, allow_degraded=allow_degraded
+            )
             return {index: result["version"] for index, result in results.items()}
 
     def busy_times(self, *, allow_degraded: bool = False) -> dict[int, float]:
@@ -756,8 +850,14 @@ class ShardCoordinator:
         *,
         allow_degraded: bool,
         only: Optional[set[int]] = None,
+        per_shard: Optional[dict[int, dict[str, Any]]] = None,
     ) -> dict[int, Any]:
         """Send one request to every live shard; gather replies concurrently.
+
+        With ``per_shard`` (in place of ``only``), the shards it names are
+        reached, each with ``payload`` extended by its own entry (the
+        start-up fan-out: every worker gets its own ``configure`` and
+        ``resync``).
 
         Every reached shard's persistent runner performs the full
         round-trip (:meth:`_gather_one`), so a slow shard's reply
@@ -775,6 +875,8 @@ class ShardCoordinator:
         failures: dict[int, BaseException] = {}
         down: list[int] = []
         reached: list[_Shard] = []
+        if per_shard is not None:
+            only = set(per_shard)
         for shard in self._shards:
             if only is not None and shard.index not in only:
                 continue
@@ -783,16 +885,27 @@ class ShardCoordinator:
                 continue
             reached.append(shard)
         message_id = next(self._message_ids)
-        encoded = json_record({"id": message_id, "kind": kind, **payload})
+        if per_shard is None:
+            common = json_record({"id": message_id, "kind": kind, **payload})
+            encoded = {shard.index: common for shard in reached}
+        else:
+            encoded = {
+                shard.index: json_record(
+                    {"id": message_id, "kind": kind, **payload, **per_shard[shard.index]}
+                )
+                for shard in reached
+            }
         completions: "queue.SimpleQueue" = queue.SimpleQueue()
         for shard in reached[1:]:
-            shard.jobs.put((message_id, encoded, completions))
+            shard.jobs.put((message_id, encoded[shard.index], completions))
         outcomes = []
         if reached:
             # The calling thread drains one shard itself: a single-shard
             # fan-out never pays a queue round-trip at all.
             first = reached[0]
-            outcomes.append((first.index, *self._gather_one(first, message_id, encoded)))
+            outcomes.append(
+                (first.index, *self._gather_one(first, message_id, encoded[first.index]))
+            )
         for _ in reached[1:]:
             outcomes.append(completions.get())
         for index, status, value in outcomes:

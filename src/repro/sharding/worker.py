@@ -28,8 +28,13 @@ Replicated mutations arrive as journal-schema records (produced by the
 coordinator's :class:`~repro.sources.diffing.WireBridgeSubscriber`) and
 are applied with the very same
 :func:`~repro.persistence.store.replay_journal` used by crash recovery:
-version-ordered, idempotent, driving the ordinary corpus mutation API so
-every consumer is invalidated through its normal incremental path.
+version-ordered, idempotent per source, driving the ordinary corpus
+mutation API so every consumer is invalidated through its normal
+incremental path.  Each source takes the version of the coordinator
+record that last changed it — so does the worker's own journal — and
+each batch carries the coordinator's watermark, below which the worker
+drops its tombstones.  ``configure`` reports those versions, and the
+``resync`` that follows carries only what diverged.
 
 Read requests implement the worker-side phases of the scatter-gather
 protocols (``shard_term_stats`` / ``shard_score`` / ``shard_select`` on
@@ -186,11 +191,16 @@ class ShardWorker:
                 store=self._store,
             )
         self._configured = True
+        entries = self._corpus.version_map()["sources"]
         return {
             "shard_index": self._shard_index,
             "version": self._corpus.version,
             "sources": len(self._corpus),
             "recovered": recovered,
+            "versions": {
+                source_id: entries.get(source_id)
+                for source_id in self._corpus.source_ids()
+            },
         }
 
     def _ensure_engine(self) -> Optional[SearchEngine]:
@@ -215,9 +225,16 @@ class ShardWorker:
 
     # -- replication -------------------------------------------------------------------
 
+    def _advance_watermark(self, message: dict[str, Any]) -> None:
+        # Every coordinator record at or below the watermark has reached
+        # this worker, so the tombstones it covers can go.
+        if message.get("watermark") is not None:
+            self._corpus.advance_version_floor(int(message["watermark"]))
+
     def _handle_apply(self, message: dict[str, Any]) -> dict[str, Any]:
         records = message.get("records") or []
         applied, skipped = replay_journal(self._corpus, records)
+        self._advance_watermark(message)
         self._flush_scheduler()
         return {
             "applied": applied,
@@ -226,45 +243,59 @@ class ShardWorker:
         }
 
     def _handle_sync(self, message: dict[str, Any]) -> dict[str, Any]:
-        return {"version": self._corpus.version, "sources": len(self._corpus)}
-
-    def _handle_resync(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Reconcile the shard against the coordinator's full owned-source set.
-
-        Used both to seed a fresh worker and to repair a restarted one on
-        top of whatever its per-shard recovery produced: strays are
-        removed, divergent sources are overlaid in place and touched
-        (fingerprint caches key on object identity, exactly as journal
-        replay does), missing sources are added, and the corpus version
-        is pinned to the coordinator's.  Pinning is monotonic: the
-        worker's local version can bump at most once per divergent
-        source, and every divergence implies at least one coordinator
-        version step the worker missed.
-        """
-        sources: dict[str, Any] = message.get("sources") or {}
-        target_version = int(message["version"])
-        removed = 0
-        overlaid = 0
-        added = 0
-        for source_id in list(self._corpus.source_ids()):
-            if source_id not in sources:
-                self._corpus.remove(source_id)
-                removed += 1
-        for source_id, payload in sources.items():
-            if source_id in self._corpus:
-                live = self._corpus.get(source_id)
-                if live.to_dict() != payload:
-                    _overlay_source(live, payload)
-                    self._corpus.touch(source_id)
-                    overlaid += 1
-            else:
-                self._corpus.add(Source.from_dict(dict(payload)))
-                added += 1
-        self._corpus._restore_version(target_version)
-        self._flush_scheduler()
+        self._advance_watermark(message)
         return {
             "version": self._corpus.version,
             "sources": len(self._corpus),
+            "tombstones": len(self._corpus.version_map()["removed"]),
+        }
+
+    def _handle_resync(self, message: dict[str, Any]) -> dict[str, Any]:
+        """Apply what the coordinator found diverged from this worker's versions.
+
+        Used both to seed a fresh worker and to repair a restarted one on
+        top of whatever its per-shard recovery produced (see
+        :meth:`~repro.sharding.coordinator.ShardCoordinator._resync_payload`):
+        named sources are removed — or only tombstoned when absent —
+        shipped sources whose content differs are overlaid in place and
+        touched (fingerprint caches key on object identity, exactly as
+        journal replay does), missing ones are added, and a shipped source
+        whose content already matches is left untouched.  Each of them
+        takes the coordinator's version for the source; then the corpus
+        version is pinned to the coordinator's (monotonically) and the
+        version floor raised to the watermark.
+        """
+        corpus = self._corpus
+        sources: dict[str, Any] = message.get("sources") or {}
+        removed = 0
+        overlaid = 0
+        added = 0
+        for source_id, version in (message.get("removed") or {}).items():
+            with corpus._replaying(int(version)):
+                if source_id in corpus:
+                    corpus.remove(source_id)
+                    removed += 1
+                else:
+                    corpus._stamp_version(source_id, version)
+        for source_id, shipped in sources.items():
+            payload = shipped["source"]
+            with corpus._replaying(int(shipped["version"])):
+                if source_id not in corpus:
+                    corpus.add(Source.from_dict(dict(payload)))
+                    added += 1
+                elif corpus.get(source_id).to_dict() != payload:
+                    _overlay_source(corpus.get(source_id), payload)
+                    corpus.touch(source_id)
+                    overlaid += 1
+                else:
+                    corpus._stamp_version(source_id, shipped["version"])
+        corpus._restore_version(int(message["version"]))
+        self._advance_watermark(message)
+        self._flush_scheduler()
+        return {
+            "version": corpus.version,
+            "sources": len(corpus),
+            "shipped": len(sources),
             "removed": removed,
             "overlaid": overlaid,
             "added": added,
@@ -355,6 +386,7 @@ class ShardWorker:
     def _handle_checkpoint(self, message: dict[str, Any]) -> dict[str, Any]:
         if self._store is None:
             raise PersistenceError("worker has no store to checkpoint")
+        self._advance_watermark(message)
         self._ensure_engine()
         return {"version": self._store.checkpoint()}
 

@@ -10,7 +10,11 @@ largest Web blog/forum" measure of Table 1).
 
 The corpus is a *mutable, versioned* collection: every :meth:`add`,
 :meth:`remove` and :meth:`touch` bumps a monotonic :attr:`version` counter
-and notifies subscribed listeners with a :class:`CorpusChange`.  In-place
+and notifies subscribed listeners with a :class:`CorpusChange`.  Each
+source also keeps the version of its last change, and a removed source a
+tombstone at the version of its remove (see :meth:`version_map`): journal
+replay and shard replication skip a record per source by that entry, so
+records of different sources may arrive in any order.  In-place
 mutations made through the ``Source`` helpers are *announced* too: the
 corpus registers a mutation watcher on every added source, so helper
 growth and ``Source.touch()`` surface as ``"touch"`` events.  Consumers
@@ -84,7 +88,9 @@ class CorpusChange:
     """One mutation event delivered to corpus subscribers.
 
     ``op`` is ``"add"``, ``"remove"`` or ``"touch"``; ``version`` is the
-    corpus version *after* the mutation was applied.  A ``"touch"``
+    corpus version *after* the mutation was applied — or, for a mutation
+    driven by a replayed record, that record's version (see
+    :meth:`SourceCorpus._replaying`).  A ``"touch"``
     announced by ``Source.add_discussion`` also carries its typed
     ``delta`` — ``(at, discussion)``, the appended thread and its index —
     which the journal and the sharding wire record instead of the whole
@@ -153,8 +159,17 @@ class SourceCorpus:
         #: locks can never deadlock against a lock holder mutating the
         #: corpus (see :meth:`_mutating`).
         self._outbox: list[CorpusChange] = []
-        #: Versions of queued changes not yet delivered to every listener.
-        self._undelivered: set[int] = set()
+        #: Versions of queued changes not yet delivered to every listener,
+        #: each mapped to whether a replayed record stamped it.
+        self._undelivered: dict[int, bool] = {}
+        #: Per live source, the version of its last change.
+        self._source_versions: dict[str, int] = {}
+        #: Per removed source above the floor, the version of its remove.
+        self._tombstones: dict[str, int] = {}
+        #: Every change at or below this version is reflected here.
+        self._version_floor = 0
+        #: The version a replayed record hands to the mutation it drives.
+        self._stamp: Optional[int] = None
         #: Per source, how many leading threads the changes announced so
         #: far cover: an ``add_discussion`` delta must append right there.
         self._announced_threads: dict[str, int] = {}
@@ -279,15 +294,46 @@ class SourceCorpus:
         source_id: str,
         delta: Optional[tuple[int, Discussion]] = None,
     ) -> None:
-        """Bump the version and queue the change (mutation lock held)."""
-        self._version += 1
+        """Bump the version, record the source's entry and queue the change.
+
+        Runs with the mutation lock held.  A mutation driven by a replayed
+        record carries that record's version (the stamp): the change, the
+        source's entry and every journal record written from the change
+        then share one numbering with the process that numbered the
+        record, while the version counter still moves forward.
+        """
+        stamp = self._stamp
+        if stamp is None:
+            self._version += 1
+            version = self._version
+        else:
+            self._version = max(self._version + 1, stamp)
+            version = stamp
+        if op == "remove":
+            self._source_versions.pop(source_id, None)
+            self._tombstones[source_id] = version
+        else:
+            self._tombstones.pop(source_id, None)
+            self._source_versions[source_id] = version
         if self._listeners:
-            self._undelivered.add(self._version)
+            self._undelivered[version] = stamp is not None
             self._outbox.append(
-                CorpusChange(
-                    version=self._version, op=op, source_id=source_id, delta=delta
-                )
+                CorpusChange(version=version, op=op, source_id=source_id, delta=delta)
             )
+        elif stamp is None:
+            self._raise_floor(self._version)
+
+    def _raise_floor(self, bound: int) -> None:
+        """Raise the version floor; drop the tombstones it covers (lock held)."""
+        if bound <= self._version_floor:
+            return
+        self._version_floor = bound
+        if self._tombstones:
+            self._tombstones = {
+                source_id: version
+                for source_id, version in self._tombstones.items()
+                if version > bound
+            }
 
     def _flush_outbox(self) -> None:
         """Deliver queued changes to the listeners (mutation lock NOT held).
@@ -299,6 +345,13 @@ class SourceCorpus:
         dropped and the change is delivered as a plain ``"touch"``.  A
         delivery that raised leaves its version undelivered: every later
         change then carries no delta.
+
+        Once a change this corpus numbered itself has reached every
+        listener, the version floor rises to the delivered watermark (the
+        highest version with no undelivered change at or below it).  The
+        changes of replayed records never raise it: whether an older
+        record is still on its way is known only to whoever numbered it
+        (see :meth:`advance_version_floor`).
         """
         while True:
             with self._mutation_lock:
@@ -324,7 +377,12 @@ class SourceCorpus:
                         listener = entry
                     listener(change)
                 with self._mutation_lock:
-                    self._undelivered.discard(change.version)
+                    if self._undelivered.pop(change.version, True) is False:
+                        # The delivered watermark: no undelivered change
+                        # at or below it.
+                        self._raise_floor(
+                            min(self._undelivered, default=self._version + 1) - 1
+                        )
             if dead:
                 with self._mutation_lock:
                     for entry in dead:
@@ -398,6 +456,119 @@ class SourceCorpus:
             source = self.get(source_id)
             source.touch()  # the mutation watcher wired by add() emits the event
             return self._version
+
+    # -- per-source versions -------------------------------------------------------
+
+    @property
+    def version_floor(self) -> int:
+        """Every change at or below this version is reflected in the corpus."""
+        return self._version_floor
+
+    def version_of(self, source_id: str) -> int:
+        """The version a record for ``source_id`` must exceed to be applied.
+
+        The version of the source's last change, or of its remove (a
+        tombstone), or the version floor — whichever is highest.  A record
+        at or below it is already reflected in the corpus.
+        """
+        entry = self._source_versions.get(source_id)
+        if entry is None:
+            entry = self._tombstones.get(source_id, 0)
+        return max(entry, self._version_floor)
+
+    def version_map(self) -> dict[str, Any]:
+        """The per-source versions as a JSON-compatible dictionary.
+
+        ``{"floor": f, "sources": {id: version}, "removed": {id: version}}``:
+        every change at or below ``f`` is reflected; ``sources`` holds the
+        version of each live source's last change (a source with no entry
+        predates the map — see :meth:`_restore_version_map`); ``removed``
+        holds a tombstone per source removed above the floor.
+        """
+        with self._mutation_lock:
+            return {
+                "floor": self._version_floor,
+                "sources": dict(self._source_versions),
+                "removed": dict(self._tombstones),
+            }
+
+    def advance_version_floor(self, bound: int) -> None:
+        """Declare every change at or below ``bound`` reflected; drop tombstones.
+
+        For a replica, whose changes replay records numbered elsewhere:
+        the numbering process knows when no record at or below ``bound``
+        can still arrive (a shard worker learns it from each batch the
+        coordinator sends).  A corpus numbering its own changes raises its
+        floor as they are delivered (see :meth:`_flush_outbox`).
+        """
+        with self._mutation_lock:
+            self._raise_floor(int(bound))
+
+    def _restore_version_map(self, payload: Optional[dict[str, Any]], floor: int) -> None:
+        """Replace the per-source versions during recovery (no notification).
+
+        ``payload`` is a :meth:`version_map`; ``None`` means the state
+        predates the map, and then no source has an entry (numbers from
+        this process's own load order must never be reported) and every
+        change at or below ``floor`` counts as reflected.
+        """
+        with self._mutation_lock:
+            if payload is None:
+                self._source_versions = {}
+                self._tombstones = {}
+                self._version_floor = int(floor)
+                return
+            self._version_floor = int(payload["floor"])
+            self._source_versions = {
+                str(source_id): int(version)
+                for source_id, version in payload["sources"].items()
+                if source_id in self._sources
+            }
+            self._tombstones = {
+                str(source_id): int(version)
+                for source_id, version in payload["removed"].items()
+                if source_id not in self._sources
+            }
+            self._version = max(
+                self._version,
+                self._version_floor,
+                *self._source_versions.values(),
+                *self._tombstones.values(),
+            )
+
+    def _stamp_version(self, source_id: str, version: int) -> None:
+        """Record that ``source_id`` already reflects ``version`` (no notification).
+
+        For a replayed record whose effect is already in place (a thread a
+        later full-source record carried, a remove of an absent source) and
+        for a resynced source whose content already matched: the source's
+        entry — or, for an absent source, its tombstone — becomes
+        ``version``, and the version counter never falls below an entry.
+        """
+        with self._mutation_lock:
+            version = int(version)
+            if source_id in self._sources:
+                self._source_versions[source_id] = version
+            elif version > self._version_floor:
+                self._tombstones[source_id] = version
+            self._version = max(self._version, version)
+
+    @contextmanager
+    def _replaying(self, version: int) -> Iterator[None]:
+        """Hand ``version`` to the mutations of the body (replay only).
+
+        Journal replay and shard resync drive the ordinary mutation API
+        inside this frame, so the change events, the sources' entries and
+        the journal records written from them carry the replayed record's
+        version instead of a local number.
+        """
+        with self._mutating():
+            previous = self._stamp
+            self._stamp = int(version)
+            try:
+                yield
+            finally:
+                self._stamp = previous
 
     def _restore_version(self, version: int) -> None:
         """Pin the version counter during snapshot/journal recovery.

@@ -687,7 +687,8 @@ class DurableJournalSubscriber:
 
     * with *concurrent* mutator threads, append order may deviate
       slightly from corpus version order (replay handles that by keying
-      idempotence on each record's ``version``, not on file position);
+      idempotence on each record's ``version`` against its own source's
+      version, not on file position);
     * a source added (or touched) and then removed before its event was
       delivered serialises with ``"source": null`` — replay skips the
       contentless record, and the trailing ``remove`` record restores
@@ -802,8 +803,8 @@ class WireBridgeSubscriber(DurableJournalSubscriber):
     a worker applies a replicated burst with the very same
     :func:`repro.persistence.store.replay_journal` code path that crash
     recovery uses — one replay semantics for disk and wire, including
-    version-keyed idempotence, contentless-record skipping and delta
-    convergence.
+    per-source version-keyed idempotence, tombstones, contentless-record
+    skipping and delta convergence.
 
     The coordinator buffers routed records per shard and flushes them in
     batches, so replication consistency is *at quiesce*, not per event

@@ -17,13 +17,17 @@ interactions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
 
 from repro.errors import ReproError
 from repro.sources.models import Source
 from repro.sources.twitter import MicroblogCommunity
+
+# networkx is imported where a graph is built or measured: ``repro.sources``
+# imports this module, and a module-level import would make every process
+# touching the package — each shard worker spawn included — pay for it.
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx as nx
 
 __all__ = ["InteractionGraph", "GraphInfluence", "build_source_graph", "build_community_graph"]
 
@@ -53,6 +57,8 @@ class InteractionGraph:
     """A weighted, directed user-to-user interaction graph."""
 
     def __init__(self, graph: Optional[nx.DiGraph] = None) -> None:
+        import networkx as nx
+
         self._graph = graph if graph is not None else nx.DiGraph()
 
     @property
@@ -101,6 +107,8 @@ class InteractionGraph:
         """
         if len(self) == 0:
             raise ReproError("the interaction graph is empty")
+        import networkx as nx
+
         graph = self._graph
         node_count = graph.number_of_nodes()
 
@@ -137,6 +145,8 @@ class InteractionGraph:
         """Fraction of interacting pairs that interact in both directions."""
         if self._graph.number_of_edges() == 0:
             return 0.0
+        import networkx as nx
+
         return float(nx.reciprocity(self._graph) or 0.0)
 
 

@@ -53,7 +53,9 @@ from repro.search.engine import SearchEngine
 from repro.sources.corpus import SourceCorpus
 from repro.sources.diffing import DurableJournalSubscriber
 from repro.sources.generators import CorpusGenerator, CorpusSpec
-from repro.sources.models import Discussion, Post
+from repro.sources.models import Discussion, Post, Source
+
+from test_sharded_serving import _ParkedDelivery
 
 
 def make_corpus(count: int = 6, seed: int = 29, budget: int = 4) -> SourceCorpus:
@@ -811,6 +813,176 @@ class TestDeltaRecords:
                 replay_journal(corpus, [valid, malformed])
         # Validation runs before the sort: the valid record was not applied.
         assert corpus.to_dict() == before
+
+
+def reword(corpus: SourceCorpus, source_id: str, text: str) -> None:
+    """A content-changing touch of ``source_id``."""
+    corpus.get(source_id).discussions[0].posts[0].text = text
+    corpus.touch(source_id)
+
+
+def recorded(corpus: SourceCorpus, action) -> list[dict]:
+    """The journal records ``action`` produces on ``corpus``."""
+    records: list[dict] = []
+    subscriber = DurableJournalSubscriber(corpus, records.append, name="recorder")
+    try:
+        action()
+    finally:
+        subscriber.close()
+    return records
+
+
+class TestPerSourceVersions:
+    def test_each_change_sets_its_source_entry(self):
+        corpus = make_corpus(count=4)
+        first, second, third = corpus.source_ids()[:3]
+        corpus.touch(first)
+        touched = corpus.version
+        grow(corpus.get(second), "entry")
+        grown = corpus.version
+        corpus.remove(third)
+        versions = corpus.version_map()
+        assert versions["sources"][first] == touched
+        assert versions["sources"][second] == grown
+        assert third not in versions["sources"]
+        # Without listeners every change is delivered at once: the floor
+        # covers the remove, so no tombstone is kept.
+        assert versions["floor"] == corpus.version
+        assert versions["removed"] == {}
+        assert corpus.version_of(third) == corpus.version
+
+    def test_a_tombstone_lasts_while_a_change_is_undelivered(self):
+        corpus = make_corpus(count=4)
+        park = _ParkedDelivery()
+        corpus.subscribe(park)
+        victim = corpus.source_ids()[1]
+        before = corpus.version
+        park.run(corpus.touch, corpus.source_ids()[0])
+        corpus.remove(victim)
+        versions = corpus.version_map()
+        assert versions["removed"] == {victim: corpus.version}
+        assert versions["floor"] == before
+        park.finish()
+        assert corpus.version_map()["removed"] == {}
+        assert corpus.version_floor == corpus.version
+
+    def test_records_of_two_sources_replay_out_of_order_across_calls(self):
+        corpus = make_corpus(count=4)
+        replica = replica_of(corpus)
+        first, second = corpus.source_ids()[:2]
+        records = recorded(
+            corpus,
+            lambda: (
+                reword(corpus, first, "travel flight resort reworded"),
+                grow(corpus.get(second), "later"),
+            ),
+        )
+        assert [record["source_id"] for record in records] == [first, second]
+        assert replay_journal(replica, records[1:]) == (1, 0)
+        assert replay_journal(replica, records[:1]) == (1, 0)
+        assert replica.to_dict() == corpus.to_dict()
+        assert replica.version_map()["sources"] == corpus.version_map()["sources"]
+
+    def test_replayed_changes_carry_the_record_versions(self, tmp_path):
+        corpus = make_corpus(count=4)
+        replica = replica_of(corpus)
+        first, second = corpus.source_ids()[:2]
+        records = recorded(
+            corpus,
+            lambda: (
+                grow(corpus.get(first), "one"),
+                grow(corpus.get(second), "two"),
+                grow(corpus.get(first), "three"),
+            ),
+        )
+        subscription = replica.invalidation_bus().subscribe(name="replayed")
+        store = CorpusStore(tmp_path, fsync=False)
+        store.attach(replica)
+        # The second shard of a two-way split sees first's records alone.
+        assert replay_journal(replica, [records[0], records[2]]) == (2, 0)
+        store.close()
+        journaled = [record["version"] for record in read_journal(store.journal_path).records]
+        assert journaled == [records[0]["version"], records[2]["version"]]
+        assert subscription.drain().last_version == records[2]["version"]
+        assert replica.version == records[2]["version"]
+
+    def test_a_tombstone_turns_away_an_older_content_bearing_record(self):
+        corpus = make_corpus(count=4)
+        replica = replica_of(corpus)
+        victim = corpus.source_ids()[2]
+        touch = recorded(corpus, lambda: reword(corpus, victim, "travel reworded"))
+        remove = recorded(corpus, lambda: corpus.remove(victim))
+        assert touch[0]["source"] is not None
+        assert replay_journal(replica, remove) == (1, 0)
+        assert replay_journal(replica, touch) == (0, 1)
+        assert victim not in replica
+        assert replica.version_map()["removed"] == {victim: remove[0]["version"]}
+        replica.advance_version_floor(remove[0]["version"])
+        assert replica.version_map()["removed"] == {}
+        assert replica.version_of(victim) == remove[0]["version"]
+
+    def test_a_remove_of_an_absent_source_still_leaves_a_tombstone(self):
+        corpus = make_corpus(count=4)
+        replica = replica_of(corpus)
+        extra = Source.from_dict(
+            {**make_corpus(count=1, seed=77).sources()[0].to_dict(), "source_id": "extra"}
+        )
+        add = recorded(corpus, lambda: corpus.add(extra))
+        remove = recorded(corpus, lambda: corpus.remove(extra.source_id))
+        assert add[0]["source"] is not None
+        # The remove arrives first, for a source the replica never held.
+        assert replay_journal(replica, remove) == (0, 1)
+        assert replay_journal(replica, add) == (0, 1)
+        assert extra.source_id not in replica
+
+    def test_snapshot_persists_the_versions_without_stale_tombstones(self, tmp_path):
+        corpus = make_corpus(count=5)
+        store = CorpusStore(tmp_path, fsync=False)
+        store.attach(corpus)
+        mutate(corpus, 0)
+        corpus.remove(corpus.source_ids()[3])
+        mutate(corpus, 1)
+        store.checkpoint()
+        section = read_snapshot(store.snapshot_path)["versions"]
+        assert section == {
+            "floor": corpus.version,
+            "sources": corpus.version_map()["sources"],
+            "removed": {},
+        }
+        mutate(corpus, 2)
+        store.close()
+        with CorpusStore(tmp_path, fsync=False) as fresh:
+            result = fresh.recover()
+            assert result.corpus.version_map() == section
+            assert result.replay() == 1
+        assert result.corpus.to_dict() == corpus.to_dict()
+        assert result.corpus.version_map()["sources"] == corpus.version_map()["sources"]
+
+    def test_snapshot_without_versions_skips_by_its_version(self, tmp_path):
+        corpus = make_corpus(count=5)
+        store = CorpusStore(tmp_path, fsync=False)
+        store.attach(corpus)
+        mutate(corpus, 0)
+        store.checkpoint()
+        snapshotted = corpus.version
+        mutate(corpus, 1)
+        mutate(corpus, 2)
+        store.close()
+        raw = unpack_sections(store.snapshot_path.read_bytes(), SNAPSHOT_MAGIC)
+        del raw["versions"]
+        store.snapshot_path.write_bytes(pack_sections(SNAPSHOT_MAGIC, raw))
+        with CorpusStore(tmp_path, fsync=False) as fresh:
+            result = fresh.recover()
+            # No entry is made up from the load order.
+            assert result.corpus.version_map() == {
+                "floor": snapshotted,
+                "sources": {},
+                "removed": {},
+            }
+            stale = {"version": snapshotted, "op": "remove", "source_id": corpus.source_ids()[0]}
+            assert replay_journal(result.corpus, [stale]) == (0, 1)
+            assert result.replay() == 2
+        assert result.corpus.to_dict() == corpus.to_dict()
 
 
 @pytest.mark.stress

@@ -96,6 +96,7 @@ CRASH_MATRIX = [
     ("snapshot-data-before-rename", dict(kill_on_replace=True, match="snapshot.rpss"), "checkpoint"),
     ("snapshot-rotation-before-rename", dict(kill_on_replace=True, match="snapshot.prev"), "checkpoint"),
     ("snapshot-at-fsync", dict(kill_on_fsync=True, match="snapshot"), "checkpoint"),
+    ("snapshot-after-rotation-rename", dict(kill_after_bytes=0, match="snapshot.rpss.tmp"), "checkpoint"),
 ]
 
 
@@ -161,6 +162,26 @@ def test_checkpoint_crash_preserves_previous_snapshot(tmp_path):
     # still carries the pre-crash checkpoint.
     recovered = scenario.assert_recovered()
     assert recovered.version == scenario.last_acked
+
+
+def test_crash_after_rotation_recovers_previous_snapshot_and_full_journal(tmp_path):
+    """The previous snapshot was renamed aside, the new one never landed:
+    recovery takes the previous snapshot and replays the whole journal."""
+    scenario = CrashScenario(tmp_path)
+    scenario.mutate()
+    scenario.mutate()
+    journaled = len(read_journal(scenario.store.journal_path).records)
+    scenario.crash(
+        FaultPlan(kill_after_bytes=0, match="snapshot.rpss.tmp"), scenario.checkpoint
+    )
+    assert not scenario.store.snapshot_path.exists()
+    assert scenario.store.previous_snapshot_path.exists()
+    with CorpusStore(tmp_path, fsync=False) as store:
+        result = store.recover()
+    assert result.snapshot_used == "previous"
+    assert not result.journal_rejected
+    assert len(result.journal_records) == journaled == 2
+    assert scenario.assert_recovered().version == scenario.last_acked
 
 
 @pytest.mark.stress

@@ -26,6 +26,7 @@ from repro.core.normalization import ZScoreNormalizer
 from repro.core.source_quality import SourceQualityModel
 from repro.errors import (
     AssessmentError,
+    CorpusError,
     CorruptSnapshotError,
     JournalReplayError,
     MissingShardSnapshotError,
@@ -849,6 +850,224 @@ class TestDeltaReplication:
         _assert_bit_identical(coordinator, corpus, travel_domain)
 
 
+# -- per-source versions ---------------------------------------------------------------
+
+
+def _same_shard_pair(corpus: SourceCorpus, shard_count: int) -> tuple[str, str]:
+    """Two source ids owned by one shard."""
+    owners: dict[int, str] = {}
+    for source_id in corpus.source_ids():
+        shard = partition_shard(source_id, shard_count)
+        if shard in owners:
+            return owners[shard], source_id
+        owners[shard] = source_id
+    raise AssertionError("no shard owns two sources")
+
+
+def _reword(corpus: SourceCorpus, source_id: str, tag: str = "") -> None:
+    """A content-changing touch: rewrite one post, then announce it."""
+    post = corpus.get(source_id).discussions[0].posts[0]
+    post.text = "milan hotel review travel food forum blog " * 3 + tag
+    corpus.touch(source_id)
+
+
+def _tombstones(directory, shard_count: int) -> list[dict]:
+    """The ``removed`` map of every shard's current snapshot."""
+    cluster = ClusterStore(directory)
+    return [
+        read_snapshot(cluster.shard_directory(index) / CorpusStore.SNAPSHOT_NAME)[
+            "versions"
+        ]["removed"]
+        for index in range(shard_count)
+    ]
+
+
+class TestPerSourceVersions:
+    def test_records_of_two_sources_delivered_out_of_order(
+        self, coordinator_factory, travel_domain
+    ):
+        # A's touch is numbered before B's grow but reaches the shard
+        # after it, in a later flush: a shard that skipped by one
+        # corpus-wide version would drop it.
+        corpus = _fresh_corpus(8)
+        park = _ParkedDelivery()
+        corpus.subscribe(park)
+        coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
+        first, second = _same_shard_pair(corpus, 2)
+        park.run(_reword, corpus, first)
+        _grow(corpus.get(second), "travel food grown while the touch was parked")
+        coordinator.flush()
+        park.finish()
+        coordinator.flush()
+        _assert_bit_identical(coordinator, corpus, travel_domain)
+
+    def test_worker_journal_carries_coordinator_versions(
+        self, coordinator_factory, travel_domain, tmp_path
+    ):
+        corpus = _fresh_corpus(8)
+        directory = tmp_path / "c"
+        coordinator = coordinator_factory(
+            corpus, 2, domain=travel_domain, store_directory=directory
+        )
+        mine = _source_owned_by(corpus, 0, 2)
+        other = _source_owned_by(corpus, 1, 2)
+        numbered = []
+        for step in range(3):
+            _grow(corpus.get(mine), f"travel food grown on shard 0, step {step}")
+            numbered.append(corpus.version)
+            _grow(corpus.get(other), f"travel food grown on shard 1, step {step}")
+            coordinator.flush()
+        journal = ClusterStore(directory).shard_directory(0) / CorpusStore.JOURNAL_NAME
+        journaled = [
+            record["version"]
+            for record in read_journal(journal).records
+            if record["source_id"] == mine and record["op"] == "add_discussion"
+        ]
+        assert journaled == numbered
+        assert coordinator.quiesce()[0]["version"] == numbered[-1]
+
+    def test_remove_delivered_before_an_older_content_bearing_touch(
+        self, coordinator_factory, travel_domain
+    ):
+        # The touch record holds A's content but is routed only after A's
+        # remove reached the shard: A's tombstone turns it away.
+        corpus = _fresh_corpus(8)
+        coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
+        park = _ParkedDelivery()
+        corpus.subscribe(park)  # after the wire bridge: the record is routed
+        victim = corpus.source_ids()[2]
+        shard = partition_shard(victim, 2)
+        park.run(_reword, corpus, victim)
+        with coordinator._buffer_lock:
+            late = coordinator._pending[shard].pop()
+        assert late["op"] == "touch" and late["source"] is not None
+        corpus.remove(victim)
+        coordinator.flush()
+        with coordinator._buffer_lock:
+            coordinator._pending[shard].append(late)
+        coordinator.flush()
+        park.finish()
+        assert victim not in corpus
+        _assert_bit_identical(coordinator, corpus, travel_domain)
+
+    def test_no_tombstone_survives_a_churn_stream(
+        self, coordinator_factory, travel_domain, tmp_path
+    ):
+        corpus = _fresh_corpus(10)
+        directory = tmp_path / "c"
+        coordinator = coordinator_factory(
+            corpus, 3, domain=travel_domain, store_directory=directory, eager=True
+        )
+        rng = random.Random(61)
+        for step in range(24):
+            if step % 2 == 0:
+                corpus.add(_extra_source(f"churn-{step:03d}", seed=300 + step))
+            else:
+                corpus.remove(rng.choice(corpus.source_ids()))
+            if step % 5 == 4:
+                coordinator.flush()
+        replies = coordinator.quiesce()
+        assert [replies[index]["tombstones"] for index in range(3)] == [0, 0, 0]
+        coordinator.checkpoint()
+        assert _tombstones(directory, 3) == [{}, {}, {}]
+        _assert_bit_identical(coordinator, corpus, travel_domain)
+
+    def test_restart_ships_nothing_after_a_clean_close(
+        self, coordinator_factory, travel_domain, tmp_path, monkeypatch
+    ):
+        from repro.sharding import ShardCoordinator
+
+        rng = random.Random(5)
+        corpus = _fresh_corpus(10)
+        directory = tmp_path / "c"
+        coordinator = coordinator_factory(
+            corpus, 3, domain=travel_domain, store_directory=directory
+        )
+        for step in range(8):
+            _mutate(rng, corpus, step)
+        coordinator.close()
+        stack = ClusterStore(directory).recover_stack(build_engine=False)
+        replies: list[dict] = []
+        start = ShardCoordinator._start
+
+        def spy(self, shards, *, recover):
+            result = start(self, shards, recover=recover)
+            replies.append(result)
+            return result
+
+        monkeypatch.setattr(ShardCoordinator, "_start", spy)
+        recovered = coordinator_factory(
+            stack.corpus, 3, domain=travel_domain, store_directory=directory, recover=True
+        )
+        (resynced,) = replies
+        assert {
+            index: (reply["shipped"], reply["removed"], reply["added"])
+            for index, reply in resynced.items()
+        } == {index: (0, 0, 0) for index in range(3)}
+        # Configure and resync of three shards: a few KB, no source content.
+        traffic = recovered.wire_bytes()
+        smallest = min(len(json_record(source.to_dict())) for source in stack.corpus)
+        assert traffic["sent"] + traffic["received"] < smallest
+        _assert_bit_identical(recovered, stack.corpus, travel_domain)
+
+    def test_snapshot_without_versions_resyncs_every_owned_source(
+        self, coordinator_factory, travel_domain, tmp_path, monkeypatch
+    ):
+        from repro.persistence.format import (
+            SNAPSHOT_MAGIC,
+            atomic_write_bytes,
+            pack_sections,
+            unpack_sections,
+        )
+        from repro.sharding import ShardCoordinator
+
+        rng = random.Random(8)
+        corpus = _fresh_corpus(10)
+        directory = tmp_path / "c"
+        coordinator = coordinator_factory(
+            corpus, 2, domain=travel_domain, store_directory=directory
+        )
+        for step in range(6):
+            _mutate(rng, corpus, step)
+        coordinator.checkpoint()
+        for step in range(6, 9):
+            _mutate(rng, corpus, step)  # a journal tail behind the snapshot
+        coordinator.close()
+        # Shard 0's snapshot as a writer without per-source versions left it.
+        path = ClusterStore(directory).shard_directory(0) / CorpusStore.SNAPSHOT_NAME
+        raw = unpack_sections(path.read_bytes(), SNAPSHOT_MAGIC)
+        del raw["versions"]
+        atomic_write_bytes(path, pack_sections(SNAPSHOT_MAGIC, raw))
+        assert "versions" not in read_snapshot(path)
+
+        stack = ClusterStore(directory).recover_stack(build_engine=False)
+        replies: list[dict] = []
+        start = ShardCoordinator._start
+
+        def spy(self, shards, *, recover):
+            result = start(self, shards, recover=recover)
+            replies.append(result)
+            return result
+
+        monkeypatch.setattr(ShardCoordinator, "_start", spy)
+        recovered = coordinator_factory(
+            stack.corpus, 2, domain=travel_domain, store_directory=directory, recover=True
+        )
+        owned = [
+            source_id
+            for source_id in stack.corpus.source_ids()
+            if partition_shard(source_id, 2) == 0
+        ]
+        (resynced,) = replies
+        assert resynced[0]["shipped"] == len(owned)
+        assert resynced[0]["removed"] == resynced[0]["added"] == 0
+        assert resynced[1]["shipped"] == 0
+        _assert_bit_identical(recovered, stack.corpus, travel_domain)
+        assert {source.source_id: source.to_dict() for source in stack.corpus} == {
+            source.source_id: source.to_dict() for source in corpus
+        }
+
+
 # -- fault matrix ----------------------------------------------------------------------
 
 
@@ -882,6 +1101,11 @@ class TestWorkerFaultMatrix:
         )
         for step in range(4):
             _mutate(rng, corpus, step)
+        # The victim also owns a source the touch below leaves alone.
+        extra = 0
+        while sum(partition_shard(sid, 3) == victim for sid in corpus.source_ids()) < 2:
+            corpus.add(_extra_source(f"victim-extra-{extra}", seed=900 + extra))
+            extra += 1
         coordinator.quiesce()
         coordinator.checkpoint()
 
@@ -915,8 +1139,22 @@ class TestWorkerFaultMatrix:
         )
 
         # Restart: per-shard recovery + resync put the cluster back
-        # bit-identical to a single-process twin.
-        coordinator.restart_shard(victim)
+        # bit-identical to a single-process twin.  The worker's store is
+        # durable up to the touch the kill swallowed, so the resync ships
+        # that one source and nothing else.
+        owned_json = sum(
+            len(json_record(corpus.get(source_id).to_dict()))
+            for source_id in owned_by_victim
+        )
+        before = coordinator.wire_bytes()
+        reply = coordinator.restart_shard(victim)
+        after = coordinator.wire_bytes()
+        assert (reply["shipped"], reply["removed"], reply["added"]) == (1, 0, 0)
+        assert reply["sources"] == len(owned_by_victim)
+        restart_bytes = (
+            after["sent"] - before["sent"] + after["received"] - before["received"]
+        )
+        assert restart_bytes < owned_json
         assert coordinator.live_shards == [0, 1, 2]
         _assert_bit_identical(coordinator, corpus, travel_domain)
 
@@ -1045,7 +1283,7 @@ class TestPerShardPersistence:
             shard_directory = ClusterStore(directory).shard_directory(index)
             sections = read_snapshot(shard_directory / CorpusStore.SNAPSHOT_NAME)
             if sections["corpus"]["sources"]:
-                assert set(sections) == {"meta", "corpus", "shard", "index"}
+                assert set(sections) == {"meta", "corpus", "versions", "shard", "index"}
                 checked += 1
         assert checked >= 2
         stack = ClusterStore(directory).recover_stack(build_engine=False)
@@ -1128,6 +1366,70 @@ def _twin_single(source_id: str) -> SourceCorpus:
 
 
 # -- stress matrix (make shard-stress) -------------------------------------------------
+
+
+@pytest.mark.shard_stress
+def test_racing_mutators_over_the_wire(coordinator_factory, travel_domain, tmp_path):
+    """Eight mutator threads grow, touch, add and remove shared sources and
+    acknowledge each mutation with a flush, under a short switch interval:
+    records of one shard reach it out of version order across flushes.
+    The cluster matches a single-process twin live, and again after a
+    restart that recovers every shard from its store."""
+    import sys
+
+    corpus = _fresh_corpus(6, seed=23)
+    directory = tmp_path / "c"
+    coordinator = coordinator_factory(
+        corpus, 2, domain=travel_domain, store_directory=directory, fsync=False
+    )
+    shared = corpus.source_ids()
+    churned = [f"race-{index}" for index in range(4)]
+    errors: list[BaseException] = []
+
+    def mutator(worker: int) -> None:
+        rng = random.Random(500 + worker)
+        try:
+            for step in range(30):
+                roll = rng.random()
+                try:
+                    if roll < 0.45:
+                        _grow(corpus.get(rng.choice(shared)), f"travel food {worker} {step}")
+                    elif roll < 0.7:
+                        _reword(corpus, rng.choice(shared), f"review {worker} {step}")
+                    elif roll < 0.85:
+                        source_id = rng.choice(churned)
+                        corpus.add(_extra_source(source_id, seed=worker * 100 + step))
+                    else:
+                        corpus.remove(rng.choice(churned))
+                except CorpusError:
+                    pass  # another thread added or removed that id first
+                coordinator.flush()
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=mutator, args=(worker,)) for worker in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    _assert_bit_identical(coordinator, corpus, travel_domain)
+    coordinator.close()
+
+    stack = ClusterStore(directory).recover_stack(build_engine=False)
+    assert {source.source_id: source.to_dict() for source in stack.corpus} == {
+        source.source_id: source.to_dict() for source in corpus
+    }
+    recovered = coordinator_factory(
+        stack.corpus, 2, domain=travel_domain, store_directory=directory, recover=True
+    )
+    _assert_bit_identical(recovered, corpus, travel_domain)
 
 
 @pytest.mark.shard_stress
