@@ -24,8 +24,9 @@ recovery-stress:
 	$(PYTHON) -m pytest tests/test_recovery_faults.py -v
 
 ## cross-process sharded-serving stress: randomized worker kills + restarts
+## (runtime lock-order validator on, as for `make stress`)
 shard-stress:
-	$(PYTHON) -m pytest -m shard_stress -v
+	REPRO_LOCK_ORDER_CHECK=1 $(PYTHON) -m pytest -m shard_stress -v
 
 ## paper-reproduction benchmarks (tables/figures, pytest-based bench_*.py)
 bench:

@@ -97,7 +97,12 @@ LOCK_FILES: tuple[str, ...] = (
 )
 
 #: Context-manager methods that alias a lock class.
-_CM_ALIASES = {"_mutating": "corpus.mutation", "paused": "journal.append"}
+_CM_ALIASES = {
+    "_mutating": "corpus.mutation",
+    "paused": "journal.append",
+    "relayed": "journal.append",
+    "_draining": "shard.io",
+}
 
 #: ``.read_lock()``-style calls that *are* acquisitions.
 _CALL_LOCKS = {

@@ -52,7 +52,6 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_json",
     "pack_record",
-    "write_record",
     "write_bytes",
     "read_record",
     "json_record",
@@ -193,11 +192,6 @@ def pack_record(payload: bytes) -> bytes:
     return RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def write_record(handle: BinaryIO, path: Path, payload: bytes) -> None:
-    """Append one framed record to an open file (no fsync)."""
-    _io.write(handle, path, pack_record(payload))
-
-
 def read_record(
     buffer: bytes, offset: int, *, path: Optional[Path] = None, strict: bool = False
 ) -> Optional[tuple[bytes, int]]:
@@ -234,7 +228,7 @@ def read_record(
 
 
 def json_record(payload: Any) -> bytes:
-    """Compact-JSON payload bytes, ready for :func:`write_record` framing."""
+    """Compact-JSON payload bytes, ready for :func:`pack_record` framing."""
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 

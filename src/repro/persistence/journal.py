@@ -3,9 +3,12 @@
 The journal is the durability tier between two snapshots: every
 :class:`~repro.sources.corpus.CorpusChange` the corpus announces is
 appended and fsynced before the append returns, so a crash at any instant
-loses nothing that the writer acknowledged.  A thread appended through
-``Source.add_discussion`` is recorded as a typed delta holding that
-thread alone, when the corpus delivered the change in order (see
+loses nothing that the writer acknowledged.  A record carries only what
+changed where the writer knows what a replica holds (see
+:class:`~repro.sources.diffing.DurableJournalSubscriber`): a thread
+appended through ``Source.add_discussion`` is recorded alone, and a
+touch of a keyed source as the threads whose serialised content changed,
+when the corpus delivered the change in order (see
 :class:`~repro.sources.corpus.CorpusChange`); every other change carries
 the mutated source's full serialised content, since the change event
 itself holds only identifiers.
@@ -31,18 +34,26 @@ record payload is one of::
      "at": <index of the appended thread>,
      "discussion": <Discussion.to_dict()>}
 
-A replica's journal (a shard worker's) records the version of the
-replayed record that drove each change, so it is numbered as the
-coordinator numbered it.  Replay
+    {"version": <corpus version after the mutation>,
+     "op": "replace_discussions",
+     "source_id": <id>,
+     "threads": [[<index>, <Discussion.to_dict()>], ...]}
+
+A replica's journal (a shard worker's) holds the records its
+coordinator framed, appended as received with one write and one fsync
+per batch (:meth:`JournalWriter.append_framed`), and the records of its
+resyncs, numbered as the coordinator numbered them.  Replay
 (:func:`repro.persistence.store.replay_journal`) skips a record at or
 below its own source's version (its last change, its tombstone or the
-corpus's version floor), appends an
-``add_discussion`` thread when the source holds exactly ``at`` threads,
-skips it when the thread at ``at`` already has its id (a full-source
-record serialised later already holds it), and raises
-:class:`~repro.errors.JournalReplayError` otherwise; a delta for a
-source the corpus does not hold is skipped like a contentless record.
-The sharding wire carries the same records.
+corpus's version floor); appends an ``add_discussion`` thread when the
+source holds exactly ``at`` threads, skips it when the thread at ``at``
+already has its id (a full-source record serialised later already holds
+it), and raises :class:`~repro.errors.JournalReplayError` otherwise;
+replaces each ``replace_discussions`` thread in place and touches the
+source once — an empty ``threads`` list (a version stamp) only touches
+it — and raises for an index outside the source's threads.  A partial record for
+a source the corpus does not hold is skipped like a contentless record.
+The sharding wire carries the same records, in the same framing.
 
 Reading is *tolerant by design*: the reader scans records until the first
 invalid one (truncated header, truncated payload, CRC mismatch — the
@@ -69,12 +80,18 @@ from repro.persistence.format import (
     decode_json,
     fsync_file,
     json_record,
+    pack_record,
     read_record,
     write_bytes,
-    write_record,
 )
 
-__all__ = ["JournalReader", "JournalWriter", "read_journal", "truncate_torn_tail"]
+__all__ = [
+    "JournalReader",
+    "JournalWriter",
+    "read_journal",
+    "split_framed",
+    "truncate_torn_tail",
+]
 
 _HEADER = struct.Struct("<IQ")
 HEADER_SIZE = len(JOURNAL_MAGIC) + _HEADER.size
@@ -156,6 +173,27 @@ def read_journal(path: str | Path) -> JournalReader:
     )
 
 
+def split_framed(blob: bytes) -> tuple[list[bytes], list[Any]]:
+    """Split a run of framed records into ``(frames, decoded payloads)``.
+
+    The strict counterpart of :func:`read_journal`'s scan, for a batch
+    that arrives whole (the records of a shard worker's ``apply``): a
+    damaged frame or payload raises
+    :class:`~repro.errors.CorruptSnapshotError` rather than ending the
+    batch early.  Each frame keeps its bytes, so it can be appended to a
+    journal unchanged (:meth:`JournalWriter.append_framed`).
+    """
+    frames: list[bytes] = []
+    payloads: list[Any] = []
+    offset = 0
+    while offset < len(blob):
+        payload, end = read_record(blob, offset, strict=True)
+        frames.append(blob[offset:end])
+        payloads.append(decode_json(payload, offset=offset))
+        offset = end
+    return frames, payloads
+
+
 def truncate_torn_tail(reader: JournalReader) -> bool:
     """Cut the journal at the last valid record; True when bytes were dropped.
 
@@ -172,7 +210,7 @@ def truncate_torn_tail(reader: JournalReader) -> bool:
 
 
 class JournalWriter:
-    """Append-only, fsync-per-record journal writer.
+    """Append-only journal writer: one fsync per append.
 
     Opening is crash-safe: a missing or empty file gets a fresh header
     (fsynced before the first append can be acknowledged); an existing
@@ -214,12 +252,24 @@ class JournalWriter:
         returns — the write-ahead guarantee recovery tests assert: an
         acknowledged append survives any later crash.
         """
+        return self.append_framed(pack_record(json_record(record)), 1)
+
+    def append_framed(self, frames: bytes, count: int) -> int:
+        """Durably append ``count`` records framed elsewhere, as they are.
+
+        ``frames`` is a run of records in this journal's framing (see
+        :func:`split_framed`) — a shard worker appends the batch its
+        coordinator framed for the wire — written with one write and one
+        fsync.  A crash inside the write leaves a torn tail after the
+        last complete record, which recovery truncates; nothing is
+        acknowledged before the fsync returns.
+        """
         if self._handle is None:
             raise PersistenceError("journal writer is closed", path=self.path)
-        write_record(self._handle, self.path, json_record(record))
+        write_bytes(self._handle, self.path, frames)
         if self._fsync:
             fsync_file(self._handle, self.path)
-        self.records_written += 1
+        self.records_written += count
         return self.records_written
 
     def reset(self, base_version: int) -> None:

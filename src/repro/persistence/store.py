@@ -10,7 +10,9 @@
 :class:`~repro.sources.diffing.DurableJournalSubscriber` on the corpus's
 invalidation bus whose sink appends to a
 :class:`~repro.persistence.journal.JournalWriter` — every corpus mutation
-is on disk (fsynced) before the mutating call returns.
+is on disk (fsynced) before the mutating call returns; a replica that
+replays records framed elsewhere journals their frames as received
+(:meth:`CorpusStore.replay_received`).
 :meth:`CorpusStore.checkpoint` then folds the journal into a fresh
 snapshot: inside the subscriber's ``paused()`` window (so no event can
 slip into the journal between export and reset) it exports the corpus and
@@ -54,7 +56,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import JournalReplayError, PersistenceError
 from repro.persistence.codec import encode_index_state
@@ -149,8 +151,48 @@ def _replay_add_discussion(
     )
 
 
+def _replay_replace_discussions(
+    corpus: SourceCorpus, version: int, source_id: str, record: Mapping[str, Any]
+) -> bool:
+    """Apply one ``replace_discussions`` record; False for an absent source.
+
+    Each ``[at, thread]`` pair replaces the thread at ``at`` in place, and
+    the source is touched once.  An empty list (a version stamp) replaces
+    nothing and still touches the source: the touch it records changed
+    nothing, and the replica delivers that change event too.  Every index
+    is checked before any thread is replaced; one outside the source's
+    threads raises.  A source the corpus does not hold is skipped like a
+    contentless record.
+    """
+    if source_id not in corpus:
+        return False
+    source = corpus.get(source_id)
+    discussions = source.discussions
+    threads = [(at, payload) for at, payload in record["threads"]]
+    for at, _ in threads:
+        if type(at) is not int or not 0 <= at < len(discussions):
+            raise JournalReplayError(
+                f"replace_discussions at {at!r} is outside source {source_id!r} "
+                f"({len(discussions)} threads) at version {version}"
+            )
+    for at, payload in threads:
+        discussions[at] = Discussion.from_dict(payload)
+    corpus.touch(source_id)
+    return True
+
+
+#: Replay of the records that carry part of a source, by op.
+_PARTIAL_REPLAYS = {
+    "add_discussion": _replay_add_discussion,
+    "replace_discussions": _replay_replace_discussions,
+}
+
+
 def replay_journal(
-    corpus: SourceCorpus, records: list[dict[str, Any]]
+    corpus: SourceCorpus,
+    records: list[dict[str, Any]],
+    *,
+    replayed: Optional[Callable[[int], Any]] = None,
 ) -> tuple[int, int]:
     """Apply journal records to ``corpus``; return ``(applied, skipped)``.
 
@@ -169,20 +211,25 @@ def replay_journal(
     replica's own journal records — carry the record's version: a
     full-source record overlays the live source and touches it, and an
     ``add_discussion`` delta appends its thread through
-    ``Source.add_discussion`` (see :func:`_replay_add_discussion`).  A
+    ``Source.add_discussion`` (see :func:`_replay_add_discussion`), and a
+    ``replace_discussions`` record replaces its threads in place and
+    touches the source (see :func:`_replay_replace_discussions`).  A
     record whose effect is already in place (a delta a later full record
     carried, a remove of an absent source) moves the source's version up
-    without a change event.  Every record's shape and version are checked
-    before the sort, so a record without a usable version raises
-    :class:`~repro.errors.JournalReplayError` before anything is applied.
+    without a change event.  Every record's shape
+    and version are checked before the sort, so a record without a usable
+    version raises :class:`~repro.errors.JournalReplayError` before
+    anything is applied.  ``replayed``, when given, is called with the
+    index (in ``records``) of each record once it was applied or skipped.
     """
     versioned = sorted(
-        ((_record_version(record), record) for record in records),
+        ((_record_version(record), index) for index, record in enumerate(records)),
         key=lambda pair: pair[0],
     )
     applied = 0
     skipped = 0
-    for version, record in versioned:
+    for version, index in versioned:
+        record = records[index]
         try:
             op = record["op"]
             source_id = record["source_id"]
@@ -201,8 +248,8 @@ def replay_journal(
                         # The tombstone still turns away an older record
                         # of the source that arrives after this one.
                         corpus._stamp_version(source_id, version)
-                elif op == "add_discussion":
-                    done = _replay_add_discussion(corpus, version, source_id, record)
+                elif op in _PARTIAL_REPLAYS:
+                    done = _PARTIAL_REPLAYS[op](corpus, version, source_id, record)
                     if not done and source_id in corpus:
                         corpus._stamp_version(source_id, version)
                 elif op in ("add", "touch"):
@@ -232,6 +279,8 @@ def replay_journal(
                 f"cannot replay journal record version {version}: {exc!r}"
             ) from exc
         corpus._restore_version(version)
+        if replayed is not None:
+            replayed(index)
     return applied, skipped
 
 
@@ -354,15 +403,74 @@ class CorpusStore:
     # -- write path ------------------------------------------------------------------
 
     def _journal_sink(self, record: dict[str, Any]) -> None:
+        self._append(lambda journal: journal.append(record))
+
+    def _append(self, write: Callable[[JournalWriter], Any]) -> None:
         journal = self._journal
         if journal is None:
             raise PersistenceError("journal writer detached", path=self.journal_path)
         try:
-            journal.append(record)
+            write(journal)
         except OSError as exc:
             raise PersistenceError(
                 f"journal append failed: {exc}", path=self.journal_path
             ) from exc
+
+    def replay_received(
+        self, records: list[dict[str, Any]], frames: list[bytes]
+    ) -> tuple[int, int]:
+        """Replay records framed elsewhere; journal their frames as received.
+
+        A shard worker's ``apply``: ``frames[i]`` is ``records[i]`` in the
+        journal's own record framing, as the coordinator framed it once
+        for the wire.  The records replay as :func:`replay_journal`
+        replays them, while the subscriber relays the changes they drive
+        (:meth:`~repro.sources.diffing.DurableJournalSubscriber.relayed`:
+        nothing written, keys dropped, checkpoint cadence kept); then the
+        frames of the records replayed are appended with one write and one
+        fsync.  When a record raises, the frames replayed before it are
+        still appended and its own is not: a record journaled over a gap
+        could not replay at recovery.  Returns ``(applied, skipped)``.
+        """
+        subscriber = self._subscriber
+        corpus = self._corpus
+        if subscriber is None or corpus is None:
+            raise PersistenceError(
+                "replay_received requires an attached corpus", path=self.directory
+            )
+        changes = [
+            (_record_version(record), record.get("source_id")) for record in records
+        ]
+        replayed: list[bytes] = []
+        with subscriber.relayed(changes):
+            try:
+                return replay_journal(
+                    corpus, records, replayed=lambda at: replayed.append(frames[at])
+                )
+            finally:
+                if replayed:
+                    self._append_frames(replayed)
+
+    def journal_frames(self, frames: list[bytes]) -> None:
+        """Durably append framed records that drove no change here.
+
+        A shard worker's resync stamps: a shipped source whose content
+        already matched only takes the coordinator's version, and no
+        change event journals that.  One write and one fsync, under the
+        subscriber's append lock, so no other record or a checkpoint
+        interleaves.
+        """
+        subscriber = self._subscriber
+        if subscriber is None:
+            raise PersistenceError(
+                "journal_frames requires an attached corpus", path=self.directory
+            )
+        with subscriber.paused():
+            self._append_frames(frames)
+
+    def _append_frames(self, frames: list[bytes]) -> None:
+        data = b"".join(frames)
+        self._append(lambda journal: journal.append_framed(data, len(frames)))
 
     def attach(
         self,
@@ -435,6 +543,9 @@ class CorpusStore:
         only already-snapshotted records in the journal, which replay
         skips.  The ``versions`` section persists the corpus's per-source
         versions (see :meth:`~repro.sources.corpus.SourceCorpus.version_map`).
+        Once the journal is reset, the subscriber re-keys its keyed sources
+        from the snapshot's corpus section, which is what a recovery
+        starts from.
         """
         with ordered(self._lock, "store.lock"):
             corpus = self._corpus
@@ -488,7 +599,7 @@ class CorpusStore:
                     fsync=self._fsync,
                 )
                 self._journal.reset(version)
-                subscriber.mark_checkpoint()
+                subscriber.mark_checkpoint(version, sections["corpus"]["sources"])
             self.checkpoints_written += 1
             return version
 

@@ -8,10 +8,13 @@ whose stable hash (:func:`~repro.sharding.partition.partition_shard`)
 lands on it.  Replication rides the corpus's own
 :class:`~repro.sources.diffing.InvalidationBus`: a
 :class:`~repro.sources.diffing.WireBridgeSubscriber` turns each
-:class:`CorpusChange` into a journal-schema record, which the bridge
-sink only *buffers* per shard — the mutating thread never touches a
-socket.  Buffers drain as one batched ``apply`` per shard at the next
-``flush()``; every read flushes first, so a read always observes the
+:class:`CorpusChange` into a journal-schema record — a grown thread, or
+the changed threads of a touch, rather than the whole source where the
+bridge's keys allow — which the bridge sink only *buffers* per shard:
+the mutating thread never touches a socket.  Buffers drain as one
+batched ``apply`` per shard at the next ``flush()``, each record framed
+once as the worker's journal frames it, so the worker appends the bytes
+as received; every read flushes first, so a read always observes the
 mutations that preceded it (consistency is at flush/quiesce boundaries,
 matching the single-process scheduler's flush semantics).
 
@@ -51,8 +54,9 @@ live shards.  Mutations routed to a down shard are dropped and counted;
 :meth:`restart_shard` respawns the worker, lets it recover warm from
 its per-shard store, then reconciles it against the authoritative
 corpus with a ``resync`` by per-source version — after which the cluster
-is bit-identical to its pre-fault self.  Start-up configures and resyncs
-every shard concurrently the same way.  See ``docs/ARCHITECTURE.md``.
+is bit-identical to its pre-fault self, and the bridge is re-keyed from
+the payloads the resync shipped.  Start-up configures and resyncs every
+shard concurrently the same way.  See ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -66,8 +70,9 @@ import socket
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 import repro
 from repro.core.source_quality import QualityScore, SourceQualityModel
@@ -80,7 +85,7 @@ from repro.errors import (
     WireProtocolError,
 )
 from repro.persistence.cluster import ClusterStore
-from repro.persistence.format import json_record
+from repro.persistence.format import json_record, pack_record
 from repro.search.engine import (
     SearchEngineConfig,
     SearchResult,
@@ -95,7 +100,11 @@ from repro.sharding.columns import (
     merge_sorted_columns,
 )
 from repro.sharding.partition import partition_shard
-from repro.sharding.wire import DEFAULT_TIMEOUT_SECONDS, WireConnection
+from repro.sharding.wire import (
+    DEFAULT_TIMEOUT_SECONDS,
+    WireConnection,
+    encode_message,
+)
 from repro.sources.corpus import SourceCorpus
 from repro.sources.diffing import WireBridgeSubscriber
 
@@ -124,6 +133,9 @@ class _Shard:
     #: than the serial drain it replaces.
     jobs: "queue.SimpleQueue" = dataclasses.field(default_factory=queue.SimpleQueue)
     runner: Optional[threading.Thread] = None
+    #: What its resync shipped, source id -> ``{"version", "source"}``,
+    #: until the bridge is re-keyed from it.
+    shipped: dict = dataclasses.field(default_factory=dict)
 
 
 class ShardCoordinator:
@@ -218,6 +230,9 @@ class ShardCoordinator:
         except BaseException:
             self.close()
             raise
+        # A fresh cluster's resync ships every source: the bridge starts keyed.
+        for shard in self._shards:
+            self._rekey(shard)
 
     # -- properties --------------------------------------------------------------------
 
@@ -249,7 +264,11 @@ class ShardCoordinator:
         Every worker is spawned, then every ``configure`` is sent before
         any reply is awaited, so the workers import and recover
         concurrently; the resyncs fan out the same way.  The first failing
-        shard (lowest index) raises after every reply was gathered.
+        shard (lowest index) raises after every reply was gathered.  Each
+        shard's ``shipped`` holds what its resync ships, set before it is
+        sent; the caller re-keys the bridge from it (see
+        :meth:`~repro.sources.diffing.DurableJournalSubscriber.rekey`)
+        once it holds no lock above the bridge's.
         """
         for shard in shards:
             self._spawn(shard)
@@ -260,15 +279,13 @@ class ShardCoordinator:
             per_shard={index: self._configure_payload(index, recover) for index in indices},
             allow_degraded=False,
         )
-        return self._scatter(
-            "resync",
-            {},
-            per_shard={
-                index: self._resync_payload(index, reply["versions"])
-                for index, reply in configured.items()
-            },
-            allow_degraded=False,
-        )
+        resyncs = {
+            index: self._resync_payload(index, reply["versions"])
+            for index, reply in configured.items()
+        }
+        for shard in shards:
+            shard.shipped = resyncs[shard.index]["sources"]
+        return self._scatter("resync", {}, per_shard=resyncs, allow_degraded=False)
 
     def _spawn(self, shard: _Shard) -> None:
         parent, child = socket.socketpair()
@@ -372,31 +389,47 @@ class ShardCoordinator:
         coordinator has one and reports its per-source versions; the
         resync then ships only the sources whose versions differ — what
         the store had not yet made durable.  Buffered mutations for the
-        shard are discarded — the resync supersedes them.  Returns the
-        worker's resync reply (its version and source count, and how many
-        sources were shipped, removed, overlaid and added).
+        shard are discarded — the resync supersedes them.  The bridge is
+        re-keyed from the shipped sources afterwards, outside ``shard.io``
+        (the bridge's lock ranks below it).  Returns the worker's resync
+        reply (its version and source count, and how many sources were
+        shipped, removed, overlaid and added).
         """
         if not 0 <= shard_index < self.shard_count:
             raise ShardingError(
                 f"shard index {shard_index} is not within the "
                 f"{self.shard_count}-way split"
             )
-        with ordered(self._io, "shard.io"):
-            shard = self._shards[shard_index]
-            # Taking the connection lock waits out any in-flight
-            # round-trip before the connection object is swapped.
-            with ordered(shard.lock, "shard.conn"):
-                shard.alive = False
-                if shard.connection is not None:
-                    shard.connection.close()
-                if shard.process is not None:
-                    if shard.process.poll() is None:
-                        shard.process.kill()
-                    shard.process.wait()
-                with self._buffer_lock:
-                    self._pending[shard_index] = []
-                replies = self._start([shard], recover=self._cluster is not None)
-                return replies[shard_index]
+        shard = self._shards[shard_index]
+        delivered = False
+        try:
+            with ordered(self._io, "shard.io"):
+                # Taking the connection lock waits out any in-flight
+                # round-trip before the connection object is swapped.
+                with ordered(shard.lock, "shard.conn"):
+                    shard.alive = False
+                    if shard.connection is not None:
+                        shard.connection.close()
+                    if shard.process is not None:
+                        if shard.process.poll() is None:
+                            shard.process.kill()
+                        shard.process.wait()
+                    with self._buffer_lock:
+                        self._pending[shard_index] = []
+                    replies = self._start([shard], recover=self._cluster is not None)
+                    delivered = True
+        finally:
+            self._rekey(shard, delivered)
+        return replies[shard_index]
+
+    def _rekey(self, shard: _Shard, delivered: bool = True) -> None:
+        """Re-key the bridge from what ``shard``'s last resync shipped.
+
+        Call it holding no lock that ranks above the bridge's
+        ``journal.append`` — ``shard.io`` does.
+        """
+        shipped, shard.shipped = shard.shipped, {}
+        self._bridge.rekey(shipped, delivered)
 
     def close(self) -> None:
         """Drain buffered mutations, shut down every worker (idempotent).
@@ -414,7 +447,7 @@ class ShardCoordinator:
             shard.jobs.put(None)  # stop the persistent gather runner
         with ordered(self._io, "shard.io"):
             try:
-                self.flush()
+                self._drain(set())
             finally:
                 for shard in self._shards:
                     if shard.alive:
@@ -458,7 +491,10 @@ class ShardCoordinator:
         shard's eventual :meth:`restart_shard` resync supersedes them.
         Every batch is sent before a worker-side error re-raises (lowest
         shard index first, as in :meth:`_scatter`), so one shard failing
-        to apply its batch never strands another shard's records.
+        to apply its batch never strands another shard's records.  The
+        worker applied a failed batch only up to the record that raised,
+        so the bridge drops the keys of the batch's sources (see
+        :meth:`_draining`).
         """
         with self._buffer_lock:
             # Fast path for the every-read flush: nothing buffered, so
@@ -468,45 +504,70 @@ class ShardCoordinator:
             # happen-before this flush and may drain on the next one.
             if not any(self._pending.values()):
                 return 0
-        with ordered(self._io, "shard.io"):
-            # Read before the swap: every record at or below the watermark
-            # was routed by now, so it rides in this batch or an earlier
-            # one, and a worker may drop its tombstones up to it.
-            watermark = self._corpus.version_floor
-            with self._buffer_lock:
-                batches = self._pending
-                self._pending = {index: [] for index in range(self.shard_count)}
-            sent = 0
-            failures: dict[int, BaseException] = {}
-            for index, records in batches.items():
-                if not records:
-                    continue
-                shard = self._shards[index]
-                if not shard.alive:
-                    self._dropped += len(records)
-                    continue
-                message_id = next(self._message_ids)
-                status, value = self._gather_one(
-                    shard,
-                    message_id,
-                    json_record(
-                        {
-                            "id": message_id,
-                            "kind": "apply",
-                            "records": records,
-                            "watermark": watermark,
-                        }
-                    ),
-                )
-                if status == "ok":
-                    sent += len(records)
-                elif status == "down":
-                    self._dropped += len(records)
-                else:
-                    failures[index] = value
-            if failures:
-                raise failures[min(failures)]
-            return sent
+        with self._draining() as failed:
+            return self._drain(failed)
+
+    @contextmanager
+    def _draining(self) -> Iterator[set]:
+        """Hold ``shard.io`` for a drain; then drop the failed sources' keys.
+
+        :meth:`_drain` adds to the yielded set the sources of each batch a
+        worker failed to apply.  Once ``shard.io`` is released (the
+        bridge's lock ranks below it), the bridge drops their keys, so
+        their next touch ships whole; a grow still ships as a delta, which
+        raises again on a worker that missed the thread before it.
+        Records the bridge wrote between the batch swap and that drop were
+        diffed against the keys the failed batch left: only a
+        :meth:`restart_shard` resync repairs a shard that missed them.
+        """
+        failed: set = set()
+        try:
+            with ordered(self._io, "shard.io"):
+                yield failed
+        finally:
+            if failed:
+                self._bridge.drop_keys(failed)
+
+    def _drain(self, failed: set) -> int:
+        """Send every buffered batch; ``shard.io`` held (see :meth:`flush`)."""
+        # Read before the swap: every record at or below the watermark
+        # was routed by now, so it rides in this batch or an earlier
+        # one, and a worker may drop its tombstones up to it.
+        watermark = self._corpus.version_floor
+        with self._buffer_lock:
+            batches = self._pending
+            self._pending = {index: [] for index in range(self.shard_count)}
+        sent = 0
+        failures: dict[int, BaseException] = {}
+        for index, records in batches.items():
+            if not records:
+                continue
+            shard = self._shards[index]
+            if not shard.alive:
+                self._dropped += len(records)
+                continue
+            message_id = next(self._message_ids)
+            # Framed once, as the worker's journal frames records: the
+            # worker appends these bytes as they are.
+            frames = b"".join(pack_record(json_record(r)) for r in records)
+            status, value = self._gather_one(
+                shard,
+                message_id,
+                encode_message(
+                    {"id": message_id, "kind": "apply", "watermark": watermark},
+                    frames,
+                ),
+            )
+            if status == "ok":
+                sent += len(records)
+            elif status == "down":
+                self._dropped += len(records)
+            else:
+                failures[index] = value
+                failed.update(record["source_id"] for record in records)
+        if failures:
+            raise failures[min(failures)]
+        return sent
 
     def quiesce(self, *, allow_degraded: bool = False) -> dict[int, dict[str, Any]]:
         """Flush and barrier every live worker; return per-shard versions.
@@ -515,9 +576,9 @@ class ShardCoordinator:
         worker — including one this flush sent nothing — drops the
         tombstones no record can still need.
         """
-        with ordered(self._io, "shard.io"):
+        with self._draining() as failed:
             watermark = self._corpus.version_floor
-            self.flush()
+            self._drain(failed)
             return self._scatter(
                 "sync", {"watermark": watermark}, allow_degraded=allow_degraded
             )
@@ -526,9 +587,9 @@ class ShardCoordinator:
         """Flush, then checkpoint every shard store; return per-shard versions."""
         if self._cluster is None:
             raise PersistenceError("coordinator was built without a store_directory")
-        with ordered(self._io, "shard.io"):
+        with self._draining() as failed:
             watermark = self._corpus.version_floor
-            self.flush()
+            self._drain(failed)
             results = self._scatter(
                 "checkpoint", {"watermark": watermark}, allow_degraded=allow_degraded
             )

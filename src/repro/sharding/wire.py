@@ -61,7 +61,7 @@ from repro.persistence.format import (
     read_record,
 )
 
-__all__ = ["WireConnection", "WIRE_BINARY_MAGIC"]
+__all__ = ["WireConnection", "WIRE_BINARY_MAGIC", "encode_message"]
 
 #: Default socket timeout: long enough for a worker paying a cold
 #: measure pass over a large shard, short enough that a wedged peer
@@ -70,6 +70,19 @@ DEFAULT_TIMEOUT_SECONDS = 120.0
 
 #: Magic prefix of a binary columnar wire payload (vs ``{`` for JSON).
 WIRE_BINARY_MAGIC = b"RPWB"
+
+
+def encode_message(message: dict[str, Any], binary: Optional[bytes] = None) -> bytes:
+    """The payload bytes of one message: JSON, or an ``RPWB`` envelope.
+
+    With ``binary`` the JSON head and the blob are framed individually
+    inside a ``RPWB`` envelope; the receiver sees the head dict with the
+    blob attached under ``"_binary"``.  For :meth:`WireConnection.send_payload`.
+    """
+    head = json_record(message)
+    if binary is None:
+        return head
+    return b"".join((WIRE_BINARY_MAGIC, pack_record(head), pack_record(binary)))
 
 
 class WireConnection:
@@ -115,14 +128,7 @@ class WireConnection:
         payload.  The receiver sees the head dict with the blob attached
         under ``"_binary"``.
         """
-        head = json_record(message)
-        if binary is None:
-            payload = head
-        else:
-            payload = b"".join(
-                (WIRE_BINARY_MAGIC, pack_record(head), pack_record(binary))
-            )
-        self.send_payload(payload)
+        self.send_payload(encode_message(message, binary))
 
     def send_payload(self, payload: bytes) -> None:
         """Frame and send pre-encoded payload bytes (serialised per connection).

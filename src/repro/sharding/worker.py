@@ -25,16 +25,23 @@ context: the store does not snapshot it and the scheduler does not patch
 it, because no request reads one.
 
 Replicated mutations arrive as journal-schema records (produced by the
-coordinator's :class:`~repro.sources.diffing.WireBridgeSubscriber`) and
-are applied with the very same
-:func:`~repro.persistence.store.replay_journal` used by crash recovery:
-version-ordered, idempotent per source, driving the ordinary corpus
-mutation API so every consumer is invalidated through its normal
-incremental path.  Each source takes the version of the coordinator
-record that last changed it — so does the worker's own journal — and
-each batch carries the coordinator's watermark, below which the worker
-drops its tombstones.  ``configure`` reports those versions, and the
-``resync`` that follows carries only what diverged.
+coordinator's :class:`~repro.sources.diffing.WireBridgeSubscriber`),
+framed once by the coordinator in the journal's own record framing and
+sent as the ``apply`` request's binary attachment.  They are applied
+with the very same :func:`~repro.persistence.store.replay_journal` used
+by crash recovery: version-ordered, idempotent per source, driving the
+ordinary corpus mutation API so every consumer is invalidated through
+its normal incremental path.  The worker's store then appends the
+received frames to its journal unchanged, with one fsync per batch
+(:meth:`~repro.persistence.store.CorpusStore.replay_received`): the
+worker never re-serialises or re-encodes a replicated record.  Each
+source takes the version of the coordinator record that last changed it
+— so does the worker's journal — and each batch carries the
+coordinator's watermark, below which the worker drops its tombstones.
+``configure`` reports those versions, and the ``resync`` that follows
+carries only what diverged; it journals through the store's subscriber,
+a version stamp as an empty ``replace_discussions`` record, after which
+the subscriber keeps no keys (nothing on a worker diffs against them).
 
 Read requests implement the worker-side phases of the scatter-gather
 protocols (``shard_term_stats`` / ``shard_score`` / ``shard_select`` on
@@ -55,6 +62,8 @@ from typing import Any, Optional
 from repro.core.domain import DomainOfInterest
 from repro.core.source_quality import SourceQualityModel
 from repro.errors import PersistenceError, ShardingError, WireProtocolError
+from repro.persistence.format import json_record, pack_record
+from repro.persistence.journal import split_framed
 from repro.persistence.store import CorpusStore, _overlay_source, replay_journal
 from repro.search.engine import SearchEngine, SearchEngineConfig
 from repro.serving import EagerRefreshScheduler, register_worker_stack
@@ -232,8 +241,19 @@ class ShardWorker:
             self._corpus.advance_version_floor(int(message["watermark"]))
 
     def _handle_apply(self, message: dict[str, Any]) -> dict[str, Any]:
-        records = message.get("records") or []
-        applied, skipped = replay_journal(self._corpus, records)
+        """Replay a batch and journal its bytes before the scheduler runs.
+
+        The batch rides the request's binary attachment: the records the
+        coordinator framed once, in the journal's own framing.  The store
+        appends those frames unchanged with one fsync, before the
+        scheduler flush (so a due checkpoint follows the append) and
+        before the reply acknowledges the batch.
+        """
+        frames, records = split_framed(message["_binary"])
+        if self._store is None:
+            applied, skipped = replay_journal(self._corpus, records)
+        else:
+            applied, skipped = self._store.replay_received(records, frames)
         self._advance_watermark(message)
         self._flush_scheduler()
         return {
@@ -261,15 +281,22 @@ class ShardWorker:
         touched (fingerprint caches key on object identity, exactly as
         journal replay does), missing ones are added, and a shipped source
         whose content already matches is left untouched.  Each of them
-        takes the coordinator's version for the source; then the corpus
+        takes the coordinator's version for the source, and the store's
+        subscriber journals each change; a source that only takes the
+        version is journaled as an empty ``replace_discussions`` record (a
+        version stamp, appended as framed here), so a worker killed before
+        its next checkpoint still reports that version.  Then the corpus
         version is pinned to the coordinator's (monotonically) and the
-        version floor raised to the watermark.
+        version floor raised to the watermark.  The store's subscriber
+        drops its keys before the scheduler runs a due checkpoint: every
+        later change replays a record the coordinator diffed.
         """
         corpus = self._corpus
         sources: dict[str, Any] = message.get("sources") or {}
         removed = 0
         overlaid = 0
         added = 0
+        stamps: list[bytes] = []
         for source_id, version in (message.get("removed") or {}).items():
             with corpus._replaying(int(version)):
                 if source_id in corpus:
@@ -289,6 +316,20 @@ class ShardWorker:
                     overlaid += 1
                 else:
                     corpus._stamp_version(source_id, shipped["version"])
+                    stamp = {
+                        "version": int(shipped["version"]),
+                        "op": "replace_discussions",
+                        "source_id": source_id,
+                        "threads": [],
+                    }
+                    stamps.append(pack_record(json_record(stamp)))
+        if stamps and self._store is not None:
+            self._store.journal_frames(stamps)
+        if self._store is not None:
+            # Every later change replays a record the coordinator diffed
+            # (see _handle_apply): keys here would hold payloads no diff
+            # reads, and a checkpoint would re-key them.
+            self._store.subscriber.drop_keys()
         corpus._restore_version(int(message["version"]))
         self._advance_watermark(message)
         self._flush_scheduler()

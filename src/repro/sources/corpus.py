@@ -103,7 +103,10 @@ class CorpusChange:
     delivered first.  Racing mutator threads can break either condition;
     the change then carries no delta, and its record holds the whole
     source (see :meth:`SourceCorpus._on_source_mutated` and
-    :meth:`SourceCorpus._flush_outbox`).
+    :meth:`SourceCorpus._flush_outbox`).  ``in_order`` is False when the
+    second condition failed: the journal and the wire then write the
+    change's source whole rather than only the threads that changed.
+    Like the delta, it is excluded from equality, hashing and ``repr``.
     """
 
     version: int
@@ -112,6 +115,7 @@ class CorpusChange:
     delta: Optional[tuple[int, Discussion]] = field(
         default=None, compare=False, repr=False
     )
+    in_order: bool = field(default=True, compare=False, repr=False)
 
 
 @dataclass
@@ -340,11 +344,13 @@ class SourceCorpus:
 
         Racing mutator threads each deliver the batch they took, so a
         change can reach the listeners before one with a lower version.
-        A delta delivered then could be recorded ahead of a change it
-        depends on (the add of its source, the thread before it), so it is
-        dropped and the change is delivered as a plain ``"touch"``.  A
-        delivery that raised leaves its version undelivered: every later
-        change then carries no delta.
+        A record of it written then could be replayed ahead of a change
+        it depends on (the add of its source, the thread before it, the
+        edit its thread record was diffed against), so the change is
+        delivered out of order: without its delta and with ``in_order``
+        False, and its record holds the whole source.  A delivery that
+        raised leaves its version undelivered: every later change is then
+        out of order.
 
         Once a change this corpus numbered itself has reached every
         listener, the version floor rises to the delivered watermark (the
@@ -362,10 +368,10 @@ class SourceCorpus:
                 entries = tuple(self._listeners)
             dead: list[Any] = []
             for change in changes:
-                if change.delta is not None:
-                    with self._mutation_lock:
-                        if min(self._undelivered) < change.version:
-                            change = replace(change, delta=None)
+                with self._mutation_lock:
+                    first = min(self._undelivered, default=change.version)
+                if first < change.version:
+                    change = replace(change, delta=None, in_order=False)
                 for entry in entries:
                     if isinstance(entry, weakref.ref):
                         listener = entry()

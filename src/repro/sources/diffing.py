@@ -664,6 +664,26 @@ class InvalidationBus:
             hook(change)
 
 
+def payload_keys(payload: Mapping[str, Any]) -> tuple[dict, list]:
+    """The keys of one serialised source: its fields, then each thread.
+
+    ``payload`` is a :meth:`~repro.sources.models.Source.to_dict` result
+    that was written somewhere a replica reads it — a journal or wire
+    record, a snapshot's corpus section, a resync payload.  The first key
+    holds every field except ``discussions``; then one key per thread, in
+    order.  Keys are the payload's own values, compared with ``==``: they
+    cost no encoding, only the payload's containers, which stay alive
+    while the source is keyed.  A touch whose non-thread key and thread
+    count are unchanged ships only the threads whose keys differ (see
+    :class:`DurableJournalSubscriber`).  Values that compare equal restore
+    to the same value on a replica, since ``Source.from_dict`` coerces
+    numbers and flags to their field types — except ``0.0`` and ``-0.0``,
+    which ``==`` cannot tell apart.
+    """
+    header = {name: value for name, value in payload.items() if name != "discussions"}
+    return header, list(payload["discussions"])
+
+
 class DurableJournalSubscriber:
     """Bus subscriber that appends every corpus change to a durable sink.
 
@@ -674,14 +694,42 @@ class DurableJournalSubscriber:
     injected ``sink`` callable (in production,
     :meth:`repro.persistence.journal.JournalWriter.append` wrapped by the
     store).  The sink indirection keeps this module free of any
-    persistence import.  A change carrying a typed delta (a thread
-    appended through ``Source.add_discussion``, delivered in order by the
-    corpus) becomes an ``"add_discussion"`` record holding that thread
-    alone; only records without a delta carry the mutated source's full
-    serialised content, which the change event itself does not hold.
+    persistence import.  Records carry only what changed, where the
+    subscriber knows what the replica holds:
+
+    * a thread appended through ``Source.add_discussion`` (a change with a
+      typed delta) becomes an ``"add_discussion"`` record holding that
+      thread alone;
+    * a touch without a delta becomes a ``"replace_discussions"`` record
+      holding the threads whose serialised content changed, when the
+      source is *keyed* and the change is eligible (below), and its
+      non-thread fields and thread count did not change — an empty list
+      when nothing changed;
+    * every other change carries the source's full serialised content,
+      which the change event itself does not hold.
+
+    **Keys.**  Per source, the subscriber keeps the keys
+    (:func:`payload_keys`) of what its last record left the replica
+    holding, and the highest version it wrote a record of the source at.
+    Keys come only from payloads that were written, never from a second
+    read of the live source: a full record or a thread record keys its
+    source, an ``add_discussion`` record appends its thread to the keys,
+    :meth:`mark_checkpoint` re-keys the keyed sources from the snapshot's
+    corpus section, and :meth:`rekey` keys the sources a resync shipped;
+    :meth:`drop_keys` unkeys them.  No source is keyed up front: an
+    unkeyed source ships its next touch whole and is keyed from it.  A
+    change is *eligible* when the corpus
+    delivered it in order (``CorpusChange.in_order``, the rule that also
+    decides deltas) and its version is above both its source's highest
+    written version and the last checkpoint's: only then may it write a
+    thread record or key its source.  A record below either could be
+    replayed ahead of one already written, or skipped by a recovery that
+    starts from the snapshot.  Any other change writes its full record
+    and drops its source's keys.
 
     Delivery runs on the mutating thread, outside the corpus mutation
-    lock, after the mutation committed; appends are serialised under the
+    lock, after the mutation committed; the source is serialised there,
+    and the diff, the sink call and the key update run under the
     subscriber's own lock.  Three consequences, all documented properties
     of the journal rather than bugs:
 
@@ -696,6 +744,11 @@ class DurableJournalSubscriber:
     * a full-source record delivered late may already hold a thread
       whose ``add_discussion`` record has a higher version — replay
       skips that delta, because the thread is already in place.
+
+    :meth:`relayed` lets a replica journal the records it replays itself
+    (a shard worker appends the bytes it received): the changes those
+    records drive write nothing here, drop their sources' keys, and still
+    count toward :attr:`events_since_checkpoint`.
 
     A sink failure propagates to the mutating caller: the in-memory
     mutation has already committed, but the caller learns durability was
@@ -717,9 +770,17 @@ class DurableJournalSubscriber:
         self._lock = threading.RLock()
         #: Total records handed to the sink since construction.
         self.events_journaled = 0
-        #: Records handed to the sink since the last :meth:`mark_checkpoint`
-        #: — the checkpoint scheduler's due-ness input.
+        #: Changes journaled since the last :meth:`mark_checkpoint`, here
+        #: or by the caller of :meth:`relayed` — the checkpoint
+        #: scheduler's due-ness input.
         self.events_since_checkpoint = 0
+        #: Per source: (highest version written, non-thread key, thread
+        #: keys), the keys None while the source is unkeyed.
+        self._keys: dict[str, tuple[int, Optional[dict], Optional[list]]] = {}
+        #: Version of the last checkpoint: no change at or below it keys.
+        self._floor = 0
+        #: ``(version, source_id)`` of the changes :meth:`relayed` covers.
+        self._relayed: frozenset = frozenset()
         self._subscription = corpus.invalidation_bus().subscribe(
             name=name, on_event=self._on_event
         )
@@ -735,41 +796,196 @@ class DurableJournalSubscriber:
         return self._subscription.closed
 
     def _on_event(self, change: "CorpusChange") -> None:
+        source_id = change.source_id
+        # Read without the lock: the set is replaced whole, and it names
+        # only changes the records of a running relayed() body drive.
+        if (change.version, source_id) in self._relayed:
+            with _journal_append_lock(self._lock):
+                self._unkey(change)
+                self.events_since_checkpoint += 1
+            return
         corpus = self._corpus_ref()
         source = None
         if corpus is not None and change.op in ("add", "touch"):
-            source = corpus._sources.get(change.source_id)
-        record: dict[str, Any]
-        if source is not None and change.delta is not None:
-            at, discussion = change.delta
-            record = {
-                "version": change.version,
-                "op": "add_discussion",
-                "source_id": change.source_id,
-                "at": at,
-                "discussion": discussion.to_dict(),
-            }
-        else:
-            # Serialise the source's *current* content.  For a touch this
-            # may already include later mutations — replay copies content
-            # states forward, and skips a later delta the copy already
-            # holds.  A source already removed again yields null (see the
-            # class docstring), delta or not.
-            record = {
-                "version": change.version,
-                "op": change.op,
-                "source_id": change.source_id,
-                "source": source.to_dict() if source is not None else None,
-            }
+            source = corpus._sources.get(source_id)
+        # Serialise the source's *current* content.  For a touch this may
+        # already include later mutations — replay copies content states
+        # forward, and skips a later delta the copy already holds.  A
+        # source already removed again yields null (see the class
+        # docstring), delta or not.
+        payload = thread = keys = None
+        if source is not None:
+            if change.delta is not None:
+                thread = change.delta[1].to_dict()
+            else:
+                payload = source.to_dict()
+                keys = payload_keys(payload)
         with _journal_append_lock(self._lock):
+            if thread is not None:
+                record = self._delta_record(change, thread)
+            elif payload is not None:
+                record = self._content_record(change, payload, keys)
+            else:
+                record = {
+                    "version": change.version,
+                    "op": change.op,
+                    "source_id": source_id,
+                    "source": None,
+                }
+                self._unkey(change)
             self._sink(record)
             self.events_journaled += 1
             self.events_since_checkpoint += 1
 
-    def mark_checkpoint(self) -> None:
-        """Reset the since-checkpoint counter (called after a checkpoint)."""
+    def _eligible(self, change: "CorpusChange") -> bool:
+        """Whether ``change`` may write a thread record or key (lock held)."""
+        entry = self._keys.get(change.source_id)
+        written = entry[0] if entry is not None else 0
+        return change.in_order and change.version > max(written, self._floor)
+
+    def _delta_record(self, change: "CorpusChange", thread: dict) -> dict[str, Any]:
+        """The ``add_discussion`` record of ``change``; extend its keys (lock held)."""
+        at = change.delta[0]
+        entry = self._keys.get(change.source_id)
+        threads = entry[2] if entry is not None else None
+        if threads is not None and at == len(threads) and self._eligible(change):
+            threads.append(thread)
+            self._keys[change.source_id] = (change.version, entry[1], threads)
+        elif threads is None or at >= len(threads):
+            # Below the keyed threads, replay skips the delta (its thread
+            # is in place already); otherwise what the replica holds is
+            # unknown from here.
+            self._unkey(change)
+        return {
+            "version": change.version,
+            "op": "add_discussion",
+            "source_id": change.source_id,
+            "at": at,
+            "discussion": thread,
+        }
+
+    def _content_record(
+        self, change: "CorpusChange", payload: dict, keys: tuple[dict, list]
+    ) -> dict[str, Any]:
+        """The thread or full record of ``change``; re-key its source (lock held)."""
+        entry = self._keys.get(change.source_id)
+        header, threads = keys
+        record: dict[str, Any] = {
+            "version": change.version,
+            "op": change.op,
+            "source_id": change.source_id,
+        }
+        if not self._eligible(change):
+            record["source"] = payload
+            self._unkey(change)
+            return record
+        if (
+            change.op == "touch"
+            and entry is not None
+            and entry[1] == header
+            and len(entry[2]) == len(threads)
+        ):
+            record["op"] = "replace_discussions"
+            record["threads"] = [
+                [at, new]
+                for at, (old, new) in enumerate(zip(entry[2], threads))
+                if new != old
+            ]
+        else:
+            record["source"] = payload
+        self._keys[change.source_id] = (change.version, header, threads)
+        return record
+
+    def _unkey(self, change: "CorpusChange") -> None:
+        """Drop the keys of ``change``'s source, keeping its highest written
+        version; forget a removed source entirely (lock held)."""
+        if change.op == "remove":
+            self._keys.pop(change.source_id, None)
+            return
+        entry = self._keys.get(change.source_id)
+        written = entry[0] if entry is not None else 0
+        self._keys[change.source_id] = (max(written, change.version), None, None)
+
+    @contextmanager
+    def relayed(self, changes: Iterable[tuple[int, str]]) -> Iterator[None]:
+        """Hold the append lock while the caller journals ``changes`` itself.
+
+        For a replica replaying records another journal wrote (a shard
+        worker journals the framed bytes it received): ``changes`` holds
+        each record's ``(version, source_id)``, and a change one of them
+        drives during the body writes nothing here, drops its source's
+        keys (the records were diffed against another process's keys) and
+        counts toward :attr:`events_since_checkpoint`, as if this
+        subscriber had journaled it.  Every other change is journaled as
+        usual.  Holding the lock keeps a checkpoint from running between
+        the caller's replay and its append.
+        """
+        with _journal_append_lock(self._lock):
+            self._relayed = frozenset(changes)
+            try:
+                yield
+            finally:
+                self._relayed = frozenset()
+
+    def rekey(
+        self, shipped: Mapping[str, Mapping[str, Any]], delivered: bool = True
+    ) -> None:
+        """Key the sources a resync shipped from the payloads it shipped.
+
+        ``shipped`` maps source ids to ``{"version", "source"}``, the
+        resync's own entries: once a replica applied the resync, it holds
+        each payload at that version and skips every record of the source
+        at or below it.  A source a record above that version was already
+        written for — diffed against older keys and still to be applied on
+        top — is left unkeyed instead, and so is every shipped source when
+        ``delivered`` is False (the resync failed, so what the replica
+        holds is unknown).
+        """
+        with _journal_append_lock(self._lock):
+            for source_id, item in shipped.items():
+                version = int(item["version"])
+                entry = self._keys.get(source_id)
+                if delivered and (entry is None or entry[0] <= version):
+                    self._keys[source_id] = (version, *payload_keys(item["source"]))
+                elif entry is not None:
+                    self._keys[source_id] = (max(entry[0], version), None, None)
+
+    def drop_keys(self, source_ids: Optional[Iterable[str]] = None) -> None:
+        """Drop the keys of ``source_ids``, or of every source when None.
+
+        Each of them ships its next touch whole and is keyed from it.  For
+        a replica that failed to apply records already written (a shard
+        worker whose ``apply`` raised part-way), whose holdings are then
+        unknown; and for a replica that journals the records it receives
+        as they are, which diffs nothing after its resync, so keys would
+        only hold payloads nothing reads.
+        """
+        with _journal_append_lock(self._lock):
+            for source_id in list(self._keys if source_ids is None else source_ids):
+                entry = self._keys.get(source_id)
+                if entry is not None:
+                    self._keys[source_id] = (entry[0], None, None)
+
+    def mark_checkpoint(
+        self, version: int, sources: Iterable[Mapping[str, Any]]
+    ) -> None:
+        """Reset the since-checkpoint counter (called after a checkpoint).
+
+        ``version`` is the checkpoint's corpus version and ``sources`` its
+        snapshot's corpus section.  A recovery starts from that snapshot:
+        the keyed sources are re-keyed from it, and no change at or below
+        ``version`` keys a source any more.  Call it only once the journal
+        was reset, so a failed checkpoint leaves the keys of the journal
+        that is still in use.
+        """
         with _journal_append_lock(self._lock):
             self.events_since_checkpoint = 0
+            self._floor = max(self._floor, version)
+            for payload in sources:
+                source_id = payload["source_id"]
+                entry = self._keys.get(source_id)
+                if entry is not None and entry[1] is not None:
+                    self._keys[source_id] = (entry[0], *payload_keys(payload))
 
     @contextmanager
     def paused(self) -> Iterator[None]:
@@ -795,16 +1011,21 @@ class WireBridgeSubscriber(DurableJournalSubscriber):
     The cross-process face of :class:`DurableJournalSubscriber`: same
     intake (unfiltered ``on_event`` subscription, records serialised on
     the mutating thread — the appended thread alone for an
-    ``add_discussion`` delta, the full source only for records without a
-    delta — appends serialised under the subscriber's lock), but the sink
-    is a :class:`~repro.sharding.coordinator.ShardCoordinator` routing
-    callable instead of a journal writer.  The record schema is *exactly*
-    the journal-record schema (see :mod:`repro.persistence.journal`), so
-    a worker applies a replicated burst with the very same
+    ``add_discussion`` delta, the changed threads of a keyed source's
+    touch, the full source otherwise — appends serialised under the
+    subscriber's lock), but the sink is a
+    :class:`~repro.sharding.coordinator.ShardCoordinator` routing
+    callable instead of a journal writer, and the keys describe what the
+    shard workers hold.  The coordinator keys every source from its
+    set-up resync and re-keys a restarted shard's shipped sources
+    (:meth:`rekey`).  The record schema is *exactly* the journal-record
+    schema (see :mod:`repro.persistence.journal`), so a worker applies a
+    replicated burst with the very same
     :func:`repro.persistence.store.replay_journal` code path that crash
     recovery uses — one replay semantics for disk and wire, including
     per-source version-keyed idempotence, tombstones, contentless-record
-    skipping and delta convergence.
+    skipping and delta convergence — and journals the records' frames as
+    it received them.
 
     The coordinator buffers routed records per shard and flushes them in
     batches, so replication consistency is *at quiesce*, not per event

@@ -793,8 +793,11 @@ class TestDeltaRecords:
             result = fresh.recover()
             result.replay()
         assert result.corpus.to_dict() == corpus.to_dict()
-        ops = [record["op"] for record in read_journal(store.journal_path).records]
-        assert ops == ["touch", "touch"]
+        records = read_journal(store.journal_path).records
+        # No delta: the first record holds the whole source, both threads
+        # included, and keys it; the second finds no thread changed since.
+        assert [record["op"] for record in records] == ["touch", "replace_discussions"]
+        assert records[1]["threads"] == []
 
     def test_replay_rejects_records_without_a_usable_version(self):
         corpus = make_corpus()
@@ -830,6 +833,134 @@ def recorded(corpus: SourceCorpus, action) -> list[dict]:
     finally:
         subscriber.close()
     return records
+
+
+def keyed_store(tmp_path, corpus: SourceCorpus, source, fsync=False) -> CorpusStore:
+    """A store journaling ``corpus``, with ``source`` keyed by one whole touch."""
+    store = CorpusStore(tmp_path, fsync=fsync)
+    store.attach(corpus)
+    corpus.touch(source.source_id)
+    return store
+
+
+class TestThreadRecords:
+    def test_reword_journals_only_its_thread(self, tmp_path):
+        corpus = make_corpus()
+        source = corpus.sources()[2]
+        store = keyed_store(tmp_path, corpus, source)
+        keyed = source.to_dict()
+        reword(corpus, source.source_id, "travel flight resort reworded")
+        store.close()
+        first, record = read_journal(store.journal_path).records
+        assert first["op"] == "touch" and first["source"] == keyed
+        assert record == {
+            "version": corpus.version,
+            "op": "replace_discussions",
+            "source_id": source.source_id,
+            "threads": [[0, source.discussions[0].to_dict()]],
+        }
+
+    def test_one_reword_journals_under_8_kb(self, tmp_path):
+        corpus = make_corpus(count=3, seed=31, budget=40)
+        source = max(corpus, key=lambda item: len(json_record(item.to_dict())))
+        # As for a grow: only a record of the changed thread fits.
+        assert len(json_record(source.to_dict())) > 4 * 8192
+        store = keyed_store(tmp_path, corpus, source, fsync=True)  # sizes on disk
+        keyed = store.journal_path.stat().st_size
+        reword(corpus, source.source_id, "travel flight resort reworded")
+        store.close()
+        grown = store.journal_path.stat().st_size - keyed
+        assert 0 < grown < 8192
+
+    def test_replay_replaces_threads_in_place_and_touches_once(self):
+        corpus = make_corpus()
+        replica = replica_of(corpus)
+        source = corpus.sources()[1]
+        records = recorded(
+            corpus,
+            lambda: (
+                corpus.touch(source.source_id),
+                reword(corpus, source.source_id, "travel flight resort reworded"),
+            ),
+        )
+        subscription = replica.invalidation_bus().subscribe(name="replayed")
+        assert replay_journal(replica, records) == (2, 0)
+        assert replica.to_dict() == corpus.to_dict()
+        assert subscription.drain().events == 2
+        subscription.close()
+
+    def test_an_empty_thread_record_touches_its_source_at_its_version(self):
+        corpus = make_corpus()
+        source_id = corpus.source_ids()[0]
+        before = corpus.to_dict()
+        subscription = corpus.invalidation_bus().subscribe(name="stamped")
+        stamp = {
+            "version": corpus.version + 5,
+            "op": "replace_discussions",
+            "source_id": source_id,
+            "threads": [],
+        }
+        # As the touch it records: one change event, no content change.
+        assert replay_journal(corpus, [stamp]) == (1, 0)
+        assert corpus.version_of(source_id) == stamp["version"]
+        assert corpus.to_dict() == before
+        drained = subscription.drain()
+        assert (drained.events, drained.ops) == (1, {"touch"})
+        subscription.close()
+        # Absent sources are skipped, like a contentless record.
+        assert replay_journal(corpus, [{**stamp, "source_id": "absent"}]) == (0, 1)
+
+    def test_a_thread_index_outside_the_source_raises_before_any_replace(self):
+        corpus = make_corpus()
+        source = corpus.sources()[0]
+        before = source.to_dict()
+        thread = source.discussions[0].to_dict()
+        for bad in (len(source.discussions), -1, "0"):
+            with pytest.raises(JournalReplayError):
+                replay_journal(
+                    corpus,
+                    [
+                        {
+                            "version": corpus.version + 1,
+                            "op": "replace_discussions",
+                            "source_id": source.source_id,
+                            "threads": [
+                                [0, {**thread, "title": "replaced"}],
+                                [bad, thread],
+                            ],
+                        }
+                    ],
+                )
+        assert source.to_dict() == before
+
+    def test_received_records_journal_their_frames_until_one_raises(self, tmp_path):
+        corpus = make_corpus()
+        replica = replica_of(corpus)
+        first, second = corpus.source_ids()[:2]
+        records = recorded(
+            corpus,
+            lambda: (
+                grow(corpus.get(first), "received"),
+                corpus.remove(second),
+            ),
+        )
+        bogus = {"version": corpus.version + 1, "op": "bogus", "source_id": first}
+        batch = [*records, bogus]
+        frames = [pack_record(json_record(record)) for record in batch]
+        store = CorpusStore(tmp_path, fsync=False)
+        store.attach(replica)
+        store.checkpoint()
+        with pytest.raises(JournalReplayError):
+            store.replay_received(batch, frames)
+        # Replayed changes wrote nothing of their own but still count.
+        assert store.subscriber.events_journaled == 0
+        assert store.subscriber.events_since_checkpoint == 2
+        store.close()
+        assert read_journal(store.journal_path).records == records
+        with CorpusStore(tmp_path, fsync=False) as fresh:
+            result = fresh.recover()
+            result.replay()
+        assert result.corpus.to_dict() == corpus.to_dict()
 
 
 class TestPerSourceVersions:

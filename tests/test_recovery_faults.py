@@ -27,8 +27,10 @@ import pytest
 
 from repro.errors import CorruptSnapshotError
 from repro.persistence import CorpusStore, FaultPlan, InjectedCrash, inject_faults
+from repro.persistence.format import json_record, pack_record
 from repro.persistence.journal import read_journal
 from repro.sources.corpus import SourceCorpus
+from repro.sources.diffing import DurableJournalSubscriber
 
 from test_persistence import make_corpus, mutate
 
@@ -182,6 +184,65 @@ def test_crash_after_rotation_recovers_previous_snapshot_and_full_journal(tmp_pa
     assert not result.journal_rejected
     assert len(result.journal_records) == journaled == 2
     assert scenario.assert_recovered().version == scenario.last_acked
+
+
+#: Kill points inside a received batch: (id, FaultPlan kwargs given the
+#: batch's frames, index of the last record recovery keeps, -1 for none).
+RECEIVED_BATCH_KILLS = [
+    ("received-batch-mid-first-frame", lambda frames: dict(kill_after_bytes=5), -1),
+    (
+        "received-batch-mid-blob",
+        lambda frames: dict(kill_after_bytes=len(frames[0]) + len(frames[1]) // 2),
+        0,
+    ),
+    ("received-batch-at-fsync", lambda frames: dict(kill_on_fsync=True), 4),
+]
+
+
+@pytest.mark.parametrize(
+    "plan_of,kept",
+    [entry[1:] for entry in RECEIVED_BATCH_KILLS],
+    ids=[entry[0] for entry in RECEIVED_BATCH_KILLS],
+)
+def test_kill_inside_a_received_batch(tmp_path, plan_of, kept):
+    """A replica journals batches of records framed elsewhere, as a shard
+    worker does: one write and one fsync per batch.  A kill inside a batch
+    keeps every complete record before the tear, and every acknowledged
+    batch."""
+    source = make_corpus(count=4, seed=29, budget=3)
+    replica = SourceCorpus.from_dict(source.to_dict())
+    replica._restore_version(source.version)
+    store = CorpusStore(tmp_path, fsync=True)
+    store.attach(replica)
+    store.checkpoint()
+    states = {source.version: copy.deepcopy(source.to_dict())}
+    records: list[dict] = []
+    coordinator = DurableJournalSubscriber(source, records.append, name="coordinator")
+    # Grows, whole touches, then touches of keyed sources: thread records.
+    for event in (0, 1, 2, 3, 4, 5, 7, 9):
+        mutate(source, event)
+        states[source.version] = copy.deepcopy(source.to_dict())
+    coordinator.close()
+    assert {"add_discussion", "touch", "replace_discussions"} <= {
+        record["op"] for record in records
+    }
+    frames = [pack_record(json_record(record)) for record in records]
+    store.replay_received(records[:3], frames[:3])
+    acknowledged = records[2]["version"]
+    batch, batch_frames = records[3:], frames[3:]
+    assert len(batch) == 5
+    plan = FaultPlan(match="journal", **plan_of(batch_frames))
+    with inject_faults(plan):
+        with pytest.raises(InjectedCrash):
+            store.replay_received(batch, batch_frames)
+    with CorpusStore(tmp_path, fsync=False) as fresh:
+        result = fresh.recover()
+        result.replay()
+    recovered = result.corpus
+    assert recovered.version == (batch[kept]["version"] if kept >= 0 else acknowledged)
+    assert recovered.version >= acknowledged
+    assert recovered.to_dict() == states[recovered.version]
+    store.close()
 
 
 @pytest.mark.stress

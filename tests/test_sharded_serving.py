@@ -41,6 +41,7 @@ from repro.errors import (
 from repro.persistence import ClusterStore, CorpusStore, read_journal, read_snapshot
 from repro.persistence.codec import decode_column_block
 from repro.persistence.format import RECORD_HEADER, json_record, pack_record
+from repro.persistence.snapshot import snapshot_version
 from repro.search.engine import SearchEngine, SearchEngineConfig
 from repro.sharding import WireConnection, partition_shard
 from repro.sharding.columns import (
@@ -114,6 +115,23 @@ def _mutate(rng: random.Random, corpus: SourceCorpus, step: int) -> None:
         corpus.touch(rng.choice(ids))
     else:
         _grow(corpus.get(rng.choice(ids)), f"travel food growth {step}")
+
+
+def _strip_snapshot_versions(directory, shard_index: int):
+    """Rewrite a shard's snapshot as a writer without per-source versions left it."""
+    from repro.persistence.format import (
+        SNAPSHOT_MAGIC,
+        atomic_write_bytes,
+        pack_sections,
+        unpack_sections,
+    )
+
+    path = ClusterStore(directory).shard_directory(shard_index) / CorpusStore.SNAPSHOT_NAME
+    raw = unpack_sections(path.read_bytes(), SNAPSHOT_MAGIC)
+    del raw["versions"]
+    atomic_write_bytes(path, pack_sections(SNAPSHOT_MAGIC, raw))
+    assert "versions" not in read_snapshot(path)
+    return path
 
 
 def _twin(corpus: SourceCorpus) -> SourceCorpus:
@@ -929,8 +947,8 @@ class TestPerSourceVersions:
     def test_remove_delivered_before_an_older_content_bearing_touch(
         self, coordinator_factory, travel_domain
     ):
-        # The touch record holds A's content but is routed only after A's
-        # remove reached the shard: A's tombstone turns it away.
+        # The touch record holds A's reworded thread but is routed only
+        # after A's remove reached the shard: A's tombstone turns it away.
         corpus = _fresh_corpus(8)
         coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
         park = _ParkedDelivery()
@@ -940,7 +958,8 @@ class TestPerSourceVersions:
         park.run(_reword, corpus, victim)
         with coordinator._buffer_lock:
             late = coordinator._pending[shard].pop()
-        assert late["op"] == "touch" and late["source"] is not None
+        assert late["op"] == "replace_discussions"
+        assert [at for at, _ in late["threads"]] == [0]
         corpus.remove(victim)
         coordinator.flush()
         with coordinator._buffer_lock:
@@ -1013,12 +1032,6 @@ class TestPerSourceVersions:
     def test_snapshot_without_versions_resyncs_every_owned_source(
         self, coordinator_factory, travel_domain, tmp_path, monkeypatch
     ):
-        from repro.persistence.format import (
-            SNAPSHOT_MAGIC,
-            atomic_write_bytes,
-            pack_sections,
-            unpack_sections,
-        )
         from repro.sharding import ShardCoordinator
 
         rng = random.Random(8)
@@ -1033,12 +1046,7 @@ class TestPerSourceVersions:
         for step in range(6, 9):
             _mutate(rng, corpus, step)  # a journal tail behind the snapshot
         coordinator.close()
-        # Shard 0's snapshot as a writer without per-source versions left it.
-        path = ClusterStore(directory).shard_directory(0) / CorpusStore.SNAPSHOT_NAME
-        raw = unpack_sections(path.read_bytes(), SNAPSHOT_MAGIC)
-        del raw["versions"]
-        atomic_write_bytes(path, pack_sections(SNAPSHOT_MAGIC, raw))
-        assert "versions" not in read_snapshot(path)
+        _strip_snapshot_versions(directory, 0)
 
         stack = ClusterStore(directory).recover_stack(build_engine=False)
         replies: list[dict] = []
@@ -1066,6 +1074,43 @@ class TestPerSourceVersions:
         assert {source.source_id: source.to_dict() for source in stack.corpus} == {
             source.source_id: source.to_dict() for source in corpus
         }
+        # The resync stamped every owned source, and its journal holds the
+        # stamps: a second restart, before any checkpoint, ships nothing.
+        assert recovered.restart_shard(0)["shipped"] == 0
+        _assert_bit_identical(recovered, stack.corpus, travel_domain)
+
+    def test_snapshot_without_versions_and_tail_converges_at_a_checkpoint(
+        self, coordinator_factory, travel_domain, tmp_path
+    ):
+        rng = random.Random(9)
+        corpus = _fresh_corpus(10)
+        directory = tmp_path / "c"
+        coordinator = coordinator_factory(
+            corpus, 2, domain=travel_domain, store_directory=directory
+        )
+        for step in range(6):
+            _mutate(rng, corpus, step)
+        corpus.touch(_source_owned_by(corpus, 0, 2))  # shard 0 holds the last change
+        coordinator.checkpoint()
+        coordinator.close()
+        path = _strip_snapshot_versions(directory, 0)
+        stack = ClusterStore(directory).recover_stack(build_engine=False)
+        owned = [
+            source_id
+            for source_id in stack.corpus.source_ids()
+            if partition_shard(source_id, 2) == 0
+        ]
+        # No journal tail: every owned source takes the shard's floor as
+        # its version, so the resync stamps it at that floor.
+        floor = snapshot_version(read_snapshot(path))
+        assert {stack.corpus.version_of(source_id) for source_id in owned} == {floor}
+        recovered = coordinator_factory(
+            stack.corpus, 2, domain=travel_domain, store_directory=directory, recover=True
+        )
+        recovered.checkpoint()
+        # The checkpoint persisted the stamped entries.
+        assert recovered.restart_shard(0)["shipped"] == 0
+        _assert_bit_identical(recovered, stack.corpus, travel_domain)
 
 
 # -- fault matrix ----------------------------------------------------------------------
