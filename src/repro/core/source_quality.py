@@ -12,24 +12,32 @@ corpus of Web 2.0 sources:
 5. aggregate normalised measures into dimension, attribute and overall
    scores through a weighting scheme.
 
-Steps 1–5 are executed as one *batched assessment pass* materialised into
-an :class:`AssessmentContext`: every source is crawled exactly once, the
-corpus-wide aggregates (e.g. the largest source's open-discussion count)
-are computed once instead of once per source, and the normaliser is fitted
-once and applied to the whole raw-measure matrix.
+Steps 1–3 produce the model's one incremental state per corpus, the
+*measure state*: every source is crawled exactly once, the corpus-wide
+aggregates (e.g. the largest source's open-discussion count) are computed
+once instead of once per source, and the raw measures are kept both as
+per-source vectors and as per-measure float64 columns.  Steps 4–5 are the
+*fit-and-score tail* over it, materialised into an
+:class:`AssessmentContext`: the normaliser is fitted once and applied to
+the whole raw-measure matrix.  Every reader shares the one state —
+assessment contexts, :meth:`~SourceQualityModel.raw_measures`,
+benchmark-corpus fits, the shard workers' measure columns (measured
+against the coordinator's injected maximum, in an entry of their own)
+and the ``source_model`` snapshot section.
 
-Contexts are maintained *incrementally*.  The model subscribes to the
-corpus's invalidation bus (see
+The measure state is maintained *incrementally*.  The model subscribes to
+the corpus's invalidation bus (see
 :class:`~repro.sources.diffing.BusSubscription`), so repeated
 ``assess_corpus`` / ``rank`` / ``ranking_ids`` calls over an unchanged
 corpus are an O(1) dirty-flag check — no per-read fingerprint scan.  When
-the flag fires, the corpus is diffed against the cached context's
-per-source fingerprints and only the added/changed sources are re-crawled
-and re-measured; the normaliser is re-fitted only when the reference
-population actually changed, unchanged assessments are reused verbatim,
-and the ranking is patched via ``np.searchsorted`` surgery on the
-columnar sort keys (:class:`~repro.core.columnar.SortedRankKeys`) instead
-of re-sorted.  The
+the flag fires, the corpus is diffed against the state's per-source
+fingerprints and only the added/changed sources are re-crawled and
+re-measured (a first build is the same patch over an empty base); the
+tail re-normalises only the rows whose raw values changed, the normaliser
+is re-fitted only when the reference population actually changed, and
+the ranking is patched via ``np.searchsorted`` surgery on the columnar
+sort keys (:class:`~repro.core.columnar.SortedRankKeys`) instead of
+re-sorted.  The
 patched context is indistinguishable from a from-scratch rebuild — the
 equivalence is pinned bit-for-bit by ``tests/test_incremental_assessment.py``.
 
@@ -70,7 +78,6 @@ import numpy as np
 from repro.core.columnar import (
     AssessmentColumns,
     SortedRankKeys,
-    columns_from_vectors,
     confine_renormalization_columns,
     ensure_finite_columns,
     freeze,
@@ -92,16 +99,16 @@ from repro.core.source_measures import (
     compute_source_measures,
 )
 from repro.errors import AssessmentError
-from repro.perf.cache import LRUCache, compose_source_fingerprint, source_fingerprint
+from repro.perf.cache import compose_source_fingerprint, source_fingerprint
 from repro.perf.counters import PerfCounters
 from repro.serving.rwlock import ReadWriteLock, ordered
 from repro.sources.corpus import SourceCorpus
 from repro.sources.crawler import Crawler, CrawlSnapshot
 from repro.sources.diffing import (
     BusSubscription,
-    CorpusDiff,
     diff_fingerprint_maps,
-    fingerprint_map,
+    diff_fingerprints,
+    gather_rows,
     patch_measure_columns,
     scoped_fingerprints,
 )
@@ -133,9 +140,33 @@ class SourceAssessment:
         }
 
 
+@dataclass(frozen=True)
+class _MeasureState:
+    """One corpus's raw measures: the only incremental state a model keeps.
+
+    ``sources`` holds the source objects in corpus order — every other
+    map and every column row follows it.  It anchors them: the
+    ``fingerprints`` embed ``id(source)``, so the state must keep those
+    objects alive, otherwise CPython could reuse a freed id for a
+    different-content source with identical counts and a patch would
+    silently keep stale measures.  The crawl ``snapshots`` and raw
+    ``vectors`` let a patch re-measure without re-crawling; ``max_open``
+    is the open-discussion maximum the vectors were measured against, and
+    ``columns`` holds one frozen float64 raw column per measure.  States
+    are published immutable: a patch builds a new one aside.
+    """
+
+    sources: dict[str, Source]
+    fingerprints: dict[str, tuple]
+    snapshots: dict[str, CrawlSnapshot]
+    vectors: dict[str, dict[str, float]]
+    max_open: int
+    columns: dict[str, np.ndarray]
+
+
 @dataclass(eq=False)
 class AssessmentContext:
-    """One batched assessment pass over a corpus, materialised for reuse.
+    """The fit-and-score tail over one measure state, materialised for reuse.
 
     The primary state is *columnar* (:class:`~repro.core.columnar.AssessmentColumns`):
     one frozen float64 array per measure, plus the overall / dimension /
@@ -144,39 +175,32 @@ class AssessmentContext:
     system consumes (``normalized_vectors``, ``assessments``,
     ``ranking``) is materialised lazily from the columns on first access
     and cached — bit-exact, because ``tolist()`` round-trips float64
-    exactly.  Crawl snapshots and the raw measure vectors stay eager:
-    they are produced per source by the crawler/measure pass anyway and
-    back the raw-measure cache.
-
-    ``sources`` / ``benchmark_sources`` hold strong references to the
-    source objects the context was built from.  The fingerprints include
-    ``id(source)``, so the cached context must keep those objects alive:
-    otherwise CPython could reuse a freed id for a different-content source
-    with identical counts and the cache would silently serve stale results.
+    exactly.  Crawl snapshots and the raw measure vectors are the
+    measure state's own: ``state`` holds (and anchors) the source objects
+    the context was derived from.
 
     Contexts are published immutable; the lazy caches are plain attribute
     writes (atomic under the GIL), so concurrent readers may at worst
     materialise the same view twice.
     """
 
-    fingerprint: tuple
-    benchmark_fingerprint: Optional[tuple]
-    sources: tuple[Source, ...]
-    benchmark_sources: Optional[tuple[Source, ...]]
-    snapshots: dict[str, CrawlSnapshot]
-    raw_vectors: dict[str, dict[str, float]]
     #: The columnar core: raw/normalized measure columns, score arrays and
     #: the sorted rank keys, row-aligned with ``columns.subject_ids``.
     columns: AssessmentColumns
     #: Name of the weighting scheme the scores were computed under.
     scheme_name: str
-    #: Per-source fingerprints the context was derived from — the diff base
-    #: for incremental patching.
-    source_fingerprints: dict[str, tuple] = field(default_factory=dict)
-    #: The corpus-wide open-discussion maximum the raw measures were
-    #: computed against; when a mutation moves it, every raw vector must be
-    #: re-measured (from the cached snapshots — no re-crawl).
-    max_open_discussions: int = 0
+    #: The measure state the context was derived from, and the benchmark
+    #: corpus's state the normaliser was fitted on (None: the corpus
+    #: itself).  The context is current while both are still their
+    #: entries' current states.
+    state: _MeasureState
+    benchmark_state: Optional[_MeasureState]
+    #: The normaliser ``fit_count`` and per-measure fit signature the
+    #: normalised matrix corresponds to (see ``Normalizer.fit_signature``):
+    #: the next tail re-fits on a token mismatch and confines its
+    #: renormalisation to measures whose signature moved.
+    fit_token: int
+    fit_signature: dict
     _normalized_vectors: Optional[dict[str, dict[str, float]]] = field(
         default=None, init=False, repr=False
     )
@@ -189,6 +213,21 @@ class AssessmentContext:
     _ranking: Optional[tuple[SourceAssessment, ...]] = field(
         default=None, init=False, repr=False
     )
+
+    @property
+    def sources(self) -> tuple[Source, ...]:
+        """The source objects the context was derived from, in corpus order."""
+        return tuple(self.state.sources.values())
+
+    @property
+    def raw_vectors(self) -> dict[str, dict[str, float]]:
+        """Per-source raw measure vectors (the measure state's: read-only)."""
+        return self.state.vectors
+
+    @property
+    def max_open_discussions(self) -> int:
+        """The corpus-wide open-discussion maximum the raw measures used."""
+        return self.state.max_open
 
     @property
     def normalized_vectors(self) -> dict[str, dict[str, float]]:
@@ -222,7 +261,7 @@ class AssessmentContext:
                 source_id: SourceAssessment(
                     source_id=source_id,
                     score=scores[source_id],
-                    snapshot=self.snapshots[source_id],
+                    snapshot=self.state.snapshots[source_id],
                 )
                 for source_id in self.columns.subject_ids
             }
@@ -241,54 +280,29 @@ class AssessmentContext:
 
 @dataclass
 class _IncrementalEntry:
-    """Per-(corpus, benchmark) incremental state of a quality model.
+    """One corpus's measure state, its staleness flag and its latest context.
 
-    Holds the latest context (which anchors its source objects), the
-    unfiltered bus subscriptions whose ``dirty`` flag is the O(1)
-    staleness check, and the normaliser fit token the context's
-    normalised matrix corresponds to (see ``Normalizer.fit_count``).
+    ``subscription`` is an unfiltered bus subscription whose ``dirty``
+    flag is the O(1) staleness check of ``state``; ``context`` is the
+    latest fit-and-score tail derived over it (None until the first
+    assessment read, and always None in an injected-maximum entry).
     """
 
     corpus_ref: "weakref.ref[SourceCorpus]"
     subscription: BusSubscription
-    benchmark_ref: Optional["weakref.ref[SourceCorpus]"]
-    benchmark_subscription: Optional[BusSubscription]
-    context: AssessmentContext
-    fit_token: int
-    #: Per-measure fit signature the context's normalised matrix was
-    #: computed with (``Normalizer.fit_signature``); an empty dict means
-    #: "unknown", forcing the next refit to renormalise every measure.
-    fit_signature: dict = field(default_factory=dict)
-    #: Set when a rebuild failed after draining its invalidation burst:
-    #: the burst's source ids are lost, so the retry must fall back to
-    #: the full fingerprint scan instead of scoping to the next burst.
+    state: _MeasureState
+    context: Optional[AssessmentContext] = None
+    #: Set when a measure patch failed after draining its invalidation
+    #: burst: the burst's source ids are lost, so the retry must fall back
+    #: to the full fingerprint scan instead of scoping to the next burst.
     scope_lost: bool = False
-
-
-@dataclass(frozen=True)
-class _ShardColumns:
-    """One shard corpus's raw measure columns, and the base of the next patch.
-
-    ``sources`` anchors the source objects the ``fingerprints`` embed the
-    ``id()`` of, as every fingerprint-keyed cache entry does; the crawl
-    snapshots and raw vectors let a patch re-measure without re-crawling.
-    ``max_open`` is the injected open-discussion maximum the vectors
-    were measured against.  The column rows follow ``fingerprints``,
-    which is keyed in corpus order.
-    """
-
-    sources: tuple[Source, ...]
-    fingerprints: dict[str, tuple]
-    snapshots: dict[str, CrawlSnapshot]
-    vectors: dict[str, dict[str, float]]
-    max_open: int
-    columns: dict[str, np.ndarray]
 
 
 class SourceQualityModel:
     """Assess and rank Web 2.0 sources against a Domain of Interest."""
 
-    #: Number of (corpus, benchmark) assessment contexts retained per model.
+    #: Number of corpora whose measure state a model keeps (twice this
+    #: many entries: one per corpus and maximum kind, see ``_incremental``).
     CONTEXT_CACHE_SIZE = 8
 
     def __init__(
@@ -312,27 +326,21 @@ class SourceQualityModel:
         self._alexa = alexa or AlexaLikeService()
         self._feedburner = feedburner or FeedburnerLikeService()
         self._crawler = crawler or Crawler()
-        self._contexts = LRUCache(maxsize=self.CONTEXT_CACHE_SIZE)
-        self._measure_cache = LRUCache(maxsize=self.CONTEXT_CACHE_SIZE)
-        #: id(corpus) -> the latest :class:`_ShardColumns` measured for it:
-        #: what :meth:`shard_measure_columns` serves while the content and
-        #: the injected maximum match, and patches when they do not.
-        self._shard_columns = LRUCache(maxsize=self.CONTEXT_CACHE_SIZE)
-        #: (id(corpus), id(benchmark) or None) -> incremental state.  The
-        #: id keys are guarded by weakrefs inside the entries, so a reused
-        #: id can never serve another corpus's context.  Each entry records
-        #: the normaliser's ``fit_count`` its context was computed with; a
-        #: mismatch (another corpus — or another model sharing the same
-        #: normaliser instance — was fitted in between) forces a re-fit
-        #: before the normaliser is reused for incremental patching.
-        self._incremental: dict[tuple[int, Optional[int]], _IncrementalEntry] = {}
-        #: Serialises context builders/patchers (and the shared normaliser
+        #: (id(corpus), whether the open-discussion maximum is injected) ->
+        #: incremental entry.  A shard worker only reads the injected key
+        #: and a single-process stack only the other; a stack reading one
+        #: corpus both ways keeps two states rather than re-measuring every
+        #: source at each switch.  The id keys are guarded by weakrefs
+        #: inside the entries, so a reused id can never serve another
+        #: corpus's state.
+        self._incremental: dict[tuple[int, bool], _IncrementalEntry] = {}
+        #: Serialises measure and tail patchers (and the shared normaliser
         #: they refit); clean-path reads never take it.  Reentrant: a
         #: holder (a composite serving lock) may read and refresh freely.
         self._refresh_mutex = threading.RLock()
         #: Reader/writer lock: reads take the shared side around grabbing
-        #: the current context; patchers publish a patched context under
-        #: the exclusive side in O(1) (the context itself is built aside).
+        #: the current context; patchers publish a patched state or
+        #: context under the exclusive side in O(1) (each is built aside).
         self._rwlock = ReadWriteLock()
         self.counters = PerfCounters()
 
@@ -360,31 +368,27 @@ class SourceQualityModel:
 
     @property
     def refresh_mutex(self) -> threading.RLock:
-        """The gate serialising context builds (shared with the scheduler)."""
+        """The gate serialising measure and tail patches (shared with the scheduler)."""
         return self._refresh_mutex
 
     def invalidate(self) -> None:
-        """Drop every cached assessment context and raw-measure matrix.
+        """Drop every measure state and assessment context.
 
         Needed only after unannounced in-place mutations that keep every
         content count identical (which the structural fingerprint cannot
         detect); ``corpus.touch(source_id)`` is the finer-grained
         alternative — it changes the fingerprint, so only the affected
         corpus re-assesses.  Also releases the source objects anchored by
-        the cached contexts.
+        the measure states.
         """
-        with ordered(self._refresh_mutex, "consumer.gate"):
-            self._contexts.invalidate()
-            self._measure_cache.invalidate()
-            self._shard_columns.invalidate()
-            for key in list(self._incremental):
-                self._discard_entry(key)
+        self.close()
 
     def close(self) -> None:
         """Detach every incremental entry's bus subscription (idempotent).
 
-        The cached contexts stay readable; the model just stops tracking
-        corpus changes, exactly like a consumer queue after ``close()``.
+        Contexts already returned stay readable; the model just stops
+        tracking corpus changes, exactly like a consumer queue after
+        ``close()``, and the next read measures from scratch.
         """
         with ordered(self._refresh_mutex, "consumer.gate"):
             for key in list(self._incremental):
@@ -415,171 +419,152 @@ class SourceQualityModel:
             corpus_max_open_discussions=max_open,
         )
 
-    def _measure_corpus(
-        self,
-        corpus: SourceCorpus,
-        corpus_max_open_discussions: Optional[int] = None,
-    ) -> tuple[dict[str, CrawlSnapshot], dict[str, dict[str, float]]]:
-        """Single-pass crawl + raw-measure matrix for every source of ``corpus``.
-
-        ``corpus_max_open_discussions`` overrides the corpus-wide
-        open-discussion maximum the "compared to largest forum" measures
-        normalise against — the sharded path injects the *global* maximum
-        here, because a shard's local maximum would skew those measures.
-        """
-        self.counters.increment("measure_passes")
-        snapshots = self._crawler.crawl_corpus(corpus)
-        max_open = (
-            corpus.largest_source_open_discussions()
-            if corpus_max_open_discussions is None
-            else corpus_max_open_discussions
-        )
-        vectors: dict[str, dict[str, float]] = {}
-        for source in corpus:
-            context = SourceMeasurementContext(
-                snapshot=snapshots[source.source_id],
-                domain=self._domain,
-                alexa=self._alexa.observe(source),
-                feedburner=self._feedburner.observe(source),
-                corpus_max_open_discussions=max_open,
-            )
-            vectors[source.source_id] = compute_source_measures(
-                context, registry=self._registry
-            )
-        return snapshots, vectors
-
-    def _measured(
-        self, corpus: SourceCorpus, fingerprint: Optional[tuple] = None
-    ) -> tuple[dict[str, CrawlSnapshot], dict[str, dict[str, float]]]:
-        if len(corpus) == 0:
-            raise AssessmentError("cannot assess an empty corpus")
-        key = fingerprint if fingerprint is not None else corpus.content_fingerprint()
-        # The cached entry anchors the source objects (first element): the
-        # fingerprint key contains id()s, which must not be reused while the
-        # entry lives.
-        entry = self._measure_cache.get_or_create(
-            key, lambda: (tuple(corpus), *self._measure_corpus(corpus))
-        )
-        return entry[1], entry[2]
-
     def raw_measures(self, corpus: SourceCorpus) -> dict[str, dict[str, float]]:
         """Raw Table 1 measure vectors for every source of ``corpus``.
 
-        Results are cached under the corpus fingerprint; the returned
-        mapping is a copy, so callers may mutate it freely.
+        Read from the corpus's measure state (patched first when the
+        corpus changed); the returned mapping is a copy, so callers may
+        mutate it freely.
         """
-        _, vectors = self._measured(corpus)
-        return {source_id: dict(vector) for source_id, vector in vectors.items()}
+        state = self._refresh_state(corpus).state
+        return {source_id: dict(vector) for source_id, vector in state.vectors.items()}
 
-    # -- assessment --------------------------------------------------------------------
-
-    def _fit_normalizer_columns(
-        self, reference_columns: Mapping[str, np.ndarray]
-    ) -> None:
-        """Fit the shared normaliser (its ``fit_count`` advances itself)."""
-        self._normalizer.fit_columns(reference_columns)
-        self.counters.increment("normalizer_fits")
-
-    def _reference_columns(
-        self,
-        raw_columns: dict[str, np.ndarray],
-        benchmark_corpus: Optional[SourceCorpus],
-        benchmark_fingerprint: Optional[tuple],
-    ) -> dict[str, np.ndarray]:
-        """The columns the normaliser fit runs on (benchmark or the corpus)."""
-        if benchmark_corpus is None:
-            return raw_columns
-        _, benchmark_vectors = self._measured(benchmark_corpus, benchmark_fingerprint)
-        names, _ = self._registry.column_layout()
-        _, _, reference_columns = columns_from_vectors(benchmark_vectors, names)
-        ensure_finite_columns(reference_columns)
-        return reference_columns
-
-    def _build_context(
+    def _refresh_state(
         self,
         corpus: SourceCorpus,
-        fingerprint: tuple,
-        benchmark_corpus: Optional[SourceCorpus],
-        benchmark_fingerprint: Optional[tuple],
-    ) -> AssessmentContext:
-        self.counters.increment("context_builds")
-        snapshots, raw_vectors = self._measured(corpus, fingerprint)
-        names, _ = self._registry.column_layout()
-        subject_ids, measures, raw_columns = columns_from_vectors(raw_vectors, names)
-        ensure_finite_columns(raw_columns)
-        self._fit_normalizer_columns(
-            self._reference_columns(raw_columns, benchmark_corpus, benchmark_fingerprint)
-        )
+        max_open: Optional[int] = None,
+        deep: bool = False,
+    ) -> _IncrementalEntry:
+        """Return ``corpus``'s entry with its measure state patched to the content.
 
-        normalized = self._normalizer.normalize_columns(raw_columns)
-        overall, dimension_scores, attribute_scores = build_quality_score_columns(
-            subject_ids, measures, normalized, self._registry, self._scheme
-        )
-        columns = AssessmentColumns(
-            subject_ids=subject_ids,
-            measures=measures,
-            raw=raw_columns,
-            normalized=normalized,
-            overall=overall,
-            dimension_scores=dimension_scores,
-            attribute_scores=attribute_scores,
-            rank=SortedRankKeys.from_scores(overall, subject_ids),
-        )
-        return AssessmentContext(
-            fingerprint=fingerprint,
-            benchmark_fingerprint=benchmark_fingerprint,
-            sources=tuple(corpus),
-            benchmark_sources=(
-                tuple(benchmark_corpus) if benchmark_corpus is not None else None
-            ),
-            snapshots=snapshots,
-            raw_vectors=raw_vectors,
-            columns=columns,
-            scheme_name=self._scheme.name,
-            source_fingerprints={entry[0]: entry for entry in fingerprint},
-            max_open_discussions=max(
-                (snapshot.open_discussions for snapshot in snapshots.values()),
-                default=0,
-            ),
+        ``max_open`` injects the open-discussion maximum (the sharded path
+        passes the corpus-wide value) and selects the injected entry.  A
+        clean entry — flag not raised, injected maximum unchanged — is
+        returned as is: an O(1) check, no fingerprint.  Otherwise, under
+        ``refresh_mutex``, the entry's subscription is drained *before*
+        the corpus is read (a mutation landing mid-patch re-dirties it, so
+        the next read patches again), :meth:`_remeasure` patches the
+        state aside and the result is published under the write lock in
+        O(1).  The fingerprinting is *burst-scoped*: only the sources the
+        drained burst names are rescanned, the rest pass an O(1) probe
+        check (see :func:`~repro.sources.diffing.scoped_fingerprints`).
+        ``deep=True``, a fresh entry, a detail-less burst (retry after a
+        failure, version bump without events) and a lost scope all fall
+        back to the full content scan.  A failed patch re-dirties the
+        subscription and marks the scope lost.
+        """
+        key = (id(corpus), max_open is not None)
+        entry = self._resolve_entry(key, corpus, prune=False)
+        if entry is not None and self._state_clean(entry, max_open, deep):
+            return entry
+        with ordered(self._refresh_mutex, "consumer.gate"):
+            entry = self._resolve_entry(key, corpus)
+            if entry is not None and self._state_clean(entry, max_open, deep):
+                return entry  # another thread patched while this one waited
+            if len(corpus) == 0:
+                raise AssessmentError("cannot assess an empty corpus")
+            if entry is None:
+                # Subscribe *before* reading the corpus: the clean version
+                # captures "now", so any mutation landing during the build
+                # below re-dirties the entry.
+                self._prune_incremental()
+                subscription = corpus.invalidation_bus().subscribe(name="source-model")
+                previous, touched = None, None
+            else:
+                subscription, previous = entry.subscription, entry.state
+                dirty = subscription.dirty
+                pending = subscription.drain()
+                if deep or entry.scope_lost or (
+                    dirty and (pending is None or not pending.source_ids)
+                ):
+                    touched = None
+                else:
+                    # A clean flag (only the injected maximum moved) scopes
+                    # to no source: the probe check alone confirms content.
+                    touched = pending.source_ids if pending is not None else frozenset()
+            try:
+                state = self._remeasure(previous, corpus, touched, max_open)
+            except BaseException:
+                # The drained burst detail is lost with the failure: restore
+                # the staleness, and make the retry run the full scan.
+                if entry is None:
+                    subscription.close()
+                else:
+                    entry.scope_lost = True
+                    subscription.force_dirty()
+                raise
+            with self._rwlock.write_lock():
+                if entry is None:
+                    entry = _IncrementalEntry(weakref.ref(corpus), subscription, state)
+                    self._incremental[key] = entry
+                else:
+                    entry.state = state
+                    entry.scope_lost = False
+            return entry
+
+    @staticmethod
+    def _state_clean(
+        entry: _IncrementalEntry, max_open: Optional[int], deep: bool
+    ) -> bool:
+        """The O(1) staleness check of an entry's measure state."""
+        return (
+            not deep
+            and not entry.subscription.dirty
+            and (max_open is None or entry.state.max_open == max_open)
         )
 
     def _remeasure(
         self,
-        sources: Mapping[str, Source],
-        diff: CorpusDiff,
-        previous_snapshots: Mapping[str, CrawlSnapshot],
-        previous_vectors: Mapping[str, dict[str, float]],
-        previous_max_open: int,
-        max_open: Optional[int] = None,
-    ) -> tuple[dict[str, CrawlSnapshot], dict[str, dict[str, float]], set[str], int]:
-        """Re-crawl and re-measure what ``diff`` touched, reusing the rest.
+        previous: Optional[_MeasureState],
+        corpus: SourceCorpus,
+        touched: Optional[frozenset],
+        max_open: Optional[int],
+    ) -> _MeasureState:
+        """Patch ``previous`` to ``corpus``'s content; None patches an empty base.
 
-        The one incremental measure step, shared by :meth:`_patch_context`
-        and :meth:`shard_measure_columns`.  ``sources`` is the current
-        corpus in corpus order; the previous snapshots and raw vectors are
-        the diff base.  Only added/changed sources are re-crawled and
-        re-measured, unless the open-discussion maximum moved: then every
-        vector is re-measured, from the *cached* snapshots — still no
-        re-crawl.  ``max_open`` injects that maximum (the sharded path
-        passes the corpus-wide value); ``None`` derives it from the
-        snapshots.  Returns ``(snapshots, raw vectors, ids whose vector
-        changed, max_open)``, both maps keyed in corpus order.
+        The one measure step every reader shares.  ``touched`` scopes the
+        fingerprinting (None rescans every source).  Only added/changed
+        sources are re-crawled and re-measured, unless the open-discussion
+        maximum moved: then every vector is re-measured, from the *cached*
+        snapshots — still no re-crawl.  ``max_open`` injects that maximum;
+        ``None`` derives it from the snapshots.  The raw columns are
+        patched by changed-source index
+        (:func:`~repro.sources.diffing.patch_measure_columns`): one gather
+        per column carries the unchanged values over bit for bit, then
+        exactly the rows whose vector changed are overwritten, so a
+        patched state is bit-identical to a first build — which is this
+        patch over the empty base, and counts only ``context_builds``.
+        An unchanged corpus returns ``previous`` itself, keeping every
+        context derived from it current.
         """
-        snapshots = dict(previous_snapshots)
-        raw_vectors = dict(previous_vectors)
+        names, _ = self._registry.column_layout()
+        build = previous is None
+        if build:
+            self.counters.increment("context_builds")
+            previous = _MeasureState(
+                {}, {}, {}, {}, 0, {name: np.empty(0) for name in names}
+            )
+        if touched is None:
+            diff, sources, fingerprints = diff_fingerprints(previous.fingerprints, corpus)
+        else:
+            sources, fingerprints = scoped_fingerprints(
+                previous.fingerprints, corpus, touched
+            )
+            diff = diff_fingerprint_maps(previous.fingerprints, fingerprints)
+            self.counters.increment("scoped_diffs")
+
+        snapshots = dict(previous.snapshots)
+        vectors = dict(previous.vectors)
         for source_id in diff.removed:
             snapshots.pop(source_id, None)
-            raw_vectors.pop(source_id, None)
-
-        recrawl_ids = list(diff.touched)
+            vectors.pop(source_id, None)
+        recrawl_ids = diff.touched
         if recrawl_ids:
             snapshots.update(
                 self._crawler.crawl_corpus(
                     sources[source_id] for source_id in recrawl_ids
                 )
             )
-            self.counters.increment("sources_recrawled", len(recrawl_ids))
-
         if max_open is None:
             # The corpus-wide maximum comes from the snapshots (fresh ones
             # for every changed source, cached ones for the rest): O(n)
@@ -589,17 +574,22 @@ class SourceQualityModel:
                 (snapshots[source_id].open_discussions for source_id in sources),
                 default=0,
             )
-        if max_open != previous_max_open:
+        if build or max_open == previous.max_open:
+            if not (build or recrawl_ids or diff.removed) and list(sources) == list(
+                previous.sources
+            ):
+                return previous
+            measure_ids = recrawl_ids
+        else:
             # The "compared to largest forum" measures renormalise against
             # this maximum: every vector changes, but from cached snapshots.
-            measure_ids = list(sources)
+            measure_ids = tuple(sources)
             self.counters.increment("measure_renormalisations")
-        else:
-            measure_ids = recrawl_ids
-
-        changed_vector_ids: set[str] = set()
-        if measure_ids:
+        if not build:
+            self.counters.increment("sources_recrawled", len(recrawl_ids))
             self.counters.increment("sources_remeasured", len(measure_ids))
+
+        changed: dict[str, dict[str, float]] = {}
         for source_id in measure_ids:
             source = sources[source_id]
             measurement = SourceMeasurementContext(
@@ -610,104 +600,149 @@ class SourceQualityModel:
                 corpus_max_open_discussions=max_open,
             )
             vector = compute_source_measures(measurement, registry=self._registry)
-            if raw_vectors.get(source_id) != vector:
-                changed_vector_ids.add(source_id)
-            raw_vectors[source_id] = vector
+            if vectors.get(source_id) != vector:
+                changed[source_id] = vector
+            vectors[source_id] = vector
 
         # Re-key every map in corpus order so a patched state is
-        # indistinguishable from a rebuild even for order-sensitive float
+        # indistinguishable from a build even for order-sensitive float
         # accumulations (e.g. a z-score normaliser's reference sums).
-        return (
-            {source_id: snapshots[source_id] for source_id in sources},
-            {source_id: raw_vectors[source_id] for source_id in sources},
-            changed_vector_ids,
-            max_open,
+        subject_ids = tuple(sources)
+        return _MeasureState(
+            sources=sources,
+            fingerprints=fingerprints,
+            snapshots={source_id: snapshots[source_id] for source_id in subject_ids},
+            vectors={source_id: vectors[source_id] for source_id in subject_ids},
+            max_open=max_open,
+            columns=patch_measure_columns(
+                {source_id: row for row, source_id in enumerate(previous.sources)},
+                previous.columns,
+                subject_ids,
+                changed,
+                names,
+            ),
         )
+
+    def _resolve_entry(
+        self, key: tuple[int, bool], corpus: SourceCorpus, prune: bool = True
+    ) -> Optional[_IncrementalEntry]:
+        """Return the live incremental entry for ``key``, discarding stale ones.
+
+        ``prune=False`` (the lock-free fast path) only inspects: discarding
+        a stale entry mutates the table, which belongs under the refresh
+        mutex.
+        """
+        entry = self._incremental.get(key)
+        if entry is None:
+            return None
+        if entry.corpus_ref() is not corpus:
+            if prune:
+                self._discard_entry(key)  # id(corpus) was reused by a new object
+            return None
+        return entry
+
+    def _discard_entry(self, key: tuple[int, bool]) -> None:
+        """Drop one incremental entry, detaching its bus subscription.
+
+        The subscription is only weakly held by the bus, but closing it
+        here makes the detach deterministic: a pruned entry stops paying
+        per-mutation intake bookkeeping immediately.
+        """
+        entry = self._incremental.pop(key, None)
+        if entry is not None:
+            entry.subscription.close()
+
+    def _prune_incremental(self) -> None:
+        """Drop entries whose corpus died; bound the table to a small multiple."""
+        dead = [
+            key
+            for key, entry in self._incremental.items()
+            if entry.corpus_ref() is None
+        ]
+        for key in dead:
+            self._discard_entry(key)
+        while len(self._incremental) > 2 * self.CONTEXT_CACHE_SIZE:
+            self._discard_entry(next(iter(self._incremental)))
+
+    # -- assessment --------------------------------------------------------------------
+
+    def _fit_normalizer_columns(
+        self, reference_columns: Mapping[str, np.ndarray]
+    ) -> None:
+        """Fit the shared normaliser (its ``fit_count`` advances itself)."""
+        self._normalizer.fit_columns(reference_columns)
+        self.counters.increment("normalizer_fits")
 
     def _patch_context(
-        self,
-        entry: _IncrementalEntry,
-        corpus: SourceCorpus,
-        fingerprint: tuple,
-        benchmark_corpus: Optional[SourceCorpus],
-        benchmark_fingerprint: Optional[tuple],
-    ) -> tuple[AssessmentContext, int, dict]:
-        """Patch ``entry.context`` to match the current corpus content.
+        self, entry: _IncrementalEntry, benchmark: Optional[_MeasureState]
+    ) -> AssessmentContext:
+        """Derive the fit-and-score tail over ``entry.state``, patching its context.
 
-        Returns the patched context plus the normaliser fit token and
-        per-measure fit signature it corresponds to.  The patch is built so
-        that every float in the result is produced by the same function, in
-        the same state, over the same inputs, in the same iteration order
-        as a from-scratch :meth:`_build_context` — the two are
+        ``benchmark`` is the benchmark corpus's measure state the
+        normaliser is fitted on (None: the corpus itself).  The patch is
+        built so that every float in the result is produced by the same
+        function, in the same state, over the same inputs, in the same
+        iteration order as a derivation without a previous context (the
+        first read, or the first after a restore) — the two are
         bit-identical:
 
-        * only added/changed sources are re-crawled; raw vectors are
-          re-measured for those sources only, unless the corpus-wide
-          open-discussion maximum moved (then every vector is re-measured
-          from the *cached* snapshots — still no re-crawl);
+        * a row is *fresh* when it is new or any of its raw values
+          differs from the previous context's, so the tail is exact
+          however many measure patches ran in between (through
+          :meth:`raw_measures`, an export or a shard read);
         * the normaliser is re-fitted only when the reference population
-          changed (content or order) or when it was re-fitted for another
-          corpus in between (fit-token mismatch); without a re-fit, only
-          the changed vectors are re-normalised and re-scored.  When a
-          re-fit does run, its per-measure fit signatures are compared to
-          the previous fit's and renormalisation is confined to measures
-          whose fit actually moved (see
+          changed (content or order, or another benchmark state) or when
+          it was re-fitted for another corpus in between (fit-token
+          mismatch); without a re-fit, only the fresh rows are
+          re-normalised.  When a re-fit does run, its per-measure fit
+          signatures are compared to the previous fit's and
+          renormalisation is confined to measures whose fit actually
+          moved (see
           :func:`~repro.core.columnar.confine_renormalization_columns`);
-        * measure columns are patched in place by changed-source index:
-          one gather per column carries the unchanged values over bit for
-          bit, then exactly the re-measured rows are overwritten; scoring
-          re-runs as whole-column kernels (identical inputs → identical
-          bits), and the cached rank keys are patched via
-          ``np.searchsorted`` for just the sources whose overall moved.
+        * unchanged normalised values are carried over with one gather
+          per column; scoring re-runs as whole-column kernels (identical
+          inputs → identical bits), and the cached rank keys are patched
+          via ``np.searchsorted`` for just the sources whose overall
+          moved.
         """
+        state = entry.state
         previous = entry.context
-        # The corpus fingerprint tuple (computed once for the cache key)
-        # already carries every per-source fingerprint in corpus order —
-        # derive the diff from it instead of walking the corpus again.
-        current_fingerprints = {entry_fp[0]: entry_fp for entry_fp in fingerprint}
-        current_sources = {source.source_id: source for source in corpus}
-        diff = diff_fingerprint_maps(previous.source_fingerprints, current_fingerprints)
-        corpus_order = list(current_sources)
-        previous_order = [entry_fp[0] for entry_fp in previous.fingerprint]
-        snapshots, raw_vectors, changed_vector_ids, max_open = self._remeasure(
-            current_sources,
-            diff,
-            previous.snapshots,
-            previous.raw_vectors,
-            previous.max_open_discussions,
-        )
-
-        # Columnar patch: carry every unchanged value over with one gather
-        # per measure column, overwrite exactly the re-measured rows.
-        previous_columns = previous.columns
-        subject_ids = tuple(corpus_order)
-        measures = previous_columns.measures
-        raw_columns, fresh_rows, rows = patch_measure_columns(
-            previous_columns.index,
-            previous_columns.raw,
-            subject_ids,
-            {source_id: raw_vectors[source_id] for source_id in changed_vector_ids},
-            measures,
-        )
+        names, _ = self._registry.column_layout()
+        subject_ids = tuple(state.sources)
+        raw_columns = state.columns
         ensure_finite_columns(raw_columns)
+        rows = gather_rows(
+            previous.columns.index if previous is not None else {}, subject_ids
+        )
         safe = np.where(rows < 0, 0, rows)
+        fresh = rows < 0
+        if previous is not None:
+            for name in names:
+                fresh |= previous.columns.raw[name][safe] != raw_columns[name]
+        fresh_rows = np.flatnonzero(fresh)
 
-        if benchmark_corpus is not None:
-            population_changed = benchmark_fingerprint != previous.benchmark_fingerprint
+        if benchmark is not None:
+            reference = benchmark.columns
+            ensure_finite_columns(reference)
         else:
-            population_changed = (
-                bool(changed_vector_ids or diff.removed or diff.added)
-                or corpus_order != previous_order
+            reference = raw_columns
+        if previous is None:
+            needs_refit = True
+            previous_normalized = None
+        else:
+            population_changed = previous.benchmark_state is not benchmark or (
+                benchmark is None
+                and (bool(fresh_rows.size) or subject_ids != previous.columns.subject_ids)
             )
-
-        needs_refit = population_changed or entry.fit_token != self._normalizer.fit_count
+            needs_refit = (
+                population_changed or previous.fit_token != self._normalizer.fit_count
+            )
+            previous_normalized = {
+                name: previous.columns.normalized[name][safe] for name in names
+            }
         if needs_refit:
-            previous_signature = entry.fit_signature
-            self._fit_normalizer_columns(
-                self._reference_columns(
-                    raw_columns, benchmark_corpus, benchmark_fingerprint
-                )
-            )
+            self._fit_normalizer_columns(reference)
+            fit_token = self._normalizer.fit_count
             fit_signature = self._normalizer.fit_signature()
             # ROADMAP (f): confine renormalisation to measures whose fit
             # actually moved; bit-identical to a full normalize_columns pass.
@@ -716,20 +751,15 @@ class SourceQualityModel:
                 self.counters,
                 raw_columns,
                 fresh_rows,
-                {
-                    name: previous_columns.normalized[name][safe]
-                    for name in measures
-                },
-                previous_signature,
+                previous_normalized,
+                previous.fit_signature if previous is not None else {},
                 fit_signature,
             )
         else:
-            fit_signature = entry.fit_signature
-            normalized = {
-                name: previous_columns.normalized[name][safe] for name in measures
-            }
+            fit_token, fit_signature = previous.fit_token, previous.fit_signature
+            normalized = previous_normalized
             if fresh_rows.size:
-                for name in measures:
+                for name in names:
                     normalized[name][fresh_rows] = self._normalizer.normalize_column(
                         name, raw_columns[name][fresh_rows]
                     )
@@ -740,43 +770,36 @@ class SourceQualityModel:
         # unchanged scores bit for bit, so no per-source reuse set is
         # needed — the whole corpus re-scores in a handful of array ops.
         overall, dimension_scores, attribute_scores = build_quality_score_columns(
-            subject_ids, measures, normalized, self._registry, self._scheme
+            subject_ids, names, normalized, self._registry, self._scheme
         )
-
-        rank = self._patch_ranking(
-            previous_columns, diff.removed, subject_ids, overall, rows
-        )
-        columns = AssessmentColumns(
-            subject_ids=subject_ids,
-            measures=measures,
-            raw=raw_columns,
-            normalized=normalized,
-            overall=overall,
-            dimension_scores=dimension_scores,
-            attribute_scores=attribute_scores,
-            rank=rank,
-        )
-        context = AssessmentContext(
-            fingerprint=fingerprint,
-            benchmark_fingerprint=benchmark_fingerprint,
-            sources=tuple(corpus),
-            benchmark_sources=(
-                tuple(benchmark_corpus) if benchmark_corpus is not None else None
+        if previous is None:
+            rank = SortedRankKeys.from_scores(overall, subject_ids)
+        else:
+            removed = tuple(
+                source_id
+                for source_id in previous.columns.subject_ids
+                if source_id not in state.sources
+            )
+            rank = self._patch_ranking(
+                previous.columns, removed, subject_ids, overall, rows
+            )
+            self.counters.increment("context_patches")
+        return AssessmentContext(
+            columns=AssessmentColumns(
+                subject_ids=subject_ids,
+                measures=names,
+                raw=raw_columns,
+                normalized=normalized,
+                overall=overall,
+                dimension_scores=dimension_scores,
+                attribute_scores=attribute_scores,
+                rank=rank,
             ),
-            snapshots=snapshots,
-            raw_vectors=raw_vectors,
-            columns=columns,
             scheme_name=self._scheme.name,
-            source_fingerprints=current_fingerprints,
-            max_open_discussions=max_open,
-        )
-        self.counters.increment("context_patches")
-        # Seed the raw-measure cache so raw_measures() stays hot after a patch.
-        self._measure_cache.put(fingerprint, (context.sources, snapshots, raw_vectors))
-        return (
-            context,
-            (self._normalizer.fit_count if needs_refit else entry.fit_token),
-            fit_signature,
+            state=state,
+            benchmark_state=benchmark,
+            fit_token=fit_token,
+            fit_signature=fit_signature,
         )
 
     def _patch_ranking(
@@ -822,71 +845,6 @@ class SourceQualityModel:
         self.counters.increment("ranking_patches")
         return rank
 
-    def _resolve_entry(
-        self,
-        key: tuple[int, Optional[int]],
-        corpus: SourceCorpus,
-        benchmark_corpus: Optional[SourceCorpus],
-        prune: bool = True,
-    ) -> Optional[_IncrementalEntry]:
-        """Return the live incremental entry for ``key``, discarding stale ones.
-
-        ``prune=False`` (the lock-free fast path) only inspects: discarding
-        a stale entry mutates the table, which belongs under the refresh
-        mutex.
-        """
-        entry = self._incremental.get(key)
-        if entry is None:
-            return None
-        if entry.corpus_ref() is not corpus:
-            if prune:
-                self._discard_entry(key)  # id(corpus) was reused by a new object
-            return None
-        if benchmark_corpus is not None and (
-            entry.benchmark_ref is None or entry.benchmark_ref() is not benchmark_corpus
-        ):
-            if prune:
-                self._discard_entry(key)
-            return None
-        return entry
-
-    def _entry_clean(self, entry: _IncrementalEntry, deep: bool) -> bool:
-        """The O(1) staleness check over an entry's bus subscriptions."""
-        return (
-            not deep
-            and not entry.subscription.dirty
-            and (
-                entry.benchmark_subscription is None
-                or not entry.benchmark_subscription.dirty
-            )
-        )
-
-    def _discard_entry(self, key: tuple[int, Optional[int]]) -> None:
-        """Drop one incremental entry, detaching its bus subscriptions.
-
-        The subscriptions are only weakly held by the bus, but closing
-        them here makes the detach deterministic: a pruned entry stops
-        paying per-mutation intake bookkeeping immediately.
-        """
-        entry = self._incremental.pop(key, None)
-        if entry is None:
-            return
-        entry.subscription.close()
-        if entry.benchmark_subscription is not None:
-            entry.benchmark_subscription.close()
-
-    def _prune_incremental(self) -> None:
-        """Drop entries whose corpus died; bound the table to a small multiple."""
-        dead = [
-            key
-            for key, entry in self._incremental.items()
-            if entry.corpus_ref() is None
-        ]
-        for key in dead:
-            self._discard_entry(key)
-        while len(self._incremental) > 2 * self.CONTEXT_CACHE_SIZE:
-            self._discard_entry(next(iter(self._incremental)))
-
     def assessment_context(
         self,
         corpus: SourceCorpus,
@@ -896,15 +854,14 @@ class SourceQualityModel:
         """Return the (cached, incrementally maintained) assessment context.
 
         The common path — no announced mutation since the last call — is an
-        O(1) dirty-flag check.  A dirty corpus is fingerprint-diffed and the
-        context patched incrementally (see :meth:`_patch_context`); the
-        content fingerprinting is *burst-scoped* — only the sources the
-        drained invalidation burst names are rescanned, the rest pass an
-        O(1) probe check and keep their recorded fingerprints.
-        ``deep=True`` skips the flag and forces the full fingerprint scan;
-        use it after *unannounced* in-place growth (objects appended
-        directly into a source's internal lists, bypassing the ``Source``
-        helpers), which neither the bus nor the probe sweep can see.
+        O(1) dirty-flag check.  A dirty corpus (or benchmark corpus) first
+        gets its measure state patched (see :meth:`_refresh_state`), then
+        the fit-and-score tail is patched over it (see
+        :meth:`_patch_context`).  ``deep=True`` skips the flag and forces
+        the full fingerprint scan; use it after *unannounced* in-place
+        growth (objects appended directly into a source's internal lists,
+        bypassing the ``Source`` helpers), which neither the bus nor the
+        probe sweep can see.
 
         This is also the refresh entry point the eager serving layer
         drives off the read path: it is idempotent, O(1) when the corpus
@@ -913,236 +870,143 @@ class SourceQualityModel:
 
         Thread-safety: the clean path is a lock-free snapshot read
         (contexts are immutable once published; the shared read lock is
-        taken only around grabbing the reference).  Builders are
-        serialised under ``refresh_mutex``; they mark the entry's
-        subscriptions clean *before* reading the corpus and publish the
-        patched context under the write lock in O(1), so a mutation
-        landing mid-build leaves the entry dirty and the next read
-        patches again — a read racing a patch serves the previous
-        consistent context, and a quiesced model is bit-identical to a
-        from-scratch rebuild.
+        taken only around grabbing the reference).  Patchers are
+        serialised under ``refresh_mutex`` and publish the patched state
+        and context under the write lock in O(1), so a mutation landing
+        mid-patch leaves the entry dirty and the next read patches again
+        — a read racing a patch serves the previous consistent context,
+        and a quiesced model is bit-identical to a from-scratch rebuild.
+        A failed tail leaves the context stale, so the next read derives
+        it again.
         """
-        if len(corpus) == 0:
-            raise AssessmentError("cannot assess an empty corpus")
-        entry_key = (
-            id(corpus),
-            id(benchmark_corpus) if benchmark_corpus is not None else None,
-        )
-        entry = self._resolve_entry(entry_key, corpus, benchmark_corpus, prune=False)
-        if entry is not None and self._entry_clean(entry, deep):
-            self.counters.increment("context_hits")
-            self.counters.increment("staleness_flag_hits")
-            with self._rwlock.read_lock():
-                return entry.context
-
-        with ordered(self._refresh_mutex, "consumer.gate"):
-            entry = self._resolve_entry(entry_key, corpus, benchmark_corpus)
-            if entry is not None and self._entry_clean(entry, deep):
-                # Another thread patched while this one waited for the gate.
+        if not deep:
+            context = self._current_context(corpus, benchmark_corpus)
+            if context is not None:
                 self.counters.increment("context_hits")
                 self.counters.increment("staleness_flag_hits")
-                return entry.context
-            fresh_entry = entry is None
-            pending = None
-            if fresh_entry:
-                # Subscribe *before* reading the corpus: the clean version
-                # captures "now", so any mutation landing during the build
-                # below re-dirties the entry.
-                self._prune_incremental()
-                entry = _IncrementalEntry(
-                    corpus_ref=weakref.ref(corpus),
-                    subscription=corpus.invalidation_bus().subscribe(
-                        name="source-model"
-                    ),
-                    benchmark_ref=(
-                        weakref.ref(benchmark_corpus)
-                        if benchmark_corpus is not None
-                        else None
-                    ),
-                    benchmark_subscription=(
-                        benchmark_corpus.invalidation_bus().subscribe(
-                            name="source-model"
-                        )
-                        if benchmark_corpus is not None
-                        else None
-                    ),
-                    context=None,  # type: ignore[arg-type] - published below
-                    fit_token=-1,
-                )
+                return context
+        with ordered(self._refresh_mutex, "consumer.gate"):
+            entry = self._refresh_state(corpus, deep=deep)
+            benchmark = (
+                self._refresh_state(benchmark_corpus, deep=deep).state
+                if benchmark_corpus is not None
+                else None
+            )
+            context = entry.context
+            if (
+                context is None
+                or context.state is not entry.state
+                or context.benchmark_state is not benchmark
+            ):
+                context = self._patch_context(entry, benchmark)
+                with self._rwlock.write_lock():
+                    entry.context = context
             else:
-                pending = entry.subscription.drain()
-                if entry.benchmark_subscription is not None:
-                    entry.benchmark_subscription.mark_clean()
-
-            try:
-                # Burst-scoped fingerprinting: the drained burst names every
-                # source an *announced* mutation touched, so only those pay
-                # the O(discussions) content fingerprint — the rest reuse
-                # their recorded fingerprints after an O(1) probe check
-                # (see :func:`~repro.sources.diffing.scoped_fingerprints`).
-                # ``deep=True``, a fresh entry, a detail-less burst (retry
-                # after a failure, version bump without events) and a lost
-                # scope all fall back to the full content scan.
-                if (
-                    not deep
-                    and not fresh_entry
-                    and not entry.scope_lost
-                    and pending is not None
-                    and pending.source_ids
-                    and entry.context is not None
-                ):
-                    _, current_fps = scoped_fingerprints(
-                        entry.context.source_fingerprints, corpus, pending.source_ids
-                    )
-                    fingerprint = tuple(current_fps.values())
-                    self.counters.increment("scoped_diffs")
-                else:
-                    fingerprint = corpus.content_fingerprint()
-                benchmark_fingerprint = (
-                    benchmark_corpus.content_fingerprint()
-                    if benchmark_corpus is not None
-                    else None
-                )
-                cache_key = (fingerprint, benchmark_fingerprint)
-                context = self._contexts.get(cache_key)
-                if context is not None:
-                    self.counters.increment("context_hits")
-                    if not fresh_entry and entry.context is context:
-                        fit_token = entry.fit_token
-                        fit_signature = entry.fit_signature
-                    else:
-                        fit_token = -1  # unknown normaliser: force a re-fit on patch
-                        fit_signature = {}
-                elif not fresh_entry:
-                    context, fit_token, fit_signature = self._patch_context(
-                        entry,
-                        corpus,
-                        fingerprint,
-                        benchmark_corpus,
-                        benchmark_fingerprint,
-                    )
-                    self._contexts.put(cache_key, context)
-                else:
-                    context = self._build_context(
-                        corpus, fingerprint, benchmark_corpus, benchmark_fingerprint
-                    )
-                    fit_token = self._normalizer.fit_count
-                    fit_signature = self._normalizer.fit_signature()
-                    self._contexts.put(cache_key, context)
-            except BaseException:
-                # The subscriptions were drained above; a failed rebuild
-                # must not leave the stale published context looking
-                # fresh — restore the staleness so the next read retries.
-                # The drained burst detail is lost with the failure, so
-                # the retry must run the full fingerprint scan.
-                if not fresh_entry:
-                    entry.scope_lost = True
-                    entry.subscription.force_dirty()
-                    if entry.benchmark_subscription is not None:
-                        entry.benchmark_subscription.force_dirty()
-                raise
-
-            # Publish: the context was built aside, the swap is O(1).
-            with self._rwlock.write_lock():
-                entry.context = context
-                entry.fit_token = fit_token
-                entry.fit_signature = fit_signature
-                entry.scope_lost = False
-                if fresh_entry:
-                    self._incremental[entry_key] = entry
+                self.counters.increment("context_hits")
             return context
+
+    def _current_context(
+        self, corpus: SourceCorpus, benchmark_corpus: Optional[SourceCorpus]
+    ) -> Optional[AssessmentContext]:
+        """The corpus's context when both flags are clean and it is current."""
+        entry = self._resolve_entry((id(corpus), False), corpus, prune=False)
+        if entry is None or entry.subscription.dirty:
+            return None
+        benchmark = None
+        if benchmark_corpus is not None:
+            benchmark_entry = self._resolve_entry(
+                (id(benchmark_corpus), False), benchmark_corpus, prune=False
+            )
+            if benchmark_entry is None or benchmark_entry.subscription.dirty:
+                return None
+            benchmark = benchmark_entry.state
+        with self._rwlock.read_lock():
+            context, state = entry.context, entry.state
+        if context is None or context.state is not state:
+            return None
+        return context if context.benchmark_state is benchmark else None
 
     # -- snapshot export / restore (persistence layer) -----------------------------
 
     def export_assessment_state(self, corpus: SourceCorpus) -> dict[str, Any]:
-        """Serialise the corpus's assessment context to a JSON-compatible dict.
+        """Serialise the corpus's measure state to a JSON-compatible dict.
 
-        Refreshes first (the export is exact for the current corpus).
-        The payload is *columnar*: per-measure raw/normalised float64
-        columns plus the score arrays, row-aligned with ``order``.  Full
-        fingerprints and source objects are not exported — they embed
-        ``id()`` values — but the per-source post totals (the one
-        fingerprint field that costs O(discussions) to recompute) are, so
+        Patches the state first (the export is exact for the current
+        corpus).  The payload is *columnar*: per-measure raw float64
+        columns row-aligned with ``order``, plus the crawl snapshots and
+        the open-discussion maximum they were measured against.  The
+        fit-and-score tail is not exported: it is arithmetic over the raw
+        columns, so a restore re-derives it under the restoring model's
+        own scheme and normaliser.  Full fingerprints and source objects
+        are not exported — they embed ``id()`` values — but the
+        per-source post totals (the one fingerprint field that costs
+        O(discussions) to recompute) are, so
         :meth:`restore_assessment_state` composes trusted fingerprints
-        from the section instead of rescanning content.  Only the
-        default-benchmark context (normaliser fitted on the corpus
-        itself) is exported; explicit benchmark corpora are a transient
-        experiment configuration.
+        from the section instead of rescanning content.
         """
-        context = self.assessment_context(corpus)
-        columns = context.columns
+        state = self._refresh_state(corpus).state
+        names, _ = self._registry.column_layout()
         return {
-            "order": list(columns.subject_ids),
-            "measures": list(columns.measures),
-            "ranking": list(columns.ranking_ids()),
+            "order": list(state.sources),
+            "measures": list(names),
             "snapshots": {
                 source_id: snapshot.to_dict()
-                for source_id, snapshot in context.snapshots.items()
+                for source_id, snapshot in state.snapshots.items()
             },
-            "raw_columns": {
-                name: columns.raw[name].tolist() for name in columns.measures
-            },
-            "normalized_columns": {
-                name: columns.normalized[name].tolist() for name in columns.measures
-            },
-            "overall": columns.overall.tolist(),
-            "dimension_scores": {
-                dimension.value: scores.tolist()
-                for dimension, scores in columns.dimension_scores.items()
-            },
-            "attribute_scores": {
-                attribute.value: scores.tolist()
-                for attribute, scores in columns.attribute_scores.items()
-            },
-            "scheme_name": context.scheme_name,
+            "raw_columns": {name: state.columns[name].tolist() for name in names},
             # Per-source content fingerprint hints (the per-discussion post
             # sums — the only non-O(1) fingerprint field): restore composes
             # trusted fingerprints from these instead of rescanning content.
-            "post_totals": {entry[0]: entry[5] for entry in context.fingerprint},
-            "max_open_discussions": context.max_open_discussions,
+            "post_totals": {
+                source_id: fingerprint[5]
+                for source_id, fingerprint in state.fingerprints.items()
+            },
+            "max_open_discussions": state.max_open,
         }
 
     def restore_assessment_state(
         self, corpus: SourceCorpus, payload: Mapping[str, Any]
-    ) -> AssessmentContext:
-        """Install an exported assessment context for ``corpus``.
+    ) -> None:
+        """Install an exported measure state for ``corpus``, without a crawl.
 
-        Rebuilds the :class:`AssessmentContext` around the recovered
-        corpus's live source objects.  Fingerprints are *composed* from
-        the section-carried per-source post totals plus O(1) live fields
-        (they embed ``id()``, so the ids are fresh but the content scan
-        is skipped), the columnar state is adopted directly from the
-        payload's arrays, the dict-shaped views stay lazy, and the
-        context and raw-measure caches are seeded; it also
-        installs the incremental entry for ``corpus`` directly — exactly
-        the state :meth:`assessment_context` would leave behind, so the
-        next read (or a journal-tail replay) is an O(1) flag check or an
-        incremental patch, never a crawl.  The entry pins
-        ``fit_token = -1``: the first post-restore mutation forces a
-        normaliser re-fit from the restored raw vectors — arithmetic
-        only, still no re-crawl — keeping every later patch bit-identical
-        to a cold rebuild's.
+        Rebuilds the state around the recovered corpus's live source
+        objects.  Fingerprints are *composed* from the section-carried
+        per-source post totals plus O(1) live fields (they embed
+        ``id()``, so the ids are fresh but the content scan is skipped),
+        and the raw columns are adopted directly from the payload's
+        arrays.  The state's incremental entry is installed directly —
+        exactly what a build would leave behind, so a journal-tail replay
+        is an incremental patch, never a crawl.  The first read derives
+        the fit-and-score tail — arithmetic only — under this model's
+        scheme and normaliser, bit-identical to a cold rebuild's.  A
+        section written by an older version (which also carried
+        normalised and score columns, a ranking and a scheme name)
+        restores the same way; its extra keys are ignored.
 
         Raises :class:`~repro.errors.CorruptSnapshotError` when the
-        payload does not cover exactly this corpus's sources; callers
-        (the recovery path) degrade to a cold build on that error.
+        payload does not cover exactly this corpus's sources, or was
+        measured with another measure registry; callers (the recovery
+        path) degrade to a cold build on that error.
         """
         from repro.errors import CorruptSnapshotError
 
         if len(corpus) == 0:
             raise AssessmentError("cannot assess an empty corpus")
-        order = [source.source_id for source in corpus]
+        names, _ = self._registry.column_layout()
+        sources = {source.source_id: source for source in corpus}
+        order = list(sources)
         try:
-            if sorted(order) != sorted(payload["snapshots"]):
+            if tuple(payload["measures"]) != names:
                 raise CorruptSnapshotError(
-                    "assessment state does not match the recovered corpus"
+                    "assessment state was measured with another measure registry"
                 )
             payload_order = list(payload["order"])
-            if sorted(payload_order) != sorted(order):
+            if sorted(order) != sorted(payload["snapshots"]) or sorted(
+                payload_order
+            ) != sorted(order):
                 raise CorruptSnapshotError(
                     "assessment state does not match the recovered corpus"
                 )
-            measures = tuple(payload["measures"])
             snapshots = {
                 source_id: CrawlSnapshot.from_dict(payload["snapshots"][source_id])
                 for source_id in order
@@ -1164,92 +1028,47 @@ class SourceQualityModel:
                 return freeze(array[alignment])
 
             raw_columns = {
-                name: column(payload["raw_columns"][name]) for name in measures
+                name: column(payload["raw_columns"][name]) for name in names
             }
-            normalized = {
-                name: column(payload["normalized_columns"][name])
-                for name in measures
-            }
-            overall = column(payload["overall"])
-            dimension_scores = {
-                QualityDimension(key): column(values)
-                for key, values in payload["dimension_scores"].items()
-            }
-            attribute_scores = {
-                QualityAttribute(key): column(values)
-                for key, values in payload["attribute_scores"].items()
-            }
-            scheme_name = str(payload["scheme_name"])
-            ranking_ids = list(payload["ranking"])
             post_totals = dict(payload["post_totals"])
-            max_open_discussions = int(payload["max_open_discussions"])
+            max_open = int(payload["max_open_discussions"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptSnapshotError(
                 f"invalid assessment state: {exc!r}"
             ) from exc
-        if len(ranking_ids) != len(order):
-            raise CorruptSnapshotError(
-                "assessment ranking does not cover the recovered corpus"
-            )
         # Subscribe before the corpus read, like the build path: a mutation
         # landing mid-restore leaves the entry dirty, so the next read
-        # patches instead of trusting the just-installed context.
+        # patches instead of trusting the just-installed state.
         subscription = corpus.invalidation_bus().subscribe(name="source-model")
         # ROADMAP open item 3: trust the section-carried post totals
         # instead of rescanning content — every other fingerprint field is
         # an O(1) live read, so composing is O(1) per source where
         # ``corpus.content_fingerprint()`` walks every discussion.  A
         # source missing from the hints falls back to the full scan.
-        fingerprint = tuple(
-            compose_source_fingerprint(source, post_totals[source.source_id])
-            if source.source_id in post_totals
-            else source_fingerprint(source)
-            for source in corpus
-        )
-        sources = tuple(corpus)
-        subject_ids = tuple(order)
-        columns = AssessmentColumns(
-            subject_ids=subject_ids,
-            measures=measures,
-            raw=raw_columns,
-            normalized=normalized,
-            overall=overall,
-            dimension_scores=dimension_scores,
-            attribute_scores=attribute_scores,
-            # Rebuilt rather than adopted from ``ranking_ids``: bit-identical
-            # by construction, and immune to a corrupted ranking section.
-            rank=SortedRankKeys.from_scores(overall, subject_ids),
-        )
-        raw_vectors = vectors_from_columns(subject_ids, measures, raw_columns)
-        context = AssessmentContext(
-            fingerprint=fingerprint,
-            benchmark_fingerprint=None,
-            sources=sources,
-            benchmark_sources=None,
-            snapshots=snapshots,
-            raw_vectors=raw_vectors,
-            columns=columns,
-            scheme_name=scheme_name,
-            source_fingerprints={entry[0]: entry for entry in fingerprint},
-            max_open_discussions=max_open_discussions,
-        )
-        with ordered(self._refresh_mutex, "consumer.gate"):
-            self._contexts.put((fingerprint, None), context)
-            # Seed the raw-measure cache too, so raw_measures() and
-            # benchmark-fitted contexts stay crawl-free after recovery.
-            self._measure_cache.put(fingerprint, (sources, snapshots, raw_vectors))
-            self._prune_incremental()
-            entry = _IncrementalEntry(
-                corpus_ref=weakref.ref(corpus),
-                subscription=subscription,
-                benchmark_ref=None,
-                benchmark_subscription=None,
-                context=context,
-                fit_token=-1,  # unknown normaliser: re-fit on the first patch
+        fingerprints = {
+            source_id: (
+                compose_source_fingerprint(source, post_totals[source_id])
+                if source_id in post_totals
+                else source_fingerprint(source)
             )
+            for source_id, source in sources.items()
+        }
+        state = _MeasureState(
+            sources=sources,
+            fingerprints=fingerprints,
+            snapshots=snapshots,
+            vectors=vectors_from_columns(order, names, raw_columns),
+            max_open=max_open,
+            columns=raw_columns,
+        )
+        key = (id(corpus), False)
+        with ordered(self._refresh_mutex, "consumer.gate"):
+            self._discard_entry(key)
+            self._prune_incremental()
             with self._rwlock.write_lock():
-                self._incremental[(id(corpus), None)] = entry
-        return context
+                self._incremental[key] = _IncrementalEntry(
+                    weakref.ref(corpus), subscription, state
+                )
 
     def assess_corpus(
         self,
@@ -1333,11 +1152,11 @@ class SourceQualityModel:
         gathered per-shard ``float64`` columns (:meth:`shard_measure_columns`,
         assembled in the coordinator corpus's insertion order).  The
         pipeline is operation-for-operation the single-process
-        :meth:`_build_context` tail — finiteness check, normaliser fit on
-        the matrix itself, scoring, lexsorted rank keys — so the returned
-        ranking is bit-identical to a single-process :meth:`rank` over the
-        same corpus content.  Returns ``(source_id, score)`` pairs in
-        ranking order.
+        :meth:`_patch_context` tail without a previous context — finiteness
+        check, normaliser fit on the matrix itself, scoring, lexsorted rank
+        keys — so the returned ranking is bit-identical to a single-process
+        :meth:`rank` over the same corpus content.  Returns
+        ``(source_id, score)`` pairs in ranking order.
         """
         if not len(subject_ids):
             raise AssessmentError("cannot assess an empty corpus")
@@ -1388,80 +1207,23 @@ class SourceQualityModel:
         workers under a broadcast fit (:meth:`shard_rank_candidates`).
 
         Returns ``(source ids, measure names, {name: float64 column})`` in
-        the shard corpus's insertion order, kept per corpus with the
-        source objects anchored and served while the per-source
-        fingerprints and the injected maximum match.  Otherwise the kept
-        columns are *patched* (the first call patches an empty base): the
-        fingerprints are diffed, only new or changed sources are
+        the shard corpus's insertion order: the columns of the corpus's
+        injected-maximum measure state.  A clean read — flag not raised,
+        same injected maximum — is an O(1) check that computes no
+        fingerprint.  Otherwise the state is patched (see
+        :meth:`_refresh_state`): only new or changed sources are
         re-crawled and re-measured, every source is re-measured from its
         cached snapshot only when the injected maximum moved, and removed
-        sources' rows are dropped — the :meth:`_remeasure` step
-        :meth:`_patch_context` runs, so the columns are bit-identical to a
-        from-scratch build.  The entry is keyed by ``id(corpus)`` for
-        reuse only: any base patches correctly, because the diff runs on
-        its anchored fingerprints.  The wire ships the columns as raw
-        IEEE-754 bytes.
+        sources' rows are dropped, so the columns are bit-identical to a
+        from-scratch build.  The wire ships them as raw IEEE-754 bytes.
         """
         names, _ = self._registry.column_layout()
-        measures = tuple(names)
         if len(corpus) == 0:
-            return (), measures, {}
-        sources = {source.source_id: source for source in corpus}
-        fingerprints = fingerprint_map(sources.values())
-        state = self._shard_columns.get(id(corpus))
-        if (
-            state is None
-            or state.fingerprints != fingerprints
-            or state.max_open != corpus_max_open_discussions
-        ):
-            state = self._patch_shard_columns(
-                state, sources, fingerprints, corpus_max_open_discussions, measures
-            )
-            self._shard_columns.put(id(corpus), state)
-        return tuple(state.fingerprints), measures, state.columns
-
-    def _patch_shard_columns(
-        self,
-        previous: Optional[_ShardColumns],
-        sources: Mapping[str, Source],
-        fingerprints: dict[str, tuple],
-        max_open: int,
-        measures: tuple[str, ...],
-    ) -> _ShardColumns:
-        """Patch ``previous`` (or an empty base) to the current content."""
-        if previous is None:
-            previous = _ShardColumns(
-                sources=(),
-                fingerprints={},
-                snapshots={},
-                vectors={},
-                max_open=max_open,
-                columns={name: np.empty(0) for name in measures},
-            )
-        diff = diff_fingerprint_maps(previous.fingerprints, fingerprints)
-        snapshots, vectors, changed, _ = self._remeasure(
-            sources,
-            diff,
-            previous.snapshots,
-            previous.vectors,
-            previous.max_open,
-            max_open,
-        )
-        columns, _, _ = patch_measure_columns(
-            {source_id: row for row, source_id in enumerate(previous.fingerprints)},
-            previous.columns,
-            tuple(sources),
-            {source_id: vectors[source_id] for source_id in changed},
-            measures,
-        )
-        return _ShardColumns(
-            sources=tuple(sources.values()),
-            fingerprints=fingerprints,
-            snapshots=snapshots,
-            vectors=vectors,
-            max_open=max_open,
-            columns=columns,
-        )
+            return (), names, {}
+        state = self._refresh_state(
+            corpus, max_open=corpus_max_open_discussions
+        ).state
+        return tuple(state.sources), names, state.columns
 
     def shard_sorted_fit_columns(
         self, corpus: SourceCorpus, *, corpus_max_open_discussions: int

@@ -8,7 +8,7 @@ pipeline, the search engine and the sentiment layer:
 * :mod:`repro.perf.counters` — lightweight named counters that the cached
   pipelines use to expose hit/miss and work-done statistics;
 * :mod:`repro.perf.cache` — a deterministic LRU cache plus the structural
-  fingerprint helpers that key the assessment-context caches.
+  fingerprint helpers the incremental assessment state diffs against.
 
 The seed's naive single-object loops are not part of the package: they
 live test-side in ``tests/_reference.py``, where the equivalence tests and

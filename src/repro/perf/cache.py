@@ -1,7 +1,7 @@
 """Deterministic LRU cache and structural fingerprints.
 
 :class:`LRUCache` is a small insertion-ordered cache with hit/miss
-statistics; it backs the assessment-context caches of the quality models,
+statistics; it backs the contributor model's assessment-context cache,
 the query-tokenisation memo of the search engine and the per-text memo of
 the sentiment analyser.
 
@@ -34,7 +34,7 @@ for count-preserving edits.
 
 Because the fingerprints include ``id(source)``, a cache keyed on them
 MUST keep a strong reference to the fingerprinted objects in its entries
-(the quality models store the sources inside each cached context).  Without
+(the quality models anchor the sources in their incremental state).  Without
 that anchor, CPython may reuse a freed object's id for a new source whose
 counts happen to match, and the cache would serve stale results.
 """

@@ -831,8 +831,9 @@ class CorpusStore:
             model_state = self._section(result, "source_model")
             if model_state is not None:
                 try:
-                    # Installs the context *and* its incremental entry, so
-                    # the tail replay patches instead of rebuilding.
+                    # Installs the measure state *and* its incremental
+                    # entry, so the tail replay patches instead of
+                    # re-crawling; the first read derives the scores.
                     source_model.restore_assessment_state(corpus, model_state)
                 except PersistenceError as exc:
                     result.notes.append(

@@ -19,10 +19,11 @@ the store's checkpoints current, pumped in the foreground via
 ``flush()`` after every replicated batch (the background thread is
 never started — the dispatch loop *is* the thread).  A
 :class:`~repro.core.source_quality.SourceQualityModel` serves the
-``rank_*`` phases from its measure columns (patched per touched source
-by the first ``rank_*`` read after a batch) and holds no assessment
-context: the store does not snapshot it and the scheduler does not patch
-it, because no request reads one.
+``rank_*`` phases from the measure state of the shard corpus (patched
+per touched source by the first ``rank_*`` read after a batch; a clean
+read is a flag check) and holds no assessment context: the store does
+not snapshot it and the scheduler does not patch it, because no request
+reads one.
 
 Replicated mutations arrive as journal-schema records (produced by the
 coordinator's :class:`~repro.sources.diffing.WireBridgeSubscriber`),

@@ -92,7 +92,6 @@ __all__ = [
     "diff_fingerprints",
     "diff_fingerprint_maps",
     "scoped_fingerprints",
-    "fingerprint_map",
     "gather_rows",
     "patch_measure_columns",
     "discussion_fingerprint",
@@ -186,15 +185,13 @@ def patch_measure_columns(
     subject_ids: tuple[str, ...],
     fresh_vectors: Mapping[str, Mapping[str, float]],
     measures: tuple[str, ...],
-) -> tuple[dict[str, "np.ndarray"], "np.ndarray", "np.ndarray"]:
+) -> dict[str, "np.ndarray"]:
     """Patch measure columns in place by changed-source index.
 
     Carries every unchanged value over from ``previous_columns`` via one
     gather per column, then overwrites exactly the rows of the subjects in
     ``fresh_vectors`` (changed or added sources) with their re-measured
-    values.  Returns ``(patched columns, fresh row indices, gather map)``;
-    the gather map is reusable for aligning any other per-subject column
-    (e.g. previously normalised values) to the new order.
+    values.  Over an empty previous layout this is a from-scratch build.
 
     Bit-identical to rebuilding the columns from the full vector set: a
     gather copies bits verbatim and the fresh rows are written from the
@@ -224,12 +221,7 @@ def patch_measure_columns(
                 fresh_vectors[subject_ids[i]][name] for i in fresh_positions
             ]
         patched[name] = freeze(column)
-    return patched, fresh_rows, rows
-
-
-def fingerprint_map(sources: Iterable[Any]) -> dict[str, tuple]:
-    """Per-source structural fingerprints keyed by source identifier."""
-    return {source.source_id: source_fingerprint(source) for source in sources}
+    return patched
 
 
 def diff_fingerprint_maps(
@@ -238,8 +230,8 @@ def diff_fingerprint_maps(
     """Diff two per-source fingerprint maps (no fingerprint recomputation).
 
     Use this form when the current fingerprints are already in hand (e.g.
-    derived from a corpus fingerprint tuple computed for a cache key), so
-    the corpus is not walked a second time.
+    from :func:`scoped_fingerprints`), so the corpus is not walked a second
+    time.
     """
     added: list[str] = []
     changed: list[str] = []

@@ -644,13 +644,12 @@ class TestSubscriptionLifecycle:
         from repro.core.source_quality import SourceQualityModel
 
         corpus = _small_corpus()
+        benchmark = _small_corpus()
         model = SourceQualityModel(travel_domain)
-        model.assessment_context(corpus)
+        model.assessment_context(corpus, benchmark)
         entries = list(model._incremental.values())
-        assert entries
+        assert len(entries) == 2
         model.close()
         assert model._incremental == {}
         for entry in entries:
             assert entry.subscription.closed
-            if entry.benchmark_subscription is not None:
-                assert entry.benchmark_subscription.closed

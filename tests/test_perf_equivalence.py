@@ -105,7 +105,7 @@ class TestSourceModelEquivalence:
         assert [a.overall for a in first] == [a.overall for a in second]
         assert model.counters.get("context_builds") == 1
         assert model.counters.get("context_hits") == 1
-        assert model.counters.get("measure_passes") == 1
+        assert model.counters.get("sources_remeasured") == 0
 
     def test_mutation_invalidates_cached_context(self, travel_domain):
         corpus = CorpusGenerator(
