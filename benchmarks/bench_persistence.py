@@ -3,9 +3,12 @@
 
 Builds a content-rich corpus (blog-scale sources: dozens of discussions
 each), checkpoints it into a :class:`~repro.persistence.store.CorpusStore`
-— corpus + binary-codec index section + source-model section — then
-streams a few more journaled mutations so recovery has a tail to replay.
-Two process restarts are then timed from the same on-disk state.
+— corpus + binary-codec index section + source-model section — streams a
+few journaled mutations and checkpoints again (``checkpoint_seconds`` is
+the first, full capture; ``incremental_checkpoint_seconds`` the second,
+which re-encodes only what the mutations changed), then streams as many
+more so recovery has a tail to replay.  Two process restarts are then
+timed from the same on-disk state.
 
 Both restarts begin by materialising the corpus from the snapshot (JSON
 decode + ``SourceCorpus.from_dict``).  That phase is *identical in both
@@ -146,6 +149,13 @@ def run(
         checkpoint_seconds = time.perf_counter() - start
         for event in range(events):
             _mutate(corpus, event)
+        # The second checkpoint splices the first one's encoded fragments,
+        # re-encoding only what the journaled events changed.
+        start = time.perf_counter()
+        store.checkpoint()
+        incremental_checkpoint_seconds = time.perf_counter() - start
+        for event in range(events, 2 * events):
+            _mutate(corpus, event)
         engine.refresh()
         expected_engine = _probe(engine)
         expected_model = _assessment_state(model.assessment_context(corpus))
@@ -209,6 +219,7 @@ def run(
         "discussion_budget": discussion_budget,
         "events_replayed": events,
         "checkpoint_seconds": checkpoint_seconds,
+        "incremental_checkpoint_seconds": incremental_checkpoint_seconds,
         "snapshot_bytes": snapshot_bytes,
         "journal_bytes": journal_bytes,
         "corpus_load_seconds": corpus_load_warm,

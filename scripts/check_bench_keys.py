@@ -51,6 +51,8 @@ EXPECTED = {
         "bit_identical_at_quiesce",
     ),
     "persistence": (
+        "checkpoint_seconds",
+        "incremental_checkpoint_seconds",
         "warm_start_seconds",
         "cold_rebuild_seconds",
         "speedup",

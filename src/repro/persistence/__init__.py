@@ -18,6 +18,10 @@ Layout of the package:
 :mod:`~repro.persistence.journal`
     The fsync-per-record write-ahead journal of corpus changes, with
     tolerant torn-tail reading.
+:mod:`~repro.persistence.capture`
+    The last checkpoint's corpus section as encoded fragments per source,
+    marked from the journaled records, so a checkpoint re-encodes only
+    what changed.
 :mod:`~repro.persistence.store`
     :class:`CorpusStore` — checkpoint orchestration and the recovery
     ladder (snapshot → previous snapshot → journal-only → empty).

@@ -1,0 +1,182 @@
+"""Incremental capture of a checkpoint's corpus section.
+
+A checkpoint's ``corpus`` section is ``json_record(corpus.to_dict())``:
+one JSON object per source, in corpus order.  Encoding it whole costs
+time in proportion to the corpus, while between two checkpoints only
+what the journaled records name has changed.  :class:`SectionCapture`
+keeps the last checkpoint's section as encoded *fragments* per source —
+the bytes up to ``"discussions":[``, one entry per thread, and the bytes
+after — and the store marks them from the records it journals or
+receives (:meth:`SectionCapture.mark`):
+
+* an ``add_discussion`` record appends an empty slot (or empties slot
+  ``at`` when the cache already holds a thread there);
+* a ``replace_discussions`` record empties the slots it names (a version
+  stamp names none);
+* a ``remove`` record drops the source;
+* any other record drops the source's fragments: it is re-encoded whole.
+
+:meth:`SectionCapture.capture` re-encodes, from the live objects, only
+the empty slots and the sources without fragments, and splices the
+section in corpus order.  Every fragment is exactly the bytes
+:func:`~repro.persistence.format.json_record` writes for that part of
+the payload, so the spliced section is byte for byte the whole encoding.
+Two guards keep it so when a change was not marked:
+
+* a source whose entry in the checkpoint's ``versions`` map is above the
+  newest record version marked for it is re-encoded whole: a change that
+  committed before the map was read but whose record was still on its
+  way to the journal, or a version taken without a record (a resync
+  stamp);
+* a source whose live thread count differs from its slots is re-encoded
+  whole.
+
+What no record names keeps its bytes from the capture before.  An
+in-place edit never announced to the corpus is not captured, as no
+journal record holds it either; and a thread record names only the
+threads whose payload changed by ``==`` (see
+:func:`~repro.sources.diffing.payload_keys`), so a field flipped between
+``0.0`` and ``-0.0`` keeps its old bytes in the section, as it does on a
+replica.
+
+A capture leaves the cache as it was: :meth:`SectionCapture.commit`
+installs the captured fragments once the checkpoint succeeded, so a
+failed checkpoint keeps every mark.  The store calls every method under
+its journal subscriber's append lock (the sink, ``relayed()`` and
+``paused()``); the cache has no lock of its own.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Mapping, Optional
+
+from repro.persistence.format import json_record
+from repro.sources.corpus import SourceCorpus
+from repro.sources.diffing import payload_keys
+
+__all__ = ["Capture", "SectionCapture"]
+
+#: One source's fragments: ``(head, threads, tail)``; a thread slot holding
+#: None is re-encoded at the next capture.
+Fragments = tuple[bytes, list, bytes]
+
+
+def _encode_source(payload: Mapping[str, Any]) -> Fragments:
+    """Split ``json_record(payload)`` around the payload's thread list."""
+    names = list(payload)
+    split = names.index("discussions")
+    head = json_record({name: payload[name] for name in names[:split]})
+    tail = json_record({name: payload[name] for name in names[split + 1 :]})
+    return (
+        head[:-1] + (b',"discussions":[' if split else b'"discussions":['),
+        [json_record(thread) for thread in payload["discussions"]],
+        b"]" + (b"," + tail[1:] if split + 1 < len(names) else b"}"),
+    )
+
+
+def _named_threads(op: Any, record: Mapping[str, Any]) -> Optional[list]:
+    """The thread indices a partial record names; None for a whole record."""
+    try:
+        if op == "add_discussion":
+            return [record["at"]]
+        if op == "replace_discussions":
+            return [entry[0] for entry in record["threads"]]
+    except (KeyError, TypeError, IndexError):
+        pass
+    return None
+
+
+@dataclass
+class Capture:
+    """One checkpoint's corpus section, and what it re-encoded."""
+
+    #: The section's bytes: ``json_record(corpus.to_dict())`` at capture.
+    section: bytes
+    #: Per re-encoded source: its :func:`payload_keys` when re-encoded
+    #: whole, else ``(None, threads)`` with each re-encoded thread's
+    #: payload at its index and None at the others.
+    encoded: dict[str, tuple[Optional[dict], list]]
+    #: The fragments and marked versions :meth:`SectionCapture.commit` installs.
+    fragments: dict[str, Fragments]
+    applied: dict[str, int]
+
+
+class SectionCapture:
+    """The last checkpoint's corpus section as marked fragments (see module)."""
+
+    def __init__(self) -> None:
+        self._fragments: dict[str, Fragments] = {}
+        #: Per source, the newest record version marked for it.
+        self._applied: dict[str, int] = {}
+
+    def mark(self, record: Mapping[str, Any]) -> None:
+        """Mark what one journal record changes (append lock held)."""
+        source_id = record.get("source_id")
+        op = record.get("op")
+        if op == "remove":
+            self._fragments.pop(source_id, None)
+            self._applied.pop(source_id, None)
+            return
+        version = record.get("version")
+        if type(version) is int and version > self._applied.get(source_id, 0):
+            self._applied[source_id] = version
+        fragments = self._fragments.get(source_id)
+        if fragments is None:
+            return
+        slots = fragments[1]
+        indices = _named_threads(op, record)
+        if op == "add_discussion" and indices == [len(slots)]:
+            slots.append(None)
+        elif indices is not None and all(
+            type(at) is int and 0 <= at < len(slots) for at in indices
+        ):
+            for at in indices:
+                slots[at] = None
+        else:
+            del self._fragments[source_id]
+
+    def capture(self, corpus: SourceCorpus, versions: Mapping[str, Any]) -> Capture:
+        """Splice the corpus section, re-encoding what is marked or guarded.
+
+        ``versions`` is the checkpoint's :meth:`SourceCorpus.version_map`,
+        read before this call.  Leaves the cache unchanged.
+        """
+        entries = versions["sources"]
+        parts = [b'{"sources":[']
+        fragments: dict[str, Fragments] = {}
+        applied: dict[str, int] = {}
+        encoded: dict[str, tuple[Optional[dict], list]] = {}
+        for source in corpus:
+            source_id = source.source_id
+            live = list(source.discussions)
+            cached = self._fragments.get(source_id)
+            seen = self._applied.get(source_id, 0)
+            entry = entries.get(source_id, 0)
+            if cached is None or len(cached[1]) != len(live) or entry > seen:
+                payload = source.to_dict()
+                cached = _encode_source(payload)
+                encoded[source_id] = payload_keys(payload)
+                seen = max(seen, entry)
+            elif None in cached[1]:
+                head, slots, tail = cached
+                slots = list(slots)
+                threads: list = [None] * len(slots)
+                for at, blob in enumerate(slots):
+                    if blob is None:
+                        threads[at] = live[at].to_dict()
+                        slots[at] = json_record(threads[at])
+                cached = (head, slots, tail)
+                encoded[source_id] = (None, threads)
+            fragments[source_id] = cached
+            applied[source_id] = seen
+            if len(parts) > 1:
+                parts.append(b",")
+            parts += (cached[0], b",".join(cached[1]), cached[2])
+        parts.append(b"]}")
+        return Capture(b"".join(parts), encoded, fragments, applied)
+
+    def commit(self, capture: Capture) -> None:
+        """Install ``capture``'s fragments once its checkpoint succeeded."""
+        self._fragments = capture.fragments
+        self._applied = capture.applied

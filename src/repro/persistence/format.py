@@ -34,7 +34,6 @@ rename.  Production code never touches the channel.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
@@ -258,17 +257,20 @@ def pack_sections(magic: bytes, sections: dict[str, bytes]) -> bytes:
     Layout: ``magic | u32 format version | u32 section count`` followed by
     one ``u16 name length | name utf-8 | framed record`` per section.  Each
     section payload carries its own CRC (the framing), so a reader can
-    localise corruption to one section and a byte offset.
+    localise corruption to one section and a byte offset.  The file is
+    joined once: a snapshot's payloads are megabytes, and every
+    intermediate copy of them is time a checkpoint holds writers off.
     """
-    out = io.BytesIO()
-    out.write(magic)
-    out.write(struct.pack("<II", FORMAT_VERSION, len(sections)))
+    parts = [magic, struct.pack("<II", FORMAT_VERSION, len(sections))]
     for name, payload in sections.items():
         encoded = name.encode("utf-8")
-        out.write(_SECTION_NAME.pack(len(encoded)))
-        out.write(encoded)
-        out.write(pack_record(payload))
-    return out.getvalue()
+        parts += (
+            _SECTION_NAME.pack(len(encoded)),
+            encoded,
+            RECORD_HEADER.pack(len(payload), zlib.crc32(payload)),
+            payload,
+        )
+    return b"".join(parts)
 
 
 def unpack_sections(buffer: bytes, magic: bytes, *, path: Optional[Path] = None) -> dict[str, bytes]:

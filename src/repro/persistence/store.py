@@ -48,7 +48,13 @@ zero-argument callable fit for
 :meth:`~repro.serving.scheduler.EagerRefreshScheduler.register` (see
 ``register_checkpoint_store``): registered as a fourth consumer queue it
 turns checkpoints into just another eagerly scheduled consumer, coalesced
-per burst and driven off the mutating thread.
+per burst.  It runs wherever the scheduler runs its consumers: on the
+scheduler's worker thread once started, else in the foreground of
+whoever pumps ``poll()`` or ``flush()``.  A shard worker pumps
+``flush()`` after each ``apply``, so there a due checkpoint runs before
+the ``apply`` reply and stalls the mutation that made it due — which is
+why a checkpoint splices its corpus section from cached fragments
+(:mod:`repro.persistence.capture`) instead of re-encoding the corpus.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import JournalReplayError, PersistenceError
+from repro.persistence.capture import SectionCapture
 from repro.persistence.codec import encode_index_state
 from repro.persistence.format import rename_file
 from repro.persistence.journal import (
@@ -369,6 +376,9 @@ class CorpusStore:
         self._contributor_models: dict[str, Any] = {}
         self._journal: Optional[JournalWriter] = None
         self._subscriber: Optional[DurableJournalSubscriber] = None
+        #: The last checkpoint's corpus section, marked from the records
+        #: journaled since (see :mod:`repro.persistence.capture`).
+        self._capture = SectionCapture()
         self.checkpoints_written = 0
 
     # -- paths ---------------------------------------------------------------------
@@ -403,6 +413,9 @@ class CorpusStore:
     # -- write path ------------------------------------------------------------------
 
     def _journal_sink(self, record: dict[str, Any]) -> None:
+        # Marked first: the mutation committed whether or not the append
+        # succeeds.
+        self._capture.mark(record)
         self._append(lambda journal: journal.append(record))
 
     def _append(self, write: Callable[[JournalWriter], Any]) -> None:
@@ -426,11 +439,13 @@ class CorpusStore:
         for the wire.  The records replay as :func:`replay_journal`
         replays them, while the subscriber relays the changes they drive
         (:meth:`~repro.sources.diffing.DurableJournalSubscriber.relayed`:
-        nothing written, keys dropped, checkpoint cadence kept); then the
-        frames of the records replayed are appended with one write and one
-        fsync.  When a record raises, the frames replayed before it are
-        still appended and its own is not: a record journaled over a gap
-        could not replay at recovery.  Returns ``(applied, skipped)``.
+        nothing written, keys dropped, checkpoint cadence kept) and every
+        record marks the fragments the next checkpoint re-encodes (see
+        :mod:`repro.persistence.capture`); then the frames of the records
+        replayed are appended with one write and one fsync.  When a record
+        raises, the frames replayed before it are still appended and its
+        own is not: a record journaled over a gap could not replay at
+        recovery.  Returns ``(applied, skipped)``.
         """
         subscriber = self._subscriber
         corpus = self._corpus
@@ -443,6 +458,8 @@ class CorpusStore:
         ]
         replayed: list[bytes] = []
         with subscriber.relayed(changes):
+            for record in records:
+                self._capture.mark(record)
             try:
                 return replay_journal(
                     corpus, records, replayed=lambda at: replayed.append(frames[at])
@@ -497,6 +514,7 @@ class CorpusStore:
             self._engine = engine
             self._source_model = source_model
             self._contributor_models = dict(contributor_models or {})
+            self._capture = SectionCapture()
             self._journal = JournalWriter(
                 self.journal_path, base_version=corpus.version, fsync=self._fsync
             )
@@ -536,16 +554,21 @@ class CorpusStore:
         Runs inside the journal subscriber's ``paused()`` window, so the
         export, the snapshot rename and the journal reset form one atomic
         epoch switch with respect to concurrent mutators (they block
-        briefly at their journal append).  Ordering: previous snapshot
+        briefly at their journal append).  The corpus section is spliced
+        from the last checkpoint's encoded fragments, re-encoding only
+        what the records journaled since marked
+        (:mod:`repro.persistence.capture`); the first checkpoint after
+        :meth:`attach` encodes every source.  Ordering: previous snapshot
         renamed aside, new snapshot renamed into place, journal reset — a
         crash between the first two leaves the previous snapshot and the
         full journal behind it, and a crash between the last two leaves
         only already-snapshotted records in the journal, which replay
         skips.  The ``versions`` section persists the corpus's per-source
         versions (see :meth:`~repro.sources.corpus.SourceCorpus.version_map`).
-        Once the journal is reset, the subscriber re-keys its keyed sources
-        from the snapshot's corpus section, which is what a recovery
-        starts from.
+        Once the journal is reset, the capture's fragments replace the
+        cache, and the subscriber re-keys its keyed sources from what the
+        capture re-encoded: with the bytes it kept, that is what a
+        recovery starts from.
         """
         with ordered(self._lock, "store.lock"):
             corpus = self._corpus
@@ -559,10 +582,13 @@ class CorpusStore:
                 version = corpus.version
                 # The versions before the content: a change racing in
                 # between then lands in the content with its entry still
-                # below it, so its journal record is replayed, not skipped.
+                # below it, so its journal record is replayed, not skipped;
+                # a change the map holds but no marked record does is
+                # re-encoded whole.
                 versions = corpus.version_map()
+                capture = self._capture.capture(corpus, versions)
                 sections: dict[str, Any] = {
-                    "corpus": corpus.to_dict(),
+                    "corpus": capture.section,
                     "versions": versions,
                 }
                 if self.shard is not None:
@@ -599,7 +625,8 @@ class CorpusStore:
                     fsync=self._fsync,
                 )
                 self._journal.reset(version)
-                subscriber.mark_checkpoint(version, sections["corpus"]["sources"])
+                self._capture.commit(capture)
+                subscriber.mark_checkpoint(version, capture.encoded)
             self.checkpoints_written += 1
             return version
 
@@ -635,6 +662,7 @@ class CorpusStore:
             self._engine = None
             self._source_model = None
             self._contributor_models = {}
+            self._capture = SectionCapture()
 
     def __enter__(self) -> "CorpusStore":
         return self
@@ -882,8 +910,9 @@ def register_checkpoint_store(
     """Register ``store.checkpoint_if_due`` as a scheduler consumer queue.
 
     Checkpointing becomes a fourth eagerly driven consumer: coalesced per
-    mutation burst, run off the mutating thread by the scheduler's worker
-    (or its poll/flush pump), with failures recorded in the queue's
+    mutation burst, run by the scheduler's worker thread or in the
+    foreground of its poll/flush pump (a shard worker's, before the
+    ``apply`` reply), with failures recorded in the queue's
     :class:`~repro.serving.queues.ConsumerStats` like any other consumer.
     """
     scheduler.register(name, store.checkpoint_if_due)

@@ -670,7 +670,9 @@ def payload_keys(payload: Mapping[str, Any]) -> tuple[dict, list]:
     :class:`DurableJournalSubscriber`).  Values that compare equal restore
     to the same value on a replica, since ``Source.from_dict`` coerces
     numbers and flags to their field types — except ``0.0`` and ``-0.0``,
-    which ``==`` cannot tell apart.
+    which ``==`` cannot tell apart.  A checkpoint's corpus section shares
+    that caveat: it re-encodes only the threads a record named (see
+    :mod:`repro.persistence.capture`).
     """
     header = {name: value for name, value in payload.items() if name != "discussions"}
     return header, list(payload["discussions"])
@@ -706,8 +708,9 @@ class DurableJournalSubscriber:
     Keys come only from payloads that were written, never from a second
     read of the live source: a full record or a thread record keys its
     source, an ``add_discussion`` record appends its thread to the keys,
-    :meth:`mark_checkpoint` re-keys the keyed sources from the snapshot's
-    corpus section, and :meth:`rekey` keys the sources a resync shipped;
+    :meth:`mark_checkpoint` re-keys the keyed sources from what the
+    snapshot's corpus section re-encoded, and :meth:`rekey` keys the
+    sources a resync shipped;
     :meth:`drop_keys` unkeys them.  No source is keyed up front: an
     unkeyed source ships its next touch whole and is keyed from it.  A
     change is *eligible* when the corpus
@@ -959,25 +962,42 @@ class DurableJournalSubscriber:
                     self._keys[source_id] = (entry[0], None, None)
 
     def mark_checkpoint(
-        self, version: int, sources: Iterable[Mapping[str, Any]]
+        self,
+        version: int,
+        encoded: Mapping[str, tuple[Optional[dict], list]],
     ) -> None:
         """Reset the since-checkpoint counter (called after a checkpoint).
 
-        ``version`` is the checkpoint's corpus version and ``sources`` its
-        snapshot's corpus section.  A recovery starts from that snapshot:
-        the keyed sources are re-keyed from it, and no change at or below
-        ``version`` keys a source any more.  Call it only once the journal
-        was reset, so a failed checkpoint leaves the keys of the journal
-        that is still in use.
+        ``version`` is the checkpoint's corpus version, and ``encoded``
+        what its corpus section re-encoded from the live sources (see
+        :class:`~repro.persistence.capture.Capture`): per source, its
+        :func:`payload_keys` when re-encoded whole, else ``(None,
+        threads)`` with the payload of each re-encoded thread at its
+        index.  A recovery starts from that snapshot: the keyed sources
+        are re-keyed from what it re-encoded (the bytes it kept are those
+        of payloads their keys already hold), and no change at or below
+        ``version`` keys a source any more.  A keyed source whose thread
+        count differs from the section's is unkeyed.  Call it only once
+        the journal was reset, so a failed checkpoint leaves the keys of
+        the journal that is still in use.
         """
         with _journal_append_lock(self._lock):
             self.events_since_checkpoint = 0
             self._floor = max(self._floor, version)
-            for payload in sources:
-                source_id = payload["source_id"]
+            for source_id, (header, threads) in encoded.items():
                 entry = self._keys.get(source_id)
-                if entry is not None and entry[1] is not None:
-                    self._keys[source_id] = (entry[0], *payload_keys(payload))
+                if entry is None or entry[1] is None:
+                    continue
+                if header is None:
+                    if len(entry[2]) != len(threads):
+                        self._keys[source_id] = (entry[0], None, None)
+                        continue
+                    header = entry[1]
+                    threads = [
+                        kept if thread is None else thread
+                        for kept, thread in zip(entry[2], threads)
+                    ]
+                self._keys[source_id] = (entry[0], header, threads)
 
     @contextmanager
     def paused(self) -> Iterator[None]:

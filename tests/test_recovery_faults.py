@@ -27,10 +27,16 @@ import pytest
 
 from repro.errors import CorruptSnapshotError
 from repro.persistence import CorpusStore, FaultPlan, InjectedCrash, inject_faults
-from repro.persistence.format import json_record, pack_record
-from repro.persistence.journal import read_journal
+from repro.persistence.format import (
+    SNAPSHOT_MAGIC,
+    json_record,
+    pack_record,
+    unpack_sections,
+)
+from repro.persistence.journal import JournalWriter, read_journal
 from repro.sources.corpus import SourceCorpus
 from repro.sources.diffing import DurableJournalSubscriber
+from repro.sources.generators import SourceGenerator, SourceSpec
 
 from test_persistence import make_corpus, mutate
 
@@ -184,6 +190,76 @@ def test_crash_after_rotation_recovers_previous_snapshot_and_full_journal(tmp_pa
     assert not result.journal_rejected
     assert len(result.journal_records) == journaled == 2
     assert scenario.assert_recovered().version == scenario.last_acked
+
+
+def _grow_touch_add_remove(scenario: CrashScenario, tag: str) -> None:
+    """A grow, a touch, an add and a remove, each acknowledged."""
+    corpus = scenario.corpus
+    scenario.mutate()
+    scenario.mutate()
+    corpus.add(
+        SourceGenerator(
+            SourceSpec(source_id=f"spliced-{tag}", discussion_budget=3, user_budget=4),
+            seed=len(tag),
+        ).generate()
+    )
+    corpus.remove(corpus.source_ids()[0])
+    scenario.last_acked = corpus.version
+    scenario.record()
+
+
+def _raw_section(store: CorpusStore) -> bytes:
+    return unpack_sections(store.snapshot_path.read_bytes(), SNAPSHOT_MAGIC)["corpus"]
+
+
+def _killed_journal_reset(self, base_version):
+    raise InjectedCrash("killed after the snapshot rename, before the journal reset")
+
+
+#: Kill points inside a checkpoint that splices the fragments the previous
+#: checkpoint cached: (id, FaultPlan kwargs, or None for the gap between
+#: the snapshot rename and the journal reset).
+SPLICED_CHECKPOINT_KILLS = [
+    ("spliced-snapshot-mid-write", dict(kill_after_bytes=64, match="snapshot.rpss.tmp")),
+    ("spliced-snapshot-rename", dict(kill_on_replace=True, match="snapshot.rpss")),
+    ("spliced-before-journal-reset", None),
+]
+
+
+@pytest.mark.parametrize(
+    "plan_kwargs",
+    [entry[1] for entry in SPLICED_CHECKPOINT_KILLS],
+    ids=[entry[0] for entry in SPLICED_CHECKPOINT_KILLS],
+)
+def test_kill_inside_a_spliced_checkpoint(tmp_path, monkeypatch, plan_kwargs):
+    scenario = CrashScenario(tmp_path)  # its checkpoint filled the fragment cache
+    _grow_touch_add_remove(scenario, "a")
+    if plan_kwargs is None:
+        monkeypatch.setattr(JournalWriter, "reset", _killed_journal_reset)
+        with pytest.raises(InjectedCrash):
+            scenario.checkpoint()
+        monkeypatch.undo()
+    else:
+        scenario.crash(FaultPlan(**plan_kwargs), scenario.checkpoint)
+    recovered = scenario.assert_recovered()
+    assert recovered.to_dict() == scenario.corpus.to_dict()
+
+
+def test_a_checkpoint_after_a_killed_one_splices_a_full_capture(tmp_path):
+    """A checkpoint killed mid-write leaves every fragment it re-encoded
+    marked: the next one, in the same process, is byte for byte a full
+    capture."""
+    scenario = CrashScenario(tmp_path)
+    _grow_touch_add_remove(scenario, "a")
+    scenario.checkpoint()
+    _grow_touch_add_remove(scenario, "b")
+    scenario.crash(
+        FaultPlan(kill_after_bytes=64, match="snapshot.rpss.tmp"), scenario.checkpoint
+    )
+    _grow_touch_add_remove(scenario, "c")
+    scenario.checkpoint()
+    assert _raw_section(scenario.store) == json_record(scenario.corpus.to_dict())
+    assert scenario.assert_recovered().to_dict() == scenario.corpus.to_dict()
 
 
 #: Kill points inside a received batch: (id, FaultPlan kwargs given the

@@ -58,6 +58,38 @@ class TestSourceCorpus:
             len(source.discussions) for source in small_corpus
         )
 
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_largest_source_open_discussions_matches_statistics(self, seed):
+        corpus = CorpusGenerator(
+            CorpusSpec(source_count=12, seed=seed, discussion_budget=8, user_budget=6)
+        ).generate()
+        assert corpus.largest_source_open_discussions() > 0
+        assert (
+            corpus.largest_source_open_discussions()
+            == corpus.statistics().max_open_discussions
+        )
+        # Closing the largest source's threads moves the maximum elsewhere.
+        largest = max(corpus, key=lambda source: len(source.open_discussions()))
+        for discussion in largest.discussions:
+            discussion.is_open = False
+        assert (
+            corpus.largest_source_open_discussions()
+            == corpus.statistics().max_open_discussions
+        )
+
+    def test_largest_source_open_discussions_of_empty_and_closed_corpora(
+        self, small_corpus
+    ):
+        empty = SourceCorpus()
+        assert empty.largest_source_open_discussions() == 0
+        assert empty.statistics().max_open_discussions == 0
+        closed = SourceCorpus.from_dict(small_corpus.to_dict())
+        for source in closed:
+            for discussion in source.discussions:
+                discussion.is_open = False
+        assert closed.largest_source_open_discussions() == 0
+        assert closed.statistics().max_open_discussions == 0
+
     def test_json_roundtrip(self, small_corpus, tmp_path):
         path = tmp_path / "corpus.json"
         small_corpus.save(path)
