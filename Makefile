@@ -78,4 +78,6 @@ docs:
 	$(PYTHON) scripts/check_docs.py README.md docs/ARCHITECTURE.md docs/PERFORMANCE.md docs/PERSISTENCE.md docs/INVARIANTS.md
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/source_ranking.py
+	$(PYTHON) examples/influencer_analysis.py
+	$(PYTHON) examples/tourism_dashboard.py
 	$(PYTHON) examples/checkpoint_recover.py

@@ -12,7 +12,7 @@ in a *single shared walk* of the source's discussions and interactions
 (:meth:`~repro.sources.crawler.Crawler.crawl_contributors_batched`),
 O(D+P+I) instead of the seed's O(U·(D+P+I)) — the normaliser is fitted
 once on the whole raw-measure matrix, and the resulting assessments are
-cached under a structural fingerprint of the source.
+kept in one incrementally patched entry per (source, user set).
 
 Contexts are maintained *incrementally*: the model registers a mutation
 watcher on each assessed source (see
@@ -77,7 +77,7 @@ from repro.core.scoring import (
     uniform_scheme,
 )
 from repro.errors import AssessmentError
-from repro.perf.cache import LRUCache, compose_source_fingerprint, source_fingerprint
+from repro.perf.cache import source_fingerprint
 from repro.perf.counters import PerfCounters
 from repro.serving.rwlock import ReadWriteLock, ordered
 from repro.sources.crawler import CommunityWalkCache, ContributorSnapshot, Crawler
@@ -136,8 +136,15 @@ class ContributorAssessment:
 
 @dataclass
 class _CommunityEntry:
-    """Incremental per-(source, user set) state of a contributor model."""
+    """The one incrementally patched state of a (source, user set) community.
 
+    A first read patches an empty entry; the entry is published only once
+    that patch succeeds.
+    """
+
+    #: Anchors the source: ``id(source)`` keys the entry table and is part
+    #: of the fingerprint, so it must not be reused while the entry lives.
+    source: Source
     #: The O(1) staleness tier: a shared
     #: :class:`~repro.sources.diffing.SourceChangeTracker` (dirty flag fed
     #: by the source's mutation watchers, cross-checked against
@@ -145,11 +152,12 @@ class _CommunityEntry:
     #: a read races ahead of the tracker's own watcher — e.g. an eager
     #: serving scheduler refreshing from inside the same announcement).
     tracker: SourceChangeTracker
-    fingerprint: tuple
-    context: tuple
-    fit_token: int
     #: Reusable per-discussion community-walk state (ROADMAP (e)).
     walk: CommunityWalkCache = field(default_factory=CommunityWalkCache)
+    #: None until the first patch: an empty entry.
+    fingerprint: Optional[tuple] = None
+    context: tuple = field(default_factory=lambda: ({}, {}, {}))
+    fit_token: int = -1
     #: Per-measure fit signature of the context's normalised matrix
     #: (``Normalizer.fit_signature``); empty means "unknown".
     fit_signature: dict = field(default_factory=dict)
@@ -158,7 +166,8 @@ class _CommunityEntry:
 class ContributorQualityModel:
     """Assess and rank the contributors of a source."""
 
-    #: Number of (source, user set) assessment contexts retained per model.
+    #: Bounds the entry table at twice this many (source, user set)
+    #: communities; an evicted community rebuilds on its next read.
     CONTEXT_CACHE_SIZE = 8
 
     def __init__(
@@ -174,9 +183,9 @@ class ContributorQualityModel:
         self._scheme = scheme or uniform_scheme(self._registry)
         self._normalizer = normalizer or BenchmarkNormalizer(self._registry)
         self._crawler = crawler or Crawler()
-        self._contexts = LRUCache(maxsize=self.CONTEXT_CACHE_SIZE)
-        #: (id(source), user-id tuple or None) -> incremental state; id keys
-        #: are guarded by the weakref inside each entry's tracker.
+        #: (id(source), user-id tuple or None) -> incremental state; each
+        #: entry anchors its source, so an id key is never reused while
+        #: the entry lives.
         self._incremental: dict[tuple[int, Optional[tuple]], _CommunityEntry] = {}
         #: Serialises context builders/patchers (and the shared normaliser
         #: they refit); clean-path reads never take it.
@@ -208,9 +217,11 @@ class ContributorQualityModel:
         return self._refresh_mutex
 
     def invalidate(self) -> None:
-        """Drop every cached assessment (see the module docstring for when)."""
+        """Drop every cached assessment (see the module docstring for when).
+
+        Also releases the sources the entries anchor.
+        """
         with ordered(self._refresh_mutex, "consumer.gate"):
-            self._contexts.invalidate()
             self._incremental.clear()
 
     # -- raw measures ------------------------------------------------------------------
@@ -236,92 +247,6 @@ class ContributorQualityModel:
         """
         self._context(source, None, deep=deep)
 
-    # -- snapshot export / restore (persistence layer) ----------------------------------
-
-    def export_community_state(
-        self, source: Source, user_ids: Optional[Iterable[str]] = None
-    ) -> dict[str, Any]:
-        """Serialise the community context for ``source`` to a JSON dict.
-
-        Refreshes first.  Fingerprints are not exported whole (they embed
-        ``id()``); instead the payload carries the one O(discussions)
-        fingerprint field — the post total — so
-        :meth:`restore_community_state` can recompose the fingerprint in
-        O(1) via :func:`~repro.perf.cache.compose_source_fingerprint`.
-        """
-        resolved_ids = self._resolve_user_ids(source, user_ids)
-        snapshots, raw_vectors, assessments = self._context(source, user_ids)
-        return {
-            "source_id": source.source_id,
-            "user_ids": list(resolved_ids),
-            "post_total": sum(
-                len(discussion.posts) for discussion in source.discussions
-            ),
-            "snapshots": {
-                user_id: snapshot.to_dict() for user_id, snapshot in snapshots.items()
-            },
-            "raw_vectors": {
-                user_id: dict(vector) for user_id, vector in raw_vectors.items()
-            },
-            "scores": {
-                user_id: assessment.score.to_dict()
-                for user_id, assessment in assessments.items()
-            },
-        }
-
-    def restore_community_state(
-        self, source: Source, payload: Mapping[str, Any]
-    ) -> None:
-        """Install an exported community context for the recovered ``source``.
-
-        Seeds the context cache keyed by the source's fingerprint —
-        recomposed in O(1) from the persisted ``post_total`` hint when
-        present; the next read serves it without crawling and — via
-        the cached-context install path, which pins ``fit_token = -1`` —
-        the first post-restore mutation re-fits the shared normaliser
-        from the restored raw vectors before patching, so every later
-        assessment stays bit-identical to a cold rebuild's.
-
-        Raises :class:`~repro.errors.CorruptSnapshotError` when the
-        payload is malformed or belongs to a different source; recovery
-        degrades to a cold build on that error.
-        """
-        from repro.errors import CorruptSnapshotError
-
-        try:
-            if payload["source_id"] != source.source_id:
-                raise CorruptSnapshotError(
-                    f"community state is for source {payload['source_id']!r},"
-                    f" not {source.source_id!r}"
-                )
-            user_ids = tuple(payload["user_ids"])
-            snapshots = {
-                user_id: ContributorSnapshot.from_dict(payload["snapshots"][user_id])
-                for user_id in user_ids
-            }
-            raw_vectors = {
-                user_id: dict(payload["raw_vectors"][user_id]) for user_id in user_ids
-            }
-            assessments = {
-                user_id: ContributorAssessment(
-                    user_id=user_id,
-                    source_id=source.source_id,
-                    score=QualityScore.from_dict(payload["scores"][user_id]),
-                    snapshot=snapshots[user_id],
-                )
-                for user_id in user_ids
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptSnapshotError(f"invalid community state: {exc!r}") from exc
-        context = (snapshots, raw_vectors, assessments)
-        post_total = payload.get("post_total")
-        if isinstance(post_total, int):
-            fingerprint = compose_source_fingerprint(source, post_total)
-        else:  # pre-hint snapshot formats: fall back to the O(content) scan
-            fingerprint = source_fingerprint(source)
-        with ordered(self._refresh_mutex, "consumer.gate"):
-            self._contexts.put((fingerprint, user_ids), (source, context))
-
     # -- batched assessment pass --------------------------------------------------------
 
     def _resolve_user_ids(
@@ -337,10 +262,10 @@ class ContributorQualityModel:
         snapshots: Mapping[str, ContributorSnapshot],
         raw_vectors: Mapping[str, Mapping[str, float]],
         refit: bool,
-        previous: Optional[_CommunityEntry] = None,
-        changed_ids: AbstractSet[str] = frozenset(),
+        previous: _CommunityEntry,
+        changed_ids: AbstractSet[str],
     ) -> tuple[dict[str, ContributorAssessment], dict]:
-        """The columnar tail shared by context builds and patches.
+        """The columnar tail of a community patch.
 
         Pivots the raw vectors into columns, refits the shared normaliser
         when ``refit`` is set, normalises — confined, against the
@@ -355,8 +280,8 @@ class ContributorQualityModel:
         names, _ = self._registry.column_layout()
         user_ids, measures, raw_columns = columns_from_vectors(raw_vectors, names)
         ensure_finite_columns(raw_columns)
-        kept = previous.context[2] if previous is not None else {}
-        previous_signature = previous.fit_signature if previous is not None else {}
+        kept = previous.context[2]
+        previous_signature = previous.fit_signature
         previous_normalized = None
         if kept:
             # Prior normalised columns aligned to the current user order;
@@ -426,38 +351,6 @@ class ContributorQualityModel:
             assessments[user_id] = assessment
         return assessments, fit_signature
 
-    def _build_context(
-        self,
-        source: Source,
-        resolved_ids: tuple[str, ...],
-        walk: Optional[CommunityWalkCache] = None,
-    ) -> tuple[
-        dict[str, ContributorSnapshot],
-        dict[str, dict[str, float]],
-        dict[str, ContributorAssessment],
-    ]:
-        """Crawl once (one shared walk), measure once, fit once, score all."""
-        self.counters.increment("context_builds")
-        snapshots = self._crawler.crawl_contributors_batched(
-            source, resolved_ids, walk=walk
-        )
-        if not snapshots:
-            raise AssessmentError(
-                f"source {source.source_id!r} has no contributors to assess"
-            )
-        raw_vectors: dict[str, dict[str, float]] = {}
-        for user_id, snapshot in snapshots.items():
-            context = ContributorMeasurementContext(
-                snapshot=snapshot, domain=self._domain
-            )
-            raw_vectors[user_id] = compute_contributor_measures(
-                context, registry=self._registry
-            )
-        assessments, _ = self._assess_columns(
-            source, snapshots, raw_vectors, refit=True
-        )
-        return snapshots, raw_vectors, assessments
-
     def _patch_community(
         self,
         entry: _CommunityEntry,
@@ -477,9 +370,10 @@ class ContributorQualityModel:
         a refit renormalises only the measures whose fit signature moved
         (ROADMAP (f)) — and assessments of untouched users are reused
         verbatim, so a ``touch()`` that did not alter any contributor's
-        observable activity costs one walk and zero re-scoring.  Returns
-        the patched context plus the fit token and fit signature it
-        corresponds to.
+        observable activity costs one walk and zero re-scoring.  A first
+        read is this patch over an empty entry (every user measured, one
+        fit) and counts only ``context_builds``.  Returns the patched
+        context plus the fit token and fit signature it corresponds to.
         """
         previous_snapshots, previous_raw, previous_assessments = entry.context
         snapshots = self._crawler.crawl_contributors_batched(
@@ -489,18 +383,6 @@ class ContributorQualityModel:
             raise AssessmentError(
                 f"source {source.source_id!r} has no contributors to assess"
             )
-        self.counters.increment("community_recrawls")
-        walk_stats = entry.walk.last_stats
-        self.counters.increment(
-            "discussions_rewalked", walk_stats.get("discussions_walked", 0)
-        )
-        self.counters.increment(
-            "discussions_reused", walk_stats.get("discussions_reused", 0)
-        )
-        if walk_stats.get("full_walk"):
-            self.counters.increment("community_full_walks")
-        else:
-            self.counters.increment("community_restricted_walks")
 
         raw_vectors: dict[str, dict[str, float]] = {}
         changed_vector_ids: set[str] = set()
@@ -518,7 +400,6 @@ class ContributorQualityModel:
                 raw_vectors[user_id] = compute_contributor_measures(
                     context, registry=self._registry
                 )
-                self.counters.increment("contributors_remeasured")
             if raw_vectors[user_id] != previous_raw.get(user_id):
                 changed_vector_ids.add(user_id)
 
@@ -540,34 +421,29 @@ class ContributorQualityModel:
         else:
             # No contributor's activity changed: every assessment stands.
             assessments, fit_signature = dict(previous_assessments), entry.fit_signature
-        self.counters.increment("context_patches")
+        if entry.fingerprint is None:
+            self.counters.increment("context_builds")
+        else:
+            walk_stats = entry.walk.last_stats
+            self.counters.increment("community_recrawls")
+            self.counters.increment(
+                "discussions_rewalked", walk_stats.get("discussions_walked", 0)
+            )
+            self.counters.increment(
+                "discussions_reused", walk_stats.get("discussions_reused", 0)
+            )
+            self.counters.increment(
+                "community_full_walks"
+                if walk_stats.get("full_walk")
+                else "community_restricted_walks"
+            )
+            self.counters.increment("contributors_remeasured", len(snapshot_changed))
+            self.counters.increment("context_patches")
         return (
             (snapshots, raw_vectors, assessments),
             (self._normalizer.fit_count if needs_refit else entry.fit_token),
             fit_signature,
         )
-
-    def _prune_incremental(self) -> None:
-        dead = [
-            key
-            for key, entry in self._incremental.items()
-            if entry.tracker.source is None
-        ]
-        for key in dead:
-            del self._incremental[key]
-        while len(self._incremental) > 2 * self.CONTEXT_CACHE_SIZE:
-            self._incremental.pop(next(iter(self._incremental)))
-
-    def _resolve_entry(
-        self, entry_key: tuple[int, Optional[tuple]], source: Source, prune: bool
-    ) -> Optional[_CommunityEntry]:
-        """The live entry for ``entry_key`` (None when absent or id-reused)."""
-        entry = self._incremental.get(entry_key)
-        if entry is not None and entry.tracker.source is not source:
-            if prune:
-                del self._incremental[entry_key]  # id(source) reused by a new object
-            return None
-        return entry
 
     def _context(
         self, source: Source, user_ids: Optional[Iterable[str]], deep: bool = False
@@ -579,7 +455,7 @@ class ContributorQualityModel:
         """Return the (cached, incrementally maintained) community context.
 
         Thread-safety mirrors the source model: the clean path is a
-        snapshot read (contexts are immutable once published), builders
+        snapshot read (contexts are immutable once published), patchers
         serialise under ``refresh_mutex``, mark the entry's tracker clean
         with the revision captured *before* the walk, and publish the
         patched context under the write lock in O(1) — so a mutation
@@ -588,7 +464,7 @@ class ContributorQualityModel:
         """
         user_key = None if user_ids is None else tuple(user_ids)
         entry_key = (id(source), user_key)
-        entry = self._resolve_entry(entry_key, source, prune=False)
+        entry = self._incremental.get(entry_key)
         if entry is not None and not deep and not entry.tracker.dirty:
             self.counters.increment("context_hits")
             self.counters.increment("staleness_flag_hits")
@@ -596,86 +472,52 @@ class ContributorQualityModel:
                 return entry.context
 
         with ordered(self._refresh_mutex, "consumer.gate"):
-            entry = self._resolve_entry(entry_key, source, prune=True)
+            entry = self._incremental.get(entry_key)
             if entry is not None and not deep and not entry.tracker.dirty:
                 # Another thread patched while this one waited for the gate.
                 self.counters.increment("context_hits")
                 self.counters.increment("staleness_flag_hits")
                 return entry.context
 
-            # Capture the revision the rebuilt context derives from before
-            # reading any content; a mutation landing mid-build bumps the
+            # Capture the revision the patched context derives from before
+            # reading any content; a mutation landing mid-patch bumps the
             # revision past it, leaving the tracker dirty.
             fresh_entry = entry is None
             if fresh_entry:
-                tracker = SourceChangeTracker(source)
+                entry = _CommunityEntry(source, SourceChangeTracker(source))
             else:
-                tracker = entry.tracker
-                tracker.mark_clean(source.content_revision)
-            revision_at_start = tracker.clean_revision
+                entry.tracker.mark_clean(source.content_revision)
+            revision_at_start = entry.tracker.clean_revision
 
             try:
                 fingerprint = source_fingerprint(source)
-                if entry is not None and fingerprint == entry.fingerprint:
+                if fingerprint == entry.fingerprint:
                     # Announced mutation with no structural effect (or a
                     # deep probe over an unchanged source): the cached
                     # context is still exact.
                     self.counters.increment("context_hits")
                     return entry.context
-
-                resolved_ids = self._resolve_user_ids(source, user_key)
-                cache_key = (fingerprint, resolved_ids)
-                walk = entry.walk if entry is not None else CommunityWalkCache()
-                cached = self._contexts.get(cache_key)
-                if cached is not None:
-                    self.counters.increment("context_hits")
-                    context = cached[1]
-                    if entry is not None and entry.context is context:
-                        fit_token = entry.fit_token
-                        fit_signature = entry.fit_signature
-                    else:
-                        fit_token = -1  # unknown normaliser: force a re-fit on patch
-                        fit_signature = {}
-                elif entry is not None:
-                    context, fit_token, fit_signature = self._patch_community(
-                        entry, source, resolved_ids
-                    )
-                    self._contexts.put(cache_key, (source, context))
-                else:
-                    context = self._build_context(source, resolved_ids, walk=walk)
-                    fit_token = self._normalizer.fit_count
-                    fit_signature = self._normalizer.fit_signature()
-                    # The cached entry anchors the source object (first
-                    # element): the fingerprint key contains id(source),
-                    # which must not be reused while the entry lives.
-                    self._contexts.put(cache_key, (source, context))
+                context, fit_token, fit_signature = self._patch_community(
+                    entry, source, self._resolve_user_ids(source, user_key)
+                )
             except BaseException:
-                # The tracker was marked clean above; a failed rebuild
-                # must not leave the stale published context looking
-                # fresh — restore the staleness so the next read retries.
-                if not fresh_entry:
-                    tracker.force_dirty()
+                # The tracker was marked clean above; a failed patch must
+                # not leave the stale published context looking fresh —
+                # restore the staleness so the next read retries.
+                entry.tracker.force_dirty()
                 raise
 
             # Publish: the context was built aside, the swap is O(1).
             with self._rwlock.write_lock():
+                entry.fingerprint = fingerprint
+                entry.context = context
+                entry.fit_token = fit_token
+                entry.fit_signature = fit_signature
                 if fresh_entry:
-                    self._prune_incremental()
-                    entry = _CommunityEntry(
-                        tracker=tracker,
-                        fingerprint=fingerprint,
-                        context=context,
-                        fit_token=fit_token,
-                        walk=walk,
-                        fit_signature=fit_signature,
-                    )
+                    while len(self._incremental) >= 2 * self.CONTEXT_CACHE_SIZE:
+                        self._incremental.pop(next(iter(self._incremental)))
                     self._incremental[entry_key] = entry
-                else:
-                    entry.fingerprint = fingerprint
-                    entry.context = context
-                    entry.fit_token = fit_token
-                    entry.fit_signature = fit_signature
-                tracker.mark_clean(revision_at_start)
+                entry.tracker.mark_clean(revision_at_start)
             return entry.context
 
     # -- assessment --------------------------------------------------------------------

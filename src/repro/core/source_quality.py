@@ -301,8 +301,9 @@ class _IncrementalEntry:
 class SourceQualityModel:
     """Assess and rank Web 2.0 sources against a Domain of Interest."""
 
-    #: Number of corpora whose measure state a model keeps (twice this
-    #: many entries: one per corpus and maximum kind, see ``_incremental``).
+    #: Bounds the entry table at twice this many entries (one per corpus
+    #: and maximum kind, see ``_incremental``); an evicted corpus
+    #: re-measures on its next read.
     CONTEXT_CACHE_SIZE = 8
 
     def __init__(
@@ -653,7 +654,7 @@ class SourceQualityModel:
             entry.subscription.close()
 
     def _prune_incremental(self) -> None:
-        """Drop entries whose corpus died; bound the table to a small multiple."""
+        """Drop entries whose corpus died, then the oldest until one more fits."""
         dead = [
             key
             for key, entry in self._incremental.items()
@@ -661,7 +662,7 @@ class SourceQualityModel:
         ]
         for key in dead:
             self._discard_entry(key)
-        while len(self._incremental) > 2 * self.CONTEXT_CACHE_SIZE:
+        while len(self._incremental) >= 2 * self.CONTEXT_CACHE_SIZE:
             self._discard_entry(next(iter(self._incremental)))
 
     # -- assessment --------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Deterministic LRU cache and structural fingerprints.
 
 :class:`LRUCache` is a small insertion-ordered cache with hit/miss
-statistics; it backs the contributor model's assessment-context cache,
-the query-tokenisation memo of the search engine and the per-text memo of
-the sentiment analyser.
+statistics; it backs the query-tokenisation memo and the per-query result
+memo of the search engine and the per-text memo of the sentiment
+analyser.
 
 The fingerprint helpers compute a *structural* signature of a source or a
 corpus: object identity, the source's in-place mutation counter

@@ -227,6 +227,5 @@ class ClusterStore:
             corpus=corpus,
             engine=engine,
             source_model=source_model,
-            contributor_models={},
             result=merged,
         )

@@ -16,8 +16,10 @@ the section layout) holding:
     postings maps would dominate the warm start it exists to speed up.
 ``source_model`` *(optional)*
     The source quality model's exported assessment state.
-``contributors`` *(optional)*
-    Per-source exported contributor-model community states.
+``contributors`` *(no longer written)*
+    Per-source contributor-model community states, which older snapshots
+    may hold; recovery ignores the section, and contributor models
+    cold-build on their first read.
 
 Sections are individually CRC-guarded, so a reader can localise damage
 to one section and its byte offset; the file is written atomically

@@ -35,13 +35,13 @@ version.  The orderings are what make every crash window recoverable:
 snapshot (falling back to the previous one, then to a journal-only start),
 pins the corpus version, and collects the journal tail.
 :meth:`CorpusStore.recover_stack` additionally rebuilds the consumers from
-their snapshot sections — search index, source-quality context, per-source
-contributor contexts — *before* replaying the tail, so the replayed events
-flow through the exact incremental patch machinery live mutations use:
-a warm start is bit-identical to a cold rebuild by construction, just
-without the crawling.  Any section that fails validation degrades that one
-consumer to a cold build; it never fails recovery and never serves
-partial data.
+their snapshot sections — search index and source-model measure state —
+*before* replaying the tail, so the replayed events flow through the exact
+incremental patch machinery live mutations use: a warm start is
+bit-identical to a cold rebuild by construction, just without the
+crawling.  Any section that fails validation degrades that one consumer
+to a cold build; it never fails recovery and never serves partial data.
+The ``contributors`` section older snapshots may hold is ignored.
 
 **Checkpoint scheduling.**  :meth:`CorpusStore.checkpoint_if_due` is a
 zero-argument callable fit for
@@ -327,8 +327,6 @@ class RecoveredStack:
     corpus: SourceCorpus
     engine: Optional[Any]
     source_model: Optional[Any]
-    #: source_id -> restored ContributorQualityModel.
-    contributor_models: dict = field(default_factory=dict)
     result: Optional[RecoveryResult] = None
 
 
@@ -373,7 +371,6 @@ class CorpusStore:
         self._corpus: Optional[SourceCorpus] = None
         self._engine: Optional[Any] = None
         self._source_model: Optional[Any] = None
-        self._contributor_models: dict[str, Any] = {}
         self._journal: Optional[JournalWriter] = None
         self._subscriber: Optional[DurableJournalSubscriber] = None
         #: The last checkpoint's corpus section, marked from the records
@@ -495,7 +492,6 @@ class CorpusStore:
         *,
         engine: Optional[Any] = None,
         source_model: Optional[Any] = None,
-        contributor_models: Optional[Mapping[str, Any]] = None,
     ) -> DurableJournalSubscriber:
         """Start journaling ``corpus`` mutations; remember consumers to snapshot.
 
@@ -513,7 +509,6 @@ class CorpusStore:
             self._corpus = corpus
             self._engine = engine
             self._source_model = source_model
-            self._contributor_models = dict(contributor_models or {})
             self._capture = SectionCapture()
             self._journal = JournalWriter(
                 self.journal_path, base_version=corpus.version, fsync=self._fsync
@@ -521,32 +516,20 @@ class CorpusStore:
             self._subscriber = DurableJournalSubscriber(corpus, self._journal_sink)
             return self._subscriber
 
-    def bind_consumers(
-        self,
-        *,
-        engine: Optional[Any] = None,
-        source_model: Optional[Any] = None,
-        contributor_models: Optional[Mapping[str, Any]] = None,
-    ) -> None:
-        """Bind consumers created *after* :meth:`attach` into later checkpoints.
+    def bind_consumers(self, *, engine: Any) -> None:
+        """Bind a search engine created *after* :meth:`attach` into later checkpoints.
 
         The sharded worker builds its search engine lazily (an empty shard
         has nothing to index); this lets it hand the engine to the store
         once built, so the next checkpoint exports the index section just
-        as an attach-time binding would.  Only the given consumers are
-        replaced; passing None leaves the existing binding untouched.
+        as an attach-time binding would.
         """
         with ordered(self._lock, "store.lock"):
             if not self.attached:
                 raise PersistenceError(
                     "bind_consumers requires an attached corpus", path=self.directory
                 )
-            if engine is not None:
-                self._engine = engine
-            if source_model is not None:
-                self._source_model = source_model
-            if contributor_models is not None:
-                self._contributor_models = dict(contributor_models)
+            self._engine = engine
 
     def checkpoint(self) -> int:
         """Fold the journal into a fresh snapshot; return the version captured.
@@ -605,13 +588,6 @@ class CorpusStore:
                         sections["source_model"] = (
                             self._source_model.export_assessment_state(corpus)
                         )
-                    contributors = {
-                        source_id: model.export_community_state(corpus.get(source_id))
-                        for source_id, model in self._contributor_models.items()
-                        if source_id in corpus
-                    }
-                    if contributors:
-                        sections["contributors"] = contributors
                 if self.snapshot_path.exists():
                     rename_file(
                         self.snapshot_path,
@@ -661,7 +637,6 @@ class CorpusStore:
             self._corpus = None
             self._engine = None
             self._source_model = None
-            self._contributor_models = {}
             self._capture = SectionCapture()
 
     def __enter__(self) -> "CorpusStore":
@@ -818,31 +793,34 @@ class CorpusStore:
         their snapshot sections describe the snapshot-time corpus — so
         the tail flows through their ordinary incremental patch paths and
         the warm results are bit-identical to a cold rebuild's.  That
-        ordering is also what makes the sections' ``post_totals`` /
-        ``post_total`` fingerprint hints sound: each consumer recomposes
-        its per-source fingerprints in O(1) via
+        ordering is also what makes the sections' ``post_totals``
+        fingerprint hints sound: each consumer recomposes its per-source
+        fingerprints in O(1) via
         :func:`~repro.perf.cache.compose_source_fingerprint` instead of
-        rescanning every discussion of every source.  Quality
-        models need ``domain`` (a
-        :class:`~repro.core.domain.DomainOfInterest`); without it their
-        sections are skipped.  With ``attach=True`` the store resumes
-        journaling the recovered corpus, ready for the next checkpoint.
+        rescanning every discussion of every source.  The source model
+        needs ``domain`` (a :class:`~repro.core.domain.DomainOfInterest`);
+        without it its section is skipped.  After a journal-only start
+        the corpus exists only once the tail is replayed, so the engine
+        and the model are built then, cold.  A ``contributors`` section
+        is ignored: contributor models cold-build on their first read.
+        With ``attach=True`` the store resumes journaling the recovered
+        corpus, ready for the next checkpoint.
 
         ``result`` accepts a pre-collected (not yet replayed)
         :meth:`recover` outcome, separating corpus materialisation from
         consumer warm-up — the persistence benchmark times the two phases
         independently.
         """
+        from repro.core.source_quality import SourceQualityModel
+        from repro.search.engine import SearchEngine
+
         if result is None:
             result = self.recover()
         corpus = result.corpus
         engine: Optional[Any] = None
         source_model: Optional[Any] = None
-        contributor_models: dict[str, Any] = {}
 
         if len(corpus) and build_engine:
-            from repro.search.engine import SearchEngine
-
             index_state = self._section(result, "index")
             if index_state is not None:
                 try:
@@ -852,9 +830,6 @@ class CorpusStore:
             if engine is None:
                 engine = SearchEngine(corpus)
         if len(corpus) and domain is not None:
-            from repro.core.contributor_quality import ContributorQualityModel
-            from repro.core.source_quality import SourceQualityModel
-
             source_model = SourceQualityModel(domain)
             model_state = self._section(result, "source_model")
             if model_state is not None:
@@ -867,39 +842,21 @@ class CorpusStore:
                     result.notes.append(
                         f"source model section unusable ({exc}); cold build on first read"
                     )
-            for source_id, payload in (self._section(result, "contributors") or {}).items():
-                if source_id not in corpus:
-                    continue
-                model = ContributorQualityModel(domain)
-                try:
-                    model.restore_community_state(corpus.get(source_id), payload)
-                    model.refresh(corpus.get(source_id))  # install the entry pre-replay
-                except PersistenceError as exc:
-                    result.notes.append(
-                        f"contributor section for {source_id!r} unusable ({exc}); "
-                        "cold build on first read"
-                    )
-                contributor_models[source_id] = model
 
         result.replay()
 
-        if len(corpus) and build_engine and engine is None:
+        if len(corpus):
             # Journal-only start: the corpus only exists after the replay.
-            from repro.search.engine import SearchEngine
-
-            engine = SearchEngine(corpus)
+            if build_engine and engine is None:
+                engine = SearchEngine(corpus)
+            if domain is not None and source_model is None:
+                source_model = SourceQualityModel(domain)
         if attach:
-            self.attach(
-                corpus,
-                engine=engine,
-                source_model=source_model,
-                contributor_models=contributor_models,
-            )
+            self.attach(corpus, engine=engine, source_model=source_model)
         return RecoveredStack(
             corpus=corpus,
             engine=engine,
             source_model=source_model,
-            contributor_models=contributor_models,
             result=result,
         )
 

@@ -95,6 +95,19 @@ def _assert_bit_identical(
     assert live.normalized_vectors == fresh.normalized_vectors
 
 
+def _assert_community_identical(live, fresh) -> None:
+    """A live community's assessments must equal a fresh model's, exactly."""
+    assert list(live) == list(fresh)
+    for user_id, expected in fresh.items():
+        actual = live[user_id]
+        assert actual.overall == expected.overall  # exact, not approx
+        assert actual.score.raw_values == expected.score.raw_values
+        assert actual.score.normalized_values == expected.score.normalized_values
+        assert actual.score.dimension_scores == expected.score.dimension_scores
+        assert actual.score.attribute_scores == expected.score.attribute_scores
+        assert actual.snapshot == expected.snapshot
+
+
 class TestIncrementalSourceModelEquivalence:
     def test_touch_after_count_preserving_edit(self, travel_domain):
         corpus = _fresh_corpus()
@@ -466,6 +479,91 @@ class TestIncrementalContributorModel:
             u: a.overall for u, a in fresh.items()
         }
         assert model.counters.get("context_patches") == 1
+
+    def test_first_read_counts_only_a_build(self, travel_domain):
+        source = _extra_source("contrib-first")
+        model = ContributorQualityModel(travel_domain)
+        model.assess_source(source)
+        assert model.counters.get("context_builds") == 1
+        for name in ("community_recrawls", "contributors_remeasured", "context_patches"):
+            assert model.counters.get(name) == 0, name
+
+    def test_failed_first_read_publishes_no_entry(self, travel_domain, monkeypatch):
+        source = _extra_source("contrib-failed-first")
+        model = ContributorQualityModel(travel_domain)
+
+        def boom(*_args, **_kwargs):
+            raise RuntimeError("simulated fit failure")
+
+        monkeypatch.setattr(model._normalizer, "fit_columns", boom)
+        with pytest.raises(RuntimeError):
+            model.assess_source(source)
+        monkeypatch.undo()
+        assert model._incremental == {}
+        _assert_community_identical(
+            model.assess_source(source),
+            ContributorQualityModel(travel_domain).assess_source(source),
+        )
+        assert model.counters.get("context_builds") == 1
+
+    def test_evicted_community_rebuilds_exactly(self, travel_domain):
+        bound = 2 * ContributorQualityModel.CONTEXT_CACHE_SIZE
+        assert bound == 16
+        sources = [
+            SourceGenerator(
+                SourceSpec(
+                    source_id=f"contrib-bound-{index}",
+                    focus_categories=("travel", "food"),
+                    discussion_budget=3,
+                    user_budget=5,
+                ),
+                seed=200 + index,
+            ).generate()
+            for index in range(bound + 2)
+        ]
+        model = ContributorQualityModel(travel_domain)
+        for source in sources:
+            model.assess_source(source)
+        assert len(model._incremental) == bound
+        assert model.counters.get("context_builds") == len(sources)
+        evicted = sources[0]
+        live = model.assess_source(evicted)
+        assert model.counters.get("context_builds") == len(sources) + 1
+        assert model.counters.get("context_patches") == 0
+        _assert_community_identical(
+            live, ContributorQualityModel(travel_domain).assess_source(evicted)
+        )
+        # The re-read evicted the oldest entry left; a kept community
+        # still patches, refitting the normaliser the others moved.
+        kept = sources[-1]
+        _grow(kept, "travel bound growth")
+        live = model.assess_source(kept)
+        assert model.counters.get("context_patches") == 1
+        _assert_community_identical(
+            live, ContributorQualityModel(travel_domain).assess_source(kept)
+        )
+
+    def test_explicit_user_set_is_its_own_community(self, travel_domain):
+        source = _extra_source("contrib-users")
+        user_ids = sorted(source.contributors())
+        model = ContributorQualityModel(travel_domain)
+        implicit = model.assess_source(source)
+        explicit = model.assess_source(source, user_ids=user_ids)
+        assert model.counters.get("context_builds") == 2
+        for _ in range(2):
+            _assert_community_identical(
+                implicit, ContributorQualityModel(travel_domain).assess_source(source)
+            )
+            _assert_community_identical(
+                explicit,
+                ContributorQualityModel(travel_domain).assess_source(
+                    source, user_ids=user_ids
+                ),
+            )
+            _grow(source, "travel explicit users")  # a new user joins `implicit`
+            explicit = model.assess_source(source, user_ids=user_ids)
+            implicit = model.assess_source(source)
+        assert model.counters.get("context_builds") == 2
 
 
 class TestSearchEngineStaticOrderPatching:

@@ -16,6 +16,7 @@ import threading
 
 import pytest
 
+from repro.core.contributor_quality import ContributorQualityModel
 from repro.core.domain import DomainOfInterest
 from repro.core.source_quality import SourceQualityModel
 from repro.errors import (
@@ -93,6 +94,26 @@ def mutate(corpus: SourceCorpus, event: int) -> None:
 
 
 DOMAIN = DomainOfInterest(categories=("travel", "food"), name="persistence-tests")
+
+
+def _legacy_community_state(model: ContributorQualityModel, source: Source) -> dict:
+    """A community state in the layout of the retired ``contributors`` section."""
+    assessments = model.assess_source(source)
+    raw_vectors = model.raw_measures(source)
+    return {
+        "source_id": source.source_id,
+        "user_ids": list(assessments),
+        "post_total": sum(len(discussion.posts) for discussion in source.discussions),
+        "snapshots": {
+            user_id: assessment.snapshot.to_dict()
+            for user_id, assessment in assessments.items()
+        },
+        "raw_vectors": raw_vectors,
+        "scores": {
+            user_id: assessment.score.to_dict()
+            for user_id, assessment in assessments.items()
+        },
+    }
 
 
 # -- record framing ---------------------------------------------------------------------
@@ -433,13 +454,17 @@ class TestStoreRecovery:
         store.close()
         assert not store.snapshot_path.exists()
         with CorpusStore(tmp_path, fsync=False) as fresh:
-            stack = fresh.recover_stack(attach=False)
+            stack = fresh.recover_stack(domain=DOMAIN, attach=False)
         assert stack.result.snapshot_used is None
         assert stack.result.applied == 4
         assert sorted(s.source_id for s in stack.corpus) == sorted(
             s.source_id for s in reference
         )
         assert stack.engine is not None  # built after the replay
+        assert stack.source_model is not None  # likewise
+        assert stack.source_model.ranking_ids(stack.corpus) == SourceQualityModel(
+            DOMAIN
+        ).ranking_ids(stack.corpus)
 
     def test_stale_journal_is_rejected(self, tmp_path):
         corpus = make_corpus()
@@ -517,6 +542,44 @@ class TestStoreRecovery:
         assert any("index section undecodable" in note for note in stack.result.notes)
         expected = SearchEngine(stack.corpus)
         assert list(stack.engine.static_rank()) == list(expected.static_rank())
+
+    def test_legacy_contributors_section_is_ignored(self, tmp_path):
+        # Older stores wrote per-source contributor-model community states;
+        # this one holds such a section plus a journal tail behind it.
+        live = make_corpus(count=5, seed=47, budget=4)
+        store = CorpusStore(tmp_path, fsync=False)
+        store.attach(live)
+        store.checkpoint()
+        sections = read_snapshot(store.snapshot_path)
+        version = snapshot_version(sections)
+        for event in range(4):
+            mutate(live, event)
+        store.close()
+        contributor_model = ContributorQualityModel(DOMAIN)
+        write_snapshot(
+            store.snapshot_path,
+            {
+                "corpus": sections["corpus"],
+                "versions": sections["versions"],
+                "contributors": {
+                    source.source_id: _legacy_community_state(
+                        contributor_model, source
+                    )
+                    for source in make_corpus(count=5, seed=47, budget=4).sources()[:2]
+                },
+            },
+            corpus_version=version,
+        )
+        assert "contributors" in read_snapshot(store.snapshot_path)
+
+        with CorpusStore(tmp_path, fsync=False) as recovered:
+            stack = recovered.recover_stack(domain=DOMAIN)
+            assert stack.result.notes == []
+            assert stack.result.snapshot_used == "current"
+            assert stack.result.applied == 4
+            assert stack.corpus.to_dict() == live.to_dict()
+            recovered.checkpoint()
+            assert "contributors" not in read_snapshot(recovered.snapshot_path)
 
     def test_recover_stack_matches_cold_rebuild(self, tmp_path):
         corpus = make_corpus(count=8, seed=41, budget=5)
