@@ -270,10 +270,6 @@ class AssessmentColumns:
         """Subject ids by decreasing overall score (ties by id)."""
         return self.rank.order()
 
-    def overall_of(self, subject_id: str) -> float:
-        """Overall score of one subject (bit-exact float)."""
-        return float(self.overall[self.index[subject_id]])
-
     def gather(self, subject_ids: Sequence[str]) -> "dict[str, np.ndarray]":
         """Raw columns re-ordered/filtered to ``subject_ids`` (exact copies)."""
         rows = np.asarray([self.index[subject_id] for subject_id in subject_ids])

@@ -63,11 +63,6 @@ class Normalizer(ABC):
         self._fit_count = 0
 
     @property
-    def is_fitted(self) -> bool:
-        """True once :meth:`fit` has been called."""
-        return self._fitted
-
-    @property
     def fit_count(self) -> int:
         """Monotonic count of :meth:`fit` calls.
 

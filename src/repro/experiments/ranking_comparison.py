@@ -74,12 +74,6 @@ class RankingStudyResult:
     per_measure_tau: dict[str, float] = field(default_factory=dict)
     outcomes: list[QueryOutcome] = field(default_factory=list)
 
-    def max_abs_tau(self) -> float:
-        """Largest absolute per-measure Kendall tau."""
-        if not self.per_measure_tau:
-            return 0.0
-        return max(abs(value) for value in self.per_measure_tau.values())
-
     def to_markdown(self) -> str:
         """Render the Section 4.1 statistics plus the per-measure taus."""
         summary = format_markdown_table(

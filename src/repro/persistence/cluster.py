@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.errors import MissingShardSnapshotError, PersistenceError
+from repro.perf.collector import collector_paused
 from repro.persistence.format import atomic_write_json
 from repro.persistence.store import CorpusStore, RecoveredStack, RecoveryResult
 from repro.sources.corpus import SourceCorpus
@@ -134,6 +135,7 @@ class ClusterStore:
 
     # -- recovery ----------------------------------------------------------------------
 
+    @collector_paused()
     def recover_stack(
         self,
         *,

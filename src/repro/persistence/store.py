@@ -41,7 +41,10 @@ incremental patch machinery live mutations use: a warm start is
 bit-identical to a cold rebuild by construction, just without the
 crawling.  Any section that fails validation degrades that one consumer
 to a cold build; it never fails recovery and never serves partial data.
-The ``contributors`` section older snapshots may hold is ignored.
+The ``contributors`` section older snapshots may hold is ignored.  Both
+run with the cyclic garbage collector paused
+(:func:`~repro.perf.collector.collector_paused`): everything they build
+stays alive, so a collection could free none of it.
 
 **Checkpoint scheduling.**  :meth:`CorpusStore.checkpoint_if_due` is a
 zero-argument callable fit for
@@ -65,6 +68,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import JournalReplayError, PersistenceError
+from repro.perf.collector import collector_paused
 from repro.persistence.capture import SectionCapture
 from repro.persistence.codec import encode_index_state
 from repro.persistence.format import rename_file
@@ -647,6 +651,7 @@ class CorpusStore:
 
     # -- recovery path ------------------------------------------------------------------
 
+    @collector_paused()
     def recover(self) -> RecoveryResult:
         """Reconstruct the corpus from disk; journal tail left for :meth:`replay`.
 
@@ -779,6 +784,7 @@ class CorpusStore:
             result.notes.append(f"{name} section undecodable ({exc}); cold build")
             return None
 
+    @collector_paused()
     def recover_stack(
         self,
         *,

@@ -84,6 +84,7 @@ from repro.errors import (
     ShardUnavailableError,
     WireProtocolError,
 )
+from repro.perf.collector import collector_paused
 from repro.persistence.cluster import ClusterStore
 from repro.persistence.format import json_record, pack_record
 from repro.search.engine import (
@@ -258,6 +259,7 @@ class ShardCoordinator:
 
     # -- lifecycle ---------------------------------------------------------------------
 
+    @collector_paused()
     def _start(self, shards: list[_Shard], *, recover: bool) -> dict[int, Any]:
         """Spawn, configure and resync ``shards``; return their resync replies.
 
@@ -268,7 +270,9 @@ class ShardCoordinator:
         shard's ``shipped`` holds what its resync ships, set before it is
         sent; the caller re-keys the bridge from it (see
         :meth:`~repro.sources.diffing.DurableJournalSubscriber.rekey`)
-        once it holds no lock above the bridge's.
+        once it holds no lock above the bridge's.  The cyclic collector
+        is paused throughout: the payloads hold every shipped source's
+        ``to_dict()``, whose containers live on as the bridge's keys.
         """
         for shard in shards:
             self._spawn(shard)

@@ -55,6 +55,7 @@ them into results bit-identical to a single-process build — see
 from __future__ import annotations
 
 import argparse
+import gc
 import socket
 import time
 from pathlib import Path
@@ -63,6 +64,7 @@ from typing import Any, Optional
 from repro.core.domain import DomainOfInterest
 from repro.core.source_quality import SourceQualityModel
 from repro.errors import PersistenceError, ShardingError, WireProtocolError
+from repro.perf.collector import collector_paused
 from repro.persistence.format import json_record, pack_record
 from repro.persistence.journal import split_framed
 from repro.persistence.store import CorpusStore, _overlay_source, replay_journal
@@ -74,6 +76,9 @@ from repro.sources.corpus import SourceCorpus
 from repro.sources.models import Source
 
 __all__ = ["ShardWorker", "main"]
+
+#: Requests after which the worker process freezes what it holds.
+_LOADING_KINDS = frozenset({"configure", "resync"})
 
 
 class ShardWorker:
@@ -104,19 +109,34 @@ class ShardWorker:
         what restart-and-resync recovers from.  CPU spent inside handlers
         is accumulated (``time.process_time`` deltas) and reported by the
         ``busy_time`` request, which the capacity benchmark reads.
+
+        This loop owns the worker process, so after a ``configure``, a
+        ``resync`` or any request that ran a checkpoint it calls
+        :func:`gc.freeze`: what the shard loaded then sits in the
+        collector's permanent generation, and later collections stop
+        walking it (see ``docs/PERFORMANCE.md``, "Garbage collection").
         """
         try:
             while not self._stopping:
                 message = self._connection.recv()
                 if message is None:
                     break
+                checkpoints = self._checkpoints_written()
                 reply, binary = self._dispatch(message)
                 try:
                     self._connection.send(reply, binary=binary)
                 except WireProtocolError:
                     break
+                if (
+                    message.get("kind") in _LOADING_KINDS
+                    or self._checkpoints_written() != checkpoints
+                ):
+                    gc.freeze()
         finally:
             self.close()
+
+    def _checkpoints_written(self) -> int:
+        return self._store.checkpoints_written if self._store is not None else 0
 
     def close(self) -> None:
         if self._scheduler is not None:
@@ -164,6 +184,7 @@ class ShardWorker:
 
     # -- setup -------------------------------------------------------------------------
 
+    @collector_paused()
     def _handle_configure(self, message: dict[str, Any]) -> dict[str, Any]:
         if self._configured:
             raise ShardingError("worker is already configured")
@@ -271,6 +292,7 @@ class ShardWorker:
             "tombstones": len(self._corpus.version_map()["removed"]),
         }
 
+    @collector_paused()
     def _handle_resync(self, message: dict[str, Any]) -> dict[str, Any]:
         """Apply what the coordinator found diverged from this worker's versions.
 

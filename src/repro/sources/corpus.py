@@ -51,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.errors import CorpusError, UnknownSourceError
 from repro.perf.cache import corpus_fingerprint, corpus_probe
+from repro.perf.collector import collector_paused
 from repro.sources.models import Discussion, Source, SourceType
 
 __all__ = ["SourceCorpus", "CorpusStatistics", "CorpusChange"]
@@ -741,6 +742,7 @@ class SourceCorpus:
         )
 
     @classmethod
+    @collector_paused()
     def load(cls, path: str | Path) -> "SourceCorpus":
         """Read a corpus previously written with :meth:`save`."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -572,7 +572,6 @@ class InvalidationBus:
         self._corpus_ref = weakref.ref(corpus)
         self._intake = threading.Lock()
         self._subscriptions: list = []  # weakrefs to BusSubscription
-        self._events_published = 0
         self._auto_names = 0
         corpus.subscribe(self._publish)
 
@@ -580,11 +579,6 @@ class InvalidationBus:
     def corpus(self) -> Any:
         """The corpus this bus fans out, or None once garbage collected."""
         return self._corpus_ref()
-
-    @property
-    def events_published(self) -> int:
-        """Total number of corpus changes published through the bus."""
-        return self._events_published
 
     def subscribe(
         self,
@@ -640,7 +634,6 @@ class InvalidationBus:
     def _publish(self, change: "CorpusChange") -> None:
         hooks: list = []
         with self._intake:
-            self._events_published += 1
             live: list = []
             for ref in self._subscriptions:
                 subscription = ref()
@@ -1061,8 +1054,9 @@ class SourceChangeTracker:
 
     The per-source analogue of an unfiltered :class:`BusSubscription`,
     extracted from the contributor model so any per-community consumer can
-    share it: it registers a mutation watcher (weakly held by the source)
-    and keeps a dirty flag cross-checked against the source's
+    share it: it holds the source, registers a mutation watcher (weakly
+    held by the source, so the source never keeps the tracker alive) and
+    keeps a dirty flag cross-checked against the source's
     ``content_revision`` counter.  The cross-check is what makes eager refresh race-free: an
     announced mutation bumps the revision *before* watchers run, so a
     refresh driven from inside the announcement (a sync-mode serving
@@ -1076,23 +1070,15 @@ class SourceChangeTracker:
     """
 
     def __init__(self, source: "Source") -> None:
-        self._source_ref = weakref.ref(source)
+        self._source = source
         self._dirty = False
         self._clean_revision = source.content_revision
         source.watch_mutations(self._on_mutation)
 
     @property
-    def source(self) -> Any:
-        """The tracked source, or None once it has been garbage collected."""
-        return self._source_ref()
-
-    @property
     def dirty(self) -> bool:
         """True when an announced mutation may have happened since mark_clean."""
-        source = self._source_ref()
-        if source is None:
-            return True
-        return self._dirty or source.content_revision != self._clean_revision
+        return self._dirty or self._source.content_revision != self._clean_revision
 
     @property
     def clean_revision(self) -> int:
@@ -1101,12 +1087,10 @@ class SourceChangeTracker:
 
     def mark_clean(self, revision: Optional[int] = None) -> None:
         """Record that the owner's state matches ``revision`` (default: now)."""
-        source = self._source_ref()
         self._dirty = False
-        if revision is not None:
-            self._clean_revision = revision
-        elif source is not None:
-            self._clean_revision = source.content_revision
+        self._clean_revision = (
+            self._source.content_revision if revision is None else revision
+        )
 
     def force_dirty(self) -> None:
         """Force the next :attr:`dirty` check to fire (refresh-failure path).

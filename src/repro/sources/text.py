@@ -124,10 +124,6 @@ class CategoryVocabulary:
     negative_words: tuple[str, ...] = NEGATIVE_WORDS
     neutral_words: tuple[str, ...] = NEUTRAL_WORDS
 
-    def all_topic_words(self) -> set[str]:
-        """Return the set of topic words of this category."""
-        return set(self.topic_words)
-
 
 def default_vocabularies(categories: Optional[Iterable[str]] = None) -> dict[str, CategoryVocabulary]:
     """Build the default per-category vocabularies.

@@ -115,11 +115,6 @@ class Tweet:
     location: Optional[str] = None
     read_count: int = 0
 
-    @property
-    def is_retweet(self) -> bool:
-        """True when the message re-shares another account's tweet."""
-        return self.retweet_of is not None
-
     def to_dict(self) -> dict[str, Any]:
         """Serialise to a JSON-compatible dictionary."""
         return {
@@ -247,10 +242,6 @@ class MicroblogCommunity:
     def retweets_received(self, account_id: str) -> int:
         """Number of retweets received by ``account_id``."""
         return self._retweets_received.get(account_id, 0)
-
-    def accounts_of_kind(self, kind: AccountKind) -> list[MicroblogAccount]:
-        """Return the accounts labelled with ``kind``."""
-        return [account for account in self if account.kind == kind]
 
     # -- mutation ------------------------------------------------------------------
 

@@ -42,12 +42,6 @@ class FactorAnalysisResult:
             raise StatisticsError(f"unknown measure: {measure!r}") from exc
         return self.loadings[row][component]
 
-    def measures_for_component(self, component: int) -> list[str]:
-        """Measures assigned to ``component`` (strongest loading)."""
-        return [
-            name for name, assigned in self.assignments.items() if assigned == component
-        ]
-
     def component_score_column(self, component: int) -> list[float]:
         """Per-observation scores of ``component``."""
         return [row[component] for row in self.component_scores]

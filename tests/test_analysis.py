@@ -9,6 +9,7 @@ is shown to catch a deliberately inverted acquisition that the static
 checker would also reject.
 """
 
+import ast
 import subprocess
 import sys
 import textwrap
@@ -20,6 +21,7 @@ import pytest
 from repro.analysis import run_all
 from repro.analysis import bus as bus_checker
 from repro.analysis import durability, floats, locks
+from repro.analysis.astutil import call_name, dotted_name, parse_module
 from repro.analysis.findings import (
     apply_baseline,
     apply_suppressions,
@@ -525,6 +527,124 @@ class TestRunnerPlumbing:
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "OK:" in result.stdout
+
+
+# -- collector discipline --------------------------------------------------------------
+
+#: ``gc`` calls that change the collector's state for the whole process.
+COLLECTOR_STATE_CALLS = frozenset(
+    {"disable", "enable", "freeze", "unfreeze", "set_threshold", "collect"}
+)
+#: The one module that pauses the collector, and the one that freezes it;
+#: every other state-changing call anywhere under ``src/`` is flagged.
+PAUSE_MODULE = "repro/perf/collector.py"
+FREEZE_MODULE = "repro/sharding/worker.py"
+ALLOWED_COLLECTOR_CALLS = {
+    PAUSE_MODULE: frozenset({"disable", "enable"}),
+    FREEZE_MODULE: frozenset({"freeze"}),
+}
+
+
+def collector_calls(root: Path) -> list[tuple[str, int, str]]:
+    """``(module, line, call)`` for every state-changing ``gc`` use under ``root``.
+
+    ``from gc import ...`` of such a name, and ``gc`` imported under
+    another name, count as uses too: either would hide a call from the
+    ``gc.<name>`` match.
+    """
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        module = parse_module(path, root)
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Call):
+                name = call_name(node)
+                if name in COLLECTOR_STATE_CALLS and dotted_name(node.func) == f"gc.{name}":
+                    found.append((module.relative, node.lineno, name))
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                found.extend(
+                    (module.relative, node.lineno, f"from gc import {alias.name}")
+                    for alias in node.names
+                    if alias.name in COLLECTOR_STATE_CALLS or alias.name == "*"
+                )
+            elif isinstance(node, ast.Import):
+                found.extend(
+                    (module.relative, node.lineno, f"import gc as {alias.asname}")
+                    for alias in node.names
+                    if alias.name == "gc" and alias.asname not in (None, "gc")
+                )
+    return found
+
+
+def collector_violations(found: list[tuple[str, int, str]]) -> list[tuple[str, int, str]]:
+    """The uses :data:`ALLOWED_COLLECTOR_CALLS` does not grant."""
+    return [
+        (module, line, name)
+        for module, line, name in found
+        if name not in ALLOWED_COLLECTOR_CALLS.get(module, ())
+    ]
+
+
+class TestCollectorDiscipline:
+    def test_real_tree_changes_the_collector_only_where_allowed(self):
+        found = collector_calls(REPO_ROOT / "src")
+        assert collector_violations(found) == []
+        names = {(module, name) for module, _, name in found}
+        assert {
+            (PAUSE_MODULE, "disable"),
+            (PAUSE_MODULE, "enable"),
+            (FREEZE_MODULE, "freeze"),
+        } <= names
+
+    def test_stray_collector_calls_are_flagged(self, tmp_path):
+        _write(
+            tmp_path,
+            "repro/persistence/bad.py",
+            """
+            import gc
+            from gc import disable
+
+            def load():
+                gc.collect()
+                gc.freeze()
+                gc.isenabled()
+            """,
+        )
+        _write(
+            tmp_path,
+            "repro/sharding/worker.py",
+            """
+            import gc as collector
+
+            def serve():
+                gc.freeze()
+                gc.set_threshold(1)
+            """,
+        )
+        _write(
+            tmp_path,
+            "repro/perf/collector.py",
+            """
+            import gc
+
+            def collector_paused():
+                gc.disable()
+                gc.enable()
+                gc.freeze()
+                gc.unfreeze()
+            """,
+        )
+        flagged = {(module, name) for module, _, name in collector_violations(
+            collector_calls(tmp_path)
+        )}
+        assert flagged == {
+            ("repro/persistence/bad.py", "from gc import disable"),
+            ("repro/persistence/bad.py", "collect"),
+            ("repro/persistence/bad.py", "freeze"),
+            ("repro/sharding/worker.py", "import gc as collector"),
+            ("repro/sharding/worker.py", "set_threshold"),
+            ("repro/perf/collector.py", "freeze"),
+            ("repro/perf/collector.py", "unfreeze"),
+        }
 
 
 # -- runtime lock-order validator ------------------------------------------------------

@@ -8,11 +8,14 @@ stale journals, duplicate replay, corrupt and undecodable sections.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import shutil
 import struct
 import sys
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -22,10 +25,13 @@ from repro.core.source_quality import SourceQualityModel
 from repro.errors import (
     CorruptSnapshotError,
     JournalReplayError,
+    MissingShardSnapshotError,
     PersistenceError,
     ReproError,
 )
+from repro.perf import collector_paused
 from repro.persistence import (
+    ClusterStore,
     CorpusStore,
     JournalWriter,
     atomic_write_json,
@@ -51,6 +57,7 @@ from repro.persistence.format import (
 )
 from repro.persistence.journal import HEADER_SIZE
 from repro.search.engine import SearchEngine
+from repro.sharding import partition_shard
 from repro.sources.corpus import SourceCorpus
 from repro.sources.diffing import DurableJournalSubscriber
 from repro.sources.generators import CorpusGenerator, CorpusSpec
@@ -1219,6 +1226,198 @@ def test_racing_mutators_journal_replays_to_the_live_corpus(tmp_path):
         result = fresh.recover()
         result.replay()
     assert result.corpus.to_dict() == corpus.to_dict()
+
+
+# -- the cyclic collector during bulk loads ----------------------------------------------
+
+
+def two_shard_cluster(directory, *, events: int = 4) -> ClusterStore:
+    """A 2-shard cluster store written in process: each shard checkpointed,
+    then ``events`` journaled mutations past its snapshot."""
+    corpus = make_corpus(count=12, budget=8)
+    cluster = ClusterStore(directory, shard_count=2, fsync=False)
+    for index in range(2):
+        shard = SourceCorpus(
+            Source.from_dict(source.to_dict())
+            for source in corpus
+            if partition_shard(source.source_id, 2) == index
+        )
+        store = cluster.shard_store(index)
+        store.attach(shard)
+        store.checkpoint()
+        for event in range(events):
+            mutate(shard, event)
+        store.close()
+    return cluster
+
+
+def collector_state() -> tuple:
+    return gc.isenabled(), gc.get_freeze_count(), gc.get_threshold()
+
+
+@contextmanager
+def collections_started():
+    """The generation of every collection that starts inside the block."""
+    started: list[int] = []
+
+    def callback(phase: str, info: dict) -> None:
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()  # every generation's count starts at zero
+    gc.callbacks.append(callback)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(callback)
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def caller_collector(request):
+    """The caller's collector, enabled or disabled, with its own thresholds."""
+    enabled = gc.isenabled()
+    threshold = gc.get_threshold()
+    gc.set_threshold(600, 9, 11)
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        gc.set_threshold(*threshold)
+        (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    def test_no_collection_starts_inside_a_recovery(self, tmp_path):
+        """Only the young pass the pause deferred may start; without the
+        pause these two recoveries start 15 and 6 collections."""
+        cluster = two_shard_cluster(tmp_path)
+        with collections_started() as started:
+            stack = cluster.recover_stack(domain=DOMAIN)
+        assert len(stack.corpus) == 12
+        assert started in ([], [0])
+        with collections_started() as started:
+            shard = cluster.shard_store(0).recover_stack(domain=DOMAIN, attach=False)
+        assert shard.result.applied == 4
+        assert started in ([], [0])
+
+    def test_entry_points_leave_the_callers_collector_as_found(
+        self, tmp_path, caller_collector
+    ):
+        cluster = two_shard_cluster(tmp_path / "cluster")
+        corpus = make_corpus()
+        corpus.save(tmp_path / "corpus.json")
+        entry_points = {
+            "CorpusStore.recover": lambda: cluster.shard_store(0).recover(),
+            "CorpusStore.recover_stack": lambda: cluster.shard_store(1).recover_stack(
+                domain=DOMAIN, attach=False
+            ),
+            "ClusterStore.recover_stack": lambda: cluster.recover_stack(domain=DOMAIN),
+            "SourceCorpus.load": lambda: SourceCorpus.load(tmp_path / "corpus.json"),
+        }
+        for name, call in entry_points.items():
+            before = collector_state()
+            assert before[0] is caller_collector
+            call()
+            assert collector_state() == before, name
+
+    def test_error_paths_leave_the_callers_collector_as_found(
+        self, tmp_path, caller_collector
+    ):
+        cluster = two_shard_cluster(tmp_path / "cluster")
+        before = collector_state()
+        # Raised inside the nested pause of recover_stack -> recover.
+        with pytest.raises(PersistenceError, match="belongs to shard 0 of 2"):
+            CorpusStore(cluster.shard_directory(0), shard=(1, 2)).recover_stack()
+        assert collector_state() == before
+        # A corrupt current snapshot degrades down the ladder, caught inside.
+        store = cluster.shard_store(1)
+        mutate(store.recover_stack().corpus, 9)
+        store.checkpoint()  # the first snapshot becomes the previous one
+        store.close()
+        snapshot = bytearray(store.snapshot_path.read_bytes())
+        snapshot[len(snapshot) // 2] ^= 0xFF
+        store.snapshot_path.write_bytes(bytes(snapshot))
+        assert cluster.shard_store(1).recover().snapshot_used == "previous"
+        assert collector_state() == before
+        # A missing shard raises before any shard is read.
+        shutil.rmtree(cluster.shard_directory(0))
+        with pytest.raises(MissingShardSnapshotError):
+            cluster.recover_stack()
+        assert collector_state() == before
+
+    def test_nested_pauses_resume_at_the_outermost_exit(self, caller_collector):
+        before = collector_state()
+        with collector_paused():
+            assert not gc.isenabled()
+            with pytest.raises(ValueError):
+                with collector_paused():
+                    raise ValueError("inside the inner pause")
+            assert not gc.isenabled()
+        assert collector_state() == before
+
+    def test_overlapping_pauses_in_two_threads(self, caller_collector):
+        before = collector_state()
+        both_inside = threading.Barrier(2, timeout=10.0)
+        first_left = threading.Event()
+        seen: dict[str, bool] = {}
+
+        def first() -> None:
+            with collector_paused():
+                both_inside.wait()
+            first_left.set()
+
+        def second() -> None:
+            with collector_paused():
+                both_inside.wait()
+                first_left.wait(timeout=10.0)
+                seen["enabled_after_first_left"] = gc.isenabled()
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {"enabled_after_first_left": False}
+        assert collector_state() == before
+
+    @pytest.mark.stress
+    def test_racing_pauses_keep_the_collector_off_while_any_is_open(
+        self, caller_collector
+    ):
+        """More threads than cores open and close nested pauses under a short
+        switch interval: a lost update of the shared count would re-enable
+        the collector inside a pause, or leave it in the wrong state."""
+        before = collector_state()
+        enabled_inside: list[int] = []
+        errors: list[BaseException] = []
+
+        def pauser() -> None:
+            try:
+                for _ in range(2000):
+                    with collector_paused():
+                        if gc.isenabled():
+                            enabled_inside.append(1)
+                        with collector_paused():
+                            if gc.isenabled():
+                                enabled_inside.append(1)
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=pauser) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert enabled_inside == []
+        assert collector_state() == before
 
 
 # -- serving integration -----------------------------------------------------------------

@@ -12,11 +12,17 @@ never approximate.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import itertools
+import os
 import random
 import signal
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1408,6 +1414,133 @@ def _twin_single(source_id: str) -> SourceCorpus:
     corpus = SourceCorpus()
     corpus.add(_extra_source(source_id, seed=9))
     return corpus
+
+
+# -- the collector in worker processes -------------------------------------------------
+
+
+def _collector_state() -> tuple:
+    return gc.isenabled(), gc.get_freeze_count(), gc.get_threshold()
+
+
+class _ProbedWorkerProcess:
+    """A worker process from ``tests/_worker_probe.py``, driven over the wire."""
+
+    def __init__(self) -> None:
+        left, right = socket.socketpair()
+        env = dict(os.environ)
+        source_root = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (source_root, env.get("PYTHONPATH")) if path
+        )
+        try:
+            self.process = subprocess.Popen(
+                [
+                    sys.executable,
+                    str(Path(__file__).with_name("_worker_probe.py")),
+                    "--fd",
+                    str(right.fileno()),
+                ],
+                pass_fds=(right.fileno(),),
+                env=env,
+            )
+        finally:
+            right.close()
+        self.connection = WireConnection(left, timeout=60.0)
+        self._ids = itertools.count(1)
+
+    def request(self, kind: str, *, binary: bytes | None = None, **payload) -> dict:
+        self.connection.send({"id": next(self._ids), "kind": kind, **payload}, binary=binary)
+        reply = self.connection.recv()
+        assert reply is not None and reply["ok"], reply
+        return reply["result"]
+
+    def close(self) -> None:
+        try:
+            self.request("shutdown")
+        finally:
+            self.connection.close()
+            try:
+                self.process.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                self.process.kill()
+                self.process.wait()
+
+
+class TestWorkerCollector:
+    def test_a_worker_process_freezes_what_it_loaded(self, tmp_path):
+        """configure and resync freeze the shard in the worker's own process;
+        an apply that runs no checkpoint freezes nothing, one that does
+        freezes again."""
+        corpus = _fresh_corpus(4)
+        worker = _ProbedWorkerProcess()
+        try:
+            worker.request(
+                "configure",
+                shard_index=0,
+                shard_count=1,
+                store_dir=str(tmp_path / "shard"),
+                fsync=False,
+                eager=True,
+                checkpoint_every=2,
+            )
+            versions = corpus.version_map()
+            worker.request(
+                "resync",
+                sources={
+                    source.source_id: {
+                        "version": versions["sources"][source.source_id],
+                        "source": source.to_dict(),
+                    }
+                    for source in corpus
+                },
+                removed={},
+                version=corpus.version,
+                watermark=versions["floor"],
+            )
+            loaded = worker.request("gc_probe")
+            assert loaded["shard_objects"] > 0
+            assert loaded["unfrozen"] == 0
+            assert loaded["freeze_count"] >= loaded["shard_objects"]
+
+            def add(source_id: str, version: int) -> dict:
+                record = {
+                    "version": version,
+                    "op": "add",
+                    "source_id": source_id,
+                    "source": _extra_source(source_id, seed=version).to_dict(),
+                }
+                return worker.request("apply", binary=pack_record(json_record(record)))
+
+            # One journaled event of the two a checkpoint waits for.
+            add("freeze-probe-1", corpus.version + 1)
+            unfrozen = worker.request("gc_probe")
+            assert unfrozen["unfrozen"] > 0
+            # The second makes the periodic checkpoint due inside the apply.
+            add("freeze-probe-2", corpus.version + 2)
+            checkpointed = worker.request("gc_probe")
+            assert checkpointed["unfrozen"] == 0
+            assert checkpointed["shard_objects"] > loaded["shard_objects"]
+            assert checkpointed["freeze_count"] > unfrozen["freeze_count"]
+        finally:
+            worker.close()
+
+    def test_the_coordinator_process_never_freezes(
+        self, coordinator_factory, travel_domain, tmp_path
+    ):
+        before = _collector_state()
+        assert before[1] == 0
+        corpus = _fresh_corpus(6)
+        coordinator = coordinator_factory(
+            corpus, 2, domain=travel_domain, store_directory=tmp_path / "c", eager=True
+        )
+        assert _collector_state() == before
+        coordinator.checkpoint()
+        coordinator.restart_shard(1)
+        assert _collector_state() == before
+        _assert_bit_identical(coordinator, corpus, travel_domain)
+        coordinator.close()
+        assert _collector_state() == before
 
 
 # -- stress matrix (make shard-stress) -------------------------------------------------
