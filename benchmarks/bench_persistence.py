@@ -10,12 +10,14 @@ which re-encodes only what the mutations changed), then streams as many
 more so recovery has a tail to replay.  Two process restarts are then
 timed from the same on-disk state.
 
-Both restarts begin by materialising the corpus from the snapshot (JSON
-decode + ``SourceCorpus.from_dict``).  That phase is *identical in both
-paths by construction* — with or without this persistence layer, a
-restart must load the corpus from disk (``SourceCorpus.save``/``load``
-predate it) — so it is reported separately (``corpus_load_seconds``) and
-excluded from the compared phase.  What the snapshot's *consumer
+Both restarts begin by materialising the corpus from the snapshot: its
+typed ``RPCS`` corpus section, decoded straight to model objects
+(:func:`~repro.persistence.codec.decode_corpus_section`).  That phase is
+*identical in both paths by construction* — with or without this
+persistence layer, a restart must load the corpus from disk
+(``SourceCorpus.save``/``load`` predate it) — so it is reported
+separately (``corpus_load_seconds``) and excluded from the compared
+phase.  What the snapshot's *consumer
 sections* exist to avoid is everything after:
 
 * **cold rebuild** — replay the journal tail, tokenise and index every

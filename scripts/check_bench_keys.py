@@ -53,6 +53,8 @@ EXPECTED = {
     "persistence": (
         "checkpoint_seconds",
         "incremental_checkpoint_seconds",
+        "corpus_load_seconds",
+        "snapshot_bytes",
         "warm_start_seconds",
         "cold_rebuild_seconds",
         "speedup",

@@ -12,9 +12,10 @@ Layout of the package:
     corpus and its consumers' derived state, with lazily decoded
     sections.
 :mod:`~repro.persistence.codec`
-    The compact binary codec for the index section — intern tables plus
-    flat array buffers, so warm start is not dominated by JSON-decoding
-    millions of postings entries.
+    The compact binary codecs: the corpus section's typed blocks
+    (``RPCS``), decoded straight to model objects, and the index
+    section's intern tables plus flat array buffers (``RPIX``), so a
+    restart is not dominated by JSON decoding.
 :mod:`~repro.persistence.journal`
     The fsync-per-record write-ahead journal of corpus changes, with
     tolerant torn-tail reading.

@@ -1,13 +1,13 @@
 """Incremental capture of a checkpoint's corpus section.
 
-A checkpoint's ``corpus`` section is ``json_record(corpus.to_dict())``:
-one JSON object per source, in corpus order.  Encoding it whole costs
-time in proportion to the corpus, while between two checkpoints only
-what the journaled records name has changed.  :class:`SectionCapture`
-keeps the last checkpoint's section as encoded *fragments* per source —
-the bytes up to ``"discussions":[``, one entry per thread, and the bytes
-after — and the store marks them from the records it journals or
-receives (:meth:`SectionCapture.mark`):
+A checkpoint's ``corpus`` section is the typed ``RPCS`` encoding of the
+corpus (:func:`~repro.persistence.codec.encode_corpus_section`): per
+source, in corpus order, one header block and one self-contained block
+per thread.  Encoding it whole costs time in proportion to the corpus,
+while between two checkpoints only what the journaled records name has
+changed.  :class:`SectionCapture` keeps the last checkpoint's section as
+those blocks per source — its *fragments* — and the store marks them from
+the records it journals or receives (:meth:`SectionCapture.mark`):
 
 * an ``add_discussion`` record appends an empty slot (or empties slot
   ``at`` when the cache already holds a thread there);
@@ -18,18 +18,23 @@ receives (:meth:`SectionCapture.mark`):
 
 :meth:`SectionCapture.capture` re-encodes, from the live objects, only
 the empty slots and the sources without fragments, and splices the
-section in corpus order.  Every fragment is exactly the bytes
-:func:`~repro.persistence.format.json_record` writes for that part of
-the payload, so the spliced section is byte for byte the whole encoding.
-Two guards keep it so when a change was not marked:
+section in corpus order.  Every fragment is exactly the block the codec
+writes for that part of the corpus, so the spliced section is byte for
+byte the whole encoding.  Two guards keep it so when a change was not
+marked:
 
 * a source whose entry in the checkpoint's ``versions`` map is above the
   newest record version marked for it is re-encoded whole: a change that
   committed before the map was read but whose record was still on its
-  way to the journal, or a version taken without a record (a resync
-  stamp);
+  way to the journal, a version taken without a record (a resync stamp),
+  or a record a recovery replayed before the store attached;
 * a source whose live thread count differs from its slots is re-encoded
   whole.
+
+A recovery seeds the cache with the blocks of the section it decoded,
+each source marked at its snapshot version (see
+:meth:`~repro.persistence.store.CorpusStore.recover_stack`), so the
+first checkpoint after a restart splices too.
 
 What no record names keeps its bytes from the capture before.  An
 in-place edit never announced to the corpus is not captured, as no
@@ -39,11 +44,14 @@ threads whose payload changed by ``==`` (see
 ``0.0`` and ``-0.0`` keeps its old bytes in the section, as it does on a
 replica.
 
-A capture leaves the cache as it was: :meth:`SectionCapture.commit`
-installs the captured fragments once the checkpoint succeeded, so a
-failed checkpoint keeps every mark.  The store calls every method under
-its journal subscriber's append lock (the sink, ``relayed()`` and
-``paused()``); the cache has no lock of its own.
+Each re-encoded part is encoded from its ``to_dict()`` payload, read
+once, so the bytes and the keys handed to the subscriber
+(:attr:`Capture.encoded`) describe the same content even while a
+mutator races the capture.  A capture leaves the cache as it was:
+:meth:`SectionCapture.commit` installs the captured fragments once the
+checkpoint succeeded, so a failed checkpoint keeps every mark.  The
+store calls every method under its journal subscriber's append lock (the
+sink, ``relayed()`` and ``paused()``); the cache has no lock of its own.
 """
 
 from __future__ import annotations
@@ -51,28 +59,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from repro.persistence.format import json_record
+from repro.persistence.codec import (
+    Fragments,
+    encode_source_blocks,
+    encode_thread_block,
+    join_corpus_section,
+)
 from repro.sources.corpus import SourceCorpus
 from repro.sources.diffing import payload_keys
 
 __all__ = ["Capture", "SectionCapture"]
-
-#: One source's fragments: ``(head, threads, tail)``; a thread slot holding
-#: None is re-encoded at the next capture.
-Fragments = tuple[bytes, list, bytes]
-
-
-def _encode_source(payload: Mapping[str, Any]) -> Fragments:
-    """Split ``json_record(payload)`` around the payload's thread list."""
-    names = list(payload)
-    split = names.index("discussions")
-    head = json_record({name: payload[name] for name in names[:split]})
-    tail = json_record({name: payload[name] for name in names[split + 1 :]})
-    return (
-        head[:-1] + (b',"discussions":[' if split else b'"discussions":['),
-        [json_record(thread) for thread in payload["discussions"]],
-        b"]" + (b"," + tail[1:] if split + 1 < len(names) else b"}"),
-    )
 
 
 def _named_threads(op: Any, record: Mapping[str, Any]) -> Optional[list]:
@@ -91,7 +87,7 @@ def _named_threads(op: Any, record: Mapping[str, Any]) -> Optional[list]:
 class Capture:
     """One checkpoint's corpus section, and what it re-encoded."""
 
-    #: The section's bytes: ``json_record(corpus.to_dict())`` at capture.
+    #: The section's bytes: the whole ``RPCS`` encoding of the corpus at capture.
     section: bytes
     #: Per re-encoded source: its :func:`payload_keys` when re-encoded
     #: whole, else ``(None, threads)`` with each re-encoded thread's
@@ -105,10 +101,16 @@ class Capture:
 class SectionCapture:
     """The last checkpoint's corpus section as marked fragments (see module)."""
 
-    def __init__(self) -> None:
-        self._fragments: dict[str, Fragments] = {}
+    def __init__(
+        self,
+        fragments: Optional[dict[str, Fragments]] = None,
+        applied: Optional[dict[str, int]] = None,
+    ) -> None:
+        #: Per source, its header block and thread blocks; a thread slot
+        #: holding None is re-encoded at the next capture.
+        self._fragments: dict[str, Fragments] = fragments or {}
         #: Per source, the newest record version marked for it.
-        self._applied: dict[str, int] = {}
+        self._applied: dict[str, int] = applied or {}
 
     def mark(self, record: Mapping[str, Any]) -> None:
         """Mark what one journal record changes (append lock held)."""
@@ -143,7 +145,6 @@ class SectionCapture:
         read before this call.  Leaves the cache unchanged.
         """
         entries = versions["sources"]
-        parts = [b'{"sources":[']
         fragments: dict[str, Fragments] = {}
         applied: dict[str, int] = {}
         encoded: dict[str, tuple[Optional[dict], list]] = {}
@@ -155,26 +156,24 @@ class SectionCapture:
             entry = entries.get(source_id, 0)
             if cached is None or len(cached[1]) != len(live) or entry > seen:
                 payload = source.to_dict()
-                cached = _encode_source(payload)
+                cached = encode_source_blocks(payload)
                 encoded[source_id] = payload_keys(payload)
                 seen = max(seen, entry)
             elif None in cached[1]:
-                head, slots, tail = cached
+                header, slots = cached
                 slots = list(slots)
                 threads: list = [None] * len(slots)
                 for at, blob in enumerate(slots):
                     if blob is None:
                         threads[at] = live[at].to_dict()
-                        slots[at] = json_record(threads[at])
-                cached = (head, slots, tail)
+                        slots[at] = encode_thread_block(threads[at])
+                cached = (header, slots)
                 encoded[source_id] = (None, threads)
             fragments[source_id] = cached
             applied[source_id] = seen
-            if len(parts) > 1:
-                parts.append(b",")
-            parts += (cached[0], b",".join(cached[1]), cached[2])
-        parts.append(b"]}")
-        return Capture(b"".join(parts), encoded, fragments, applied)
+        return Capture(
+            join_corpus_section(fragments.values()), encoded, fragments, applied
+        )
 
     def commit(self, capture: Capture) -> None:
         """Install ``capture``'s fragments once its checkpoint succeeded."""

@@ -6,8 +6,12 @@ the section layout) holding:
 ``meta``
     The corpus version the snapshot captures, plus bookkeeping counts.
 ``corpus``
-    ``SourceCorpus.to_dict()`` — the ground truth every consumer section
-    is derived from.
+    The corpus — the ground truth every consumer section is derived
+    from — in the typed ``RPCS`` codec of :mod:`repro.persistence.codec`,
+    which decodes straight to model objects.  A JSON
+    ``SourceCorpus.to_dict()`` section, which stores written before the
+    codec hold, still recovers through ``SourceCorpus.from_dict``; the
+    next checkpoint writes ``RPCS``.
 ``index`` *(optional)*
     The search engine's exported index state
     (:meth:`~repro.search.engine.SearchEngine.export_index_state`),
@@ -30,7 +34,7 @@ from the recovered corpus — only the ``corpus`` section is mandatory.
 
 Float fidelity: every number round-trips bit-exactly — through JSON
 (Python prints shortest-round-trip representations) or through the binary
-codec's f64 buffers — and both encodings preserve key insertion order, so
+codecs' f64 buffers — and every encoding preserves insertion order, so
 order-sensitive accumulations (Counter iteration, postings lists,
 normaliser reference sums) restore exactly — the foundation of the
 warm-start-equals-cold-rebuild contract.
@@ -42,7 +46,13 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional
 
 from repro.errors import CorruptSnapshotError, PersistenceError
-from repro.persistence.codec import decode_index_state, is_index_payload
+from repro.persistence.codec import (
+    Fragments,
+    decode_corpus_section,
+    decode_index_state,
+    is_corpus_payload,
+    is_index_payload,
+)
 from repro.persistence.format import (
     SNAPSHOT_MAGIC,
     atomic_write_bytes,
@@ -51,6 +61,7 @@ from repro.persistence.format import (
     pack_sections,
     unpack_sections,
 )
+from repro.sources.corpus import SourceCorpus
 
 __all__ = [
     "SnapshotSections",
@@ -71,8 +82,9 @@ def write_snapshot(
     """Atomically write ``sections`` to ``path``.
 
     Section values are JSON-compatible payloads, except values that are
-    already ``bytes`` — pre-encoded payloads such as the binary index
-    codec's (:mod:`repro.persistence.codec`) — which are framed verbatim.
+    already ``bytes`` — pre-encoded payloads such as the binary corpus and
+    index codecs' (:mod:`repro.persistence.codec`) — which are framed
+    verbatim.
     A ``meta`` section is prepended automatically, recording the corpus
     version and the section names — recovery reads it first to decide
     whether the journal on disk belongs behind this snapshot.
@@ -94,12 +106,15 @@ class SnapshotSections(Mapping):
 
     :func:`read_snapshot` validates the header, the framing and every
     section CRC before returning, but defers payload decoding (JSON or
-    the binary index codec) until a section is first accessed.  Recovery
+    a binary codec) until a section is first accessed.  Recovery
     that only needs the corpus never pays for the index and model
     payloads — and the persistence benchmark's cold path honestly skips
     them.  A CRC-valid payload the decoder cannot interpret (a broken
     writer) raises :class:`CorruptSnapshotError` at access time; callers
-    degrade that one consumer to a cold build.
+    degrade that one consumer to a cold build.  An ``RPCS`` corpus
+    section reads as a list of sources, decoded afresh on every access,
+    so no reader is handed the objects of a corpus recovered from an
+    earlier read.
     """
 
     def __init__(self, raw: dict[str, bytes], path: Optional[Path] = None) -> None:
@@ -111,12 +126,30 @@ class SnapshotSections(Mapping):
         if name in self._decoded:
             return self._decoded[name]
         payload = self._raw[name]
+        if is_corpus_payload(payload):
+            return decode_corpus_section(payload, path=self._path)
         if is_index_payload(payload):
             value = decode_index_state(payload, path=self._path)
         else:
             value = decode_json(payload, path=self._path)
         self._decoded[name] = value
         return value
+
+    def corpus(self) -> tuple[SourceCorpus, dict[str, Fragments]]:
+        """A fresh corpus from the ``corpus`` section, and its blocks per source.
+
+        The blocks are the section's own (see
+        :func:`~repro.persistence.codec.decode_corpus_section`); a JSON
+        section decodes through ``SourceCorpus.from_dict`` and has none.
+        """
+        payload = self._raw["corpus"]
+        if not is_corpus_payload(payload):
+            return SourceCorpus.from_dict(self["corpus"]), {}
+        blocks: list[Fragments] = []
+        corpus = SourceCorpus(
+            decode_corpus_section(payload, path=self._path, blocks=blocks)
+        )
+        return corpus, dict(zip(corpus.source_ids(), blocks))
 
     def __contains__(self, name: object) -> bool:
         return name in self._raw

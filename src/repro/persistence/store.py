@@ -33,14 +33,21 @@ version.  The orderings are what make every crash window recoverable:
 
 **Recovery path.**  :meth:`CorpusStore.recover` loads the newest valid
 snapshot (falling back to the previous one, then to a journal-only start),
-pins the corpus version, and collects the journal tail.
+pins the corpus version, and collects the journal tail.  It is the one
+place a snapshot's corpus section is decoded — straight to model objects
+from the typed ``RPCS`` blocks (:mod:`repro.persistence.codec`), or
+through ``SourceCorpus.from_dict`` for a JSON section an older store
+wrote.
 :meth:`CorpusStore.recover_stack` additionally rebuilds the consumers from
 their snapshot sections — search index and source-model measure state —
 *before* replaying the tail, so the replayed events flow through the exact
 incremental patch machinery live mutations use: a warm start is
 bit-identical to a cold rebuild by construction, just without the
-crawling.  Any section that fails validation degrades that one consumer
-to a cold build; it never fails recovery and never serves partial data.
+crawling.  When it resumes journaling, the store's capture starts from
+the recovered section's blocks, so the first checkpoint after a restart
+splices as every later one does.  Any section that fails validation
+degrades that one consumer to a cold build; it never fails recovery and
+never serves partial data.
 The ``contributors`` section older snapshots may hold is ignored.  Both
 run with the cyclic garbage collector paused
 (:func:`~repro.perf.collector.collector_paused`): everything they build
@@ -67,7 +74,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
-from repro.errors import JournalReplayError, PersistenceError
+from repro.errors import CorpusError, JournalReplayError, PersistenceError
 from repro.perf.collector import collector_paused
 from repro.persistence.capture import SectionCapture
 from repro.persistence.codec import encode_index_state
@@ -315,6 +322,10 @@ class RecoveryResult:
     notes: list = field(default_factory=list)
     applied: int = 0
     skipped: int = 0
+    #: The snapshot's ``RPCS`` corpus blocks, each source marked at its
+    #: snapshot version: the capture a store that resumes journaling this
+    #: corpus starts from (None after a JSON section or without a snapshot).
+    capture: Optional[SectionCapture] = None
 
     def replay(self) -> int:
         """Apply the journal tail onto the recovered corpus; return applies."""
@@ -545,7 +556,9 @@ class CorpusStore:
         from the last checkpoint's encoded fragments, re-encoding only
         what the records journaled since marked
         (:mod:`repro.persistence.capture`); the first checkpoint after
-        :meth:`attach` encodes every source.  Ordering: previous snapshot
+        :meth:`attach` encodes every source, and the first after
+        :meth:`recover_stack` splices the recovered section's blocks of the
+        sources its journal tail left alone.  Ordering: previous snapshot
         renamed aside, new snapshot renamed into place, journal reset — a
         crash between the first two leaves the previous snapshot and the
         full journal behind it, and a crash between the last two leaves
@@ -667,6 +680,7 @@ class CorpusStore:
         corpus: Optional[SourceCorpus] = None
         sections: Any = None
         used: Optional[str] = None
+        capture: Optional[SectionCapture] = None
         candidates = (
             ("current", self.snapshot_path),
             ("previous", self.previous_snapshot_path),
@@ -680,12 +694,22 @@ class CorpusStore:
                     # Sections decode lazily: a corpus payload only a broken
                     # writer could have produced (CRC-valid, undecodable)
                     # surfaces here and falls through the same ladder.
-                    corpus = SourceCorpus.from_dict(candidate["corpus"])
+                    corpus, fragments = candidate.corpus()
                     corpus._restore_version(snapshot_version(candidate))
-                except (PersistenceError, KeyError, TypeError, ValueError):
+                except (
+                    PersistenceError, CorpusError, AttributeError, KeyError, TypeError, ValueError
+                ):
+                    # CorpusError: a source id repeated; AttributeError: a
+                    # JSON section that is not an object.
                     corpus = None
                 else:
                     self._restore_versions(corpus, candidate, notes)
+                    if fragments:
+                        entries = corpus.version_map()["sources"]
+                        capture = SectionCapture(
+                            fragments,
+                            {source_id: entries.get(source_id, 0) for source_id in fragments},
+                        )
             if corpus is not None:
                 sections = candidate
                 used = label
@@ -723,6 +747,7 @@ class CorpusStore:
             snapshot_used=used,
             base_version=corpus.version,
             notes=notes,
+            capture=capture,
         )
         journal_path = self.journal_path
         if journal_path.exists() and journal_path.stat().st_size > 0:
@@ -859,6 +884,11 @@ class CorpusStore:
                 source_model = SourceQualityModel(domain)
         if attach:
             self.attach(corpus, engine=engine, source_model=source_model)
+            if result.capture is not None:
+                # The tail replayed above raised its sources' entries over
+                # their marks: the first checkpoint re-encodes those whole
+                # and splices the rest from the section's own blocks.
+                self._capture = result.capture
         return RecoveredStack(
             corpus=corpus,
             engine=engine,

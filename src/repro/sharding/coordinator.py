@@ -70,6 +70,7 @@ import socket
 import subprocess
 import sys
 import threading
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Optional
@@ -225,7 +226,11 @@ class ShardCoordinator:
                 daemon=True,
             )
             shard.runner.start()
-        self._bridge = WireBridgeSubscriber(corpus, self._route)
+        # The bridge reaches ``_route`` through a weak reference: a bound
+        # sink would hold this coordinator, which holds the bridge, in a
+        # cycle that only the cyclic collector frees — corpus included.
+        route = weakref.WeakMethod(self._route)
+        self._bridge = WireBridgeSubscriber(corpus, lambda record: route()(record))
         try:
             self._start(self._shards, recover=recover)
         except BaseException:

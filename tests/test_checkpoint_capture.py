@@ -7,16 +7,16 @@ streams below drive every kind of change a store journals or receives —
 grows, in-place rewords with ``touch``, new users and interactions, adds,
 removes, re-adds of a removed id, replayed full, thread and stamp records,
 and a worker resync with overlays and stamps — and checkpoint at random
-points.  After each quiesced checkpoint the raw section must equal
-``json_record(corpus.to_dict())`` byte for byte, recovery must equal the
-live corpus, and every keyed source's keys must equal the section's.  The
-cases after them pin the guards, the ``0.0`` / ``-0.0`` caveat, and a
+points.  After each quiesced checkpoint the raw section must equal the
+whole ``RPCS`` encoding of the corpus (``encode_corpus_section``) byte for
+byte, recovery must equal the live corpus, and every keyed source's keys
+must equal the section's.  The cases after them pin the guards, the
+capture a recovery seeds, the ``0.0`` / ``-0.0`` caveat, and a
 racing-mutator stress run.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import signal
 import socket
@@ -28,6 +28,7 @@ import pytest
 
 from repro.errors import CorpusError, UnknownSourceError
 from repro.persistence import ClusterStore, CorpusStore
+from repro.persistence.codec import decode_corpus_section, encode_corpus_section
 from repro.persistence.format import SNAPSHOT_MAGIC, json_record, pack_record, unpack_sections
 from repro.sharding import WireConnection, partition_shard
 from repro.sharding.worker import ShardWorker
@@ -124,14 +125,14 @@ def _assert_exact_checkpoint(store: CorpusStore, corpus: SourceCorpus) -> bytes:
     """Checkpoint; the section is the whole encoding, recovery the corpus."""
     store.checkpoint()
     raw = _raw_section(store.snapshot_path)
-    assert raw == json_record(corpus.to_dict())
+    assert raw == encode_corpus_section(corpus)
     assert _contents(_recovered(store.directory, store.shard)) == _contents(corpus)
     return raw
 
 
 def _assert_keys_match(store: CorpusStore, raw: bytes) -> int:
     """Every keyed source's keys equal its section payload's; return how many."""
-    payloads = {payload["source_id"]: payload for payload in json.loads(raw)["sources"]}
+    payloads = {source.source_id: source.to_dict() for source in decode_corpus_section(raw)}
     keyed = 0
     for source_id, (_, header, threads) in store.subscriber._keys.items():
         if header is not None:
@@ -279,10 +280,10 @@ def test_spliced_sections_through_a_sharded_cluster(
         for index in range(2):
             store = cluster.shard_store(index)
             raw = _raw_section(store.snapshot_path)
-            ids = [payload["source_id"] for payload in json.loads(raw)["sources"]]
+            ids = [source.source_id for source in decode_corpus_section(raw)]
             owned = {sid for sid in corpus.source_ids() if partition_shard(sid, 2) == index}
             assert set(ids) == owned
-            assert raw == json_record({"sources": [corpus.get(sid).to_dict() for sid in ids]})
+            assert raw == encode_corpus_section(corpus.get(sid) for sid in ids)
             recovered = _recovered(store.directory, (index, 2))
             assert _contents(recovered) == {sid: corpus.get(sid).to_dict() for sid in owned}
 
@@ -333,7 +334,7 @@ def test_a_checkpoint_re_encodes_only_what_the_records_marked(tmp_path, monkeypa
     corpus.touch(second.source_id)
     store.checkpoint()
     assert _re_encoded(captures[-1]) == (0, 1)
-    assert _raw_section(store.snapshot_path) == json_record(corpus.to_dict())
+    assert _raw_section(store.snapshot_path) == encode_corpus_section(corpus)
     store.close()
 
 
@@ -366,11 +367,42 @@ def test_a_worker_re_encodes_only_the_threads_its_batch_names(tmp_path, monkeypa
         apply()
         worker._store.checkpoint()
         assert _re_encoded(captures[-1]) == (0, 2)
-        assert _raw_section(worker._store.snapshot_path) == json_record(corpus.to_dict())
+        assert _raw_section(worker._store.snapshot_path) == encode_corpus_section(corpus)
     finally:
         upstream.close()
         worker.close()
         left.close()
+
+
+def test_the_first_checkpoint_after_a_recovery_splices_the_recovered_blocks(
+    tmp_path, monkeypatch
+):
+    """A recovery replays a grow, a touch, an add and a remove before it
+    attaches: their sources' entries rise above the seeded marks, so the
+    first checkpoint re-encodes those whole and splices every other source
+    from the recovered section's own blocks."""
+    corpus = _fresh_corpus(6)
+    store = CorpusStore(tmp_path, fsync=False)
+    store.attach(corpus)
+    store.checkpoint()
+    grown, reworded, removed = corpus.sources()[:3]
+    _grow(grown, "travel food grown in the tail")
+    reworded.discussions[0].posts[0].text = "travel food reworded in the tail"
+    corpus.touch(reworded.source_id)
+    corpus.add(_extra_source("tail-added", 3))
+    corpus.remove(removed.source_id)
+    store.close()
+    captures = _spy_captures(monkeypatch)
+    with CorpusStore(tmp_path, fsync=False) as recovered:
+        stack = recovered.recover_stack()
+        assert stack.result.applied == 4
+        recovered.checkpoint()
+        assert set(captures[-1].encoded) == {grown.source_id, reworded.source_id, "tail-added"}
+        assert _re_encoded(captures[-1]) == (3, 0)
+        assert _raw_section(recovered.snapshot_path) == encode_corpus_section(corpus)
+        assert _contents(stack.corpus) == _contents(corpus)
+        recovered.checkpoint()
+        assert _re_encoded(captures[-1]) == (0, 0)
 
 
 def test_a_thread_count_the_records_do_not_explain_is_captured_whole(tmp_path):
@@ -386,7 +418,7 @@ def test_a_thread_count_the_records_do_not_explain_is_captured_whole(tmp_path):
     corpus.touch(source.source_id)  # a thread record of the last slot
     del source.discussions[-1]
     store.checkpoint()
-    assert _raw_section(store.snapshot_path) == json_record(corpus.to_dict())
+    assert _raw_section(store.snapshot_path) == encode_corpus_section(corpus)
     corpus.touch(source.source_id)
     store.close()
     assert _contents(_recovered(tmp_path)) == _contents(corpus)
@@ -450,8 +482,11 @@ def test_signed_zero_keeps_its_captured_bytes_like_a_thread_record(tmp_path):
     store.checkpoint()
     snapshotted = _recovered(tmp_path).get(source.source_id).discussions[0].posts[0].day
     assert str(journaled) == str(snapshotted) == "0.0"
-    assert b'"day":-0.0' in json_record(corpus.to_dict())
-    assert b'"day":-0.0' not in _raw_section(store.snapshot_path)
+    assert str(post.day) == "-0.0"
+    raw = _raw_section(store.snapshot_path)
+    section_day = decode_corpus_section(raw)[1].discussions[0].posts[0].day
+    assert str(section_day) == "0.0"
+    assert raw != encode_corpus_section(corpus)
     store.close()
 
 
@@ -462,13 +497,13 @@ def test_an_unannounced_edit_is_not_captured(tmp_path):
     store = CorpusStore(tmp_path, fsync=True)
     store.attach(corpus)
     store.checkpoint()
-    before = json_record(corpus.to_dict())
+    before = encode_corpus_section(corpus)
     corpus.sources()[0].discussions[0].title = "an edit nobody announced"
     store.checkpoint()
     assert _raw_section(store.snapshot_path) == before
     corpus.touch(corpus.source_ids()[0])
     store.checkpoint()
-    assert _raw_section(store.snapshot_path) == json_record(corpus.to_dict())
+    assert _raw_section(store.snapshot_path) == encode_corpus_section(corpus)
     store.close()
 
 

@@ -45,7 +45,12 @@ from repro.persistence import (
     try_read_snapshot,
     write_snapshot,
 )
-from repro.persistence.codec import INDEX_MAGIC, is_index_payload
+from repro.persistence.codec import (
+    INDEX_MAGIC,
+    encode_corpus_section,
+    is_corpus_payload,
+    is_index_payload,
+)
 from repro.persistence.format import (
     RECORD_HEADER,
     SNAPSHOT_MAGIC,
@@ -550,6 +555,16 @@ class TestStoreRecovery:
         expected = SearchEngine(stack.corpus)
         assert list(stack.engine.static_rank()) == list(expected.static_rank())
 
+    def test_a_json_corpus_section_that_is_not_an_object_is_corrupt(self, tmp_path):
+        store = CorpusStore(tmp_path, fsync=False)
+        write_snapshot(
+            store.snapshot_path, {"corpus": make_corpus().to_dict()["sources"]}, corpus_version=1
+        )
+        result = store.recover()
+        assert result.snapshot_used is None
+        assert result.notes == ["current snapshot corrupt; trying previous snapshot"]
+        assert len(result.corpus) == 0
+
     def test_legacy_contributors_section_is_ignored(self, tmp_path):
         # Older stores wrote per-source contributor-model community states;
         # this one holds such a section plus a journal tail behind it.
@@ -566,7 +581,7 @@ class TestStoreRecovery:
         write_snapshot(
             store.snapshot_path,
             {
-                "corpus": sections["corpus"],
+                "corpus": encode_corpus_section(sections["corpus"]),
                 "versions": sections["versions"],
                 "contributors": {
                     source.source_id: _legacy_community_state(
@@ -617,6 +632,47 @@ class TestStoreRecovery:
         assert [(a.source_id, a.overall) for a in warm_ranking] == [
             (a.source_id, a.overall) for a in cold_ranking
         ]
+
+    def test_a_json_corpus_section_recovers_and_the_next_checkpoint_writes_rpcs(
+        self, tmp_path
+    ):
+        # Stores written before the typed codec hold a JSON corpus section.
+        corpus = make_corpus(count=8, seed=41, budget=5)
+        model = SourceQualityModel(DOMAIN)
+        model.assessment_context(corpus)
+        store = CorpusStore(tmp_path, fsync=False)
+        store.attach(corpus, engine=SearchEngine(corpus), source_model=model)
+        store.checkpoint()
+        raw = unpack_sections(store.snapshot_path.read_bytes(), SNAPSHOT_MAGIC)
+        sources = read_snapshot(store.snapshot_path)["corpus"]
+        raw["corpus"] = json_record({"sources": [source.to_dict() for source in sources]})
+        store.snapshot_path.write_bytes(pack_sections(SNAPSHOT_MAGIC, raw))
+        assert isinstance(read_snapshot(store.snapshot_path)["corpus"], dict)
+        for event in range(5):
+            mutate(corpus, event)
+        store.close()
+
+        with CorpusStore(tmp_path, fsync=False) as warm_store:
+            stack = warm_store.recover_stack(domain=DOMAIN)
+            assert stack.result.notes == [] and stack.result.applied == 5
+            assert stack.result.capture is None
+            assert stack.corpus.to_dict() == corpus.to_dict()
+            cold_engine = SearchEngine(stack.corpus)
+            assert list(stack.engine.static_rank()) == list(cold_engine.static_rank())
+            assert [
+                (r.source_id, r.score) for r in stack.engine.search("travel resort", 10)
+            ] == [(r.source_id, r.score) for r in cold_engine.search("travel resort", 10)]
+            warm_ranking = stack.source_model.assessment_context(stack.corpus).ranking
+            cold_ranking = SourceQualityModel(DOMAIN).assessment_context(stack.corpus).ranking
+            assert [(a.source_id, a.overall) for a in warm_ranking] == [
+                (a.source_id, a.overall) for a in cold_ranking
+            ]
+            warm_store.checkpoint()
+            section = unpack_sections(
+                warm_store.snapshot_path.read_bytes(), SNAPSHOT_MAGIC
+            )["corpus"]
+            assert is_corpus_payload(section)
+            assert section == encode_corpus_section(corpus)
 
     def test_restored_model_serves_without_rebuilding(self, tmp_path):
         corpus = make_corpus(count=6, seed=43, budget=4)

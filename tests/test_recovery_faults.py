@@ -22,15 +22,22 @@ from __future__ import annotations
 
 import copy
 import random
+import struct
 
 import pytest
 
 from repro.errors import CorruptSnapshotError
 from repro.persistence import CorpusStore, FaultPlan, InjectedCrash, inject_faults
+from repro.persistence.codec import (
+    decode_corpus_section,
+    encode_corpus_section,
+    join_corpus_section,
+)
 from repro.persistence.format import (
     SNAPSHOT_MAGIC,
     json_record,
     pack_record,
+    pack_sections,
     unpack_sections,
 )
 from repro.persistence.journal import JournalWriter, read_journal
@@ -212,6 +219,77 @@ def _raw_section(store: CorpusStore) -> bytes:
     return unpack_sections(store.snapshot_path.read_bytes(), SNAPSHOT_MAGIC)["corpus"]
 
 
+#: Offset of the first source's header block in a corpus section, after
+#: the ``RPCS`` magic and the source count.
+_FIRST_HEADER = 8
+
+
+def _first_header(section: bytearray) -> tuple:
+    """``(length, categories, users, interactions, strings length)``."""
+    return struct.unpack_from("<IIIII", section, _FIRST_HEADER)
+
+
+def _miscount_users(section: bytearray) -> bytes:
+    struct.pack_into("<I", section, _FIRST_HEADER + 8, _first_header(section)[2] + 1)
+    return bytes(section)
+
+
+def _source_type_out_of_range(section: bytearray) -> bytes:
+    _, _, users, interactions, size = _first_header(section)
+    section[_FIRST_HEADER + 20 + size + 8 * (5 + users + interactions)] = 0xFF
+    return bytes(section)
+
+
+def _invalid_utf8(section: bytearray) -> bytes:
+    assert section[_FIRST_HEADER + 20 : _FIRST_HEADER + 22] == b'["'
+    section[_FIRST_HEADER + 22] = 0xFF  # inside the source id
+    return bytes(section)
+
+
+def _repeat_first_source(section: bytearray) -> bytes:
+    blocks: list = []
+    decode_corpus_section(bytes(section), blocks=blocks)
+    return join_corpus_section([blocks[0], *blocks])
+
+
+#: CRC-valid corpus sections recovery cannot use: (id, damage).
+MALFORMED_SECTIONS = [
+    ("truncated-block", lambda section: bytes(section[:-5])),
+    ("count-length-disagreement", _miscount_users),
+    ("enum-code-out-of-range", _source_type_out_of_range),
+    ("trailing-bytes", lambda section: bytes(section) + b"\x00"),
+    ("invalid-utf8-string", _invalid_utf8),
+    ("repeated-source-id", _repeat_first_source),
+]
+
+
+@pytest.mark.parametrize(
+    "damage", [entry[1] for entry in MALFORMED_SECTIONS],
+    ids=[entry[0] for entry in MALFORMED_SECTIONS],
+)
+def test_a_malformed_corpus_section_recovers_the_previous_snapshot(tmp_path, damage):
+    """A broken writer's section is corruption: recovery notes it and takes
+    the previous snapshot, whose journal was reset past it."""
+    scenario = CrashScenario(tmp_path)
+    previous = copy.deepcopy(scenario.corpus.to_dict())
+    scenario.mutate()
+    scenario.checkpoint()
+    path = scenario.store.snapshot_path
+    sections = unpack_sections(path.read_bytes(), SNAPSHOT_MAGIC)
+    sections["corpus"] = damage(bytearray(sections["corpus"]))
+    path.write_bytes(pack_sections(SNAPSHOT_MAGIC, sections))
+    with CorpusStore(tmp_path, fsync=False) as store:
+        result = store.recover()
+        result.replay()
+    assert result.snapshot_used == "previous"
+    assert result.journal_rejected
+    assert result.notes[:2] == [
+        "current snapshot corrupt; trying previous snapshot",
+        "recovered from the previous snapshot",
+    ]
+    assert result.corpus.to_dict() == previous
+
+
 def _killed_journal_reset(self, base_version):
     raise InjectedCrash("killed after the snapshot rename, before the journal reset")
 
@@ -258,7 +336,7 @@ def test_a_checkpoint_after_a_killed_one_splices_a_full_capture(tmp_path):
     )
     _grow_touch_add_remove(scenario, "c")
     scenario.checkpoint()
-    assert _raw_section(scenario.store) == json_record(scenario.corpus.to_dict())
+    assert _raw_section(scenario.store) == encode_corpus_section(scenario.corpus)
     assert scenario.assert_recovered().to_dict() == scenario.corpus.to_dict()
 
 

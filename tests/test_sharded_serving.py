@@ -22,6 +22,7 @@ import socket
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -824,7 +825,7 @@ class TestDeltaReplication:
         coordinator.checkpoint()
         sections = read_snapshot(shard_directory / CorpusStore.SNAPSHOT_NAME)
         replicated = {
-            payload["source_id"]: payload for payload in sections["corpus"]["sources"]
+            source.source_id: source.to_dict() for source in sections["corpus"]
         }
         assert replicated[source.source_id] == source.to_dict()
 
@@ -1333,7 +1334,7 @@ class TestPerShardPersistence:
         for index in range(3):
             shard_directory = ClusterStore(directory).shard_directory(index)
             sections = read_snapshot(shard_directory / CorpusStore.SNAPSHOT_NAME)
-            if sections["corpus"]["sources"]:
+            if sections["corpus"]:
                 assert set(sections) == {"meta", "corpus", "versions", "shard", "index"}
                 checked += 1
         assert checked >= 2
@@ -1541,6 +1542,24 @@ class TestWorkerCollector:
         _assert_bit_identical(coordinator, corpus, travel_domain)
         coordinator.close()
         assert _collector_state() == before
+
+    def test_a_closed_coordinator_is_freed_without_the_collector(self):
+        """The bridge reaches the coordinator's ``_route`` weakly, so no
+        reference cycle holds a closed coordinator: with the collector
+        paused, the corpus it served dies with the last reference to it."""
+        from repro.perf import collector_paused
+        from repro.sharding import ShardCoordinator
+
+        with collector_paused():
+            corpus = _fresh_corpus(6)
+            served = weakref.ref(corpus)
+            coordinator = ShardCoordinator(corpus, 1)
+            try:
+                assert coordinator.search("travel food", 3)
+            finally:
+                coordinator.close()
+            del coordinator, corpus
+            assert served() is None
 
 
 # -- stress matrix (make shard-stress) -------------------------------------------------
