@@ -22,6 +22,12 @@ Exposes the main workflows of the library without writing any code:
 ``python -m repro.cli recover``
     Recover a corpus (and warm consumers) from a store directory, print
     what the recovery ladder did, and show the recovered ranking.
+
+``python -m repro.cli journal``
+    List the records of a store's write-ahead journal (one block per
+    shard for a cluster directory): version, op, source, encoding and
+    size of each, and whether the tail is torn.  Whole-source records are
+    typed blocks, not readable JSON.
 """
 
 from __future__ import annotations
@@ -106,6 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Domain of Interest categories for the warmed models")
     recover.add_argument("--top", type=int, default=10,
                          help="how many recovered sources to print")
+
+    journal = subparsers.add_parser(
+        "journal", help="list the records of a store's write-ahead journal"
+    )
+    journal.add_argument("store", type=str, help="store or cluster directory to read")
     return parser
 
 
@@ -232,6 +243,60 @@ def _command_recover(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_journal(path) -> bool:
+    """Print one journal's records; False when its header is unusable."""
+    from repro.errors import PersistenceError
+    from repro.persistence import read_journal
+
+    if not path.exists():
+        print(f"journal: {path} (none)")
+        return True
+    try:
+        reader = read_journal(path)
+    except PersistenceError as exc:
+        print(f"journal: {path} unusable: {exc}")
+        return False
+    print(f"journal: {path}")
+    print(f"  base version {reader.base_version}")
+    print(f"  {'version':>8}  {'op':<20} {'source':<24} {'encoding':<8} {'bytes':>9}")
+    for record, size in zip(reader.records, reader.sizes):
+        encoding = "typed" if "blocks" in record else "json"
+        print(
+            f"  {record.get('version', '?')!s:>8}  {record.get('op', '?')!s:<20} "
+            f"{record.get('source_id', '?')!s:<24} {encoding:<8} {size:>9}"
+        )
+    size = path.stat().st_size
+    if reader.torn:
+        print(
+            f"  tail: torn at byte {reader.valid_length} "
+            f"({size - reader.valid_length} bytes a recovery truncates)"
+        )
+    else:
+        print("  tail: clean")
+    return True
+
+
+def _command_journal(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from repro.persistence import ClusterStore, CorpusStore
+
+    directory = Path(args.store)
+    stores = {None: directory}
+    if (directory / ClusterStore.MANIFEST_NAME).exists():
+        cluster = ClusterStore(directory)
+        stores = {
+            f"shard {index}": cluster.shard_directory(index)
+            for index in range(cluster.shard_count)
+        }
+    usable = True
+    for label, store in stores.items():
+        if label is not None:
+            print(f"{label}:")
+        usable = _print_journal(store / CorpusStore.JOURNAL_NAME) and usable
+    return 0 if usable else 1
+
+
 _COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
     "rank": _command_rank,
     "influencers": _command_influencers,
@@ -239,6 +304,7 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
     "dashboard": _command_dashboard,
     "checkpoint": _command_checkpoint,
     "recover": _command_recover,
+    "journal": _command_journal,
 }
 
 

@@ -18,7 +18,9 @@ Layout of the package:
     restart is not dominated by JSON decoding.
 :mod:`~repro.persistence.journal`
     The fsync-per-record write-ahead journal of corpus changes, with
-    tolerant torn-tail reading.
+    tolerant torn-tail reading, and the one record codec the journal and
+    the sharding wire share: whole sources as typed ``RPCS`` blocks,
+    partial records as JSON.
 :mod:`~repro.persistence.capture`
     The last checkpoint's corpus section as encoded fragments per source,
     marked from the journaled records, so a checkpoint re-encodes only

@@ -26,15 +26,27 @@ marked:
 * a source whose entry in the checkpoint's ``versions`` map is above the
   newest record version marked for it is re-encoded whole: a change that
   committed before the map was read but whose record was still on its
-  way to the journal, a version taken without a record (a resync stamp),
-  or a record a recovery replayed before the store attached;
+  way to the journal, or a record a recovery replayed before the store
+  attached;
 * a source whose live thread count differs from its slots is re-encoded
   whole.
 
 A recovery seeds the cache with the blocks of the section it decoded,
 each source marked at its snapshot version (see
 :meth:`~repro.persistence.store.CorpusStore.recover_stack`), so the
-first checkpoint after a restart splices too.
+first checkpoint after a restart splices too.  A replica seeds it with
+the blocks a received whole-source record carried
+(:meth:`SectionCapture.seed`, from
+:meth:`~repro.persistence.store.CorpusStore.replay_received`): a typed
+record's blocks are the encoding of the source replay built from them,
+so the sources an ``apply`` or a resync brought are spliced, not
+re-encoded.  Seeding waits until replay applied the record, and only the
+newest record of its source in the batch seeds: blocks installed when a
+record is marked would be stale when replay skips the record (its source
+is already past it) or when a newer record of the source follows it.
+The store's own journal sink does not seed: the subscriber serialises a
+change outside its append lock, so a staler payload can reach the sink
+after a fresher one, and its blocks would then not be the live source's.
 
 What no record names keeps its bytes from the capture before.  An
 in-place edit never announced to the corpus is not captured, as no
@@ -137,6 +149,17 @@ class SectionCapture:
                 slots[at] = None
         else:
             del self._fragments[source_id]
+
+    def seed(self, source_id: str, version: int, fragments: Fragments) -> None:
+        """Install the blocks of a source that replay just built from them.
+
+        ``version`` is the applied record's; the thread slots are copied,
+        so a later :meth:`mark` leaves the record's own list alone.
+        """
+        header, threads = fragments
+        self._fragments[source_id] = (header, list(threads))
+        if version > self._applied.get(source_id, 0):
+            self._applied[source_id] = version
 
     def capture(self, corpus: SourceCorpus, versions: Mapping[str, Any]) -> Capture:
         """Splice the corpus section, re-encoding what is marked or guarded.

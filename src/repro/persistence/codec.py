@@ -39,7 +39,11 @@ Every block is ``u32 length | payload`` and self-contained, so a
 checkpoint splices the blocks of unchanged threads and sources as they
 are (:mod:`repro.persistence.capture`).  Inside a block the strings (and
 the counts) ride as one compact JSON array, the floats as a
-little-endian ``f64`` buffer, and the flags and enum codes as bytes.
+little-endian ``f64`` buffer, and the flags and enum codes as bytes.  A
+journal or wire record that carries a whole source holds that source's
+span — header block, thread count, thread blocks — in the same bytes
+(:func:`repro.persistence.journal.encode_record`), split out by
+:func:`split_source_span` and decoded by :func:`decode_source_blocks`.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ __all__ = [
     "join_corpus_section",
     "encode_corpus_section",
     "decode_corpus_section",
+    "split_source_span",
+    "decode_source_blocks",
 ]
 
 #: Magic prefix distinguishing codec payloads from JSON section payloads.
@@ -536,6 +542,51 @@ def _decode_source(payload: bytes, offset: int, blocks: Optional[list]) -> tuple
         view = memoryview(payload)
         blocks.append((view[offset:header_end], [view[a:b] for a, b in zip(ends, ends[1:])]))
     return source, ends[-1]
+
+
+def split_source_span(payload: bytes, offset: int) -> Fragments:
+    """The blocks of the one source span that runs from ``offset`` to the end.
+
+    A span is what a corpus section holds per source: its header block,
+    a ``u32`` thread count and the thread blocks.  Only the lengths are
+    read (the blocks are copied, not decoded); a span whose lengths do not
+    end exactly at the end of ``payload`` raises
+    :class:`CorruptSnapshotError`.
+    """
+    try:
+        end = offset + 4 + _U32.unpack_from(payload, offset)[0]
+        count = _U32.unpack_from(payload, end)[0]
+        header = payload[offset:end]
+        threads = []
+        start = end + 4
+        for _ in range(count):
+            end = start + 4 + _U32.unpack_from(payload, start)[0]
+            threads.append(payload[start:end])
+            start = end
+    except struct.error as exc:
+        raise CorruptSnapshotError(f"truncated source span: {exc}") from exc
+    if start != len(payload):
+        raise CorruptSnapshotError("source span lengths disagree with its size")
+    return header, threads
+
+
+def decode_source_blocks(fragments: Fragments) -> Source:
+    """A fresh :class:`~repro.sources.models.Source` from one source's blocks.
+
+    The counterpart of :func:`encode_source_blocks`, for blocks held apart
+    from a section (a journal or wire record's, see
+    :func:`split_source_span`); raises :class:`CorruptSnapshotError` as
+    :func:`decode_corpus_section` does.
+    """
+    header, threads = fragments
+    span = b"".join((header, _U32.pack(len(threads)), *threads))
+    try:
+        source, end = _decode_source(span, 0, None)
+    except (struct.error, IndexError, TypeError, ValueError) as exc:
+        raise CorruptSnapshotError(f"malformed source blocks: {exc}") from exc
+    if end != len(span):
+        raise CorruptSnapshotError("source blocks hold bytes past their lengths")
+    return source
 
 
 def decode_corpus_section(

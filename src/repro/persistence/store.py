@@ -82,6 +82,7 @@ from repro.persistence.format import rename_file
 from repro.persistence.journal import (
     JournalWriter,
     read_journal,
+    record_source,
     truncate_torn_tail,
 )
 from repro.persistence.snapshot import (
@@ -103,14 +104,16 @@ __all__ = [
 ]
 
 
-def _overlay_source(live: Source, payload: Mapping[str, Any]) -> None:
-    """Copy the serialised content state onto the live source object.
+def _overlay_source(live: Source, template: Source) -> None:
+    """Copy a decoded source's content state onto the live source object.
 
     In-place on purpose: consumers restored before replay hold references
     to the live object (fingerprints key on ``id()``), so a touch replay
     must mutate it, exactly like the original in-place mutation did.
+    ``template`` is a fresh source built from a record (see
+    :func:`~repro.persistence.journal.record_source`); its containers
+    move onto ``live``.
     """
-    template = Source.from_dict(dict(payload))
     live.name = template.name
     live.url = template.url
     live.source_type = template.source_type
@@ -210,7 +213,7 @@ def replay_journal(
     corpus: SourceCorpus,
     records: list[dict[str, Any]],
     *,
-    replayed: Optional[Callable[[int], Any]] = None,
+    replayed: Optional[Callable[[int, bool], Any]] = None,
 ) -> tuple[int, int]:
     """Apply journal records to ``corpus``; return ``(applied, skipped)``.
 
@@ -237,8 +240,16 @@ def replay_journal(
     without a change event.  Every record's shape
     and version are checked before the sort, so a record without a usable
     version raises :class:`~repro.errors.JournalReplayError` before
-    anything is applied.  ``replayed``, when given, is called with the
-    index (in ``records``) of each record once it was applied or skipped.
+    anything is applied.  ``records`` are dicts: a journal's or wire
+    batch's decoded records (:func:`~repro.persistence.journal.decode_record`),
+    whose whole-source records hold typed blocks, or in-memory records
+    whose ``source`` is a ``to_dict()`` payload; either way a fresh source
+    is built from the record each time it is applied
+    (:func:`~repro.persistence.journal.record_source`), and one the codec
+    cannot interpret raises before it changes anything.  ``replayed``,
+    when given, is called with the index (in ``records``) of each record
+    above its source's version once replay took it, and whether it was
+    applied.
     """
     versioned = sorted(
         ((_record_version(record), index) for index, record in enumerate(records)),
@@ -271,17 +282,19 @@ def replay_journal(
                     if not done and source_id in corpus:
                         corpus._stamp_version(source_id, version)
                 elif op in ("add", "touch"):
-                    payload = record.get("source")
+                    # Built before anything changes, so a record that
+                    # cannot be decoded applies nothing.
+                    template = record_source(record)
                     # A contentless record: the source was removed again
                     # before the event was journaled; the trailing remove
                     # record restores the net state.
-                    done = payload is not None
+                    done = template is not None
                     if done:
                         if source_id in corpus:
-                            _overlay_source(corpus.get(source_id), payload)
+                            _overlay_source(corpus.get(source_id), template)
                             corpus.touch(source_id)
                         else:
-                            corpus.add(Source.from_dict(dict(payload)))
+                            corpus.add(template)
                 else:
                     raise JournalReplayError(
                         f"unknown journal op {op!r} at version {version}"
@@ -298,7 +311,7 @@ def replay_journal(
             ) from exc
         corpus._restore_version(version)
         if replayed is not None:
-            replayed(index)
+            replayed(index, done)
     return applied, skipped
 
 
@@ -442,22 +455,32 @@ class CorpusStore:
             ) from exc
 
     def replay_received(
-        self, records: list[dict[str, Any]], frames: list[bytes]
-    ) -> tuple[int, int]:
+        self,
+        records: list[dict[str, Any]],
+        frames: list[bytes],
+        *,
+        replay: Callable[..., Any] = replay_journal,
+    ) -> Any:
         """Replay records framed elsewhere; journal their frames as received.
 
-        A shard worker's ``apply``: ``frames[i]`` is ``records[i]`` in the
-        journal's own record framing, as the coordinator framed it once
-        for the wire.  The records replay as :func:`replay_journal`
-        replays them, while the subscriber relays the changes they drive
+        A shard worker's ``apply`` and ``resync``: ``frames[i]`` is
+        ``records[i]`` in the journal's own record framing, as the
+        coordinator framed it once for the wire, and ``records[i]`` its
+        decoded form (:func:`~repro.persistence.journal.split_framed`).
+        ``replay`` applies them, called as :func:`replay_journal` is (the
+        default) and reporting each record it took through ``replayed``,
+        while the subscriber relays the changes they drive
         (:meth:`~repro.sources.diffing.DurableJournalSubscriber.relayed`:
         nothing written, keys dropped, checkpoint cadence kept) and every
         record marks the fragments the next checkpoint re-encodes (see
         :mod:`repro.persistence.capture`); then the frames of the records
-        replayed are appended with one write and one fsync.  When a record
-        raises, the frames replayed before it are still appended and its
-        own is not: a record journaled over a gap could not replay at
-        recovery.  Returns ``(applied, skipped)``.
+        replay took are appended with one write and one fsync.  When a
+        record raises, the frames taken before it are still appended and
+        its own is not: a record journaled over a gap could not replay at
+        recovery.  A typed whole-source record that replay applied, with
+        no newer record of its source in the batch, leaves its blocks as
+        that source's fragments: they are the live source's encoding, so
+        the next checkpoint splices them.  Returns what ``replay`` returns.
         """
         subscriber = self._subscriber
         corpus = self._corpus
@@ -468,34 +491,29 @@ class CorpusStore:
         changes = [
             (_record_version(record), record.get("source_id")) for record in records
         ]
-        replayed: list[bytes] = []
+        newest: dict[Any, int] = {}
+        for version, source_id in changes:
+            newest[source_id] = max(version, newest.get(source_id, version))
+        taken: list[bytes] = []
+        seeds: list[int] = []
+
+        def replayed(at: int, applied: bool) -> None:
+            taken.append(frames[at])
+            version, source_id = changes[at]
+            if applied and "blocks" in records[at] and version == newest[source_id]:
+                seeds.append(at)
+
         with subscriber.relayed(changes):
             for record in records:
                 self._capture.mark(record)
             try:
-                return replay_journal(
-                    corpus, records, replayed=lambda at: replayed.append(frames[at])
-                )
+                return replay(corpus, records, replayed=replayed)
             finally:
-                if replayed:
-                    self._append_frames(replayed)
-
-    def journal_frames(self, frames: list[bytes]) -> None:
-        """Durably append framed records that drove no change here.
-
-        A shard worker's resync stamps: a shipped source whose content
-        already matched only takes the coordinator's version, and no
-        change event journals that.  One write and one fsync, under the
-        subscriber's append lock, so no other record or a checkpoint
-        interleaves.
-        """
-        subscriber = self._subscriber
-        if subscriber is None:
-            raise PersistenceError(
-                "journal_frames requires an attached corpus", path=self.directory
-            )
-        with subscriber.paused():
-            self._append_frames(frames)
+                for at in seeds:
+                    record = records[at]
+                    self._capture.seed(record["source_id"], changes[at][0], record["blocks"])
+                if taken:
+                    self._append_frames(taken)
 
     def _append_frames(self, frames: list[bytes]) -> None:
         data = b"".join(frames)

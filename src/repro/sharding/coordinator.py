@@ -88,6 +88,7 @@ from repro.errors import (
 from repro.perf.collector import collector_paused
 from repro.persistence.cluster import ClusterStore
 from repro.persistence.format import json_record, pack_record
+from repro.persistence.journal import encode_record
 from repro.search.engine import (
     SearchEngineConfig,
     SearchResult,
@@ -288,12 +289,11 @@ class ShardCoordinator:
             per_shard={index: self._configure_payload(index, recover) for index in indices},
             allow_degraded=False,
         )
-        resyncs = {
-            index: self._resync_payload(index, reply["versions"])
-            for index, reply in configured.items()
-        }
+        resyncs = {}
         for shard in shards:
-            shard.shipped = resyncs[shard.index]["sources"]
+            resyncs[shard.index], shard.shipped = self._resync_payload(
+                shard.index, configured[shard.index]["versions"]
+            )
         return self._scatter("resync", {}, per_shard=resyncs, allow_degraded=False)
 
     def _spawn(self, shard: _Shard) -> None:
@@ -344,16 +344,23 @@ class ShardCoordinator:
 
     def _resync_payload(
         self, index: int, reported: dict[str, Optional[int]]
-    ) -> dict[str, Any]:
+    ) -> tuple[dict[str, Any], dict[str, Any]]:
         """What shard ``index`` lacks, given the versions its worker reported.
 
         ``reported`` maps each source the worker holds to its version
         (``None`` when the worker's state predates per-source versions).
-        The payload ships the full record of every owned source whose
-        version differs, and names every source the worker must drop,
+        The payload ships every owned source whose version differs as a
+        whole-source record at that version — an ``add`` when the worker
+        does not hold it, else a ``touch`` — framed as the worker's
+        journal frames records (typed, see
+        :func:`~repro.persistence.journal.encode_record`) in the request's
+        binary attachment, and names every source the worker must drop,
         with the version of its remove; owned tombstones the worker lacks
         ride along, so an older record still on its way is turned away.
-        The corpus's version floor goes along as the watermark.
+        The corpus's version floor goes along as the watermark.  Returns
+        the payload and what it ships, source id -> ``{"version",
+        "source"}`` with the ``to_dict()`` payload the bridge is re-keyed
+        from.
 
         The versions are read before any content: a change racing in
         between lands in the shipped content above its stamped version,
@@ -370,12 +377,21 @@ class ShardCoordinator:
             if partition_shard(source.source_id, shard_count) == index
         }
         shipped: dict[str, Any] = {}
+        frames: list[bytes] = []
         for source_id, source in owned.items():
             version = entries.get(source_id)
             if version is None:
                 version = self._corpus.version_of(source_id)
             if reported.get(source_id) != version:
-                shipped[source_id] = {"version": version, "source": source.to_dict()}
+                payload = source.to_dict()
+                shipped[source_id] = {"version": version, "source": payload}
+                record = {
+                    "version": version,
+                    "op": "touch" if source_id in reported else "add",
+                    "source_id": source_id,
+                    "source": payload,
+                }
+                frames.append(pack_record(encode_record(record)))
         removed = {
             source_id: version
             for source_id, version in tombstones.items()
@@ -385,11 +401,11 @@ class ShardCoordinator:
             if source_id not in owned:
                 removed.setdefault(source_id, floor)
         return {
-            "sources": shipped,
             "removed": removed,
             "watermark": floor,
             "version": self._corpus.version,
-        }
+            "_binary": b"".join(frames),
+        }, shipped
 
     def restart_shard(self, shard_index: int) -> dict[str, Any]:
         """Respawn a (dead or live) worker and bring its shard back in sync.
@@ -503,7 +519,10 @@ class ShardCoordinator:
         to apply its batch never strands another shard's records.  The
         worker applied a failed batch only up to the record that raised,
         so the bridge drops the keys of the batch's sources (see
-        :meth:`_draining`).
+        :meth:`_draining`).  A record the encoder rejects
+        (:class:`~repro.errors.PersistenceError`) is left out of its
+        batch, the rest of which is still sent, and raises the same way;
+        its source's keys are dropped.
         """
         with self._buffer_lock:
             # Fast path for the every-read flush: nothing buffered, so
@@ -555,24 +574,33 @@ class ShardCoordinator:
             if not shard.alive:
                 self._dropped += len(records)
                 continue
-            message_id = next(self._message_ids)
             # Framed once, as the worker's journal frames records: the
-            # worker appends these bytes as they are.
-            frames = b"".join(pack_record(json_record(r)) for r in records)
+            # worker appends these bytes as they are.  A record the
+            # encoder rejects stays behind; the rest of the batch goes.
+            frames = []
+            for record in records:
+                try:
+                    frames.append(pack_record(encode_record(record)))
+                except PersistenceError as exc:
+                    failures.setdefault(index, exc)
+                    failed.add(record["source_id"])
+            if not frames:
+                continue
+            message_id = next(self._message_ids)
             status, value = self._gather_one(
                 shard,
                 message_id,
                 encode_message(
                     {"id": message_id, "kind": "apply", "watermark": watermark},
-                    frames,
+                    b"".join(frames),
                 ),
             )
             if status == "ok":
-                sent += len(records)
+                sent += len(frames)
             elif status == "down":
-                self._dropped += len(records)
+                self._dropped += len(frames)
             else:
-                failures[index] = value
+                failures.setdefault(index, value)
                 failed.update(record["source_id"] for record in records)
         if failures:
             raise failures[min(failures)]
@@ -927,7 +955,8 @@ class ShardCoordinator:
         With ``per_shard`` (in place of ``only``), the shards it names are
         reached, each with ``payload`` extended by its own entry (the
         start-up fan-out: every worker gets its own ``configure`` and
-        ``resync``).
+        ``resync``); an entry's ``_binary`` bytes ride as the request's
+        binary attachment.
 
         Every reached shard's persistent runner performs the full
         round-trip (:meth:`_gather_one`), so a slow shard's reply
@@ -959,12 +988,10 @@ class ShardCoordinator:
             common = json_record({"id": message_id, "kind": kind, **payload})
             encoded = {shard.index: common for shard in reached}
         else:
-            encoded = {
-                shard.index: json_record(
-                    {"id": message_id, "kind": kind, **payload, **per_shard[shard.index]}
-                )
-                for shard in reached
-            }
+            encoded = {}
+            for shard in reached:
+                message = {"id": message_id, "kind": kind, **payload, **per_shard[shard.index]}
+                encoded[shard.index] = encode_message(message, message.pop("_binary", None))
         completions: "queue.SimpleQueue" = queue.SimpleQueue()
         for shard in reached[1:]:
             shard.jobs.put((message_id, encoded[shard.index], completions))

@@ -21,7 +21,12 @@ covers both disk and wire.  Two payload encodings share the frame:
   Because JSON payloads always start with ``{`` and binary payloads with
   ``RPWB``, the two kinds interleave unambiguously on one connection.
   Floats inside the blob are raw IEEE-754 ``float64`` bytes — no decimal
-  round-trip, bit-identical by construction.
+  round-trip, bit-identical by construction.  The ``apply`` and
+  ``resync`` requests carry corpus records this way: the blob is a run
+  of records framed as the journal frames them
+  (:func:`repro.persistence.journal.encode_record`), a whole source as
+  typed ``RPCS`` blocks and a partial record as JSON, which the worker
+  journals as received.
 
 Failure semantics of :class:`WireConnection`:
 

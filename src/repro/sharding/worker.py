@@ -27,22 +27,27 @@ reads one.
 
 Replicated mutations arrive as journal-schema records (produced by the
 coordinator's :class:`~repro.sources.diffing.WireBridgeSubscriber`),
-framed once by the coordinator in the journal's own record framing and
-sent as the ``apply`` request's binary attachment.  They are applied
-with the very same :func:`~repro.persistence.store.replay_journal` used
-by crash recovery: version-ordered, idempotent per source, driving the
-ordinary corpus mutation API so every consumer is invalidated through
-its normal incremental path.  The worker's store then appends the
-received frames to its journal unchanged, with one fsync per batch
-(:meth:`~repro.persistence.store.CorpusStore.replay_received`): the
-worker never re-serialises or re-encodes a replicated record.  Each
-source takes the version of the coordinator record that last changed it
-— so does the worker's journal — and each batch carries the
-coordinator's watermark, below which the worker drops its tombstones.
-``configure`` reports those versions, and the ``resync`` that follows
-carries only what diverged; it journals through the store's subscriber,
-a version stamp as an empty ``replace_discussions`` record, after which
-the subscriber keeps no keys (nothing on a worker diffs against them).
+encoded and framed once by the coordinator as the journal frames them
+(:func:`~repro.persistence.journal.encode_record`: a whole source as
+typed ``RPCS`` blocks, a partial record as JSON) and sent as the
+``apply`` request's binary attachment.  They are applied with the very
+same :func:`~repro.persistence.store.replay_journal` used by crash
+recovery: version-ordered, idempotent per source, driving the ordinary
+corpus mutation API so every consumer is invalidated through its normal
+incremental path.  The worker's store then appends the received frames
+to its journal unchanged, with one fsync per batch
+(:meth:`~repro.persistence.store.CorpusStore.replay_received`), and
+keeps the blocks of the whole sources replay applied for its next
+checkpoint to splice: the worker never re-serialises or re-encodes a
+replicated record.  Each source takes the version of the coordinator
+record that last changed it — so does the worker's journal — and each
+batch carries the coordinator's watermark, below which the worker drops
+its tombstones.  ``configure`` reports those versions, and the
+``resync`` that follows ships only what diverged, as whole-source
+records in its binary attachment that the store journals and keeps the
+same way.  The worker's journal subscriber writes only the removes a
+resync names, so it keys no source: nothing on a worker diffs against
+keys.
 
 Read requests implement the worker-side phases of the scatter-gather
 protocols (``shard_term_stats`` / ``shard_score`` / ``shard_select`` on
@@ -59,21 +64,20 @@ import gc
 import socket
 import time
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.domain import DomainOfInterest
 from repro.core.source_quality import SourceQualityModel
-from repro.errors import PersistenceError, ShardingError, WireProtocolError
+from repro.errors import JournalReplayError, PersistenceError, ShardingError, WireProtocolError
 from repro.perf.collector import collector_paused
-from repro.persistence.format import json_record, pack_record
-from repro.persistence.journal import split_framed
+from repro.persistence.codec import encode_source_blocks
+from repro.persistence.journal import record_source, split_framed
 from repro.persistence.store import CorpusStore, _overlay_source, replay_journal
 from repro.search.engine import SearchEngine, SearchEngineConfig
 from repro.serving import EagerRefreshScheduler, register_worker_stack
 from repro.sharding.columns import encode_columns
 from repro.sharding.wire import WireConnection
 from repro.sources.corpus import SourceCorpus
-from repro.sources.models import Source
 
 __all__ = ["ShardWorker", "main"]
 
@@ -299,27 +303,21 @@ class ShardWorker:
         Used both to seed a fresh worker and to repair a restarted one on
         top of whatever its per-shard recovery produced (see
         :meth:`~repro.sharding.coordinator.ShardCoordinator._resync_payload`):
-        named sources are removed — or only tombstoned when absent —
-        shipped sources whose content differs are overlaid in place and
-        touched (fingerprint caches key on object identity, exactly as
-        journal replay does), missing ones are added, and a shipped source
-        whose content already matches is left untouched.  Each of them
-        takes the coordinator's version for the source, and the store's
-        subscriber journals each change; a source that only takes the
-        version is journaled as an empty ``replace_discussions`` record (a
-        version stamp, appended as framed here), so a worker killed before
-        its next checkpoint still reports that version.  Then the corpus
-        version is pinned to the coordinator's (monotonically) and the
-        version floor raised to the watermark.  The store's subscriber
-        drops its keys before the scheduler runs a due checkpoint: every
-        later change replays a record the coordinator diffed.
+        named sources are removed — or only tombstoned when absent — and
+        every shipped source arrives as a whole-source record in the
+        request's binary attachment, applied by :func:`_resync_sources`.
+        Each of them takes the coordinator's version for the source.  The
+        store journals the received frames as they are, with one write
+        and one fsync, so a worker killed before its next checkpoint
+        still reports those versions, and it keeps each shipped source's
+        blocks for that checkpoint to splice
+        (:meth:`~repro.persistence.store.CorpusStore.replay_received`).
+        Then the corpus version is pinned to the coordinator's
+        (monotonically) and the version floor raised to the watermark.
         """
         corpus = self._corpus
-        sources: dict[str, Any] = message.get("sources") or {}
+        frames, records = split_framed(message.get("_binary") or b"")
         removed = 0
-        overlaid = 0
-        added = 0
-        stamps: list[bytes] = []
         for source_id, version in (message.get("removed") or {}).items():
             with corpus._replaying(int(version)):
                 if source_id in corpus:
@@ -327,39 +325,19 @@ class ShardWorker:
                     removed += 1
                 else:
                     corpus._stamp_version(source_id, version)
-        for source_id, shipped in sources.items():
-            payload = shipped["source"]
-            with corpus._replaying(int(shipped["version"])):
-                if source_id not in corpus:
-                    corpus.add(Source.from_dict(dict(payload)))
-                    added += 1
-                elif corpus.get(source_id).to_dict() != payload:
-                    _overlay_source(corpus.get(source_id), payload)
-                    corpus.touch(source_id)
-                    overlaid += 1
-                else:
-                    corpus._stamp_version(source_id, shipped["version"])
-                    stamp = {
-                        "version": int(shipped["version"]),
-                        "op": "replace_discussions",
-                        "source_id": source_id,
-                        "threads": [],
-                    }
-                    stamps.append(pack_record(json_record(stamp)))
-        if stamps and self._store is not None:
-            self._store.journal_frames(stamps)
-        if self._store is not None:
-            # Every later change replays a record the coordinator diffed
-            # (see _handle_apply): keys here would hold payloads no diff
-            # reads, and a checkpoint would re-key them.
-            self._store.subscriber.drop_keys()
+        if self._store is None:
+            overlaid, added = _resync_sources(corpus, records)
+        else:
+            overlaid, added = self._store.replay_received(
+                records, frames, replay=_resync_sources
+            )
         corpus._restore_version(int(message["version"]))
         self._advance_watermark(message)
         self._flush_scheduler()
         return {
             "version": corpus.version,
             "sources": len(corpus),
-            "shipped": len(sources),
+            "shipped": len(records),
             "removed": removed,
             "overlaid": overlaid,
             "added": added,
@@ -477,6 +455,45 @@ class ShardWorker:
         "busy_time": _handle_busy_time,
         "shutdown": _handle_shutdown,
     }
+
+
+def _resync_sources(
+    corpus: SourceCorpus,
+    records: list[dict[str, Any]],
+    *,
+    replayed: Optional[Callable[[int, bool], Any]] = None,
+) -> tuple[int, int]:
+    """Apply a resync's shipped sources; return ``(overlaid, added)``.
+
+    Each record carries one source whole, at the coordinator's version
+    for it.  A source the corpus lacks is added.  One it holds counts as
+    already held when the record's blocks equal the live source's
+    encoding — bytes, so ``0.0`` and ``-0.0`` differ — and then only
+    takes the version; otherwise it is overlaid in place and touched
+    (fingerprint caches key on object identity, exactly as journal replay
+    does).  ``replayed`` is called as :func:`replay_journal` calls it:
+    every record counts as applied, since after it the source holds the
+    record's blocks.
+    """
+    overlaid = added = 0
+    for index, record in enumerate(records):
+        source_id = record["source_id"]
+        version = int(record["version"])
+        if "blocks" not in record:
+            raise JournalReplayError(f"resync record of {source_id!r} carries no typed source")
+        with corpus._replaying(version):
+            if source_id not in corpus:
+                corpus.add(record_source(record))
+                added += 1
+            elif encode_source_blocks(corpus.get(source_id).to_dict()) != record["blocks"]:
+                _overlay_source(corpus.get(source_id), record_source(record))
+                corpus.touch(source_id)
+                overlaid += 1
+            else:
+                corpus._stamp_version(source_id, version)
+        if replayed is not None:
+            replayed(index, True)
+    return overlaid, added
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -938,18 +938,16 @@ class DurableJournalSubscriber:
                 elif entry is not None:
                     self._keys[source_id] = (max(entry[0], version), None, None)
 
-    def drop_keys(self, source_ids: Optional[Iterable[str]] = None) -> None:
-        """Drop the keys of ``source_ids``, or of every source when None.
+    def drop_keys(self, source_ids: Iterable[str]) -> None:
+        """Drop the keys of ``source_ids``.
 
         Each of them ships its next touch whole and is keyed from it.  For
         a replica that failed to apply records already written (a shard
         worker whose ``apply`` raised part-way), whose holdings are then
-        unknown; and for a replica that journals the records it receives
-        as they are, which diffs nothing after its resync, so keys would
-        only hold payloads nothing reads.
+        unknown.
         """
         with _journal_append_lock(self._lock):
-            for source_id in list(self._keys if source_ids is None else source_ids):
+            for source_id in source_ids:
                 entry = self._keys.get(source_id)
                 if entry is not None:
                     self._keys[source_id] = (entry[0], None, None)

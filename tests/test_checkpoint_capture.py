@@ -23,6 +23,7 @@ import socket
 import sys
 import threading
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.errors import CorpusError, UnknownSourceError
 from repro.persistence import ClusterStore, CorpusStore
 from repro.persistence.codec import decode_corpus_section, encode_corpus_section
 from repro.persistence.format import SNAPSHOT_MAGIC, json_record, pack_record, unpack_sections
+from repro.persistence.journal import encode_record
 from repro.sharding import WireConnection, partition_shard
 from repro.sharding.worker import ShardWorker
 from repro.sources.corpus import SourceCorpus
@@ -179,14 +181,16 @@ def _resync(primary: SourceCorpus, replica: SourceCorpus) -> dict:
     held = replica.version_map()["sources"]
     return {
         "kind": "resync",
-        "sources": {
-            source.source_id: {
+        "_binary": b"".join(
+            pack_record(encode_record({
                 "version": versions["sources"][source.source_id],
+                "op": "touch" if source.source_id in replica else "add",
+                "source_id": source.source_id,
                 "source": source.to_dict(),
-            }
+            }))
             for source in primary
             if held.get(source.source_id) != versions["sources"][source.source_id]
-        },
+        ),
         "removed": {
             source_id: versions["removed"].get(source_id, versions["floor"])
             for source_id in replica.source_ids()
@@ -372,6 +376,130 @@ def test_a_worker_re_encodes_only_the_threads_its_batch_names(tmp_path, monkeypa
         upstream.close()
         worker.close()
         left.close()
+
+
+class _TypedReplica:
+    """An in-process worker fed typed frames of an upstream corpus's records."""
+
+    def __init__(self, tmp_path: Path, corpus: SourceCorpus) -> None:
+        self.corpus = corpus
+        self.records: list[dict] = []
+        self.upstream = DurableJournalSubscriber(corpus, self.records.append, name="upstream")
+        self.left, right = socket.socketpair()
+        self.worker = ShardWorker(WireConnection(right))
+        _dispatch(self.worker, {"id": 1, "kind": "configure", "shard_index": 0,
+                                "shard_count": 1, "store_dir": str(tmp_path), "fsync": False})
+        self.resync()
+
+    @property
+    def store(self) -> CorpusStore:
+        return self.worker._store
+
+    def resync(self) -> dict:
+        del self.records[:]
+        return _dispatch(self.worker, _resync(self.corpus, self.worker._corpus))
+
+    def apply(self, records: Optional[list] = None) -> dict:
+        """One ``apply`` of ``records`` (the pending ones by default), typed."""
+        if records is None:
+            records, self.records[:] = list(self.records), []
+        frames = b"".join(pack_record(encode_record(record)) for record in records)
+        return _dispatch(self.worker, {"kind": "apply", "_binary": frames,
+                                       "watermark": self.corpus.version_floor})
+
+    def close(self) -> None:
+        self.upstream.close()
+        self.worker.close()
+        self.left.close()
+
+
+def test_a_batch_of_typed_adds_is_spliced_at_the_next_checkpoint(tmp_path, monkeypatch):
+    """The resync's and an apply's whole-source records leave their blocks
+    as the sources' fragments: no checkpoint re-encodes those sources."""
+    corpus = _fresh_corpus(6)
+    replica = _TypedReplica(tmp_path, corpus)
+    try:
+        captures = _spy_captures(monkeypatch)
+        replica.store.checkpoint()
+        assert _re_encoded(captures[-1]) == (0, 0)
+        added = [_extra_source(f"typed-add-{at}", seed=60 + at) for at in range(3)]
+        for source in added:
+            corpus.add(source)
+        assert [record["op"] for record in replica.records] == ["add"] * 3
+        assert replica.apply()["applied"] == 3
+        replica.store.checkpoint()
+        assert captures[-1].encoded == {}
+        assert _raw_section(replica.store.snapshot_path) == encode_corpus_section(corpus)
+        assert _contents(_recovered(tmp_path)) == _contents(corpus)
+    finally:
+        replica.close()
+
+
+@pytest.mark.parametrize("case", ["newer_thread_record_after", "newer_thread_record_before",
+                                  "stale_whole_record"])
+def test_only_the_newest_applied_whole_record_seeds(tmp_path, monkeypatch, case):
+    """Blocks a later record outdates, or that replay skipped, are never
+    spliced: each case fails when blocks are installed as records are
+    marked (the stale record and the thread record delivered first) or
+    after replay without the newest-record check (the thread record
+    delivered after)."""
+    corpus = _fresh_corpus(6)
+    replica = _TypedReplica(tmp_path, corpus)
+    source = corpus.sources()[2]
+    try:
+        replica.store.checkpoint()
+        replica.upstream.drop_keys([source.source_id])
+        source.discussions[0].posts[0].text = "travel food reworded whole"
+        corpus.touch(source.source_id)
+        if case == "stale_whole_record":
+            (stale,) = replica.records
+            del replica.records[:]
+            replica.upstream.drop_keys([source.source_id])
+            source.discussions[0].posts[0].text = "travel food reworded whole again"
+            corpus.touch(source.source_id)
+            replica.apply()
+            assert replica.apply([stale])["skipped"] == 1
+        else:
+            source.discussions[1].posts[0].text = "travel food reworded in a thread"
+            corpus.touch(source.source_id)
+            whole, thread = replica.records
+            assert (whole["op"], thread["op"]) == ("touch", "replace_discussions")
+            del replica.records[:]
+            batch = [whole, thread] if case == "newer_thread_record_after" else [thread, whole]
+            assert replica.apply(batch)["applied"] == 2
+        captures = _spy_captures(monkeypatch)
+        _assert_exact_checkpoint(replica.store, corpus)
+        assert _re_encoded(captures[-1]) == (1, 0)
+    finally:
+        replica.close()
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_typed_batches_and_resyncs_keep_spliced_sections_exact(tmp_path, seed):
+    """A worker fed typed batches and resyncs, checkpointed at random
+    points: every section is the whole encoding of its corpus."""
+    corpus = _fresh_corpus(6, seed=seed)
+    mutations = _Mutations(corpus, seed, tag=f"typed{seed}")
+    replica = _TypedReplica(tmp_path, corpus)
+    kinds: set[str] = set()
+    try:
+        for _ in range(70):
+            kinds.add(mutations.step())
+            roll = mutations.rng.random()
+            if roll < 0.05:
+                corpus.touch(mutations._source().source_id)
+                replica.resync()
+            elif roll < 0.35:
+                kinds.update(record["op"] for record in replica.records)
+                replica.apply()
+            if not replica.records and mutations.rng.random() < 0.2:
+                _assert_exact_checkpoint(replica.store, replica.worker._corpus)
+                assert _contents(replica.worker._corpus) == _contents(corpus)
+        replica.apply()
+        _assert_exact_checkpoint(replica.store, corpus)
+        assert {"add", "touch", "add_discussion", "replace_discussions", "remove"} <= kinds
+    finally:
+        replica.close()
 
 
 def test_the_first_checkpoint_after_a_recovery_splices_the_recovered_blocks(

@@ -106,3 +106,41 @@ class TestCli:
     def test_experiment_invalid_id_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "not-an-experiment"])
+
+    def test_journal_command_lists_records_encodings_and_a_torn_tail(self, capsys, tmp_path):
+        from repro.persistence import CorpusStore
+        from repro.sources.generators import CorpusGenerator, CorpusSpec
+
+        corpus = CorpusGenerator(
+            CorpusSpec(source_count=3, seed=5, discussion_budget=3, user_budget=4)
+        ).generate()
+        store = CorpusStore(tmp_path, fsync=False)
+        store.attach(corpus)
+        base = corpus.version
+        touched, removed = corpus.source_ids()[:2]
+        corpus.touch(touched)  # a whole source: typed
+        corpus.remove(removed)  # a partial record: JSON
+        store.close()
+        with open(store.journal_path, "ab") as handle:
+            handle.write(b"\x07\x00\x00")  # a torn tail
+        assert main(["journal", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"  base version {base}"
+        rows = [line.split() for line in lines[3:5]]
+        assert [row[:4] for row in rows] == [
+            [str(base + 1), "touch", touched, "typed"],
+            [str(base + 2), "remove", removed, "json"],
+        ]
+        assert lines[5].startswith("  tail: torn at byte ")
+
+    def test_journal_command_prints_one_block_per_shard(self, capsys, tmp_path):
+        from repro.persistence import ClusterStore, CorpusStore
+        from repro.sources.corpus import SourceCorpus
+
+        cluster = ClusterStore(tmp_path, shard_count=2, fsync=False)
+        with CorpusStore(cluster.shard_directory(0), fsync=False, shard=(0, 2)) as store:
+            store.attach(SourceCorpus())
+        assert main(["journal", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("shard 0:") == out.count("shard 1:") == 1
+        assert "tail: clean" in out and "(none)" in out

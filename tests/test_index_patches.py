@@ -156,7 +156,7 @@ class _Stream:
 
     def overlay_identical(self) -> None:
         source = self._source()
-        _overlay_source(source, source.to_dict())
+        _overlay_source(source, Source.from_dict(source.to_dict()))
         self._touch(source)
 
     def overlay_changed(self) -> None:
@@ -164,7 +164,7 @@ class _Stream:
         payload = source.to_dict()
         thread = self.rng.choice([d for d in payload["discussions"] if d["posts"]])
         self.rng.choice(thread["posts"])["text"] = self._words()
-        _overlay_source(source, payload)
+        _overlay_source(source, Source.from_dict(payload))
         self._touch(source)
 
     def append_unannounced(self) -> None:
@@ -260,7 +260,7 @@ class TestFragmentGroupWorkCounts:
         engine = SearchEngine(corpus, panel=AlexaLikeService())
         before = _tokenised(engine)
         source = corpus.sources()[2]
-        _overlay_source(source, source.to_dict())  # fresh objects, same text
+        _overlay_source(source, Source.from_dict(source.to_dict()))  # fresh objects, same text
         corpus.touch(source.source_id)
         assert engine.refresh() is True
         assert _tokenised(engine) == before

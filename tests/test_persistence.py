@@ -60,7 +60,7 @@ from repro.persistence.format import (
     read_record,
     unpack_sections,
 )
-from repro.persistence.journal import HEADER_SIZE
+from repro.persistence.journal import HEADER_SIZE, record_source
 from repro.search.engine import SearchEngine
 from repro.sharding import partition_shard
 from repro.sources.corpus import SourceCorpus
@@ -978,7 +978,7 @@ class TestThreadRecords:
         reword(corpus, source.source_id, "travel flight resort reworded")
         store.close()
         first, record = read_journal(store.journal_path).records
-        assert first["op"] == "touch" and first["source"] == keyed
+        assert first["op"] == "touch" and record_source(first).to_dict() == keyed
         assert record == {
             "version": corpus.version,
             "op": "replace_discussions",

@@ -71,6 +71,19 @@ class CrashScenario:
         self.last_acked = self.corpus.version
         self.record()
 
+    def add(self) -> None:
+        """Add a new source: a whole-source record, journaled typed."""
+        self.corpus.add(
+            SourceGenerator(
+                SourceSpec(source_id=f"crash-add-{self.events}", discussion_budget=3,
+                           user_budget=4),
+                seed=self.events,
+            ).generate()
+        )
+        self.events += 1
+        self.last_acked = self.corpus.version
+        self.record()
+
     def checkpoint(self) -> None:
         self.store.checkpoint()
 
@@ -106,6 +119,7 @@ CRASH_MATRIX = [
     ("journal-append-mid-payload", dict(kill_after_bytes=24, match="journal"), "mutate"),
     ("journal-later-append", dict(kill_after_bytes=9, operation_index=2, match="journal"), "mutate"),
     ("journal-append-at-fsync", dict(kill_on_fsync=True, match="journal"), "mutate"),
+    ("journal-typed-append-mid-blocks", dict(kill_after_bytes=200, match="journal"), "add"),
     ("snapshot-rotation-mid-write", dict(kill_after_bytes=64, match="snapshot"), "checkpoint"),
     ("snapshot-new-mid-write", dict(kill_after_bytes=64, operation_index=1, match="snapshot"), "checkpoint"),
     ("snapshot-data-before-rename", dict(kill_on_replace=True, match="snapshot.rpss"), "checkpoint"),
@@ -124,10 +138,8 @@ def test_crash_matrix(tmp_path, plan_kwargs, phase):
     scenario = CrashScenario(tmp_path)
     scenario.mutate()
     scenario.mutate()
-    if phase == "mutate":
-        scenario.crash(FaultPlan(**plan_kwargs), scenario.mutate)
-    else:
-        scenario.crash(FaultPlan(**plan_kwargs), scenario.checkpoint)
+    action = {"mutate": scenario.mutate, "add": scenario.add}.get(phase, scenario.checkpoint)
+    scenario.crash(FaultPlan(**plan_kwargs), action)
     scenario.assert_recovered()
 
 

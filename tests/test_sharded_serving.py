@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import itertools
+import math
 import os
 import random
 import signal
@@ -48,6 +49,7 @@ from repro.errors import (
 from repro.persistence import ClusterStore, CorpusStore, read_journal, read_snapshot
 from repro.persistence.codec import decode_column_block
 from repro.persistence.format import RECORD_HEADER, json_record, pack_record
+from repro.persistence.journal import encode_record
 from repro.persistence.snapshot import snapshot_version
 from repro.search.engine import SearchEngine, SearchEngineConfig
 from repro.sharding import WireConnection, partition_shard
@@ -1119,6 +1121,36 @@ class TestPerSourceVersions:
         assert recovered.restart_shard(0)["shipped"] == 0
         _assert_bit_identical(recovered, stack.corpus, travel_domain)
 
+    def test_a_restart_repairs_a_flipped_zero_sign(
+        self, coordinator_factory, travel_domain, tmp_path
+    ):
+        """A shard is down while a post's day flips from 0.0 to -0.0, which
+        ``==`` cannot see: its restart's resync compares the shipped blocks
+        with the live source's bytes, so it overlays the source."""
+        corpus = _fresh_corpus(6)
+        directory = tmp_path / "cluster"
+        source_id = _source_owned_by(corpus, 1, 2)
+        post = next(p for d in corpus.get(source_id).discussions for p in d.posts)
+        post.day = 0.0
+        coordinator = coordinator_factory(
+            corpus, 2, domain=travel_domain, store_directory=directory, fsync=True
+        )
+        coordinator.checkpoint()
+        coordinator.processes[1].send_signal(signal.SIGKILL)
+        coordinator.processes[1].wait()
+        post.day = -0.0
+        corpus.touch(source_id)
+        coordinator.flush()
+        assert coordinator.live_shards == [0]
+        reply = coordinator.restart_shard(1)
+        assert (reply["shipped"], reply["overlaid"]) == (1, 1)
+        coordinator.checkpoint()
+        snapshot = ClusterStore(directory).shard_directory(1) / CorpusStore.SNAPSHOT_NAME
+        (held,) = [s for s in read_snapshot(snapshot)["corpus"] if s.source_id == source_id]
+        (day,) = [p.day for d in held.discussions for p in d.posts if p.post_id == post.post_id]
+        assert math.copysign(1.0, day) == -1.0
+        _assert_bit_identical(coordinator, corpus, travel_domain)
+
 
 # -- fault matrix ----------------------------------------------------------------------
 
@@ -1488,13 +1520,15 @@ class TestWorkerCollector:
             versions = corpus.version_map()
             worker.request(
                 "resync",
-                sources={
-                    source.source_id: {
+                binary=b"".join(
+                    pack_record(encode_record({
                         "version": versions["sources"][source.source_id],
+                        "op": "add",
+                        "source_id": source.source_id,
                         "source": source.to_dict(),
-                    }
+                    }))
                     for source in corpus
-                },
+                ),
                 removed={},
                 version=corpus.version,
                 watermark=versions["floor"],

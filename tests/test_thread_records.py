@@ -19,6 +19,8 @@ import pytest
 
 from repro.errors import JournalReplayError
 from repro.persistence import ClusterStore, CorpusStore, read_journal
+from repro.persistence.format import pack_record
+from repro.persistence.journal import encode_record
 from repro.persistence.snapshot import read_snapshot, snapshot_version
 from repro.sharding import WireConnection, partition_shard
 from repro.sharding.worker import ShardWorker
@@ -275,22 +277,25 @@ def test_a_worker_keeps_no_keys_after_its_resync(tmp_path):
         resync = {
             "id": 2,
             "kind": "resync",
-            "sources": {
-                source.source_id: {
+            "_binary": b"".join(
+                pack_record(encode_record({
                     "version": corpus.version_of(source.source_id),
+                    "op": "add",
+                    "source_id": source.source_id,
                     "source": source.to_dict(),
-                }
+                }))
                 for source in corpus
-            },
+            ),
             "version": corpus.version,
             "watermark": corpus.version_floor,
         }
         reply, _ = worker._dispatch(resync)
         assert reply["ok"] and reply["result"]["added"] == len(corpus), reply
         store = worker._store
-        # Its resync's records keyed the sources; nothing on a worker diffs
-        # against keys afterwards, so none are kept, nor re-keyed later.
-        assert store.subscriber.events_journaled == len(corpus)
+        # Its resync journaled one record per source, the frames as
+        # received; nothing on a worker diffs against keys, so none are
+        # kept, nor re-keyed later.
+        assert store.journal.records_written == len(corpus)
         assert all(entry[1:] == (None, None) for entry in store.subscriber._keys.values())
         store.checkpoint()
         assert all(entry[1:] == (None, None) for entry in store.subscriber._keys.values())
