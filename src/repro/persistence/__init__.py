@@ -61,7 +61,6 @@ from repro.persistence.store import (
     CorpusStore,
     RecoveredStack,
     RecoveryResult,
-    register_checkpoint_store,
     replay_journal,
 )
 
@@ -87,6 +86,5 @@ __all__ = [
     "CorpusStore",
     "RecoveredStack",
     "RecoveryResult",
-    "register_checkpoint_store",
     "replay_journal",
 ]

@@ -55,10 +55,11 @@ stays alive, so a collection could free none of it.
 
 **Checkpoint scheduling.**  :meth:`CorpusStore.checkpoint_if_due` is a
 zero-argument callable fit for
-:meth:`~repro.serving.scheduler.EagerRefreshScheduler.register` (see
-``register_checkpoint_store``): registered as a fourth consumer queue it
-turns checkpoints into just another eagerly scheduled consumer, coalesced
-per burst.  It runs wherever the scheduler runs its consumers: on the
+:meth:`~repro.serving.scheduler.EagerRefreshScheduler.register`:
+registered as a fourth consumer queue (which
+:meth:`~repro.serving.scheduler.EagerRefreshScheduler.register_checkpoint_store`
+does) it turns checkpoints into just another eagerly scheduled consumer,
+coalesced per burst.  It runs wherever the scheduler runs its consumers: on the
 scheduler's worker thread once started, else in the foreground of
 whoever pumps ``poll()`` or ``flush()``.  A shard worker pumps
 ``flush()`` after each ``apply``, so there a due checkpoint runs before
@@ -100,7 +101,6 @@ __all__ = [
     "RecoveryResult",
     "RecoveredStack",
     "replay_journal",
-    "register_checkpoint_store",
 ]
 
 
@@ -645,8 +645,9 @@ class CorpusStore:
         """Checkpoint when enough events accumulated; return checkpoints run.
 
         The scheduler-facing entry point (see
-        :func:`register_checkpoint_store`): cheap when not due, so it can
-        be driven once per coalesced mutation burst.
+        :meth:`~repro.serving.scheduler.EagerRefreshScheduler.register_checkpoint_store`):
+        cheap when not due, so it can be driven once per coalesced
+        mutation burst.
         """
         subscriber = self._subscriber
         if subscriber is None:
@@ -913,18 +914,3 @@ class CorpusStore:
             source_model=source_model,
             result=result,
         )
-
-
-def register_checkpoint_store(
-    scheduler: Any, store: CorpusStore, name: str = "checkpoint"
-) -> str:
-    """Register ``store.checkpoint_if_due`` as a scheduler consumer queue.
-
-    Checkpointing becomes a fourth eagerly driven consumer: coalesced per
-    mutation burst, run by the scheduler's worker thread or in the
-    foreground of its poll/flush pump (a shard worker's, before the
-    ``apply`` reply), with failures recorded in the queue's
-    :class:`~repro.serving.queues.ConsumerStats` like any other consumer.
-    """
-    scheduler.register(name, store.checkpoint_if_due)
-    return name

@@ -19,10 +19,14 @@ source id to the precomputed term-frequency/document-length ratio),
 static scores and the static ordering, so :meth:`SearchEngine.search`
 scores only the union of the query terms' postings instead of scanning
 every indexed source, hoists each term's IDF out of the per-source loop
-and selects the top-k with a bounded heap.  The original full-scan
-scoring survives only as the test oracle (``search_fullscan`` in
-``tests/_reference.py``); both return identical results (see
-``tests/test_perf_equivalence.py``).
+and selects the top-k with a bounded heap.  Two kernels do that work,
+``_score`` (raw topical scores and the statics to blend with) and
+``_select`` (the blend and the top-k cut): :meth:`SearchEngine.search`
+runs them over the index's own statistics and the shard phases over the
+coordinator's global ones, so single-process search is the one-shard
+case of the sharded protocol.  The original full-scan scoring survives
+only as the test oracle (``search_fullscan`` in ``tests/_reference.py``);
+both return identical results (see ``tests/test_perf_equivalence.py``).
 
 The index is *mutation-safe*: the engine subscribes to the corpus's
 ``CorpusChange`` notifications and every read path auto-refreshes before
@@ -34,12 +38,13 @@ engine compute the full fingerprint diff and apply an *incremental*
 update: postings, document frequencies, static scores and the static
 order are patched for just the added/removed/changed sources (the static
 order via ``np.searchsorted`` on the sorted score array, not a re-sort),
-and only the affected result-cache entries are dropped.  A changed
-source is not re-read in full: the snapshot records the source's text as
-*fragment groups* (a header, then one group per discussion thread), and
-a patch tokenises only the groups that differ from the recorded ones,
-adjusts the source's term counts by their tokens and rewrites the
-source's postings entries in place.  ``refresh(deep=True)`` remains the
+and only the affected result-cache entries are dropped.  The first build
+is the same patch over an empty index.  A changed source is not re-read
+in full: the snapshot records the source's text as *fragment groups* (a
+header, then one group per discussion thread), and a patch tokenises
+only the groups that differ from the recorded ones, adjusts the source's
+term counts by their tokens and rewrites the source's postings entries
+in place.  ``refresh(deep=True)`` remains the
 escape hatch forcing a full fingerprint scan for *unannounced* mutations
 (direct appends into a source's internal lists); see
 :meth:`SearchEngine.refresh` and ``docs/PERFORMANCE.md`` for the cost
@@ -76,9 +81,9 @@ import math
 import re
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -250,6 +255,28 @@ class SearchResult:
     topical_score: float
 
 
+def _rank_key(entry: Sequence) -> tuple[float, str]:
+    """The total order of scored entries: combined score down, then id."""
+    return (-entry[0], entry[1])
+
+
+def ranked_results(entries: Iterable[Sequence]) -> list[SearchResult]:
+    """Number ordered ``(combined, source_id, topical, static)`` entries 1, 2, …
+
+    Single-process and sharded search both number their entries here.
+    """
+    return [
+        SearchResult(
+            rank=rank,
+            source_id=source_id,
+            score=combined,
+            static_score=static,
+            topical_score=topical,
+        )
+        for rank, (combined, source_id, topical, static) in enumerate(entries, 1)
+    ]
+
+
 @dataclass
 class _IndexState:
     """One immutable-after-publish snapshot of the whole index.
@@ -272,16 +299,18 @@ class _IndexState:
 
     #: source_id -> token counts over its fragment groups.  A patch
     #: replaces a changed source's Counter; it never mutates one.
-    term_frequencies: dict[str, Counter]
-    document_frequencies: Counter
-    document_lengths: dict[str, int]
-    static_scores: dict[str, float]
+    term_frequencies: dict[str, Counter] = field(default_factory=dict)
+    document_frequencies: Counter = field(default_factory=Counter)
+    document_lengths: dict[str, int] = field(default_factory=dict)
+    #: A patch copies the dict, so a published one is never mutated and a
+    #: parked sharded query may keep a reference to it.
+    static_scores: dict[str, float] = field(default_factory=dict)
     #: term -> {source_id: term_frequency / document_length}.  A build
     #: copies a term's dict before its first write to it (``copied`` in
     #: :meth:`SearchEngine._index_source`), so a published dict is never
     #: mutated.  Reads sum per source in query-term order, so no read
     #: depends on the entries' order.
-    postings: dict[str, dict[str, float]]
+    postings: dict[str, dict[str, float]] = field(default_factory=dict)
     #: source_id -> the fragment groups its ``term_frequencies`` entry was
     #: counted from: the diff base of the source's next patch.  Not
     #: persisted; a source without an entry (a restored snapshot, a new
@@ -361,16 +390,18 @@ class SearchEngine:
         self._scope_lost = False
         self.counters = PerfCounters()
         self._panel.watch(corpus)
+        self._subscription.mark_clean()
         # ``index_state`` is the persistence layer's warm-start path (see
         # :meth:`export_index_state`): the exported index is rebuilt
         # structure-for-structure instead of re-tokenising the corpus.
         # All the wiring above (subscription, panel watch, locks) is
         # identical, so journal events replayed *after* construction dirty
         # the subscription and the first read patches incrementally.
+        # Otherwise the first build is the patch over an empty index.
         if index_state is not None:
             self._state = self._restore_index(index_state)
         else:
-            self._state = self._build_index()
+            self._state, _ = self._synchronise(None)
 
     @property
     def config(self) -> SearchEngineConfig:
@@ -405,44 +436,6 @@ class SearchEngine:
 
     # -- indexing -----------------------------------------------------------------
 
-    def _build_index(self) -> _IndexState:
-        """Build a complete snapshot from scratch (initial index)."""
-        if len(self._corpus) == 0:
-            raise SearchError("cannot index an empty corpus")
-        self._subscription.mark_clean()
-        observations = self._panel.observe_many(self._corpus)
-        state = _IndexState(
-            term_frequencies={},
-            document_frequencies=Counter(),
-            document_lengths={},
-            static_scores={},
-            postings={},
-            observations=dict(observations),
-            result_cache=LRUCache(maxsize=self.RESULT_CACHE_SIZE),
-        )
-        state.max_visitors = max(
-            (observation.daily_visitors for observation in observations.values()),
-            default=1.0,
-        )
-        state.max_links = max(
-            (observation.inbound_links for observation in observations.values()),
-            default=1,
-        )
-        copied: set[str] = set()
-        for source in self._corpus:
-            self._index_source(state, source, copied)
-            state.static_scores[source.source_id] = self._static_score(
-                observations[source.source_id], state.max_visitors, state.max_links
-            )
-        # The popularity-only ordering is query independent; compute it once
-        # from the cached static scores.
-        self._rebuild_static_order(state)
-        for source in self._corpus:
-            state.source_fingerprints[source.source_id] = source_fingerprint(source)
-            state.anchored_sources[source.source_id] = source
-        state.n_documents = len(state.source_fingerprints)
-        return state
-
     def _index_source(
         self, state: _IndexState, source: Source, copied: set[str]
     ) -> None:
@@ -455,7 +448,7 @@ class SearchEngine:
         are integers and :func:`tokenize` is a pure function of each
         fragment).  The comparison keys on value, so fresh objects with
         the same text tokenise nothing.  Any other source — new, re-added,
-        restored from a snapshot, or at the initial build — is counted
+        restored from a snapshot, or at the first build — is counted
         in full.  Either way the result equals a full count.
 
         ``copied`` tracks the postings dicts this build already owns:
@@ -512,15 +505,14 @@ class SearchEngine:
 
     def _unindex_source(
         self, state: _IndexState, source_id: str, copied: set[str]
-    ) -> Counter:
-        """Remove one source from the snapshot's postings; return its terms."""
+    ) -> None:
+        """Remove one source from the snapshot's postings."""
         counter = state.term_frequencies.pop(source_id)
         del state.document_lengths[source_id]
         state.fragment_groups.pop(source_id, None)
         self._drop_postings(state, source_id, counter, copied)
         state.static_scores.pop(source_id, None)
         state.observations.pop(source_id, None)
-        return counter
 
     @staticmethod
     def _drop_postings(
@@ -542,13 +534,6 @@ class SearchEngine:
                 del document_frequencies[token]
                 del postings[token]
                 copied.discard(token)
-
-    def _rebuild_static_order(self, state: _IndexState) -> None:
-        scores = np.asarray(list(state.static_scores.values()), dtype=np.float64)
-        state.static_keys = SortedRankKeys.from_scores(
-            scores, list(state.static_scores)
-        )
-        state.static_order = state.static_keys.order()
 
     def _patch_static_order(
         self,
@@ -598,7 +583,7 @@ class SearchEngine:
         """Serialise the current index snapshot to a JSON-compatible dict.
 
         Refreshes first, so the export matches the corpus exactly.  The
-        export captures everything :meth:`_build_index` derives from the
+        export captures everything an index build derives from the
         corpus *except* the anchored source objects and the full
         per-source fingerprints (they embed ``id()`` values, meaningless
         across processes) and the result cache (a memo, rebuilt on
@@ -647,7 +632,6 @@ class SearchEngine:
         """Rebuild an :class:`_IndexState` from :meth:`export_index_state` output."""
         if len(self._corpus) == 0:
             raise SearchError("cannot index an empty corpus")
-        self._subscription.mark_clean()
         state = _IndexState(
             term_frequencies={
                 source_id: Counter(counts)
@@ -762,7 +746,7 @@ class SearchEngine:
             if deep or self._scope_lost:
                 pending = None
             try:
-                state, changed = self._synchronise(pending)
+                state, changed = self._synchronise(self._state, pending)
             except BaseException:
                 # The staleness this refresh consumed must not be lost —
                 # and neither must the burst detail it drained: the retry
@@ -776,9 +760,15 @@ class SearchEngine:
             return changed
 
     def _synchronise(
-        self, pending: Optional[PendingInvalidation] = None
+        self,
+        previous: Optional[_IndexState],
+        pending: Optional[PendingInvalidation] = None,
     ) -> tuple[_IndexState, bool]:
-        """Fingerprint diff against the indexed epoch + incremental patch.
+        """Fingerprint diff against ``previous`` + incremental patch.
+
+        ``previous`` is the indexed epoch; None patches an empty index,
+        which is the engine's first build: it counts only
+        ``fragment_groups_tokenised`` and sorts the static order once.
 
         ``pending`` is the drained invalidation burst: when it carries
         source ids, content fingerprinting is scoped to exactly those
@@ -794,7 +784,9 @@ class SearchEngine:
         corpus = self._corpus
         if len(corpus) == 0:
             raise SearchError("cannot index an empty corpus")
-        previous = self._state
+        build = previous is None
+        if build:
+            previous = _IndexState()
         previous_size = len(previous.source_fingerprints)
         if pending is not None and pending.source_ids:
             current_sources, current_fingerprints = scoped_fingerprints(
@@ -812,27 +804,18 @@ class SearchEngine:
         if diff.is_empty:
             # Version bumped without a detectable content change (e.g. a
             # source removed and re-added unchanged); just re-pin the epoch.
-            state = _IndexState(
-                term_frequencies=previous.term_frequencies,
-                document_frequencies=previous.document_frequencies,
-                document_lengths=previous.document_lengths,
-                static_scores=previous.static_scores,
-                postings=previous.postings,
-                fragment_groups=previous.fragment_groups,
-                static_order=previous.static_order,
-                static_keys=previous.static_keys,
-                observations=previous.observations,
-                max_visitors=previous.max_visitors,
-                max_links=previous.max_links,
-                n_documents=previous.n_documents,
-                source_fingerprints=current_fingerprints,
-                anchored_sources=current_sources,
-                result_cache=previous.result_cache,
-            )
             self.counters.increment("refresh_noops")
-            return state, False
+            return (
+                replace(
+                    previous,
+                    source_fingerprints=current_fingerprints,
+                    anchored_sources=current_sources,
+                ),
+                False,
+            )
 
-        self.counters.increment("incremental_refreshes")
+        if not build:
+            self.counters.increment("incremental_refreshes")
         # Copy-on-write: container copies are O(n) pointer copies in
         # corpus order, preserving the iteration orders a from-scratch
         # rebuild would produce; the inner structures are only replaced
@@ -849,8 +832,10 @@ class SearchEngine:
             observations=dict(previous.observations),
             max_visitors=previous.max_visitors,
             max_links=previous.max_links,
+            n_documents=len(current_sources),
             source_fingerprints=current_fingerprints,
             anchored_sources=current_sources,
+            result_cache=LRUCache(maxsize=self.RESULT_CACHE_SIZE),
         )
         #: Postings dicts this build already owns (safe to mutate in place).
         copied: set[str] = set()
@@ -861,24 +846,21 @@ class SearchEngine:
             for source_id in (*removed, *changed)
             if source_id in state.static_scores
         }
-        affected_terms: set[str] = set()
         for source_id in removed:
-            affected_terms.update(self._unindex_source(state, source_id, copied))
+            self._unindex_source(state, source_id, copied)
             self.counters.increment("sources_unindexed")
-        term_frequencies = state.term_frequencies
         for source_id in (*changed, *added):
             source = current_sources[source_id]
             state.observations[source_id] = self._panel.observe(source)
-            affected_terms.update(term_frequencies.get(source_id, ()))
             self._index_source(state, source, copied)
-            affected_terms.update(term_frequencies[source_id])
-            self.counters.increment("sources_reindexed")
-        state.n_documents = len(current_sources)
+            if not build:
+                self.counters.increment("sources_reindexed")
 
         # Static scores: the normalisation denominators are corpus-wide
-        # maxima, so a moved maximum forces a full renormalisation pass
-        # (O(source count) arithmetic — still no re-tokenisation); an
-        # unchanged maximum only needs scores for the patched sources.
+        # maxima, so a moved maximum (or a first build) scores every source
+        # and re-sorts the static order (O(source count) arithmetic — still
+        # no re-tokenisation); an unchanged maximum only needs scores for
+        # the patched sources, bisected in and out of the order.
         observations = state.observations
         max_visitors = max(
             (observation.daily_visitors for observation in observations.values()),
@@ -888,47 +870,56 @@ class SearchEngine:
             (observation.inbound_links for observation in observations.values()),
             default=1,
         )
-        if max_visitors != previous.max_visitors or max_links != previous.max_links:
+        statics_global = (
+            build
+            or max_visitors != previous.max_visitors
+            or max_links != previous.max_links
+        )
+        if statics_global:
             state.max_visitors = max_visitors
             state.max_links = max_links
             for source_id, observation in observations.items():
                 state.static_scores[source_id] = self._static_score(
                     observation, max_visitors, max_links
                 )
-            self.counters.increment("static_renormalisations")
-            statics_global = True
+            state.static_keys = SortedRankKeys.from_scores(
+                np.asarray(list(state.static_scores.values()), dtype=np.float64),
+                list(state.static_scores),
+            )
+            state.static_order = state.static_keys.order()
+            if not build:
+                self.counters.increment("static_renormalisations")
         else:
             for source_id in (*changed, *added):
                 state.static_scores[source_id] = self._static_score(
                     observations[source_id], max_visitors, max_links
                 )
-            statics_global = False
-        if statics_global:
-            # Every score may have moved: re-sort from scratch.
-            self._rebuild_static_order(state)
-        else:
-            # Only the patched sources moved: bisect them in and out.
             self._patch_static_order(state, displaced_scores, (*changed, *added))
+        if build:
+            return state, True
 
         # Result-cache carry-over: document frequencies embed the corpus
         # size and static scores embed the maxima, so either changing makes
         # every memoised result stale; otherwise only queries mentioning a
         # patched source's terms (old or new) can differ.  The successor
-        # snapshot gets its own cache (entries memoised by readers still
+        # snapshot has its own cache (entries memoised by readers still
         # on the previous snapshot must not leak into this one), seeded
         # with the surviving entries.
-        state.result_cache = LRUCache(maxsize=self.RESULT_CACHE_SIZE)
         if len(current_sources) != previous_size or statics_global:
             self.counters.increment("result_cache_flushes")
-        else:
-            for key in previous.result_cache.keys():
-                terms = key[0]
-                if affected_terms.intersection(terms):
-                    self.counters.increment("result_cache_evictions")
-                    continue
-                value = previous.result_cache.peek(key)
-                if value is not None:
-                    state.result_cache.put(key, value)
+            return state, True
+        affected_terms: set[str] = set()
+        for source_id in (*removed, *changed):
+            affected_terms.update(previous.term_frequencies.get(source_id, ()))
+        for source_id in (*changed, *added):
+            affected_terms.update(state.term_frequencies[source_id])
+        for key in previous.result_cache.keys():
+            if affected_terms.intersection(key[0]):
+                self.counters.increment("result_cache_evictions")
+                continue
+            value = previous.result_cache.peek(key)
+            if value is not None:
+                state.result_cache.put(key, value)
         return state, True
 
     # -- querying -------------------------------------------------------------------
@@ -966,28 +957,18 @@ class SearchEngine:
         """TF-IDF-style topical match of one source against query terms."""
         self.refresh()
         with self._rwlock.read_lock():
-            return self._topical_score(self._state, source_id, terms)
-
-    def _topical_score(
-        self, state: _IndexState, source_id: str, terms: list[str]
-    ) -> float:
-        """Refresh-free scoring core of :meth:`topical_score`."""
-        counter = state.term_frequencies.get(source_id)
-        if counter is None:
-            raise SearchError(f"source {source_id!r} is not indexed")
-        if not terms:
-            return 0.0
-        n_documents = state.n_documents
-        length = state.document_lengths[source_id]
-        score = 0.0
-        for term in terms:
-            frequency = counter.get(term, 0)
-            if frequency == 0:
-                continue
-            document_frequency = state.document_frequencies.get(term, 0)
-            idf = math.log((1 + n_documents) / (1 + document_frequency)) + 1.0
-            score += (frequency / length) * idf
-        return score
+            state = self._state
+            if source_id not in state.term_frequencies:
+                raise SearchError(f"source {source_id!r} is not indexed")
+            scores, _ = self._score(
+                state,
+                terms,
+                state.n_documents,
+                state.document_frequencies,
+                state.max_visitors,
+                state.max_links,
+            )
+        return scores.get(source_id, 0.0)
 
     def _query_terms(self, query: str) -> tuple[str, ...]:
         """Memoised query tokenisation."""
@@ -997,26 +978,79 @@ class SearchEngine:
             self._query_cache.put(query, terms)
         return terms
 
-    def _raw_topical_scores(
-        self, state: _IndexState, terms: tuple[str, ...]
-    ) -> dict[str, float]:
-        """Raw topical scores of every source matching at least one term.
+    def _score(
+        self,
+        state: _IndexState,
+        terms: Sequence[str],
+        n_documents: int,
+        document_frequencies: Mapping[str, int],
+        max_visitors: float,
+        max_links: int,
+    ) -> tuple[dict[str, float], Mapping[str, float]]:
+        """Scoring kernel: raw topical scores of the terms' postings, and statics.
 
-        Accumulates per-term postings contributions in query-term order, so
-        each source's score is the sum of exactly the same addends, in the
-        same order, as the per-source :meth:`topical_score` — the floats are
-        bit-identical.
+        The IDF inputs and static maxima are the snapshot's own for
+        :meth:`search`, the coordinator's global ones for a shard.  Raw
+        scores sum postings contributions in query-term order.  Statics
+        are the snapshot's ``static_scores`` when the maxima are its own
+        (never mutated once published, so a caller may keep them), else
+        recomputed from raw panel observations for the scored sources.
         """
-        n_documents = state.n_documents
         scores: dict[str, float] = {}
         for term in terms:
             postings = state.postings.get(term)
             if not postings:
                 continue
-            idf = math.log((1 + n_documents) / (1 + state.document_frequencies[term])) + 1.0
+            idf = (
+                math.log((1 + n_documents) / (1 + document_frequencies.get(term, 0)))
+                + 1.0
+            )
             for source_id, ratio in postings.items():
                 scores[source_id] = scores.get(source_id, 0.0) + ratio * idf
-        return scores
+        if max_visitors == state.max_visitors and max_links == state.max_links:
+            return scores, state.static_scores
+        observations = state.observations
+        return scores, {
+            source_id: self._static_score(
+                observations[source_id], max_visitors, max_links
+            )
+            for source_id in scores
+        }
+
+    def _select(
+        self,
+        terms: tuple[str, ...],
+        scores: Mapping[str, float],
+        statics: Mapping[str, float],
+        max_topical: float,
+        limit: int,
+    ) -> list[tuple[float, str, float, float]]:
+        """Selection kernel: the top-``limit`` ``(combined, source_id, topical, static)``.
+
+        Drops sources at or below ``minimum_topical_score``, normalises the
+        raw scores by ``max_topical``, blends them with the statics and the
+        query noise, and keeps the first ``limit`` under :func:`_rank_key`.
+        """
+        config = self._config
+        noise_prefix = (_NOISE_SALT + " ".join(terms) + "|").encode("utf-8")
+        static_weight = config.static_weight
+        topical_weight = config.topical_weight
+        noise_weight = config.query_noise_weight
+        minimum_topical = config.minimum_topical_score
+        total_weight = static_weight + topical_weight + noise_weight
+        scored: list[tuple[float, str, float, float]] = []
+        for source_id, raw_topical in scores.items():
+            if raw_topical <= minimum_topical:
+                continue
+            topical = raw_topical / max_topical if max_topical > 0 else 0.0
+            static = statics[source_id]
+            combined = (
+                static_weight * static
+                + topical_weight * topical
+                + noise_weight * _noise_from_prefix(noise_prefix, source_id)
+            ) / total_weight
+            scored.append((combined, source_id, topical, static))
+        return heapq.nsmallest(limit, scored, key=_rank_key)
 
     def search(self, query: str, limit: int = 20) -> list[SearchResult]:
         """Answer ``query`` returning at most ``limit`` ranked results.
@@ -1043,8 +1077,7 @@ class SearchEngine:
         terms = self._query_terms(query)
         if not terms:
             _reject_untokenizable(query)
-        config = self._config
-        admit_unmatched = config.minimum_topical_score < 0
+        admit_unmatched = self._config.minimum_topical_score < 0
 
         with self._rwlock.read_lock():
             state = self._state
@@ -1054,54 +1087,25 @@ class SearchEngine:
                 self.counters.increment("result_cache_hits")
                 return list(cached)
 
-            topical_scores = self._raw_topical_scores(state, terms)
+            scores, statics = self._score(
+                state,
+                terms,
+                state.n_documents,
+                state.document_frequencies,
+                state.max_visitors,
+                state.max_links,
+            )
             if admit_unmatched:
-                topical_scores = {
-                    source_id: topical_scores.get(source_id, 0.0)
+                scores = {
+                    source_id: scores.get(source_id, 0.0)
                     for source_id in state.term_frequencies
                 }
             self.counters.increment("queries")
-            self.counters.increment("candidates_scored", len(topical_scores))
-            max_topical = max(topical_scores.values(), default=0.0)
-            query_key = " ".join(terms)
-            noise_prefix = (_NOISE_SALT + query_key + "|").encode("utf-8")
-            static_weight = config.static_weight
-            topical_weight = config.topical_weight
-            noise_weight = config.query_noise_weight
-            minimum_topical = config.minimum_topical_score
-            total_weight = static_weight + topical_weight + noise_weight
-            static_scores = state.static_scores
-            noise_from_prefix = _noise_from_prefix
-
-            # Candidates are ranked as lightweight tuples; SearchResult
-            # objects are only materialised for the final top-k.
-            scored: list[tuple[float, str, float]] = []
-            for source_id, raw_topical in topical_scores.items():
-                if raw_topical <= minimum_topical:
-                    continue
-                normalized_topical = (
-                    raw_topical / max_topical if max_topical > 0 else 0.0
-                )
-                noise = noise_from_prefix(noise_prefix, source_id)
-                combined = (
-                    static_weight * static_scores[source_id]
-                    + topical_weight * normalized_topical
-                    + noise_weight * noise
-                ) / total_weight
-                scored.append((combined, source_id, normalized_topical))
-            top = heapq.nsmallest(
-                limit, scored, key=lambda entry: (-entry[0], entry[1])
+            self.counters.increment("candidates_scored", len(scores))
+            max_topical = max(scores.values(), default=0.0)
+            results = ranked_results(
+                self._select(terms, scores, statics, max_topical, limit)
             )
-            results = [
-                SearchResult(
-                    rank=index + 1,
-                    source_id=source_id,
-                    score=combined,
-                    static_score=static_scores[source_id],
-                    topical_score=normalized_topical,
-                )
-                for index, (combined, source_id, normalized_topical) in enumerate(top)
-            ]
             if not admit_unmatched:
                 state.result_cache.put(cache_key, tuple(results))
             return results
@@ -1152,17 +1156,13 @@ class SearchEngine:
     ) -> dict:
         """Phase 2 of a sharded search: score this shard's candidates.
 
-        Accumulates each local candidate's *raw* topical score with the
-        coordinator-supplied global IDF inputs, in query-term order — the
-        same addends in the same order as the single-process
-        :meth:`_raw_topical_scores`, so the floats are bit-identical.
-        Static scores are recomputed from the snapshot's raw panel
-        observations against the *global* maxima (the snapshot's own
-        ``static_scores`` are normalised by shard-local maxima and must
-        not leak into a merged ranking).  Both maps are parked under
-        ``query_id`` for the phase-3 :meth:`shard_select`; only the raw
-        maximum travels back, so the coordinator can compute the global
-        topical normaliser.
+        Runs the :meth:`_score` kernel :meth:`search` runs, with the
+        coordinator-supplied global IDF inputs and static maxima instead
+        of the snapshot's own, so every raw topical and static score is
+        the float a single-process engine computes.  Both maps are parked
+        under ``query_id`` for the phase-3 :meth:`shard_select`; only the
+        raw maximum travels back, so the coordinator can compute the
+        global topical normaliser.
         """
         if self._config.minimum_topical_score < 0:
             raise SearchError(
@@ -1170,44 +1170,34 @@ class SearchEngine:
                 "(the postings shortcut would drop zero-topical sources)"
             )
         self.refresh()
+        terms = tuple(terms)
         with self._rwlock.read_lock():
-            state = self._state
-            scores: dict[str, float] = {}
-            for term in terms:
-                postings = state.postings.get(term)
-                if not postings:
-                    continue
-                idf = (
-                    math.log((1 + n_documents) / (1 + document_frequencies.get(term, 0)))
-                    + 1.0
-                )
-                for source_id, ratio in postings.items():
-                    scores[source_id] = scores.get(source_id, 0.0) + ratio * idf
-            statics = {
-                source_id: self._static_score(
-                    state.observations[source_id], max_visitors, max_links
-                )
-                for source_id in scores
-            }
+            scores, statics = self._score(
+                self._state,
+                terms,
+                n_documents,
+                document_frequencies,
+                max_visitors,
+                max_links,
+            )
         self.counters.increment("shard_queries")
         self.counters.increment("candidates_scored", len(scores))
-        self._shard_queries[query_id] = (tuple(terms), scores, statics)
+        self._shard_queries[query_id] = (terms, scores, statics)
         while len(self._shard_queries) > self.SHARD_QUERY_CACHE_SIZE:
             self._shard_queries.pop(next(iter(self._shard_queries)))
         return {"max_raw": max(scores.values(), default=0.0), "candidates": len(scores)}
 
     def shard_select(
         self, query_id: int, *, max_topical: float, limit: int
-    ) -> list[list]:
+    ) -> list[tuple[float, str, float, float]]:
         """Phase 3 of a sharded search: this shard's top-``limit`` entries.
 
-        Normalises the parked raw scores by the coordinator-supplied
-        global ``max_topical``, applies the noise and weight blend
-        operation-for-operation as :meth:`search` does, and returns the
-        local top-k under the exact total order the merge uses
-        (``(-combined, source_id)``).  Because the shards partition the
-        candidate set, merging the per-shard top-k lists under the same
-        key yields precisely the single-process top-k.
+        Runs the :meth:`_select` kernel :meth:`search` runs over the
+        parked scores, with the coordinator-supplied global
+        ``max_topical``.  Because the shards partition the candidate set,
+        merging the per-shard top-k lists under the same key
+        (``(-combined, source_id)``) yields precisely the single-process
+        top-k.
         """
         if limit <= 0:
             raise SearchError("limit must be positive")
@@ -1215,26 +1205,4 @@ class SearchEngine:
         if parked is None:
             raise SearchError(f"unknown shard query id {query_id}")
         terms, scores, statics = parked
-        config = self._config
-        query_key = " ".join(terms)
-        noise_prefix = (_NOISE_SALT + query_key + "|").encode("utf-8")
-        static_weight = config.static_weight
-        topical_weight = config.topical_weight
-        noise_weight = config.query_noise_weight
-        minimum_topical = config.minimum_topical_score
-        total_weight = static_weight + topical_weight + noise_weight
-        scored: list[tuple[float, str, float, float]] = []
-        for source_id, raw_topical in scores.items():
-            if raw_topical <= minimum_topical:
-                continue
-            normalized_topical = raw_topical / max_topical if max_topical > 0 else 0.0
-            noise = _noise_from_prefix(noise_prefix, source_id)
-            static = statics[source_id]
-            combined = (
-                static_weight * static
-                + topical_weight * normalized_topical
-                + noise_weight * noise
-            ) / total_weight
-            scored.append((combined, source_id, normalized_topical, static))
-        top = heapq.nsmallest(limit, scored, key=lambda entry: (-entry[0], entry[1]))
-        return [list(entry) for entry in top]
+        return self._select(terms, scores, statics, max_topical, limit)

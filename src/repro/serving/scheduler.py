@@ -394,11 +394,13 @@ class EagerRefreshScheduler:
         """Register a :class:`~repro.persistence.store.CorpusStore` checkpointer.
 
         Drives ``store.checkpoint_if_due`` as a fourth consumer queue:
-        checkpoints are coalesced per mutation burst and run off the
-        mutating thread like any other eager refresh.  A checkpoint
-        failure is a :class:`~repro.errors.PersistenceError`, which the
-        queue re-raises through every path (durability loss is never
-        silently absorbed — see :class:`~repro.serving.queues.ConsumerQueue`).
+        checkpoints are coalesced per mutation burst and run where the
+        scheduler runs its consumers — its worker thread, or the
+        foreground of a ``poll()``/``flush()`` pump (a shard worker's,
+        before the ``apply`` reply).  A checkpoint failure is a
+        :class:`~repro.errors.PersistenceError`, which the queue re-raises
+        through every path (durability loss is never silently absorbed —
+        see :class:`~repro.serving.queues.ConsumerQueue`).
         """
         name = name or self._auto_name("checkpoint")
         self.register(name, store.checkpoint_if_due)

@@ -92,7 +92,9 @@ from repro.persistence.journal import encode_record
 from repro.search.engine import (
     SearchEngineConfig,
     SearchResult,
+    _rank_key,
     _reject_untokenizable,
+    ranked_results,
     tokenize,
 )
 from repro.serving.rwlock import ordered
@@ -747,17 +749,7 @@ class ShardCoordinator:
             for selection in selections.values()
             for entry in selection["entries"]
         ]
-        top = heapq.nsmallest(limit, entries, key=lambda entry: (-entry[0], entry[1]))
-        return [
-            SearchResult(
-                rank=index + 1,
-                source_id=entry[1],
-                score=entry[0],
-                static_score=entry[3],
-                topical_score=entry[2],
-            )
-            for index, entry in enumerate(top)
-        ]
+        return ranked_results(heapq.nsmallest(limit, entries, key=_rank_key))
 
     def rank(self, *, allow_degraded: bool = False) -> list[tuple[str, QualityScore]]:
         """Scatter-gather assessment ranking, bit-identical at quiesce.

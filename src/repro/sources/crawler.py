@@ -320,109 +320,6 @@ class Crawler:
 
     # -- contributors ---------------------------------------------------------------
 
-    def crawl_contributor(self, source: Source, user_id: str) -> ContributorSnapshot:
-        """Produce the contributor-level snapshot for ``user_id`` on ``source``."""
-        profile = source.user(user_id)
-        if profile is None and user_id not in source.contributors():
-            raise UnknownUserError(user_id)
-
-        observation_day = source.observation_day
-        account_age = (
-            profile.age(observation_day) if profile is not None else source.observation_window()
-        )
-
-        posts = source.posts_by_user(user_id)
-        comments_per_category: dict[str, int] = defaultdict(int)
-        tag_counts: list[int] = []
-        reads_received = 0
-        discussions_participated = 0
-        open_discussions = 0
-        comments_authored = 0
-        comments_per_discussion: list[float] = []
-
-        for discussion in source.discussions:
-            authored_here = [post for post in discussion.posts if post.author_id == user_id]
-            if not authored_here:
-                continue
-            discussions_participated += 1
-            if discussion.is_open:
-                open_discussions += 1
-            authored_comments = [
-                post for post in discussion.comments if post.author_id == user_id
-            ]
-            comments_authored += len(authored_comments)
-            comments_per_discussion.append(float(len(authored_comments)))
-            for post in authored_here:
-                if post.category:
-                    comments_per_category[post.category] += 1
-                tag_counts.append(len(post.distinct_tags()))
-                reads_received += post.read_count
-
-        received = source.interactions_for_user(user_id)
-        performed = source.interactions_by_user(user_id)
-        replies_received = sum(
-            1 for item in received if item.interaction_type in self.REPLY_TYPES
-        )
-        feedback_received = sum(
-            1 for item in received if item.interaction_type in self.FEEDBACK_TYPES
-        )
-
-        counterparts = {item.actor_id for item in received} | {
-            item.target_user_id for item in performed
-        }
-        counterparts.discard(user_id)
-        total_interactions = len(received) + len(performed)
-        window = max(1.0, account_age)
-
-        interactions_per_discussion_per_day = 0.0
-        if discussions_participated:
-            interactions_per_discussion_per_day = (
-                total_interactions / discussions_participated / window
-            )
-
-        return ContributorSnapshot(
-            user_id=user_id,
-            source_id=source.source_id,
-            observation_day=observation_day,
-            account_age=account_age,
-            comments_per_category=dict(comments_per_category),
-            covered_categories=tuple(sorted(comments_per_category)),
-            open_discussions=open_discussions,
-            discussions_participated=discussions_participated,
-            total_posts=len(posts),
-            total_comments=comments_authored,
-            interactions_performed=len(performed),
-            interactions_received=len(received),
-            replies_received=replies_received,
-            feedback_received=feedback_received,
-            reads_received=reads_received,
-            average_distinct_tags_per_post=_mean([float(c) for c in tag_counts]),
-            interactions_per_day=total_interactions / window,
-            interactions_per_counterpart=(
-                total_interactions / len(counterparts) if counterparts else 0.0
-            ),
-            comments_per_discussion=_mean(comments_per_discussion),
-            interactions_per_discussion_per_day=interactions_per_discussion_per_day,
-        )
-
-    def crawl_contributors(
-        self, source: Source, user_ids: Optional[Iterable[str]] = None
-    ) -> dict[str, ContributorSnapshot]:
-        """Crawl a set of contributors (every contributor when ``user_ids`` is None).
-
-        Reference per-user implementation: each contributor triggers a full
-        walk of the source's discussions and interactions, O(U·(D+P+I)).
-        The batched :meth:`crawl_contributors_batched` produces identical
-        snapshots in a single shared walk; this path is kept as its
-        equivalence oracle and as the honest baseline the contributor
-        benchmarks time against.
-        """
-        if user_ids is None:
-            user_ids = sorted(source.contributors())
-        return {
-            user_id: self.crawl_contributor(source, user_id) for user_id in user_ids
-        }
-
     @staticmethod
     def _discussion_fragment(discussion: Discussion) -> _DiscussionFragment:
         """Compute one discussion's per-user contribution fragment.
@@ -469,18 +366,21 @@ class Crawler:
         user_ids: Optional[Iterable[str]] = None,
         walk: Optional[CommunityWalkCache] = None,
     ) -> dict[str, ContributorSnapshot]:
-        """Single-pass batch form of :meth:`crawl_contributors`.
+        """Crawl a set of contributors (every contributor when ``user_ids`` is None).
 
         Walks the discussions once and the interactions once, accumulating
         every contributor's aggregates simultaneously — O(D+P+I) instead of
-        O(U·(D+P+I)).  Per-user float accumulations (tag counts, comments
-        per discussion) are appended in the same (discussion, post) order
-        the per-user crawl visits, so every snapshot is *identical* to the
-        per-user path, float for float.
+        the O(U·(D+P+I)) of walking the source once per contributor.
+        Per-user float accumulations (tag counts, comments per discussion)
+        are appended in the same (discussion, post) order a per-user walk
+        visits, so every snapshot is *identical* to that walk's, float for
+        float (its oracle, ``crawl_contributors`` in
+        ``tests/_reference.py``, pins this).
 
-        With a :class:`CommunityWalkCache` the walk is additionally
-        *diff-restricted*: the current per-discussion fingerprints are
-        diffed against the cached fragments'
+        ``walk`` is the source's :class:`CommunityWalkCache`; without one
+        the call walks with a fresh cache, which walks everything.  A warm
+        cache makes the walk *diff-restricted*: the current per-discussion
+        fingerprints are diffed against the cached fragments'
         (:func:`~repro.sources.diffing.diff_fingerprint_maps` over
         :func:`~repro.sources.diffing.discussion_fingerprint` maps) and
         only added/changed discussions are re-walked at post granularity;
@@ -493,15 +393,13 @@ class Crawler:
         map would alias).  The cache is updated in place and reports what
         the walk did in ``walk.last_stats``.
         """
+        if walk is None:
+            walk = CommunityWalkCache()
         observation_day = source.observation_day
         discussions = source.discussions
         discussion_ids = [discussion.discussion_id for discussion in discussions]
         unique_ids = len(set(discussion_ids)) == len(discussion_ids)
-        full_walk = (
-            walk is None
-            or not unique_ids
-            or walk.touch_count != source.touch_count
-        )
+        full_walk = not unique_ids or walk.touch_count != source.touch_count
 
         reused = 0
         if full_walk:
@@ -554,11 +452,7 @@ class Crawler:
                 per_user_posts[user_id] += post_count
                 per_user_reads[user_id] += reads
 
-        if (
-            full_walk
-            or walk is None
-            or len(source.interactions) != walk.interactions_len
-        ):
+        if full_walk or len(source.interactions) != walk.interactions_len:
             received: dict[str, list[Interaction]] = defaultdict(list)
             performed: dict[str, list[Interaction]] = defaultdict(list)
             for interaction in source.interactions:
@@ -570,25 +464,21 @@ class Crawler:
             performed = walk.performed
             interactions_rewalked = 0
 
-        if walk is not None:
-            walk.fragments = (
-                {
-                    fragment.discussion.discussion_id: fragment
-                    for fragment in fragments
-                }
-                if unique_ids
-                else {}
-            )
-            walk.interactions_len = len(source.interactions)
-            walk.received = received
-            walk.performed = performed
-            walk.touch_count = source.touch_count
-            walk.last_stats = {
-                "discussions_walked": walked,
-                "discussions_reused": reused,
-                "full_walk": 1 if full_walk else 0,
-                "interactions_rewalked": interactions_rewalked,
-            }
+        walk.fragments = (
+            {fragment.discussion.discussion_id: fragment for fragment in fragments}
+            if unique_ids
+            else {}
+        )
+        walk.interactions_len = len(source.interactions)
+        walk.received = received
+        walk.performed = performed
+        walk.touch_count = source.touch_count
+        walk.last_stats = {
+            "discussions_walked": walked,
+            "discussions_reused": reused,
+            "full_walk": 1 if full_walk else 0,
+            "interactions_rewalked": interactions_rewalked,
+        }
 
         if user_ids is None:
             user_ids = sorted(per_user_posts)

@@ -60,8 +60,6 @@ be assessed without ever joining a corpus).
 
 from __future__ import annotations
 
-import os
-import sys
 import threading
 import time
 import weakref
@@ -82,6 +80,7 @@ import numpy as np
 
 from repro.core.columnar import freeze
 from repro.perf.cache import source_fingerprint
+from repro.sources.corpus import _serving_rwlock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sources.corpus import CorpusChange, SourceCorpus
@@ -103,31 +102,6 @@ __all__ = [
     "DurableJournalSubscriber",
     "WireBridgeSubscriber",
 ]
-
-#: Cache for :func:`_serving_rwlock` (``repro.serving`` imports this
-#: module at package-import time, so the validator must be reached
-#: lazily).
-_rwlock_module: Any = None
-
-
-def _serving_rwlock() -> Any:
-    """The serving layer's runtime lock-order validator, or ``None``.
-
-    Same lazy-resolution contract as the corpus module's helper: never
-    import the serving package as a side effect unless
-    ``REPRO_LOCK_ORDER_CHECK`` demands the validator.
-    """
-    global _rwlock_module
-    if _rwlock_module is None:
-        _rwlock_module = sys.modules.get("repro.serving.rwlock")
-        if _rwlock_module is None and os.environ.get(
-            "REPRO_LOCK_ORDER_CHECK", ""
-        ) not in ("", "0"):
-            from repro.serving import rwlock
-
-            _rwlock_module = rwlock
-    return _rwlock_module
-
 
 @contextmanager
 def _journal_append_lock(lock: threading.RLock) -> Iterator[None]:

@@ -14,8 +14,12 @@ and full-scan forms they must reproduce:
   :func:`naive_rank` and :func:`naive_assess_contributors`: one crawl per
   source per call, the corpus-wide aggregates recomputed per source, the
   normaliser refitted and applied per subject, and no memoisation;
+* **the per-user community walk** — :func:`crawl_contributor` and
+  :func:`crawl_contributors` walk the whole source once per contributor,
+  the oracle of ``Crawler.crawl_contributors_batched``;
 * **the full-scan search** — :func:`search_fullscan` scores every indexed
-  source, as the engine did before the inverted index existed.
+  source from its term counts (:func:`reference_topical_score`), as the
+  engine did before the inverted index existed.
 
 The equivalence tests (``tests/test_perf_equivalence.py``,
 ``tests/test_columnar_assessment.py``, ``tests/test_search.py``) assert
@@ -29,6 +33,7 @@ very same strategy objects and index state the optimised pipeline uses.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.core.contributor_measures import (
@@ -47,7 +52,7 @@ from repro.core.normalization import (
 from repro.core.scoring import QualityScore, WeightingScheme
 from repro.core.source_measures import compute_source_measures
 from repro.core.source_quality import SourceAssessment, SourceQualityModel
-from repro.errors import AssessmentError, SearchError
+from repro.errors import AssessmentError, SearchError, UnknownUserError
 from repro.search.engine import (
     SearchEngine,
     SearchResult,
@@ -55,6 +60,7 @@ from repro.search.engine import (
     _reject_untokenizable,
 )
 from repro.sources.corpus import SourceCorpus
+from repro.sources.crawler import ContributorSnapshot, Crawler, _mean
 from repro.sources.models import Source
 
 __all__ = [
@@ -67,6 +73,9 @@ __all__ = [
     "naive_assess_corpus",
     "naive_rank",
     "naive_assess_contributors",
+    "crawl_contributor",
+    "crawl_contributors",
+    "reference_topical_score",
     "search_fullscan",
 ]
 
@@ -315,7 +324,7 @@ def naive_assess_contributors(
 ) -> dict[str, ContributorAssessment]:
     """Seed-equivalent contributor assessment: double crawl, per-user normalisation."""
     crawler = model._crawler
-    snapshots = crawler.crawl_contributors(source, user_ids)
+    snapshots = crawl_contributors(crawler, source, user_ids)
     if not snapshots:
         raise AssessmentError(
             f"source {source.source_id!r} has no contributors to assess"
@@ -327,7 +336,7 @@ def naive_assess_contributors(
             context, registry=model.registry
         )
     normalizer = fit_scalar(model._normalizer, reference_values(raw_vectors.values()))
-    snapshots = crawler.crawl_contributors(source, raw_vectors.keys())
+    snapshots = crawl_contributors(crawler, source, raw_vectors.keys())
 
     assessments: dict[str, ContributorAssessment] = {}
     for user_id, raw in raw_vectors.items():
@@ -346,7 +355,136 @@ def naive_assess_contributors(
     return assessments
 
 
+# -- per-user community walk ------------------------------------------------------------
+
+
+def crawl_contributor(
+    crawler: Crawler, source: Source, user_id: str
+) -> ContributorSnapshot:
+    """Produce the contributor-level snapshot for ``user_id`` on ``source``."""
+    profile = source.user(user_id)
+    if profile is None and user_id not in source.contributors():
+        raise UnknownUserError(user_id)
+
+    observation_day = source.observation_day
+    account_age = (
+        profile.age(observation_day) if profile is not None else source.observation_window()
+    )
+
+    posts = source.posts_by_user(user_id)
+    comments_per_category: dict[str, int] = defaultdict(int)
+    tag_counts: list[int] = []
+    reads_received = 0
+    discussions_participated = 0
+    open_discussions = 0
+    comments_authored = 0
+    comments_per_discussion: list[float] = []
+
+    for discussion in source.discussions:
+        authored_here = [post for post in discussion.posts if post.author_id == user_id]
+        if not authored_here:
+            continue
+        discussions_participated += 1
+        if discussion.is_open:
+            open_discussions += 1
+        authored_comments = [
+            post for post in discussion.comments if post.author_id == user_id
+        ]
+        comments_authored += len(authored_comments)
+        comments_per_discussion.append(float(len(authored_comments)))
+        for post in authored_here:
+            if post.category:
+                comments_per_category[post.category] += 1
+            tag_counts.append(len(post.distinct_tags()))
+            reads_received += post.read_count
+
+    received = source.interactions_for_user(user_id)
+    performed = source.interactions_by_user(user_id)
+    replies_received = sum(
+        1 for item in received if item.interaction_type in crawler.REPLY_TYPES
+    )
+    feedback_received = sum(
+        1 for item in received if item.interaction_type in crawler.FEEDBACK_TYPES
+    )
+
+    counterparts = {item.actor_id for item in received} | {
+        item.target_user_id for item in performed
+    }
+    counterparts.discard(user_id)
+    total_interactions = len(received) + len(performed)
+    window = max(1.0, account_age)
+
+    interactions_per_discussion_per_day = 0.0
+    if discussions_participated:
+        interactions_per_discussion_per_day = (
+            total_interactions / discussions_participated / window
+        )
+
+    return ContributorSnapshot(
+        user_id=user_id,
+        source_id=source.source_id,
+        observation_day=observation_day,
+        account_age=account_age,
+        comments_per_category=dict(comments_per_category),
+        covered_categories=tuple(sorted(comments_per_category)),
+        open_discussions=open_discussions,
+        discussions_participated=discussions_participated,
+        total_posts=len(posts),
+        total_comments=comments_authored,
+        interactions_performed=len(performed),
+        interactions_received=len(received),
+        replies_received=replies_received,
+        feedback_received=feedback_received,
+        reads_received=reads_received,
+        average_distinct_tags_per_post=_mean([float(c) for c in tag_counts]),
+        interactions_per_day=total_interactions / window,
+        interactions_per_counterpart=(
+            total_interactions / len(counterparts) if counterparts else 0.0
+        ),
+        comments_per_discussion=_mean(comments_per_discussion),
+        interactions_per_discussion_per_day=interactions_per_discussion_per_day,
+    )
+
+
+def crawl_contributors(
+    crawler: Crawler, source: Source, user_ids: Optional[Iterable[str]] = None
+) -> dict[str, ContributorSnapshot]:
+    """Crawl a set of contributors (every contributor when ``user_ids`` is None).
+
+    Reference per-user implementation: each contributor triggers a full
+    walk of the source's discussions and interactions, O(U·(D+P+I)).
+    ``Crawler.crawl_contributors_batched`` produces identical snapshots
+    in a single shared walk; this path is its equivalence oracle and the
+    honest baseline the contributor benchmarks time against.
+    """
+    if user_ids is None:
+        user_ids = sorted(source.contributors())
+    return {
+        user_id: crawl_contributor(crawler, source, user_id) for user_id in user_ids
+    }
+
+
 # -- full-scan search -------------------------------------------------------------------
+
+
+def reference_topical_score(state, source_id: str, terms: Sequence[str]) -> float:
+    """One source's raw topical score, summed from the index's term counts.
+
+    Reads only the source's token counts, the document frequencies and the
+    corpus size of an index snapshot — never the postings the engine's
+    scoring kernel reads — adding one TF-IDF addend per query term in
+    query-term order.
+    """
+    counter = state.term_frequencies[source_id]
+    length = max(1, sum(counter.values()))
+    score = 0.0
+    for term in terms:
+        frequency = counter.get(term, 0)
+        if frequency:
+            document_frequency = state.document_frequencies[term]
+            idf = math.log((1 + state.n_documents) / (1 + document_frequency)) + 1.0
+            score += (frequency / length) * idf
+    return score
 
 
 def search_fullscan(
@@ -370,7 +508,7 @@ def search_fullscan(
     with engine.rwlock.read_lock():
         state = engine._state
         topical_scores = {
-            source_id: engine._topical_score(state, source_id, terms)
+            source_id: reference_topical_score(state, source_id, terms)
             for source_id in state.term_frequencies
         }
     max_topical = max(topical_scores.values(), default=0.0)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _reference import crawl_contributor
 from repro.core.contributor_measures import (
     CONTRIBUTOR_MEASURE_FUNCTIONS,
     ContributorMeasurementContext,
@@ -230,7 +231,7 @@ class TestContributorMeasures:
         crawler = Crawler()
         user_id = sorted(single_source.contributors())[0]
         return ContributorMeasurementContext(
-            snapshot=crawler.crawl_contributor(single_source, user_id),
+            snapshot=crawl_contributor(crawler, single_source, user_id),
             domain=travel_domain,
         )
 

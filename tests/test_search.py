@@ -4,12 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from _reference import search_fullscan
+from _reference import reference_topical_score, search_fullscan
 from repro.errors import ConfigurationError, SearchError, UnsearchableQueryError
-from repro.search.engine import SearchEngine, SearchEngineConfig, _query_noise, tokenize
+from repro.search.engine import (
+    SearchEngine,
+    SearchEngineConfig,
+    _query_noise,
+    ranked_results,
+    tokenize,
+)
 from repro.search.queries import QueryWorkload, QueryWorkloadSpec
+from repro.sharding import partition_shard
 from repro.sources.corpus import SourceCorpus
-from repro.sources.webstats import AlexaLikeService
+from repro.sources.generators import CorpusGenerator, CorpusSpec
+from repro.sources.models import Source
+from repro.sources.webstats import AlexaLikeService, PanelObservation, WebStatsPanel
 from test_mutation_safety import _hand_built_corpus
 
 
@@ -229,6 +238,122 @@ class TestNegativeTopicalThreshold:
         corpus.touch("src-eta")
         assert engine.static_score("src-eta") != before
         self._assert_matches_oracle(engine)
+
+
+class _UnitPanel(WebStatsPanel):
+    """Every source reads one visitor and one inbound link: the maxima an
+    empty index starts from, so a build sees no maximum move."""
+
+    def _measure(self, source: Source) -> PanelObservation:
+        return PanelObservation(source.source_id, 1, 1.0, 1.0, 60.0, 0.5, 1, 0)
+
+
+class TestOneSearchPath:
+    """Single-process search is the one-shard case of the sharded phases."""
+
+    QUERIES = QueryWorkload(QueryWorkloadSpec(query_count=6, seed=5)).texts()
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return CorpusGenerator(
+            CorpusSpec(source_count=12, seed=8, discussion_budget=6, user_budget=6)
+        ).generate()
+
+    @staticmethod
+    def _shard_engines(corpus, config):
+        return [
+            SearchEngine(
+                SourceCorpus(
+                    Source.from_dict(source.to_dict())
+                    for source in corpus
+                    if partition_shard(source.source_id, 2) == index
+                ),
+                panel=AlexaLikeService(),
+                config=config,
+            )
+            for index in range(2)
+        ]
+
+    @staticmethod
+    def _sharded_search(engines, query, limit, query_id):
+        """The coordinator's three phases, run by hand in process."""
+        terms = tuple(tokenize(query))
+        stats = [engine.shard_term_stats(terms) for engine in engines]
+        scored = [
+            engine.shard_score(
+                query_id,
+                terms,
+                n_documents=sum(s["n_documents"] for s in stats),
+                document_frequencies={
+                    term: sum(s["document_frequencies"][term] for s in stats)
+                    for term in set(terms)
+                },
+                max_visitors=max(s["max_visitors"] for s in stats),
+                max_links=max(s["max_links"] for s in stats),
+            )
+            for engine in engines
+        ]
+        max_topical = max(s["max_raw"] for s in scored)
+        entries = [
+            entry
+            for engine in engines
+            for entry in engine.shard_select(
+                query_id, max_topical=max_topical, limit=limit
+            )
+        ]
+        entries.sort(key=lambda entry: (-entry[0], entry[1]))
+        return ranked_results(entries[:limit])
+
+    @pytest.mark.parametrize("minimum_topical_score", [0.0, 0.005])
+    def test_hand_run_shard_phases_equal_single_process_search(
+        self, corpus, minimum_topical_score
+    ):
+        config = SearchEngineConfig(minimum_topical_score=minimum_topical_score)
+        single = SearchEngine(corpus, panel=AlexaLikeService(), config=config)
+        engines = self._shard_engines(corpus, config)
+        # One shard holds both global maxima and the other neither, so the
+        # shards take both static branches of the scoring kernel: the
+        # index's own static scores, and scores recomputed from the
+        # observations against the coordinator's maxima.
+        maxima = [(e._state.max_visitors, e._state.max_links) for e in engines]
+        own = (single._state.max_visitors, single._state.max_links)
+        assert own in maxima
+        other = maxima[1 - maxima.index(own)]
+        assert other[0] != own[0] and other[1] != own[1]
+        query_id = 0
+        dropped = 0
+        for query in self.QUERIES:
+            for limit in (1, 3, 20):
+                query_id += 1
+                expected = single.search(query, limit)
+                assert self._sharded_search(engines, query, limit, query_id) == expected
+                assert expected == search_fullscan(single, query, limit)
+            matched = sum(
+                reference_topical_score(single._state, source_id, tokenize(query)) > 0
+                for source_id in corpus.source_ids()
+            )
+            dropped += matched - len(expected)  # limit 20 admits every candidate
+        assert (dropped > 0) == (minimum_topical_score > 0)
+
+    @pytest.mark.parametrize("panel", [AlexaLikeService, _UnitPanel])
+    def test_a_first_build_counts_only_its_fragment_groups(self, corpus, panel):
+        engine = SearchEngine(corpus, panel=panel())
+        groups = sum(1 + len(source.discussions) for source in corpus)
+        # No refresh, renormalisation or per-source static-order patch.
+        assert engine.counters.snapshot() == {"fragment_groups_tokenised": groups}
+        assert engine.static_rank() == sorted(
+            corpus.source_ids(), key=lambda sid: (-engine.static_score(sid), sid)
+        )
+
+    def test_topical_score_equals_the_oracle_bit_for_bit(self, corpus):
+        engine = SearchEngine(corpus, panel=AlexaLikeService())
+        state = engine._state
+        for query in (*self.QUERIES, "travel travel cruise", "zzz-unmatched travel"):
+            terms = tokenize(query)
+            for source_id in corpus.source_ids():
+                assert engine.topical_score(source_id, terms) == reference_topical_score(
+                    state, source_id, terms
+                )
 
 
 class TestQueryWorkload:

