@@ -9,7 +9,7 @@ BENCH_JSON := BENCH_perf.json
 ## reach the committed $(BENCH_JSON)
 SMOKE_JSON ?= .perf-smoke.json
 
-.PHONY: test stress recovery-stress shard-stress bench perf perf-smoke bench-selftest e2e docs lint
+.PHONY: test stress recovery-stress shard-stress bench perf perf-smoke bench-selftest e2e docs lint delta
 
 ## tier-1 test suite (must stay green; see ROADMAP.md)
 test:
@@ -81,3 +81,16 @@ docs:
 	$(PYTHON) examples/influencer_analysis.py
 	$(PYTHON) examples/tourism_dashboard.py
 	$(PYTHON) examples/checkpoint_recover.py
+
+## line delta of the working tree against BASE (default HEAD) from
+## `git diff --numstat`: added, deleted and net lines under src/,
+## benchmarks/, tests/ and docs/.  A new file counts only once it is
+## tracked (`git add -N <file>`); moved lines are not told apart, so
+## state them by hand.  Usage: make delta BASE=<ref>
+BASE ?= HEAD
+delta:
+	@git diff --numstat $(BASE) -- src benchmarks tests docs | awk ' \
+		BEGIN { n = split("src benchmarks tests docs", dirs, " ") } \
+		$$1 != "-" { split($$3, path, "/"); added[path[1]] += $$1; deleted[path[1]] += $$2 } \
+		END { for (i = 1; i <= n; i++) { d = dirs[i]; \
+			printf "%-12s +%d/-%d  net %+d\n", d "/", added[d], deleted[d], added[d] - deleted[d] } }'

@@ -397,29 +397,6 @@ class SourceQualityModel:
 
     # -- raw measures ------------------------------------------------------------------
 
-    def measurement_context(
-        self, source: Source, corpus: Optional[SourceCorpus] = None
-    ) -> SourceMeasurementContext:
-        """Build the measurement context of ``source`` within ``corpus``.
-
-        One-off path used for single-source inspection; the batched pipeline
-        goes through :meth:`raw_measures`, which shares crawl snapshots and
-        corpus aggregates across the whole corpus instead.
-        """
-        snapshot = self._crawler.crawl_source(source)
-        max_open = (
-            corpus.largest_source_open_discussions()
-            if corpus is not None
-            else snapshot.open_discussions
-        )
-        return SourceMeasurementContext(
-            snapshot=snapshot,
-            domain=self._domain,
-            alexa=self._alexa.observe(source),
-            feedburner=self._feedburner.observe(source),
-            corpus_max_open_discussions=max_open,
-        )
-
     def raw_measures(self, corpus: SourceCorpus) -> dict[str, dict[str, float]]:
         """Raw Table 1 measure vectors for every source of ``corpus``.
 

@@ -22,13 +22,7 @@ the perf benchmark harness use them to prove the optimised paths return
 identical results and to record honest baseline timings.
 """
 
-from repro.perf.cache import (
-    LRUCache,
-    corpus_fingerprint,
-    corpus_probe,
-    source_fingerprint,
-    source_probe,
-)
+from repro.perf.cache import LRUCache, corpus_fingerprint, source_fingerprint
 from repro.perf.collector import collector_paused
 from repro.perf.counters import PerfCounters
 from repro.perf.timers import Stopwatch, time_call, timed
@@ -39,9 +33,7 @@ __all__ = [
     "Stopwatch",
     "collector_paused",
     "corpus_fingerprint",
-    "corpus_probe",
     "source_fingerprint",
-    "source_probe",
     "time_call",
     "timed",
 ]

@@ -21,16 +21,15 @@ In-place edits that keep every count identical AND bypass the helpers
 doing that must call ``touch()`` or invalidate the consuming cache
 explicitly (see ``docs/PERFORMANCE.md``).
 
-The probe helpers (:func:`source_probe`, :func:`corpus_probe`) are the
-O(1)-per-source tier of the same signature: they skip the per-discussion
-post counts.  The built-in read paths no longer run them per query — the
-O(1) staleness tier is now the subscription-fed dirty flag in
-:mod:`repro.sources.diffing` — but they remain available as a mid-price
-probe for external consumers.  A probe change always implies a
-fingerprint change; the only fingerprint change invisible to the probe is
-a post appended directly inside an existing discussion without
-``touch()`` — the same blind spot class the fingerprints themselves have
-for count-preserving edits.
+The O(1)-per-source tier of the same signature is the probe check
+inside :func:`repro.sources.diffing.scoped_fingerprints`: a source no
+drained change names keeps its recorded fingerprint when every
+constant-time field (identity, revision, observation day, discussion and
+interaction counts) still matches, skipping the per-discussion post
+counts.  The only fingerprint change invisible to that check is a post
+appended directly inside an existing discussion without ``touch()`` —
+the same blind spot class the fingerprints themselves have for
+count-preserving edits.
 
 Because the fingerprints include ``id(source)``, a cache keyed on them
 MUST keep a strong reference to the fingerprinted objects in its entries
@@ -50,8 +49,6 @@ __all__ = [
     "source_fingerprint",
     "compose_source_fingerprint",
     "corpus_fingerprint",
-    "source_probe",
-    "corpus_probe",
 ]
 
 _MISSING = object()
@@ -221,27 +218,3 @@ def compose_source_fingerprint(source: Any, post_total: int) -> Tuple[Any, ...]:
 def corpus_fingerprint(corpus: Iterable[Any]) -> Tuple[Any, ...]:
     """Structural fingerprint of a corpus (ordered tuple of source fingerprints)."""
     return tuple(source_fingerprint(source) for source in corpus)
-
-
-def source_probe(source: Any) -> Tuple[Any, ...]:
-    """O(1) staleness probe of one source (fingerprint minus post counts).
-
-    Every field is a constant-time read, so probing a whole corpus on the
-    query hot path costs microseconds where the full fingerprint costs
-    O(total discussions).  A probe change always implies a fingerprint
-    change (the probe fields are a subset); see the module docstring for
-    the one fingerprint change the probe cannot see.
-    """
-    return (
-        source.source_id,
-        id(source),
-        source.content_revision,
-        source.observation_day,
-        len(source.discussions),
-        len(source.interactions),
-    )
-
-
-def corpus_probe(corpus: Iterable[Any]) -> Tuple[Any, ...]:
-    """O(source count) staleness probe of a corpus (ordered tuple of probes)."""
-    return tuple(source_probe(source) for source in corpus)

@@ -61,10 +61,10 @@ registered as a fourth consumer queue (which
 does) it turns checkpoints into just another eagerly scheduled consumer,
 coalesced per burst.  It runs wherever the scheduler runs its consumers: on the
 scheduler's worker thread once started, else in the foreground of
-whoever pumps ``poll()`` or ``flush()``.  A shard worker pumps
-``flush()`` after each ``apply``, so there a due checkpoint runs before
-the ``apply`` reply and stalls the mutation that made it due — which is
-why a checkpoint splices its corpus section from cached fragments
+whoever pumps ``poll()`` or ``flush()``.  An eager shard worker calls
+it itself after each ``apply`` and ``resync``, so there a due checkpoint
+runs before the reply and stalls the mutation that made it due — which
+is why a checkpoint splices its corpus section from cached fragments
 (:mod:`repro.persistence.capture`) instead of re-encoding the corpus.
 """
 
@@ -645,9 +645,9 @@ class CorpusStore:
         """Checkpoint when enough events accumulated; return checkpoints run.
 
         The scheduler-facing entry point (see
-        :meth:`~repro.serving.scheduler.EagerRefreshScheduler.register_checkpoint_store`):
-        cheap when not due, so it can be driven once per coalesced
-        mutation burst.
+        :meth:`~repro.serving.scheduler.EagerRefreshScheduler.register_checkpoint_store`),
+        which an eager shard worker also calls after each batch: cheap
+        when not due, so it can be driven once per mutation burst.
         """
         subscriber = self._subscriber
         if subscriber is None:

@@ -369,9 +369,8 @@ class SearchEngine:
         self._corpus = corpus
         self._panel = panel or AlexaLikeService()
         self._config = config
-        #: Staleness intake: a typed subscription on the corpus's shared
-        #: invalidation bus (the O(1) dirty tier, replacing the engine's
-        #: private corpus subscription).
+        #: Staleness intake: a typed subscription on the corpus's
+        #: invalidation bus (the O(1) dirty tier).
         self._subscription = corpus.invalidation_bus().subscribe(name="search-engine")
         #: Serialises snapshot *builders* (concurrent refreshers); readers
         #: never take it.
@@ -389,14 +388,13 @@ class SearchEngine:
         #: fingerprint diff instead of scoping to the next burst.
         self._scope_lost = False
         self.counters = PerfCounters()
-        self._panel.watch(corpus)
         self._subscription.mark_clean()
         # ``index_state`` is the persistence layer's warm-start path (see
         # :meth:`export_index_state`): the exported index is rebuilt
         # structure-for-structure instead of re-tokenising the corpus.
-        # All the wiring above (subscription, panel watch, locks) is
-        # identical, so journal events replayed *after* construction dirty
-        # the subscription and the first read patches incrementally.
+        # All the wiring above (subscription, locks) is identical, so
+        # journal events replayed *after* construction dirty the
+        # subscription and the first read patches incrementally.
         # Otherwise the first build is the patch over an empty index.
         if index_state is not None:
             self._state = self._restore_index(index_state)
@@ -779,7 +777,8 @@ class SearchEngine:
 
         Builds and returns the successor snapshot (copy-on-write over the
         current one) without touching any published state; the caller
-        swaps it in under the write lock.
+        swaps it in under the write lock.  The panel drops its cached
+        observation of every source the patch unindexes.
         """
         corpus = self._corpus
         if len(corpus) == 0:
@@ -848,6 +847,7 @@ class SearchEngine:
         }
         for source_id in removed:
             self._unindex_source(state, source_id, copied)
+            self._panel.invalidate(source_id)
             self.counters.increment("sources_unindexed")
         for source_id in (*changed, *added):
             source = current_sources[source_id]

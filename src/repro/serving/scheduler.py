@@ -81,8 +81,8 @@ Explicit foreground calls — :meth:`~EagerRefreshScheduler.flush`,
 failure as a :class:`~repro.errors.ServingError`.  Sync-mode patches
 (which run inside the *mutation's* notification) and the background
 worker do not raise: a failed eager refresh must not make an
-already-applied corpus mutation appear to fail, nor starve other
-listeners of the event.
+already-applied corpus mutation appear to fail, nor starve the bus's
+later hooks of the event.
 """
 
 from __future__ import annotations
@@ -396,11 +396,10 @@ class EagerRefreshScheduler:
         Drives ``store.checkpoint_if_due`` as a fourth consumer queue:
         checkpoints are coalesced per mutation burst and run where the
         scheduler runs its consumers — its worker thread, or the
-        foreground of a ``poll()``/``flush()`` pump (a shard worker's,
-        before the ``apply`` reply).  A checkpoint failure is a
-        :class:`~repro.errors.PersistenceError`, which the queue re-raises
-        through every path (durability loss is never silently absorbed —
-        see :class:`~repro.serving.queues.ConsumerQueue`).
+        foreground of a ``poll()``/``flush()`` pump.  A checkpoint failure
+        is a :class:`~repro.errors.PersistenceError`, which the queue
+        re-raises through every path (durability loss is never silently
+        absorbed — see :class:`~repro.serving.queues.ConsumerQueue`).
         """
         name = name or self._auto_name("checkpoint")
         self.register(name, store.checkpoint_if_due)
@@ -437,8 +436,8 @@ class EagerRefreshScheduler:
                 return
         # Sync mode: patch on the mutating thread, outside the intake lock
         # and *without raising* — a failed eager refresh must not make the
-        # already-applied mutation appear to fail, nor starve the corpus's
-        # later-registered listeners of this event (errors are recorded in
+        # already-applied mutation appear to fail, nor starve the bus's
+        # later-subscribed hooks of this event (errors are recorded in
         # the consumer stats; the consumer falls back to lazy refresh).
         self._apply(raise_errors=False)
 
@@ -632,8 +631,7 @@ class EagerRefreshScheduler:
         back to plain lazy refresh, which remains correct.  The
         scheduler's subscriptions — its own pending marker and every
         queue's — are unregistered from the corpus's invalidation bus, so
-        a closed scheduler receives no further notifications and holds no
-        listener registration on the corpus.
+        a closed scheduler receives no further notifications.
         """
         with self._intake:
             if self._closed:
@@ -662,17 +660,15 @@ def register_worker_stack(
     corpus: Optional[SourceCorpus] = None,
     store: Any = None,
 ) -> list[str]:
-    """Register a shard worker's serving stack under shard-scoped names.
+    """Register a shard stack's consumers under shard-scoped names.
 
-    The sharded worker (:mod:`repro.sharding.worker`) runs the same
-    consumers a single-process deployment does; this helper registers
-    whichever of them are given under ``shard<i>.``-prefixed names — e.g.
-    ``shard2.search-engine`` — so consumer stats, stress output and test
-    assertions can tell the shards apart at a glance.  Pass only the
-    pieces that already exist (the worker builds its engine lazily and
-    registers it on first build); returns the registered names.  The
-    worker passes its engine and store; ``source_model`` and ``corpus``
-    register an eagerly patched model for a stack that keeps one.
+    Registers whichever of the given consumers exist under
+    ``shard<i>.``-prefixed names — e.g. ``shard2.search-engine`` — and
+    returns the names.  Its one caller is the benchmark's traced twin
+    (``perfbench/shard_twin.py``), which drives a worker-shaped stack
+    through a scheduler; a shard worker itself runs no scheduler (its
+    dispatch loop refreshes its engine and store, see
+    :mod:`repro.sharding.worker`).  The helper goes with the twin.
     """
     names: list[str] = []
     prefix = f"shard{shard_index}."

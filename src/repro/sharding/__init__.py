@@ -16,8 +16,9 @@ scatter-gather:
 :mod:`~repro.sharding.worker`
     The worker process entry point (``python -m repro.sharding.worker``):
     runs the existing serving stack — SearchEngine, SourceQualityModel,
-    EagerRefreshScheduler, per-shard CorpusStore — over its shard and
-    answers protocol requests in a single-threaded loop.
+    per-shard CorpusStore — over its shard and answers protocol requests
+    in a single-threaded loop, which also refreshes an eager shard's
+    engine and store after each batch.
 :mod:`~repro.sharding.coordinator`
     :class:`~repro.sharding.coordinator.ShardCoordinator` — owns the
     authoritative corpus, bridges its invalidation bus onto the wire

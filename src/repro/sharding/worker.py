@@ -12,18 +12,17 @@ thread means a read request observes every mutation batch sent before it
 The worker owns an ordinary serving stack for its shard: a
 :class:`~repro.sources.corpus.SourceCorpus`, an optional per-shard
 :class:`~repro.persistence.store.CorpusStore` (stamped with the shard
-identity), a lazily built :class:`~repro.search.engine.SearchEngine`
-(an empty shard has nothing to index), and optionally an
-:class:`~repro.serving.EagerRefreshScheduler` that keeps the engine and
-the store's checkpoints current, pumped in the foreground via
-``flush()`` after every replicated batch (the background thread is
-never started — the dispatch loop *is* the thread).  A
+identity) and a lazily built :class:`~repro.search.engine.SearchEngine`
+(an empty shard has nothing to index).  With ``eager`` set, the
+dispatch loop keeps the engine and the store's checkpoints current
+itself: after every replicated batch and every resync it refreshes the
+engine and runs a due checkpoint, before it replies.  One thread calls
+both, so nothing queues between them.  A
 :class:`~repro.core.source_quality.SourceQualityModel` serves the
 ``rank_*`` phases from the measure state of the shard corpus (patched
 per touched source by the first ``rank_*`` read after a batch; a clean
 read is a flag check) and holds no assessment context: the store does
-not snapshot it and the scheduler does not patch it, because no request
-reads one.
+not snapshot it and no batch patches it, because no request reads one.
 
 Replicated mutations arrive as journal-schema records (produced by the
 coordinator's :class:`~repro.sources.diffing.WireBridgeSubscriber`),
@@ -74,7 +73,6 @@ from repro.persistence.codec import encode_source_blocks
 from repro.persistence.journal import record_source, split_framed
 from repro.persistence.store import CorpusStore, _overlay_source, replay_journal
 from repro.search.engine import SearchEngine, SearchEngineConfig
-from repro.serving import EagerRefreshScheduler, register_worker_stack
 from repro.sharding.columns import encode_columns
 from repro.sharding.wire import WireConnection
 from repro.sources.corpus import SourceCorpus
@@ -94,7 +92,7 @@ class ShardWorker:
         self._store: Optional[CorpusStore] = None
         self._engine: Optional[SearchEngine] = None
         self._model: Optional[SourceQualityModel] = None
-        self._scheduler: Optional[EagerRefreshScheduler] = None
+        self._eager = False
         self._engine_config = SearchEngineConfig()
         self._shard_index = 0
         self._shard_count = 1
@@ -143,9 +141,6 @@ class ShardWorker:
         return self._store.checkpoints_written if self._store is not None else 0
 
     def close(self) -> None:
-        if self._scheduler is not None:
-            self._scheduler.close()
-            self._scheduler = None
         if self._store is not None:
             self._store.close()
             self._store = None
@@ -217,14 +212,7 @@ class ShardWorker:
             recovered = True
         elif self._store is not None:
             self._store.attach(self._corpus)
-        if bool(message.get("eager", False)):
-            self._scheduler = EagerRefreshScheduler(self._corpus)
-            register_worker_stack(
-                self._scheduler,
-                shard_index=self._shard_index,
-                engine=self._engine,
-                store=self._store,
-            )
+        self._eager = bool(message.get("eager", False))
         self._configured = True
         entries = self._corpus.version_map()["sources"]
         return {
@@ -244,19 +232,24 @@ class ShardWorker:
             self._engine = SearchEngine(self._corpus, config=self._engine_config)
             if self._store is not None:
                 self._store.bind_consumers(engine=self._engine)
-            if self._scheduler is not None:
-                self._scheduler.register_search_engine(
-                    self._engine, name=f"shard{self._shard_index}.search-engine"
-                )
         return self._engine
 
-    def _flush_scheduler(self) -> None:
-        # An emptied shard must not be eagerly refreshed: the engine
-        # refuses an empty corpus (reads short-circuit to empty replies
-        # instead).  Pending events stay queued and coalesce into the
-        # next flush once the shard has sources again.
-        if self._scheduler is not None and len(self._corpus) > 0:
-            self._scheduler.flush()
+    def _refresh_eagerly(self) -> None:
+        """With ``eager`` set: patch the built engine, then run a due checkpoint.
+
+        A failure reaches the reply as it was raised: the engine's own
+        error type, or the store's ``PersistenceError``.  An emptied
+        shard is left alone: the engine refuses an empty corpus (reads
+        short-circuit to empty replies instead), and its subscription
+        keeps the changes for the first refresh once the shard has
+        sources again.
+        """
+        if not self._eager or len(self._corpus) == 0:
+            return
+        if self._engine is not None:
+            self._engine.refresh()
+        if self._store is not None:
+            self._store.checkpoint_if_due()
 
     # -- replication -------------------------------------------------------------------
 
@@ -267,13 +260,13 @@ class ShardWorker:
             self._corpus.advance_version_floor(int(message["watermark"]))
 
     def _handle_apply(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Replay a batch and journal its bytes before the scheduler runs.
+        """Replay a batch and journal its bytes before the eager refresh.
 
         The batch rides the request's binary attachment: the records the
         coordinator framed once, in the journal's own framing.  The store
-        appends those frames unchanged with one fsync, before the
-        scheduler flush (so a due checkpoint follows the append) and
-        before the reply acknowledges the batch.
+        appends those frames unchanged with one fsync, before the eager
+        refresh (so a due checkpoint follows the append) and before the
+        reply acknowledges the batch.
         """
         frames, records = split_framed(message["_binary"])
         if self._store is None:
@@ -281,7 +274,7 @@ class ShardWorker:
         else:
             applied, skipped = self._store.replay_received(records, frames)
         self._advance_watermark(message)
-        self._flush_scheduler()
+        self._refresh_eagerly()
         return {
             "applied": applied,
             "skipped": skipped,
@@ -333,7 +326,7 @@ class ShardWorker:
             )
         corpus._restore_version(int(message["version"]))
         self._advance_watermark(message)
-        self._flush_scheduler()
+        self._refresh_eagerly()
         return {
             "version": corpus.version,
             "sources": len(corpus),

@@ -10,7 +10,8 @@ largest Web blog/forum" measure of Table 1).
 
 The corpus is a *mutable, versioned* collection: every :meth:`add`,
 :meth:`remove` and :meth:`touch` bumps a monotonic :attr:`version` counter
-and notifies subscribed listeners with a :class:`CorpusChange`.  Each
+and publishes a :class:`CorpusChange` on the corpus's invalidation bus
+(:meth:`invalidation_bus`), its only change channel.  Each
 source also keeps the version of its last change, and a removed source a
 tombstone at the version of its remove (see :meth:`version_map`): journal
 replay and shard replication skip a record per source by that entry, so
@@ -18,9 +19,9 @@ records of different sources may arrive in any order.  In-place
 mutations made through the ``Source`` helpers are *announced* too: the
 corpus registers a mutation watcher on every added source, so helper
 growth and ``Source.touch()`` surface as ``"touch"`` events.  Consumers
-that derive state from the corpus (the search index, panel observation
-caches, assessment contexts) key their staleness checks on an O(1) dirty
-flag fed by those notifications (see
+that derive state from the corpus (the search index, assessment
+contexts) key their staleness checks on an O(1) dirty flag fed by those
+notifications (see
 :class:`repro.sources.diffing.BusSubscription`), falling back to the
 content fingerprint only to localise a detected change — or on explicit
 ``deep=True`` reads covering unannounced growth that bypassed the
@@ -29,7 +30,7 @@ helpers.
 By default those consumers refresh *lazily* — the first read after a
 mutation pays the incremental patch.  For latency-critical serving, an
 :class:`repro.serving.EagerRefreshScheduler` can subscribe to the same
-notifications and drive the consumers' refresh off the read path (see
+bus and drive the consumers' refresh off the read path (see
 ``docs/ARCHITECTURE.md``); either way the corpus itself only announces
 mutations, it never patches anyone.
 """
@@ -40,7 +41,6 @@ import json
 import os
 import sys
 import threading
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sources.diffing import InvalidationBus
 
 from repro.errors import CorpusError, UnknownSourceError
-from repro.perf.cache import corpus_fingerprint, corpus_probe
+from repro.perf.cache import corpus_fingerprint
 from repro.perf.collector import collector_paused
 from repro.sources.models import Discussion, Source, SourceType
 
@@ -86,7 +86,7 @@ def _serving_rwlock() -> Any:
 
 @dataclass(frozen=True)
 class CorpusChange:
-    """One mutation event delivered to corpus subscribers.
+    """One mutation event, published on the corpus's invalidation bus.
 
     ``op`` is ``"add"``, ``"remove"`` or ``"touch"``; ``version`` is the
     corpus version *after* the mutation was applied — or, for a mutation
@@ -150,22 +150,20 @@ class SourceCorpus:
     def __init__(self, sources: Optional[Iterable[Source]] = None) -> None:
         self._sources: dict[str, Source] = {}
         self._version = 0
-        #: Strong callables and (for weak=True subscribers) weakrefs, mixed.
-        self._listeners: list[Any] = []
         #: Serialises mutations (add/remove/touch and their notifications)
         #: so one corpus supports concurrent mutator threads.  Reentrant:
-        #: a listener running inside a notification (e.g. a sync-mode
+        #: a bus hook running inside a notification (e.g. a sync-mode
         #: serving patch) may read the corpus freely.  Reads are lock-free
         #: — they operate on snapshots (see :meth:`__iter__`).
         self._mutation_lock = threading.RLock()
-        #: Changes committed but not yet delivered to listeners: delivery
-        #: runs *after* the outermost mutation releases the lock, so a
-        #: listener (e.g. a sync-mode serving patch) acquiring consumer
-        #: locks can never deadlock against a lock holder mutating the
-        #: corpus (see :meth:`_mutating`).
+        #: Changes committed but not yet published: delivery runs *after*
+        #: the outermost mutation releases the lock, so a bus hook (e.g. a
+        #: sync-mode serving patch) acquiring consumer locks can never
+        #: deadlock against a lock holder mutating the corpus (see
+        #: :meth:`_mutating`).
         self._outbox: list[CorpusChange] = []
-        #: Versions of queued changes not yet delivered to every listener,
-        #: each mapped to whether a replayed record stamped it.
+        #: Versions of queued changes not yet published, each mapped to
+        #: whether a replayed record stamped it.
         self._undelivered: dict[int, bool] = {}
         #: Per live source, the version of its last change.
         self._source_versions: dict[str, int] = {}
@@ -181,8 +179,8 @@ class SourceCorpus:
         #: Per-thread mutation nesting depth; only the outermost frame
         #: flushes the outbox.
         self._mutation_depth = threading.local()
-        #: Lazily created shared invalidation channel (see
-        #: :meth:`invalidation_bus`).
+        #: The change channel, created on first use (see
+        #: :meth:`invalidation_bus`); until then no change is queued.
         self._bus: Optional["InvalidationBus"] = None
         if sources is not None:
             for source in sources:
@@ -201,14 +199,20 @@ class SourceCorpus:
         return self._version
 
     def invalidation_bus(self) -> "InvalidationBus":
-        """The corpus's shared invalidation channel (created on first use).
+        """The corpus's change channel (created on first use).
 
-        Every consumer that previously held its own corpus subscription —
-        the search engine's tracker, the quality models' context trackers,
-        the serving scheduler — now registers a typed
-        :class:`~repro.sources.diffing.BusSubscription` here instead, so
-        each mutation is published once and fanned out under one intake
-        lock.  See :class:`~repro.sources.diffing.InvalidationBus`.
+        Every change reaches its consumers through this bus and nothing
+        else: the search engine, the quality models, the journal and wire
+        subscribers and the serving scheduler each register a typed
+        :class:`~repro.sources.diffing.BusSubscription` here, so each
+        mutation is published once and fanned out under one intake lock.
+        Publication runs synchronously on the mutating thread, after the
+        mutation committed and the mutation lock was released (see
+        :meth:`_mutating`); racing mutator threads may interleave their
+        publications, so a hook cross-checks a monotonic counter
+        (``version``, ``Source.content_revision``) rather than assume an
+        order.  A corpus whose bus was never asked for queues nothing.
+        See :class:`~repro.sources.diffing.InvalidationBus`.
         """
         with self._mutation_lock:
             if self._bus is None:
@@ -217,63 +221,19 @@ class SourceCorpus:
                 self._bus = InvalidationBus(self)
             return self._bus
 
-    def subscribe(
-        self, listener: Callable[[CorpusChange], None], weak: bool = False
-    ) -> None:
-        """Register ``listener`` to receive a :class:`CorpusChange` per mutation.
-
-        Listeners are invoked synchronously on the mutating thread, after
-        the mutation has been applied, the version bumped and the
-        mutation lock released (see :meth:`_mutating` — delivery outside
-        the lock is what lets listeners acquire consumer locks without
-        deadlock).  Delivery is in *registration order* per change, so a
-        listener must not assume the corpus's other subscribers (e.g. a
-        consumer's dirty-flag tracker) have already observed the event —
-        and racing mutator threads may interleave deliveries — so
-        cross-check a monotonic counter (``version``,
-        ``Source.content_revision``) instead.  Subscribing the same
-        callable twice is a no-op.
-
-        With ``weak=True`` the corpus holds only a weak reference (a
-        ``WeakMethod`` for bound methods), and the entry is pruned once
-        the listener's owner is garbage collected — the right mode for
-        cache-eviction hooks whose owner (e.g. a panel) may be discarded
-        while the corpus lives on, since a strong subscription would pin
-        the owner for the corpus's whole lifetime.
-        """
-        entry: Any = listener
-        if weak:
-            entry = (
-                weakref.WeakMethod(listener)
-                if hasattr(listener, "__self__")
-                else weakref.ref(listener)
-            )
-        with self._mutation_lock:
-            if entry not in self._listeners:
-                self._listeners.append(entry)
-
-    def unsubscribe(self, listener: Callable[[CorpusChange], None]) -> None:
-        """Remove a previously subscribed listener (no-op when unknown)."""
-        with self._mutation_lock:
-            for entry in list(self._listeners):
-                resolved = entry() if isinstance(entry, weakref.ref) else entry
-                if resolved == listener or entry == listener:
-                    self._listeners.remove(entry)
-
     @contextmanager
     def _mutating(self) -> Iterator[None]:
-        """Hold the mutation lock; deliver queued changes once released.
+        """Hold the mutation lock; publish queued changes once released.
 
         Mutations commit (state applied, version bumped, change queued)
-        under the lock, but listeners run only after the *outermost*
-        mutation frame on this thread has released it.  That keeps the
-        lock ordering acyclic: a listener that acquires consumer locks
-        (a sync-mode serving patch taking a refresh gate) never does so
-        while this thread holds the mutation lock, so it cannot deadlock
-        against a consumer-lock holder mutating the corpus.  Listeners
-        already must not assume delivery order relative to other
-        subscribers (see :meth:`subscribe`); they cross-check monotonic
-        counters, which are always bumped before delivery.
+        under the lock, but the bus publishes them only after the
+        *outermost* mutation frame on this thread has released it.  That
+        keeps the lock ordering acyclic: a bus hook that acquires consumer
+        locks (a sync-mode serving patch taking a refresh gate) never does
+        so while this thread holds the mutation lock, so it cannot
+        deadlock against a consumer-lock holder mutating the corpus.
+        Hooks cross-check monotonic counters, which are always bumped
+        before publication (see :meth:`invalidation_bus`).
         """
         depth = getattr(self._mutation_depth, "value", 0)
         self._mutation_depth.value = depth + 1
@@ -284,9 +244,9 @@ class SourceCorpus:
             with self._mutation_lock:
                 yield
         finally:
-            # The frame is popped *before* the outbox flush: listener
-            # delivery must run with the mutation lock released, and the
-            # validator should see exactly that.
+            # The frame is popped *before* the outbox flush: publication
+            # must run with the mutation lock released, and the validator
+            # should see exactly that.
             if rwlock is not None:
                 rwlock.note_released(self._mutation_lock)
             self._mutation_depth.value = depth
@@ -305,7 +265,8 @@ class SourceCorpus:
         record carries that record's version (the stamp): the change, the
         source's entry and every journal record written from the change
         then share one numbering with the process that numbered the
-        record, while the version counter still moves forward.
+        record, while the version counter still moves forward.  The change
+        is queued only when the corpus has a bus to publish it on.
         """
         stamp = self._stamp
         if stamp is None:
@@ -320,7 +281,7 @@ class SourceCorpus:
         else:
             self._tombstones.pop(source_id, None)
             self._source_versions[source_id] = version
-        if self._listeners:
+        if self._bus is not None:
             self._undelivered[version] = stamp is not None
             self._outbox.append(
                 CorpusChange(version=version, op=op, source_id=source_id, delta=delta)
@@ -341,24 +302,24 @@ class SourceCorpus:
             }
 
     def _flush_outbox(self) -> None:
-        """Deliver queued changes to the listeners (mutation lock NOT held).
+        """Publish queued changes on the bus (mutation lock NOT held).
 
-        Racing mutator threads each deliver the batch they took, so a
-        change can reach the listeners before one with a lower version.
-        A record of it written then could be replayed ahead of a change
-        it depends on (the add of its source, the thread before it, the
-        edit its thread record was diffed against), so the change is
-        delivered out of order: without its delta and with ``in_order``
-        False, and its record holds the whole source.  A delivery that
-        raised leaves its version undelivered: every later change is then
-        out of order.
+        Racing mutator threads each publish the batch they took, so a
+        change can reach the bus before one with a lower version.  A
+        record of it written then could be replayed ahead of a change it
+        depends on (the add of its source, the thread before it, the edit
+        its thread record was diffed against), so the change is published
+        out of order: without its delta and with ``in_order`` False, and
+        its record holds the whole source.  A publication that raised
+        leaves its version undelivered: every later change is then out of
+        order.
 
-        Once a change this corpus numbered itself has reached every
-        listener, the version floor rises to the delivered watermark (the
-        highest version with no undelivered change at or below it).  The
-        changes of replayed records never raise it: whether an older
-        record is still on its way is known only to whoever numbered it
-        (see :meth:`advance_version_floor`).
+        Once a change this corpus numbered itself has been published, the
+        version floor rises to the delivered watermark (the highest
+        version with no undelivered change at or below it).  The changes
+        of replayed records never raise it: whether an older record is
+        still on its way is known only to whoever numbered it (see
+        :meth:`advance_version_floor`).
         """
         while True:
             with self._mutation_lock:
@@ -366,23 +327,13 @@ class SourceCorpus:
                     return
                 changes = self._outbox[:]
                 del self._outbox[:]
-                entries = tuple(self._listeners)
-            dead: list[Any] = []
+                publish = self._bus._publish
             for change in changes:
                 with self._mutation_lock:
                     first = min(self._undelivered, default=change.version)
                 if first < change.version:
                     change = replace(change, delta=None, in_order=False)
-                for entry in entries:
-                    if isinstance(entry, weakref.ref):
-                        listener = entry()
-                        if listener is None:
-                            if entry not in dead:
-                                dead.append(entry)
-                            continue
-                    else:
-                        listener = entry
-                    listener(change)
+                publish(change)
                 with self._mutation_lock:
                     if self._undelivered.pop(change.version, True) is False:
                         # The delivered watermark: no undelivered change
@@ -390,11 +341,6 @@ class SourceCorpus:
                         self._raise_floor(
                             min(self._undelivered, default=self._version + 1) - 1
                         )
-            if dead:
-                with self._mutation_lock:
-                    for entry in dead:
-                        if entry in self._listeners:
-                            self._listeners.remove(entry)
 
     # -- collection protocol -----------------------------------------------------
 
@@ -688,28 +634,6 @@ class SourceCorpus:
         count identical are not detected — use :meth:`touch`).
         """
         return corpus_fingerprint(self)
-
-    def content_probe(self) -> tuple:
-        """O(source count) staleness probe (fingerprint minus post counts).
-
-        A mid-price tier between the O(1) dirty flag and the full
-        fingerprint; no built-in read path uses it anymore (the search
-        engine's per-query probe was replaced by change subscriptions),
-        but it remains available to external consumers.  See
-        :func:`repro.perf.cache.corpus_probe` for what it can and cannot
-        detect relative to :meth:`content_fingerprint`.
-        """
-        return corpus_probe(self)
-
-    def epoch(self) -> tuple[int, tuple]:
-        """The ``(version, content fingerprint)`` staleness epoch.
-
-        Two equal epochs guarantee (within the fingerprint contract) that
-        no detectable mutation happened between the two reads; consumers
-        cache the epoch they derived their state from and refresh when the
-        current one differs.
-        """
-        return (self._version, self.content_fingerprint())
 
     def all_discussions(self) -> Iterator[tuple[Source, Discussion]]:
         """Iterate over ``(source, discussion)`` pairs across the whole corpus."""

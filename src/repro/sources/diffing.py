@@ -40,18 +40,16 @@ and the eager serving layer (:mod:`repro.serving`) runs the very same
 refresh entry points in the background — which is why eager and lazy
 results are bit-identical by construction.
 
-Invalidation fan-out goes through one shared channel per corpus: the
-:class:`InvalidationBus`.  The corpus publishes each
-:class:`~repro.sources.corpus.CorpusChange` to the bus exactly once; every
-consumer registers a *typed* :class:`BusSubscription` (optionally filtered
-by source identifiers and/or operation kinds) and pulls a *coalesced*
-per-consumer :class:`PendingInvalidation` when it refreshes.  That
-replaces the previous design where the search engine, the source model
-and the contributor model each kept a private corpus subscription and
-private pending state: the bus records an event once and fans it out to
-every matching subscription under a single lock, so independent consumers
-can observe, drain and patch concurrently without sharing any mutable
-state beyond the bus itself.  :class:`SourceChangeTracker` is the same
+Invalidation fan-out goes through one channel per corpus, and it is the
+corpus's only one: the :class:`InvalidationBus`.  The corpus publishes
+each :class:`~repro.sources.corpus.CorpusChange` to the bus exactly once;
+every consumer registers a *typed* :class:`BusSubscription` (optionally
+filtered by source identifiers and/or operation kinds) and pulls a
+*coalesced* per-consumer :class:`PendingInvalidation` when it refreshes.
+The bus records an event once and fans it out to every matching
+subscription under a single lock, so independent consumers can observe,
+drain and patch concurrently without sharing any mutable state beyond
+the bus itself.  :class:`SourceChangeTracker` is the same
 dirty-flag tier one granularity down (a single
 :class:`~repro.sources.models.Source` watched through its mutation
 watchers — the channel the contributor model uses, since a community can
@@ -363,9 +361,9 @@ class BusSubscription:
       event arrived since the last :meth:`drain`/:meth:`mark_clean`.
       Unfiltered subscriptions additionally cross-check the corpus
       ``version`` counter, so a mutation slipping past the bus (possible
-      only if the bus's corpus subscription was removed externally) is
-      still detected.  A dead corpus reports dirty, so stale id-keyed
-      state is never served after interpreter-level object reuse.
+      only if its publication was bypassed) is still detected.  A dead
+      corpus reports dirty, so stale id-keyed state is never served after
+      interpreter-level object reuse.
     * :meth:`drain` — atomically returns the coalesced
       :class:`PendingInvalidation` (or None) and marks the subscription
       clean *as of the corpus version at drain time*: events published
@@ -373,8 +371,7 @@ class BusSubscription:
       aside and swaps can never lose a concurrent mutation.
 
     The bus holds subscriptions weakly: dropping the last strong reference
-    unregisters the consumer, exactly like the weak corpus subscriptions
-    the per-consumer trackers used to hold.
+    unregisters the consumer.
     """
 
     def __init__(
@@ -532,14 +529,16 @@ class InvalidationBus:
     """The single invalidation channel fanning one corpus's changes out.
 
     One bus exists per corpus (see
-    :meth:`repro.sources.corpus.SourceCorpus.invalidation_bus`); it holds
-    the *only* corpus-level change subscription the consumer stack needs.
-    Each published :class:`~repro.sources.corpus.CorpusChange` is recorded
-    into every matching subscription's coalesced pending state under one
-    intake lock — held only for that bookkeeping, never while a consumer
-    patches — and per-subscription ``on_event`` hooks (the serving
-    scheduler's wake-up) run after the lock is released, so a slow hook
-    can never block the mutating thread against the intake path.
+    :meth:`repro.sources.corpus.SourceCorpus.invalidation_bus`), and it
+    is the corpus's only change channel: the corpus hands every
+    :class:`~repro.sources.corpus.CorpusChange` to :meth:`_publish`.
+    Each change is recorded into every matching subscription's coalesced
+    pending state under one intake lock — held only for that
+    bookkeeping, never while a consumer patches — and per-subscription
+    ``on_event`` hooks (the journal and wire subscribers, the serving
+    scheduler's wake-up) run after the lock is released, in subscription
+    order, so a slow hook can never block the mutating thread against
+    the intake path.
     """
 
     def __init__(self, corpus: "SourceCorpus") -> None:
@@ -547,7 +546,6 @@ class InvalidationBus:
         self._intake = threading.Lock()
         self._subscriptions: list = []  # weakrefs to BusSubscription
         self._auto_names = 0
-        corpus.subscribe(self._publish)
 
     @property
     def corpus(self) -> Any:

@@ -20,13 +20,10 @@ import hashlib
 import random
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.perf.cache import source_fingerprint
 from repro.sources.models import Source
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (corpus imports models)
-    from repro.sources.corpus import CorpusChange, SourceCorpus
 
 __all__ = [
     "PanelObservation",
@@ -98,7 +95,10 @@ class WebStatsPanel:
     of serving a stale :class:`PanelObservation`.  Entries hold only a
     *weak* reference to the observed source: a dead or different object
     always re-measures, which makes the ``id()`` component of the
-    fingerprint sound without keeping corpora alive.
+    fingerprint sound without keeping corpora alive.  The panel holds no
+    corpus subscription: a consumer that stops observing a source drops
+    its entry with :meth:`invalidate` (the search engine does when it
+    unindexes one).
     """
 
     def __init__(self, seed: int = 0, noise: float = 0.15) -> None:
@@ -139,22 +139,6 @@ class WebStatsPanel:
             self._cache.clear()
         else:
             self._cache.pop(source_id, None)
-
-    def watch(self, corpus: "SourceCorpus") -> None:
-        """Subscribe to ``corpus`` mutations and evict affected observations.
-
-        Eviction on ``remove``/``touch`` events drops stale entries
-        eagerly; the fingerprint revalidation in :meth:`observe` already
-        guarantees correctness without it.  The subscription is *weak*:
-        the corpus never keeps a discarded panel (or the engine holding
-        it) alive, and a dead panel's entry is pruned on the next
-        mutation.  Watching the same corpus twice is a no-op.
-        """
-        corpus.subscribe(self._on_corpus_change, weak=True)
-
-    def _on_corpus_change(self, change: "CorpusChange") -> None:
-        if change.op in ("remove", "touch"):
-            self.invalidate(change.source_id)
 
     # -- to be provided by subclasses -----------------------------------------------
 

@@ -12,7 +12,8 @@ and full-scan forms they must reproduce:
   tests compare the column kernels against these bit for bit;
 * **the seed's assessment loops** — :func:`naive_assess_corpus`,
   :func:`naive_rank` and :func:`naive_assess_contributors`: one crawl per
-  source per call, the corpus-wide aggregates recomputed per source, the
+  source per call (:func:`measurement_context` for a source's Table 1
+  inputs), the corpus-wide aggregates recomputed per source, the
   normaliser refitted and applied per subject, and no memoisation;
 * **the per-user community walk** — :func:`crawl_contributor` and
   :func:`crawl_contributors` walk the whole source once per contributor,
@@ -50,7 +51,7 @@ from repro.core.normalization import (
     ZScoreNormalizer,
 )
 from repro.core.scoring import QualityScore, WeightingScheme
-from repro.core.source_measures import compute_source_measures
+from repro.core.source_measures import SourceMeasurementContext, compute_source_measures
 from repro.core.source_quality import SourceAssessment, SourceQualityModel
 from repro.errors import AssessmentError, SearchError, UnknownUserError
 from repro.search.engine import (
@@ -69,6 +70,7 @@ __all__ = [
     "normalize_value",
     "normalize_many",
     "build_quality_scores",
+    "measurement_context",
     "naive_raw_measures",
     "naive_assess_corpus",
     "naive_rank",
@@ -261,6 +263,24 @@ def build_quality_scores(
 # -- the seed's assessment loops --------------------------------------------------------
 
 
+def measurement_context(
+    model: SourceQualityModel, source: Source, corpus: SourceCorpus
+) -> SourceMeasurementContext:
+    """The measurement context of ``source`` within ``corpus``, built alone.
+
+    One crawl of the source and one scan of the corpus for its largest
+    open-discussion count; the model's batched path shares crawl snapshots
+    and corpus aggregates across the whole corpus instead.
+    """
+    return SourceMeasurementContext(
+        snapshot=model._crawler.crawl_source(source),
+        domain=model._domain,
+        alexa=model._alexa.observe(source),
+        feedburner=model._feedburner.observe(source),
+        corpus_max_open_discussions=corpus.largest_source_open_discussions(),
+    )
+
+
 def naive_raw_measures(
     model: SourceQualityModel, corpus: SourceCorpus
 ) -> dict[str, dict[str, float]]:
@@ -269,7 +289,7 @@ def naive_raw_measures(
         raise AssessmentError("cannot assess an empty corpus")
     vectors: dict[str, dict[str, float]] = {}
     for source in corpus:
-        context = model.measurement_context(source, corpus)
+        context = measurement_context(model, source, corpus)
         vectors[source.source_id] = compute_source_measures(
             context, registry=model.registry
         )

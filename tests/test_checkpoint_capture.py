@@ -575,7 +575,7 @@ def test_a_change_the_journal_has_not_seen_is_captured_whole(tmp_path):
     so the capture re-encodes it, and replay then skips its late record."""
     corpus = _fresh_corpus(6)
     park = _ParkedDelivery()
-    corpus.subscribe(park)  # before the store's bus: ahead of the journal
+    park.subscribe(corpus)  # before the store's subscriber: ahead of the journal
     store = CorpusStore(tmp_path, fsync=True)
     store.attach(corpus)
     store.checkpoint()

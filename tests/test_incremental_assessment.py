@@ -373,7 +373,6 @@ class TestO1Staleness:
             raise AssertionError("O(n) staleness probe ran on the hot path")
 
         monkeypatch.setattr(corpus, "content_fingerprint", boom)
-        monkeypatch.setattr(corpus, "content_probe", boom)
 
     def test_source_model_read_is_flag_only_when_clean(self, travel_domain, monkeypatch):
         corpus = _fresh_corpus(6)

@@ -105,8 +105,7 @@ class TestCorpusVersioning:
     def test_subscribers_receive_ordered_changes(self):
         corpus = _fresh_corpus(3)
         events: list[CorpusChange] = []
-        corpus.subscribe(events.append)
-        corpus.subscribe(events.append)  # duplicate subscribe is a no-op
+        subscription = corpus.invalidation_bus().subscribe(on_event=events.append)
         extra = _extra_source()
         corpus.add(extra)
         corpus.touch(extra.source_id)
@@ -117,15 +116,16 @@ class TestCorpusVersioning:
             ("remove", "extra-src"),
         ]
         assert [e.version for e in events] == sorted(e.version for e in events)
-        corpus.unsubscribe(events.append)
+        subscription.close()
         corpus.add(_extra_source("other"))
         assert len(events) == 3
 
     def test_epoch_changes_on_touch_even_with_identical_counts(self):
         corpus = _fresh_corpus(3)
-        before = corpus.epoch()
+        version, fingerprint = corpus.version, corpus.content_fingerprint()
         corpus.touch(corpus.source_ids()[0])
-        assert corpus.epoch() != before
+        assert corpus.version != version
+        assert corpus.content_fingerprint() != fingerprint
 
     def test_weak_subscribers_do_not_pin_discarded_engines(self):
         """Rebuilding engines over a long-lived corpus must not leak
@@ -141,11 +141,9 @@ class TestCorpusVersioning:
         del engine
         gc.collect()
         assert all(ref() is None for ref in refs)
-        corpus.touch(corpus.source_ids()[0])  # prunes dead weak listeners
-        # The corpus keeps exactly one listener: its shared invalidation
-        # bus.  The discarded engines' bus subscriptions (weakly held by
-        # the bus) and the panels' weak corpus subscriptions are gone.
-        assert len(corpus._listeners) == 1
+        corpus.touch(corpus.source_ids()[0])
+        # The discarded engines' bus subscriptions (weakly held by the
+        # bus) are gone.
         assert corpus.invalidation_bus().subscription_count() == 0
 
 
@@ -195,13 +193,14 @@ class TestPanelObservationEpochs:
         fresh = panel.observe(source)
         assert fresh.daily_visitors != stale.daily_visitors
 
-    def test_watch_evicts_on_remove(self):
+    def test_refresh_evicts_on_remove(self):
         corpus = _fresh_corpus(4)
         panel = AlexaLikeService()
-        panel.watch(corpus)
+        engine = SearchEngine(corpus, panel=panel)
         source_id = corpus.source_ids()[0]
-        panel.observe(corpus.get(source_id))
+        assert source_id in panel._cache
         corpus.remove(source_id)
+        engine.refresh()
         assert source_id not in panel._cache
 
 

@@ -1111,7 +1111,7 @@ class TestPerSourceVersions:
     def test_a_tombstone_lasts_while_a_change_is_undelivered(self):
         corpus = make_corpus(count=4)
         park = _ParkedDelivery()
-        corpus.subscribe(park)
+        park.subscribe(corpus)
         victim = corpus.source_ids()[1]
         before = corpus.version
         park.run(corpus.touch, corpus.source_ids()[0])

@@ -287,7 +287,6 @@ class TestSchedulerModes:
                 raise AssertionError("O(n) staleness probe ran on the hot path")
 
             monkeypatch.setattr(corpus, "content_fingerprint", boom)
-            monkeypatch.setattr(corpus, "content_probe", boom)
             assert model.assessment_context(corpus) is patched
 
 

@@ -60,6 +60,7 @@ from repro.sharding.columns import (
     merge_sorted_columns,
 )
 from repro.sharding.wire import MAX_PAYLOAD_BYTES, WIRE_BINARY_MAGIC
+from repro.sharding.worker import ShardWorker
 from repro.sources.corpus import SourceCorpus
 from repro.sources.generators import (
     CorpusGenerator,
@@ -777,17 +778,20 @@ class TestCoordinatorSemantics:
 
 
 class _ParkedDelivery:
-    """Corpus listener that parks ``thread``'s first delivery until released.
+    """Bus hook that parks ``thread``'s first delivery until released.
 
-    Subscribed before the coordinator exists, it runs ahead of the bus —
-    hence ahead of the wire bridge — so a change committed later on
-    another thread reaches the shards first.
+    The bus runs hooks in subscription order: subscribed before the
+    coordinator exists, it runs ahead of the wire bridge, so a change
+    committed later on another thread reaches the shards first.
     """
 
     def __init__(self) -> None:
         self.thread: threading.Thread | None = None
         self.parked = threading.Event()
         self.released = threading.Event()
+
+    def subscribe(self, corpus: SourceCorpus) -> None:
+        self.subscription = corpus.invalidation_bus().subscribe("park", on_event=self)
 
     def __call__(self, change) -> None:
         if threading.current_thread() is self.thread and not self.parked.is_set():
@@ -850,7 +854,7 @@ class TestDeltaReplication:
     ):
         corpus = _fresh_corpus(8)
         park = _ParkedDelivery()
-        corpus.subscribe(park)
+        park.subscribe(corpus)
         coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
         source = _extra_source("late-add", seed=71)
         park.run(corpus.add, source)
@@ -866,7 +870,7 @@ class TestDeltaReplication:
     ):
         corpus = _fresh_corpus(8)
         park = _ParkedDelivery()
-        corpus.subscribe(park)
+        park.subscribe(corpus)
         coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
         source = corpus.sources()[3]
         park.run(_grow, source, "travel food first grow")
@@ -918,7 +922,7 @@ class TestPerSourceVersions:
         # corpus-wide version would drop it.
         corpus = _fresh_corpus(8)
         park = _ParkedDelivery()
-        corpus.subscribe(park)
+        park.subscribe(corpus)
         coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
         first, second = _same_shard_pair(corpus, 2)
         park.run(_reword, corpus, first)
@@ -961,7 +965,7 @@ class TestPerSourceVersions:
         corpus = _fresh_corpus(8)
         coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
         park = _ParkedDelivery()
-        corpus.subscribe(park)  # after the wire bridge: the record is routed
+        park.subscribe(corpus)  # after the wire bridge: the record is routed
         victim = corpus.source_ids()[2]
         shard = partition_shard(victim, 2)
         park.run(_reword, corpus, victim)
@@ -1594,6 +1598,63 @@ class TestWorkerCollector:
                 coordinator.close()
             del coordinator, corpus
             assert served() is None
+
+
+class TestEagerWorker:
+    @pytest.mark.parametrize("eager", [True, False])
+    def test_the_shard_bus_feeds_only_the_journal_engine_and_model(
+        self, travel_domain, tmp_path, eager
+    ):
+        """An eager worker's dispatch loop patches its engine and runs its
+        due checkpoints itself, so its corpus bus holds the same three
+        subscriptions a lazy worker's does; a lazy worker leaves both to
+        its next read and checkpoint request."""
+        corpus = _fresh_corpus(6)
+        left, right = socket.socketpair()
+        worker = ShardWorker(WireConnection(right))
+
+        def request(kind: str, binary: bytes = b"", **fields) -> dict:
+            reply, _ = worker._dispatch({"kind": kind, "_binary": binary, **fields})
+            assert reply["ok"], reply
+            return reply["result"]
+
+        def adds(numbered) -> bytes:
+            return b"".join(
+                pack_record(encode_record({
+                    "version": version,
+                    "op": "add",
+                    "source_id": source.source_id,
+                    "source": source.to_dict(),
+                }))
+                for version, source in numbered
+            )
+
+        def subscriptions() -> list[str]:
+            live = (ref() for ref in worker._corpus.invalidation_bus()._subscriptions)
+            return sorted(subscription.name for subscription in live if subscription)
+
+        try:
+            request("configure", shard_index=0, shard_count=1, store_dir=str(tmp_path),
+                    fsync=False, eager=eager, checkpoint_every=2,
+                    domain=travel_domain.to_dict())
+            versions = corpus.version_map()["sources"]
+            request("resync", adds((versions[source.source_id], source) for source in corpus),
+                    removed={}, version=corpus.version, watermark=corpus.version_floor)
+            request("search_stats", terms=["travel"])
+            request("rank_fit", max_open=corpus.largest_source_open_discussions())
+            assert subscriptions() == ["durable-journal", "search-engine", "source-model"]
+            store, engine = worker._store, worker._engine
+            assert store.checkpoints_written == (1 if eager else 0)
+            request("apply", adds([
+                (corpus.version + 1, _extra_source("eager-1", seed=81)),
+                (corpus.version + 2, _extra_source("eager-2", seed=82)),
+            ]))
+            assert engine.counters.get("incremental_refreshes") == (1 if eager else 0)
+            assert store.checkpoints_written == (2 if eager else 0)
+            assert subscriptions() == ["durable-journal", "search-engine", "source-model"]
+        finally:
+            worker.close()
+            left.close()
 
 
 # -- stress matrix (make shard-stress) -------------------------------------------------

@@ -191,7 +191,7 @@ def test_an_edit_a_checkpoint_captured_then_reverted_still_ships(tmp_path):
 def test_a_touch_delivered_out_of_order_ships_whole(coordinator_factory, travel_domain):
     corpus = _fresh_corpus(8)
     park = _ParkedDelivery()
-    corpus.subscribe(park)  # before the coordinator: ahead of the wire bridge
+    park.subscribe(corpus)  # before the coordinator: ahead of the wire bridge
     coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
     source_id = corpus.source_ids()[3]
     shard = partition_shard(source_id, 2)
