@@ -231,10 +231,10 @@ class BenchmarkNormalizer(Normalizer):
     therefore computed on a ``log1p`` scale.
 
     The fit reads ``np.sort(values)`` only, so it depends on the sorted
-    multiset, never the input order: fitting on per-shard sorted columns
-    merged in any order reproduces the corpus-order fit exactly.  That is
-    the basis of the sharded rank pre-merge (see
-    :meth:`~repro.core.source_quality.SourceQualityModel.shard_sorted_fit_columns`).
+    multiset, never the input order: fitting on per-shard columns
+    concatenated in any order reproduces the corpus-order fit exactly.
+    Both sharded rank protocols rest on that (see
+    :meth:`~repro.core.source_quality.SourceQualityModel.rank_from_columns`).
     """
 
     def __init__(

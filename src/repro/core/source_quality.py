@@ -83,7 +83,6 @@ from repro.core.columnar import (
     freeze,
     vectors_from_columns,
 )
-from repro.core.dimensions import QualityAttribute, QualityDimension
 from repro.core.domain import DomainOfInterest
 from repro.core.measures import MeasureRegistry, source_measure_registry
 from repro.core.normalization import BenchmarkNormalizer, Normalizer
@@ -536,6 +535,8 @@ class SourceQualityModel:
         for source_id in diff.removed:
             snapshots.pop(source_id, None)
             vectors.pop(source_id, None)
+            self._alexa.invalidate(source_id)
+            self._feedburner.invalidate(source_id)
         recrawl_ids = diff.touched
         if recrawl_ids:
             snapshots.update(
@@ -1124,41 +1125,61 @@ class SourceQualityModel:
         subject_ids: "tuple[str, ...]",
         raw_columns: Mapping[str, np.ndarray],
     ) -> list[tuple[str, QualityScore]]:
-        """Normalise, score and rank a merged raw-measure column set.
+        """Normalise, score and rank a pooled raw-measure column set.
 
         Phase 3 of a sharded assessment, run on the coordinator over the
-        gathered per-shard ``float64`` columns (:meth:`shard_measure_columns`,
-        assembled in the coordinator corpus's insertion order).  The
-        pipeline is operation-for-operation the single-process
-        :meth:`_patch_context` tail without a previous context — finiteness
-        check, normaliser fit on the matrix itself, scoring, lexsorted rank
-        keys — so the returned ranking is bit-identical to a single-process
-        :meth:`rank` over the same corpus content.  Returns
-        ``(source_id, score)`` pairs in ranking order.
+        per-shard ``float64`` columns (:meth:`shard_measure_columns`)
+        concatenated in shard order, which nothing downstream reads: the
+        default :class:`~repro.core.normalization.BenchmarkNormalizer`
+        fit sorts each column, and :meth:`_rank_cut` scores per row and
+        sorts by ``(-overall, source_id)``.  So the returned
+        ``(source_id, score)`` pairs are bit-identical to a
+        single-process :meth:`rank` over the same corpus content.
         """
         if not len(subject_ids):
             raise AssessmentError("cannot assess an empty corpus")
-        names, _ = self._registry.column_layout()
-        measures = tuple(name for name in names if name in raw_columns)
         ensure_finite_columns(raw_columns)
         with ordered(self._refresh_mutex, "consumer.gate"):
             self._fit_normalizer_columns(raw_columns)
             normalized = self._normalizer.normalize_columns(raw_columns)
+        cut = self._rank_cut(subject_ids, raw_columns, normalized)
+        scores = scores_from_columns(*cut, self._scheme.name)
+        return [(source_id, scores[source_id]) for source_id in cut[0]]
+
+    def _rank_cut(
+        self,
+        subject_ids: "tuple[str, ...]",
+        raw_columns: Mapping[str, np.ndarray],
+        normalized: Mapping[str, np.ndarray],
+        limit: Optional[int] = None,
+    ) -> tuple:
+        """Score normalised rows, sort them by ``(-overall, source_id)``, keep ``limit``.
+
+        The one score-and-rank tail of the sharded rank phases (``limit``
+        None keeps every row).  Scoring is per-row arithmetic that reads
+        no fit, so the kept rows and floats do not depend on how the rows
+        were pooled.  Returns the kept rows in rank order as the leading
+        arguments of :func:`~repro.core.scoring.scores_from_columns`.
+        """
+        names, _ = self._registry.column_layout()
+        measures = tuple(name for name in names if name in normalized)
         overall, dimension_scores, attribute_scores = build_quality_score_columns(
             subject_ids, measures, normalized, self._registry, self._scheme
         )
-        rank = SortedRankKeys.from_scores(overall, subject_ids)
-        scores = scores_from_columns(
-            subject_ids,
+        chosen = SortedRankKeys.from_scores(overall, subject_ids).order()
+        if limit is not None:
+            chosen = chosen[: max(0, limit)]
+        index = {source_id: row for row, source_id in enumerate(subject_ids)}
+        rows = np.asarray([index[source_id] for source_id in chosen], dtype=np.intp)
+        return (
+            chosen,
             measures,
-            raw_columns,
-            normalized,
-            overall,
-            dimension_scores,
-            attribute_scores,
-            self._scheme.name,
+            {name: freeze(raw_columns[name][rows]) for name in measures},
+            {name: freeze(normalized[name][rows]) for name in measures},
+            freeze(overall[rows]),
+            {key: freeze(column[rows]) for key, column in dimension_scores.items()},
+            {key: freeze(column[rows]) for key, column in attribute_scores.items()},
         )
-        return [(source_id, scores[source_id]) for source_id in rank.order()]
 
     # -- worker-side pre-merge phases (repro.sharding, binary wire path) ------------
 
@@ -1166,9 +1187,6 @@ class SourceQualityModel:
     #: :meth:`shard_rank_candidates` / :meth:`merge_rank_candidates`).
     _RAW_PREFIX = "raw:"
     _NORM_PREFIX = "norm:"
-    _DIM_PREFIX = "dim:"
-    _ATTR_PREFIX = "attr:"
-    _OVERALL_KEY = "overall"
 
     def shard_measure_columns(
         self, corpus: SourceCorpus, *, corpus_max_open_discussions: int
@@ -1180,7 +1198,7 @@ class SourceQualityModel:
         normalise against the corpus-wide open-discussion maximum, which
         the coordinator gathers in phase 1 and injects here.  Everything
         downstream of the raw columns — normaliser fit, scoring, ranking —
-        is *global* arithmetic over the merged matrix and runs on the
+        is *global* arithmetic over the pooled matrix and runs on the
         coordinator (:meth:`rank_from_columns`) or, pre-merged, on the
         workers under a broadcast fit (:meth:`shard_rank_candidates`).
 
@@ -1208,10 +1226,10 @@ class SourceQualityModel:
     ) -> "tuple[int, dict[str, np.ndarray]]":
         """Per-measure *sorted* columns of this shard, for the pre-merge fit.
 
-        Sorting moves values without changing them, and sorting the
-        concatenation of per-shard sorted columns equals sorting the full
-        column — all the benchmark normaliser's fit ever reads.  Returns
-        the row count plus the sorted columns.
+        The benchmark normaliser's fit reads only each measure's sorted
+        values and sorts its input itself, so the coordinator fits on the
+        shards' columns simply concatenated (:meth:`premerge_fit_state`).
+        Returns the row count plus the sorted columns.
         """
         subject_ids, _, columns = self.shard_measure_columns(
             corpus, corpus_max_open_discussions=corpus_max_open_discussions
@@ -1223,14 +1241,16 @@ class SourceQualityModel:
     def premerge_fit_state(
         self, sorted_columns: Mapping[str, np.ndarray]
     ) -> dict:
-        """Fit the normaliser on merged sorted columns; return its fit state.
+        """Fit the normaliser on pooled shard fit columns; return its fit state.
 
-        Coordinator side of the pre-merge: the merged sorted columns hold
-        exactly the multiset the full-matrix fit would see, and the
-        default :class:`~repro.core.normalization.BenchmarkNormalizer`
-        fit reads only that sorted multiset, so the resulting state is
-        bit-identical to fitting on the assembled corpus-order matrix.
-        The returned state is broadcast to the workers for
+        Coordinator side of the pre-merge: ``sorted_columns`` are the
+        shards' fit columns (:meth:`shard_sorted_fit_columns`) concatenated
+        in any order, which hold exactly the multiset of every measure's
+        values; the default
+        :class:`~repro.core.normalization.BenchmarkNormalizer` fit sorts
+        that multiset and reads nothing else, so the resulting state is
+        bit-identical to a fit on the whole corpus's columns.  The
+        returned state is broadcast to the workers for
         :meth:`shard_rank_candidates`, whose ``load_fit_state`` rejects a
         foreign strategy with :class:`~repro.errors.NormalizationError`.
         """
@@ -1254,14 +1274,14 @@ class SourceQualityModel:
         Worker side of the pre-merge: adopts the coordinator's fit state,
         normalises and scores only the shard's rows (both are elementwise
         per row, so every row equals the same row of a global pass bit
-        for bit), ranks locally and returns the top ``limit`` rows as a
-        flat candidate block — ``raw:*`` / ``norm:*`` measure columns,
-        ``dim:*`` / ``attr:*`` score columns and ``overall``.  Any global
-        top-``limit`` source is inside its own shard's top ``limit``, so
-        the union of shard candidate blocks always covers the global
-        answer.
+        for bit), ranks them with :meth:`_rank_cut` and returns the top
+        ``limit`` rows as a flat candidate block of ``raw:<measure>`` and
+        ``norm:<measure>`` columns; the merge re-derives the scores from
+        the normalised rows.  Any global top-``limit`` source is inside
+        its own shard's top ``limit``, so the union of shard candidate
+        blocks always covers the global answer.
         """
-        subject_ids, measures, raw_columns = self.shard_measure_columns(
+        subject_ids, _, raw_columns = self.shard_measure_columns(
             corpus, corpus_max_open_discussions=corpus_max_open_discussions
         )
         if not subject_ids:
@@ -1271,23 +1291,14 @@ class SourceQualityModel:
             self._normalizer.load_fit_state(fit_state)
             self.counters.increment("premerge_fit_loads")
             normalized = self._normalizer.normalize_columns(raw_columns)
-        overall, dimension_scores, attribute_scores = build_quality_score_columns(
-            subject_ids, measures, normalized, self._registry, self._scheme
+        chosen, measures, raw, normalized, *_ = self._rank_cut(
+            subject_ids, raw_columns, normalized, limit
         )
-        rank = SortedRankKeys.from_scores(overall, subject_ids)
-        chosen = rank.order()[: max(0, int(limit))]
-        index = {source_id: row for row, source_id in enumerate(subject_ids)}
-        rows = np.asarray([index[source_id] for source_id in chosen], dtype=np.intp)
         block: "dict[str, np.ndarray]" = {}
         for name in measures:
-            block[self._RAW_PREFIX + name] = freeze(raw_columns[name][rows])
-            block[self._NORM_PREFIX + name] = freeze(normalized[name][rows])
-        block[self._OVERALL_KEY] = freeze(overall[rows])
-        for dimension, column in dimension_scores.items():
-            block[self._DIM_PREFIX + dimension.value] = freeze(column[rows])
-        for attribute, column in attribute_scores.items():
-            block[self._ATTR_PREFIX + attribute.value] = freeze(column[rows])
-        return tuple(chosen), block
+            block[self._RAW_PREFIX + name] = raw[name]
+            block[self._NORM_PREFIX + name] = normalized[name]
+        return chosen, block
 
     def merge_rank_candidates(
         self,
@@ -1298,48 +1309,20 @@ class SourceQualityModel:
         """Rank pooled per-shard candidate blocks; return the global top.
 
         Coordinator side of the pre-merge: shards partition the corpus,
-        so the pooled candidates are distinct rows scored under one
-        shared fit; re-sorting them with the same lexsorted keys the
-        single-process path uses makes the top ``limit`` prefix — order
-        and every score — bit-identical to ``rank()[:limit]`` over the
-        full corpus.
+        so the pooled candidates are distinct rows normalised under one
+        shared fit.  :meth:`_rank_cut` scores them again (reading no fit,
+        so a concurrent :meth:`rank_from_columns` refit cannot disturb
+        it) and keeps the top ``limit``: order and every score are
+        bit-identical to ``rank()[:limit]`` over the full corpus.
         """
         if not candidate_ids:
             raise AssessmentError("cannot assess an empty corpus")
-        names, _ = self._registry.column_layout()
-        measures = tuple(
-            name for name in names if self._RAW_PREFIX + name in candidate_columns
-        )
-        overall = candidate_columns[self._OVERALL_KEY]
-        rank = SortedRankKeys.from_scores(overall, candidate_ids)
-        chosen = rank.order()[: max(0, int(limit))]
-        index = {source_id: row for row, source_id in enumerate(candidate_ids)}
-        rows = np.asarray([index[source_id] for source_id in chosen], dtype=np.intp)
-        raw = {
-            name: candidate_columns[self._RAW_PREFIX + name][rows] for name in measures
-        }
-        normalized = {
-            name: candidate_columns[self._NORM_PREFIX + name][rows]
-            for name in measures
-        }
-        dimension_scores = {
-            QualityDimension(key[len(self._DIM_PREFIX) :]): column[rows]
-            for key, column in candidate_columns.items()
-            if key.startswith(self._DIM_PREFIX)
-        }
-        attribute_scores = {
-            QualityAttribute(key[len(self._ATTR_PREFIX) :]): column[rows]
-            for key, column in candidate_columns.items()
-            if key.startswith(self._ATTR_PREFIX)
-        }
-        scores = scores_from_columns(
-            tuple(chosen),
-            measures,
-            raw,
-            normalized,
-            overall[rows],
-            dimension_scores,
-            attribute_scores,
-            self._scheme.name,
-        )
-        return [(source_id, scores[source_id]) for source_id in chosen]
+        raw, normalized = {}, {}
+        for key, column in candidate_columns.items():
+            if key.startswith(self._RAW_PREFIX):
+                raw[key[len(self._RAW_PREFIX) :]] = column
+            elif key.startswith(self._NORM_PREFIX):
+                normalized[key[len(self._NORM_PREFIX) :]] = column
+        cut = self._rank_cut(candidate_ids, raw, normalized, limit)
+        scores = scores_from_columns(*cut, self._scheme.name)
+        return [(source_id, scores[source_id]) for source_id in cut[0]]

@@ -2,21 +2,23 @@
 
 Bridges :func:`repro.persistence.codec.encode_column_block` payloads and
 the columnar assessment kernels: workers encode their per-shard measure
-matrices (and pre-merge candidate slices) as raw ``float64`` buffers, and
-the coordinator turns the blobs straight back into numpy columns with
-``np.frombuffer`` — a memcpy-free reinterpretation of the exact IEEE-754
-bytes the worker held, so the sharded rank path is bit-identical to the
-single-process build *by construction*, not by rounding luck.
+matrices, sorted fit columns and pre-merge candidate slices as raw
+``float64`` buffers, and the coordinator turns the blobs straight back
+into numpy columns with ``np.frombuffer`` — a memcpy-free
+reinterpretation of the exact IEEE-754 bytes the worker held — and pools
+every rank phase's shard blocks with one concatenation.  So the sharded
+rank path is bit-identical to the single-process build *by
+construction*, not by rounding luck.
 
 This is a float kernel file: every numpy operation must be
 value-preserving (see ``repro/analysis/floats.py``).  The operations used
-here — ``frombuffer``, ``sort``, ``concatenate``, scatter/gather
-indexing — move or reorder values without arithmetic.
+here — ``frombuffer`` and ``concatenate`` — move values without
+arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,13 +26,7 @@ from repro.core.columnar import freeze
 from repro.errors import ShardingError
 from repro.persistence.codec import decode_column_block, encode_column_block
 
-__all__ = [
-    "encode_columns",
-    "decode_columns",
-    "assemble_columns",
-    "merge_sorted_columns",
-    "concat_columns",
-]
+__all__ = ["encode_columns", "decode_columns", "concat_columns"]
 
 
 def encode_columns(ids: Sequence[str], columns: Mapping[str, np.ndarray]) -> bytes:
@@ -53,112 +49,25 @@ def decode_columns(blob: bytes) -> "tuple[list[str], dict[str, np.ndarray]]":
     return ids, columns
 
 
-def assemble_columns(
-    order: Sequence[str],
-    blocks: "Iterable[tuple[Sequence[str], Mapping[str, np.ndarray]]]",
-    *,
-    strict: bool = True,
-) -> "tuple[tuple[str, ...], dict[str, np.ndarray]]":
-    """Scatter per-shard column blocks into global columns in ``order``.
-
-    ``order`` is the coordinator corpus's canonical source order; each
-    block contributes its rows at the positions its ids occupy there, so
-    the assembled matrix equals the one a single process would have built
-    row for row.  With ``strict`` every id in ``order`` must be covered
-    (a gap raises :class:`ShardingError`); degraded reads pass
-    ``strict=False`` and get the covered subset, still in ``order``.
-    """
-    position = {source_id: row for row, source_id in enumerate(order)}
-    total = len(order)
-    assembled: "dict[str, np.ndarray]" = {}
-    covered = np.zeros(total, dtype=bool)
-    names: "Optional[list[str]]" = None
-    for shard_ids, shard_columns in blocks:
-        if not shard_ids:  # an empty shard contributes nothing (and no names)
-            continue
-        if names is None:
-            names = list(shard_columns)
-        elif list(shard_columns) != names:
-            raise ShardingError(
-                "shards disagree on measure columns: "
-                f"{names!r} vs {list(shard_columns)!r}"
-            )
-        rows = []
-        for source_id in shard_ids:
-            row = position.get(source_id)
-            if row is None:
-                raise ShardingError(
-                    f"shard reported measures for unknown source {source_id!r}"
-                )
-            rows.append(row)
-        destination = np.asarray(rows, dtype=np.intp)
-        covered[destination] = True
-        for name in names:
-            target = assembled.get(name)
-            if target is None:
-                target = np.empty(total, dtype=np.float64)
-                assembled[name] = target
-            target[destination] = shard_columns[name]
-    missing = np.nonzero(~covered)[0]
-    if missing.size:
-        if strict:
-            raise ShardingError(
-                f"shard replies did not report measures for source {order[int(missing[0])]!r}"
-            )
-        keep = np.nonzero(covered)[0]
-        subject_ids = tuple(order[int(row)] for row in keep)
-        columns = {name: freeze(column[keep]) for name, column in assembled.items()}
-        return subject_ids, columns
-    if names is None:
-        return tuple(order), {}
-    return tuple(order), {name: freeze(column) for name, column in assembled.items()}
-
-
-def merge_sorted_columns(
-    blocks: "Iterable[Mapping[str, np.ndarray]]",
-) -> "dict[str, np.ndarray]":
-    """Merge per-shard *sorted* columns into globally sorted columns.
-
-    ``np.sort`` over the concatenation of pre-sorted shard columns yields
-    exactly ``np.sort`` of the full column (sorting moves values, never
-    changes them), which is all an order-invariant normalizer fit reads.
-    """
-    pooled: "dict[str, list[np.ndarray]]" = {}
-    names: "Optional[list[str]]" = None
-    for columns in blocks:
-        if not columns:  # an empty shard ships no fit columns
-            continue
-        if names is None:
-            names = list(columns)
-        elif list(columns) != names:
-            raise ShardingError(
-                f"shards disagree on fit columns: {names!r} vs {list(columns)!r}"
-            )
-        for name in names:
-            pooled.setdefault(name, []).append(columns[name])
-    return {
-        name: freeze(np.sort(np.concatenate(parts)))
-        for name, parts in pooled.items()
-    }
-
-
 def concat_columns(
-    blocks: "Sequence[tuple[Sequence[str], Mapping[str, np.ndarray]]]",
+    blocks: "Iterable[tuple[Sequence[str], Mapping[str, np.ndarray]]]",
 ) -> "tuple[tuple[str, ...], dict[str, np.ndarray]]":
-    """Concatenate candidate blocks (ids + columns) across shards.
+    """Pool per-shard column blocks (ids + columns) by concatenation.
 
-    Shards partition the corpus, so the concatenation is a plain union;
-    callers re-rank the pooled candidates with the same sort the
-    single-process path uses.
+    Shards partition the corpus, so the concatenation is a plain union in
+    shard order, and no reader of the pooled rows depends on that order:
+    the rank tail sorts rows by ``(-overall, source_id)`` and the
+    benchmark fit sorts each column itself.  Fit blocks carry no ids; a
+    block without columns (an empty shard's) contributes nothing.
     """
-    parts = [block for block in blocks if len(block[0])]
+    parts = [block for block in blocks if block[1]]
     if not parts:
         return (), {}
     names = list(parts[0][1])
     for _, columns in parts[1:]:
         if list(columns) != names:
             raise ShardingError(
-                f"shards disagree on candidate columns: {names!r} vs {list(columns)!r}"
+                f"shards disagree on columns: {names!r} vs {list(columns)!r}"
             )
     ids = tuple(source_id for block_ids, _ in parts for source_id in block_ids)
     columns = {

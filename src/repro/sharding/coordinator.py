@@ -28,15 +28,21 @@ build at quiesce:
   partition the candidate set, so merging per-shard top-k loses nothing.
 * ``rank()`` gathers the global open-discussion maximum, collects raw
   measure *columns* per shard over the binary wire (raw ``float64``
-  bytes, no JSON decode), reassembles them in the coordinator corpus's
-  insertion order and runs the model's global tail
+  bytes, no JSON decode), concatenates them and runs the model's global
+  tail
   (:meth:`~repro.core.source_quality.SourceQualityModel.rank_from_columns`)
   locally.
-* ``rank_top(limit)`` goes further: workers pre-sort their fit columns,
-  the coordinator merges them and broadcasts the fitted normaliser
-  state, and workers score their own rows and return only their top
-  candidates — coordinator bytes and merge input shrink from O(corpus)
-  toward O(k·shards) (see the model's ``shard_*`` pre-merge phases).
+* ``rank_top(limit)`` goes further: the coordinator fits the normaliser
+  on the workers' concatenated fit columns and broadcasts its state, and
+  workers score their own rows and return only the raw and normalised
+  columns of their top candidates — coordinator bytes and merge input
+  shrink from O(corpus) toward O(k·shards) (see the model's ``shard_*``
+  pre-merge phases).
+
+Both protocols pool shard blocks by concatenation and end in the
+model's one score-rank-cut kernel; nothing downstream reads the pooled
+row order (the fit sorts each column, scores are per row, and rows rank
+by ``(-overall, source_id)``).
 
 The coordinator's serial fraction is deliberately small: scatter
 replies are gathered by per-shard threads (a slow shard overlaps with
@@ -98,12 +104,7 @@ from repro.search.engine import (
     tokenize,
 )
 from repro.serving.rwlock import ordered
-from repro.sharding.columns import (
-    assemble_columns,
-    concat_columns,
-    decode_columns,
-    merge_sorted_columns,
-)
+from repro.sharding.columns import concat_columns, decode_columns
 from repro.sharding.partition import partition_shard
 from repro.sharding.wire import (
     DEFAULT_TIMEOUT_SECONDS,
@@ -760,8 +761,9 @@ class ShardCoordinator:
 
         Gathers raw measure *columns* as binary ``float64`` payloads
         (``rank_measure_cols``) — the worker's IEEE-754 bytes travel
-        verbatim — reassembles them in coordinator corpus order and runs
-        the columnar global tail.
+        verbatim — concatenates them and runs the columnar global tail.
+        A strict read first checks that the pooled rows name exactly the
+        corpus's sources (:class:`ShardingError` otherwise).
         """
         if self._model is None:
             raise ShardingError("coordinator was built without a domain")
@@ -774,10 +776,15 @@ class ShardCoordinator:
             allow_degraded=allow_degraded,
             only=set(stats),
         )
-        blocks = [decode_columns(result["_binary"]) for result in gathered.values()]
-        subject_ids, raw_columns = assemble_columns(
-            list(self._corpus.source_ids()), blocks, strict=not allow_degraded
+        subject_ids, raw_columns = concat_columns(
+            decode_columns(result["_binary"]) for result in gathered.values()
         )
+        if not allow_degraded and sorted(subject_ids) != sorted(
+            self._corpus.source_ids()
+        ):
+            raise ShardingError(
+                "shard replies do not report exactly the corpus's sources"
+            )
         return self._model.rank_from_columns(subject_ids, raw_columns)
 
     def rank_top(
@@ -785,10 +792,11 @@ class ShardCoordinator:
     ) -> list[tuple[str, QualityScore]]:
         """The top ``limit`` of :meth:`rank` via worker-side pre-merge.
 
-        Workers pre-sort their fit columns; the coordinator merges them,
-        fits the normaliser once (cached per corpus version) and
+        The coordinator fits the normaliser once on the workers'
+        concatenated fit columns (cached per corpus version) and
         broadcasts its fit state; each worker then scores only its own
-        rows and returns its top ``limit`` candidate columns.  Bytes over
+        rows and returns the raw and normalised columns of its top
+        ``limit``, from which the merge re-derives the scores.  Bytes over
         the wire and coordinator merge input shrink from O(corpus) to
         O(limit · shards), and the result — order and every float — is
         bit-identical to ``rank()[:limit]``: shards partition the corpus,
@@ -797,7 +805,7 @@ class ShardCoordinator:
         The coordinator and every worker build the default
         :class:`~repro.core.normalization.BenchmarkNormalizer`, whose fit
         reads only each measure's sorted multiset — so fitting on the
-        merged sorted columns equals fitting on the corpus-order matrix.
+        concatenated shard columns equals fitting on the whole corpus.
         """
         if self._model is None:
             raise ShardingError("coordinator was built without a domain")
@@ -816,10 +824,9 @@ class ShardCoordinator:
             allow_degraded=allow_degraded,
             only=reached,
         )
-        blocks = [
+        candidate_ids, candidate_columns = concat_columns(
             decode_columns(result["_binary"]) for result in candidates.values()
-        ]
-        candidate_ids, candidate_columns = concat_columns(blocks)
+        )
         return self._model.merge_rank_candidates(
             candidate_ids, candidate_columns, limit
         )
@@ -827,7 +834,7 @@ class ShardCoordinator:
     def _premerge_fit(
         self, max_open: int, reached: set[int], *, allow_degraded: bool
     ) -> dict:
-        """Gather per-shard sorted fit columns and fit the normaliser once.
+        """Gather the shards' fit columns and fit the normaliser once on them.
 
         The fit is cached per ``(corpus version, global max_open, reached
         shard set)``: repeated ``rank_top`` reads over an unchanged
@@ -844,13 +851,12 @@ class ShardCoordinator:
             allow_degraded=allow_degraded,
             only=reached,
         )
-        total_rows = sum(int(result["count"]) for result in gathered.values())
-        if total_rows == 0:
-            raise AssessmentError("cannot assess an empty corpus")
-        sorted_columns = merge_sorted_columns(
-            decode_columns(result["_binary"])[1] for result in gathered.values()
+        _, fit_columns = concat_columns(
+            decode_columns(result["_binary"]) for result in gathered.values()
         )
-        fit_state = self._model.premerge_fit_state(sorted_columns)
+        if not fit_columns:
+            raise AssessmentError("cannot assess an empty corpus")
+        fit_state = self._model.premerge_fit_state(fit_columns)
         self._fit_cache = (key, fit_state)
         return fit_state
 
@@ -957,7 +963,8 @@ class ShardCoordinator:
         failing at the wire level is marked down; in strict mode (the
         default) any down shard aborts the read with
         :class:`ShardUnavailableError` carrying *every* down index,
-        while degraded mode returns the live subset.  A worker-side
+        while degraded mode returns the live subset — unless no shard
+        answered, which raises the same way.  A worker-side
         typed error re-raises locally (lowest shard index wins when
         several fail).  ``only`` restricts a follow-up phase to the
         shards that answered the previous one.
@@ -1006,7 +1013,7 @@ class ShardCoordinator:
                 failures[index] = value
         if failures:
             raise failures[min(failures)]
-        if down and not allow_degraded:
+        if down and (not allow_degraded or not results):
             down.sort()
             raise ShardUnavailableError(down[0], shard_indices=tuple(down))
         return results

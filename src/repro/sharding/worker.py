@@ -51,8 +51,11 @@ keys.
 Read requests implement the worker-side phases of the scatter-gather
 protocols (``shard_term_stats`` / ``shard_score`` / ``shard_select`` on
 the engine, ``largest_source_open_discussions`` / ``shard_measure_columns``
-and the ``shard_*`` pre-merge phases on the model); the coordinator merges
-them into results bit-identical to a single-process build — see
+and the ``shard_*`` pre-merge phases on the model).  The ``rank_*``
+phases reply with binary column blocks — raw columns, sorted fit
+columns, and for ``rank_score`` only the raw and normalised columns of
+the shard's top rows — which the coordinator pools by concatenation and
+merges into results bit-identical to a single-process build — see
 ``docs/ARCHITECTURE.md``.
 """
 
@@ -407,7 +410,7 @@ class ShardWorker:
     def _handle_rank_score(
         self, message: dict[str, Any]
     ) -> tuple[dict[str, Any], bytes]:
-        """Pre-merge phase 2b: score under the broadcast fit, return top-k."""
+        """Pre-merge phase 2b: score under the broadcast fit, return top-k rows."""
         ids, block = self._require_model().shard_rank_candidates(
             self._corpus,
             corpus_max_open_discussions=int(message["max_open"]),

@@ -370,13 +370,21 @@ class SourceCorpus:
         (see :meth:`Source.watch_mutations`), so in-place growth through
         the ``Source`` helpers and ``Source.touch()`` is *announced*: it
         bumps the corpus version and notifies subscribers as a ``"touch"``
-        :class:`CorpusChange`, exactly like :meth:`touch`.
+        :class:`CorpusChange`, exactly like :meth:`touch`.  A source whose
+        ``users`` dict keys a profile apart from its ``user_id`` is
+        rejected too: every serialised round trip re-keys profiles by id.
         """
         with self._mutating():
             if source.source_id in self._sources:
                 raise CorpusError(
                     f"duplicate source identifier: {source.source_id!r}"
                 )
+            for key, profile in source.users.items():
+                if key != profile.user_id:
+                    raise CorpusError(
+                        f"source {source.source_id!r} keys user "
+                        f"{profile.user_id!r} as {key!r}"
+                    )
             self._sources[source.source_id] = source
             self._announced_threads[source.source_id] = len(source.discussions)
             source.watch_mutations(self._on_source_mutated)

@@ -337,6 +337,8 @@ class Source:
     source_type: SourceType
     categories: tuple[str, ...] = ()
     discussions: list[Discussion] = field(default_factory=list)
+    #: Profiles keyed by their ``user_id`` (a corpus rejects any other
+    #: key); edit it in place through :meth:`add_user`.
     users: dict[str, UserProfile] = field(default_factory=dict)
     interactions: list[Interaction] = field(default_factory=list)
     created_at: float = 0.0

@@ -10,11 +10,13 @@ refresh must invalidate only what the mutation could have affected.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.contributor_quality import ContributorQualityModel
 from repro.core.source_quality import SourceQualityModel
-from repro.errors import SearchError, UnknownSourceError
+from repro.errors import CorpusError, SearchError, UnknownSourceError
 from repro.search.engine import SearchEngine
 from repro.sources.corpus import CorpusChange, SourceCorpus
 from repro.sources.generators import (
@@ -101,6 +103,25 @@ class TestCorpusVersioning:
     def test_touch_unknown_source_rejected(self):
         with pytest.raises(UnknownSourceError):
             _fresh_corpus(3).touch("ghost")
+
+    def test_users_keyed_apart_from_their_ids_are_rejected(self):
+        # Every serialised round trip re-keys profiles by ``user_id``, so
+        # two profiles sharing an id would collapse into one on a replica.
+        corpus = _fresh_corpus(3)
+        events: list[CorpusChange] = []
+        subscription = corpus.invalidation_bus().subscribe(on_event=events.append)
+        version, length = corpus.version, len(corpus)
+        extra = _extra_source()
+        first, second = list(extra.users.values())[:2]
+        extra.users = {"a": first, "b": dataclasses.replace(second, user_id=first.user_id)}
+        with pytest.raises(CorpusError, match="keys user"):
+            corpus.add(extra)
+        assert (len(corpus), corpus.version, events) == (length, version, [])
+        assert not subscription.dirty and extra.source_id not in corpus.source_ids()
+        extra.users = {profile.user_id: profile for profile in (first, second)}
+        corpus.add(extra)
+        assert [event.op for event in events] == ["add"]
+        subscription.close()
 
     def test_subscribers_receive_ordered_changes(self):
         corpus = _fresh_corpus(3)
@@ -202,6 +223,26 @@ class TestPanelObservationEpochs:
         corpus.remove(source_id)
         engine.refresh()
         assert source_id not in panel._cache
+
+    @pytest.mark.parametrize("read", ["rank", "shard_measure_columns"])
+    def test_the_source_model_evicts_removed_sources(self, travel_domain, read):
+        corpus = _fresh_corpus(30)
+        model = SourceQualityModel(travel_domain)
+
+        def measure() -> None:
+            if read == "rank":
+                model.rank(corpus)
+            else:
+                model.shard_measure_columns(corpus, corpus_max_open_discussions=50)
+
+        measure()
+        assert len(model._alexa._cache) == len(model._feedburner._cache) == 30
+        for source_id in corpus.source_ids()[:20]:
+            corpus.remove(source_id)
+        measure()
+        remaining = set(corpus.source_ids())
+        assert set(model._alexa._cache) == set(model._feedburner._cache) == remaining
+        assert len(remaining) == 10
 
 
 class TestIncrementalIndexEquivalence:

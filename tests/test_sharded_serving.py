@@ -30,7 +30,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.normalization import ZScoreNormalizer
+from repro.core.measures import source_measure_registry
+from repro.core.normalization import BenchmarkNormalizer, ZScoreNormalizer
 from repro.core.source_quality import SourceQualityModel
 from repro.errors import (
     AssessmentError,
@@ -53,12 +54,7 @@ from repro.persistence.journal import encode_record
 from repro.persistence.snapshot import snapshot_version
 from repro.search.engine import SearchEngine, SearchEngineConfig
 from repro.sharding import WireConnection, partition_shard
-from repro.sharding.columns import (
-    assemble_columns,
-    decode_columns,
-    encode_columns,
-    merge_sorted_columns,
-)
+from repro.sharding.columns import concat_columns, decode_columns, encode_columns
 from repro.sharding.wire import MAX_PAYLOAD_BYTES, WIRE_BINARY_MAGIC
 from repro.sharding.worker import ShardWorker
 from repro.sources.corpus import SourceCorpus
@@ -68,7 +64,7 @@ from repro.sources.generators import (
     SourceGenerator,
     SourceSpec,
 )
-from repro.sources.models import Discussion, Post
+from repro.sources.models import Discussion, Post, Source
 
 QUERIES = ("travel food", "milan hotel review", "food", "travel", "blog forum food")
 
@@ -362,29 +358,34 @@ class TestColumnBlockCodec:
         with pytest.raises(CorruptSnapshotError):
             decode_column_block(bytes(blob) + b"extra")
 
-    def test_assemble_restores_global_order(self):
-        order = [f"s{i}" for i in range(6)]
+    def test_concat_pools_blocks_in_shard_order(self):
         shard_a = (("s4", "s1"), {"m": np.asarray([4.0, 1.0])})
-        shard_b = (("s0", "s5", "s2", "s3"), {"m": np.asarray([0.0, 5.0, 2.0, 3.0])})
-        subject_ids, columns = assemble_columns(order, [shard_a, shard_b])
-        assert subject_ids == tuple(order)
-        assert columns["m"].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        shard_b = (("s0", "s5"), {"m": np.asarray([-0.0, 5.0])})
+        subject_ids, columns = concat_columns([shard_a, ((), {}), shard_b])
+        assert subject_ids == ("s4", "s1", "s0", "s5")
+        assert columns["m"].tobytes() == np.asarray([4.0, 1.0, -0.0, 5.0]).tobytes()
+        with pytest.raises(ShardingError, match="disagree"):
+            concat_columns([shard_a, (("s0",), {"n": np.asarray([0.0])})])
+        assert concat_columns([((), {}), ((), {})]) == ((), {})
 
-    def test_assemble_strict_requires_full_cover(self):
-        order = ["s0", "s1"]
-        blocks = [(("s0",), {"m": np.asarray([0.0])})]
-        with pytest.raises(ShardingError):
-            assemble_columns(order, blocks)
-        subject_ids, columns = assemble_columns(order, blocks, strict=False)
-        assert subject_ids == ("s0",)
-        assert columns["m"].tolist() == [0.0]
-
-    def test_merge_sorted_columns_equals_global_sort(self):
+    def test_a_fit_on_concatenated_shard_fit_columns_equals_the_whole_column_fit(self):
+        # Workers ship id-less fit blocks, each column sorted per shard;
+        # the benchmark fit sorts the pooled column itself.
+        registry = source_measure_registry()
+        names, _ = registry.column_layout()
         full = np.asarray(EDGE_FLOATS, dtype=np.float64)
-        merged = merge_sorted_columns(
-            [{"m": np.sort(full[:4])}, {"m": np.sort(full[4:])}, {}]
+        first, second = (
+            ((), {name: np.sort(part) for name in names}) for part in (full[:4], full[4:])
         )
-        assert merged["m"].tobytes() == np.sort(full).tobytes()
+        _, pooled = concat_columns([second, ((), {}), first])
+        whole = BenchmarkNormalizer(registry).fit_columns({name: full for name in names})
+        merged = BenchmarkNormalizer(registry).fit_columns(pooled)
+        assert merged.fit_state() == whole.fit_state()
+        for name in names:
+            assert (
+                merged.normalize_column(name, full).tobytes()
+                == whole.normalize_column(name, full).tobytes()
+            )
 
 
 class TestBinaryWire:
@@ -627,6 +628,95 @@ class TestPreMergedRanking:
         # A typed worker reply leaves every shard up and serving.
         assert coordinator.live_shards == [0, 1]
         assert coordinator.search("travel", limit=3)
+
+    def test_a_rank_score_block_holds_raw_and_normalised_columns_only(
+        self, coordinator_factory, travel_domain
+    ):
+        corpus = _fresh_corpus(12)
+        coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
+        blocks = []
+        inner = coordinator._scatter
+
+        def spy(kind, payload, **kwargs):
+            results = inner(kind, payload, **kwargs)
+            if kind == "rank_score":
+                blocks.extend(decode_columns(r["_binary"]) for r in results.values())
+            return results
+
+        coordinator._scatter = spy
+        coordinator.rank_top(4)
+        names, _ = coordinator._model.registry.column_layout()
+        expected = {f"{prefix}:{name}" for prefix in ("raw", "norm") for name in names}
+        assert len(blocks) == 2
+        for ids, columns in blocks:
+            assert set(columns) == expected and 0 < len(ids) <= 4
+            assert all(len(column) == len(ids) for column in columns.values())
+
+    def test_one_kernel_serves_the_three_rank_methods(self, travel_domain):
+        corpus = _fresh_corpus(8)
+        model = SourceQualityModel(travel_domain)
+        kernel, cuts = model._rank_cut, []
+
+        def spy(subject_ids, raw, normalized, limit=None):
+            cuts.append((len(subject_ids), limit))
+            return kernel(subject_ids, raw, normalized, limit)
+
+        model._rank_cut = spy
+        max_open = corpus.largest_source_open_discussions()
+        _, fit_columns = model.shard_sorted_fit_columns(
+            corpus, corpus_max_open_discussions=max_open
+        )
+        ids, block = model.shard_rank_candidates(
+            corpus,
+            corpus_max_open_discussions=max_open,
+            fit_state=model.premerge_fit_state(fit_columns),
+            limit=3,
+        )
+        top = model.merge_rank_candidates(ids, block, 3)
+        subject_ids, _, raw = model.shard_measure_columns(
+            corpus, corpus_max_open_discussions=max_open
+        )
+        ranked = model.rank_from_columns(subject_ids, raw)
+        assert cuts == [(8, 3), (3, 3), (8, None)]
+        expected = SourceQualityModel(travel_domain).rank(_twin(corpus))
+        assert self._score_pairs(ranked) == [
+            (a.source_id, a.score.to_dict()) for a in expected
+        ]
+        assert self._score_pairs(top) == self._score_pairs(ranked[:3])
+
+    def test_a_strict_rank_requires_exactly_the_corpus_sources(
+        self, coordinator_factory, travel_domain
+    ):
+        corpus = _fresh_corpus(10)
+        coordinator = coordinator_factory(corpus, 2, domain=travel_domain)
+        inner = coordinator._scatter
+        edits = []
+
+        def spy(kind, payload, **kwargs):
+            results = inner(kind, payload, **kwargs)
+            if kind == "rank_measure_cols" and edits:
+                first = min(results)
+                ids, columns = decode_columns(results[first]["_binary"])
+                ids, columns = edits[-1](list(ids), columns)
+                results[first] = {**results[first], "_binary": encode_columns(ids, columns)}
+            return results
+
+        def drop_first(ids, columns):
+            return ids[1:], {name: column[1:] for name, column in columns.items()}
+
+        def rename_first(ids, columns):
+            return ["unknown-source", *ids[1:]], columns
+
+        coordinator._scatter = spy
+        for edit in (drop_first, rename_first):
+            edits.append(edit)
+            with pytest.raises(ShardingError):
+                coordinator.rank()
+        # A degraded read ranks whatever rows the reached shards reported.
+        edits.append(drop_first)
+        assert len(coordinator.rank(allow_degraded=True)) == len(corpus) - 1
+        edits.clear()
+        _assert_bit_identical(coordinator, corpus, travel_domain)
 
     def test_rank_top_rejects_non_positive_limit(
         self, coordinator_factory, travel_domain
@@ -1245,6 +1335,66 @@ class TestWorkerFaultMatrix:
         assert restart_bytes < owned_json
         assert coordinator.live_shards == [0, 1, 2]
         _assert_bit_identical(coordinator, corpus, travel_domain)
+
+    @pytest.mark.parametrize("victim", [0, 2])
+    def test_degraded_reads_equal_a_single_process_build_over_the_live_shards(
+        self, coordinator_factory, travel_domain, victim
+    ):
+        rng = random.Random(60 + victim)
+        corpus = _fresh_corpus(12, seed=5 + victim)
+        coordinator = coordinator_factory(corpus, 3, domain=travel_domain)
+        for step in range(4):
+            _mutate(rng, corpus, step)
+        coordinator.quiesce()
+        coordinator.processes[victim].send_signal(signal.SIGKILL)
+        coordinator.processes[victim].wait()
+        live = SourceCorpus()
+        for source in corpus:
+            if partition_shard(source.source_id, 3) != victim:
+                live.add(Source.from_dict(source.to_dict()))
+        assert 0 < len(live) < len(corpus)
+        engine = SearchEngine(live)
+        for query in QUERIES:
+            for limit in (3, 20):
+                assert coordinator.search(
+                    query, limit=limit, allow_degraded=True
+                ) == engine.search(query, limit=limit)
+        expected = [
+            (a.source_id, a.score.to_dict())
+            for a in SourceQualityModel(travel_domain).rank(live)
+        ]
+        ranked = coordinator.rank(allow_degraded=True)
+        assert [(sid, score.to_dict()) for sid, score in ranked] == expected
+        for limit in (1, 4, len(corpus)):
+            top = coordinator.rank_top(limit, allow_degraded=True)
+            assert [(sid, score.to_dict()) for sid, score in top] == expected[:limit]
+
+    def test_a_degraded_read_that_reaches_no_shard_raises(
+        self, coordinator_factory, travel_domain, tmp_path
+    ):
+        corpus = _fresh_corpus(8)
+        coordinator = coordinator_factory(
+            corpus,
+            2,
+            domain=travel_domain,
+            store_directory=tmp_path / "cluster",
+            fsync=False,
+        )
+        for process in coordinator.processes:
+            process.send_signal(signal.SIGKILL)
+            process.wait()
+        reads = {
+            "search": lambda: coordinator.search("travel food", allow_degraded=True),
+            "rank": lambda: coordinator.rank(allow_degraded=True),
+            "rank_top": lambda: coordinator.rank_top(3, allow_degraded=True),
+            "busy_times": lambda: coordinator.busy_times(allow_degraded=True),
+            "quiesce": lambda: coordinator.quiesce(allow_degraded=True),
+            "checkpoint": lambda: coordinator.checkpoint(allow_degraded=True),
+        }
+        for name, read in reads.items():
+            with pytest.raises(ShardUnavailableError) as excinfo:
+                read()
+            assert excinfo.value.shard_indices == (0, 1), name
 
     def test_kill_during_scatter_marks_down_without_wedging(
         self, coordinator_factory, travel_domain
