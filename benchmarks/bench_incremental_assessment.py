@@ -9,11 +9,11 @@ announced ``touch`` edits).  After every event the harness times two ways
 of bringing the assessments back in sync:
 
 * **incremental** — ``model.assessment_context(corpus)``: the O(1) dirty
-  flag fires, the corpus is fingerprint-diffed against the cached
-  context, only the affected sources are re-crawled/re-measured, the
-  normaliser is re-fitted only when the reference population changed, and
-  the ranking is patched via ``np.searchsorted`` surgery on the columnar
-  sort keys;
+  flag fires, the corpus is fingerprint-diffed against the measure
+  state, only the affected sources are re-crawled/re-measured and their
+  raw rows patched, and the fit-and-score tail is derived whole over the
+  patched columns (one fit, every column normalised and scored, one
+  sort) — or carried over when no raw value changed;
 * **full rebuild** — a brand-new ``SourceQualityModel`` assessing the
   mutated corpus from scratch, exactly what a caller had to do before
   assessment contexts became incrementally maintainable.

@@ -40,9 +40,9 @@ from pathlib import Path
 
 from _harness import harness_parser
 from repro.core.columnar import (
-    SortedRankKeys,
     columns_from_vectors,
     ensure_finite_columns,
+    rank_order,
 )
 from repro.core.domain import DomainOfInterest, TimeInterval
 from repro.core.scoring import build_quality_score_columns
@@ -151,8 +151,9 @@ def bench_corpus_assessment(source_count: int, repetitions: int = 3) -> dict:
             subject_ids, measures, normalized, columnar_model.registry,
             columnar_model.scheme,
         )
-        rank = SortedRankKeys.from_scores(overall, subject_ids)
-        return list(rank.order()), dict(zip(subject_ids, overall.tolist()))
+        return list(rank_order(overall, subject_ids)), dict(
+            zip(subject_ids, overall.tolist())
+        )
 
     scalar = time_call(run_scalar, repetitions=repetitions, label="scalar_core")
     columnar = time_call(run_columnar, repetitions=repetitions, label="columnar_core")

@@ -13,6 +13,11 @@ image (``[text](target)`` / ``![alt](target)``) is checked:
 * **external targets** (``http(s)://``, ``mailto:``) are only checked for
   basic well-formedness — CI runs offline, so they are never fetched.
 
+Every backticked dotted name under the package (`` `repro.core.columnar` ``,
+`` `repro.perf.collector_paused()` ``) must also resolve: the longest
+importable prefix is imported and the rest read as attributes, so a doc
+that names a deleted module, class or function fails.
+
 Exits non-zero with one readable line per problem.  Usage::
 
     python scripts/check_docs.py README.md docs/*.md
@@ -20,9 +25,12 @@ Exits non-zero with one readable line per problem.  Usage::
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 #: Inline links/images.  Deliberately simple: the docs use plain
 #: one-line ``[text](target)`` links, not reference-style definitions.
@@ -31,6 +39,9 @@ _LINK_PATTERN = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING_PATTERN = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 
 _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+
+#: A code span holding one dotted name under the package, maybe called.
+_NAME_PATTERN = re.compile(r"`(repro(?:\.\w+)+)(?:\(\))?`")
 
 
 def _slugify(heading: str) -> str:
@@ -49,6 +60,22 @@ def _heading_slugs(markdown: str) -> set[str]:
         counts[slug] = seen + 1
         slugs.add(slug if seen == 0 else f"{slug}-{seen}")
     return slugs
+
+
+def _resolves(dotted: str) -> bool:
+    """True when ``dotted`` is a module, or attributes under the longest one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
 
 
 def check_file(path: Path) -> list[str]:
@@ -79,6 +106,10 @@ def check_file(path: Path) -> list[str]:
             problems.append(
                 f"{path}:{line}: broken link {target!r} ({resolved} does not exist)"
             )
+    for match in _NAME_PATTERN.finditer(markdown):
+        if not _resolves(match.group(1)):
+            line = markdown.count("\n", 0, match.start()) + 1
+            problems.append(f"{path}:{line}: {match.group(1)!r} does not resolve")
     return problems
 
 
@@ -99,7 +130,7 @@ def main(argv: list[str]) -> int:
         for problem in problems:
             print(f"FATAL: {problem}", file=sys.stderr)
         return 1
-    print(f"{checked} markdown file(s): all links resolve")
+    print(f"{checked} markdown file(s): all links and package names resolve")
     return 0
 
 

@@ -2,7 +2,7 @@
 
 The measure → normalize → score → rank pipeline of both quality models
 runs on one columnar layout — one parallel float64 array per measure,
-keyed by a stable source-index map — and the kernels in this module and
+row-aligned with the subject ids — and the kernels in this module and
 in :mod:`repro.core.normalization` / :mod:`repro.core.scoring` operate
 on whole columns at once.  There is no second, per-value pipeline in
 production: the per-value arithmetic survives only as the test oracle
@@ -29,21 +29,19 @@ that possible:
   dispatch them to SIMD implementations whose results differ from the
   scalar ``math`` calls by an ulp.  The affected kernels call ``math``
   per value (see :mod:`repro.core.normalization`);
-* ``np.sort``/``np.searchsorted`` and element picks are exact, so
-  normalizer fits and ranking maintenance vectorize freely.
+* ``np.sort``/``np.lexsort`` and element picks are exact, so normalizer
+  fits and the ranking sort (:func:`rank_order`) vectorize freely.
 
 Published column arrays are frozen (``writeable=False``): a context is
-an immutable snapshot, and patching copies only the columns it writes —
-unchanged columns are shared between context generations, which is what
-makes snapshot-swap publication O(changed columns) for the rwlock
-readers instead of a per-consumer deep copy.
+an immutable snapshot, derived whole from the raw measure columns, so
+snapshot-swap publication is one pointer swap for the rwlock readers
+instead of a per-consumer deep copy.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "AssessmentColumns",
-    "SortedRankKeys",
+    "rank_order",
     "columns_from_vectors",
     "vectors_from_columns",
     "freeze",
@@ -143,104 +141,31 @@ def vectors_from_columns(
     }
 
 
-class SortedRankKeys:
-    """A ranking as parallel sorted arrays, patched via ``np.searchsorted``.
+def rank_order(
+    scores: "np.ndarray | Sequence[float]", subject_ids: Sequence[str]
+) -> tuple[str, ...]:
+    """Subject ids by decreasing score, ties by ascending id: one ``np.lexsort``.
 
-    Replaces the ``bisect`` list-of-tuples surgery of the scalar ranking
-    (and the search engine's static order): the sort keys
-    ``(-score, subject_id)`` are held as an ascending float64 array of
-    negated scores plus an aligned id list (ids sorted ascending within
-    every tied-score run), so the ranked order falls out by reading the
-    ids.  Key lookups are ``np.searchsorted`` on the score array with the
-    id resolved by bisection inside the (typically tiny) tie span.
-
-    The structure is equivalent to ``sorted((-score, subject_id))`` for
-    unique subject ids — including ``-0.0``/``0.0`` ties, which compare
-    equal in both representations — so a patched instance is
-    indistinguishable from one rebuilt from scratch.
+    Equal to ``sorted(subject_ids, key=lambda s: (-score[s], s))`` for
+    unique ids, including ``-0.0``/``0.0`` ties, which compare equal in
+    both.  The one ranking sort of the assessment contexts, the sharded
+    rank phases and the search engine's static rank.
     """
-
-    __slots__ = ("neg_scores", "ids", "_order")
-
-    def __init__(self, neg_scores: np.ndarray, ids: list[str]) -> None:
-        self.neg_scores = neg_scores
-        self.ids = ids
-        self._order: Optional[tuple[str, ...]] = None
-
-    @classmethod
-    def from_scores(
-        cls, scores: np.ndarray, subject_ids: Sequence[str]
-    ) -> "SortedRankKeys":
-        """Full build: vectorized sort by ``(-score, subject_id)``."""
-        neg = np.negative(np.asarray(scores, dtype=np.float64))
-        if len(subject_ids):
-            order = np.lexsort((np.asarray(subject_ids), neg))
-            ids = [subject_ids[i] for i in order]
-            neg = neg[order]
-        else:
-            ids = []
-        return cls(neg, ids)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, str]]) -> "SortedRankKeys":
-        """Adopt already-sorted ``(negated score, id)`` pairs (restore path)."""
-        neg: list[float] = []
-        ids: list[str] = []
-        for score, subject_id in pairs:
-            neg.append(score)
-            ids.append(subject_id)
-        return cls(np.asarray(neg, dtype=np.float64), ids)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def copy(self) -> "SortedRankKeys":
-        """A privately mutable copy (patching never disturbs readers)."""
-        return SortedRankKeys(self.neg_scores.copy(), list(self.ids))
-
-    def order(self) -> tuple[str, ...]:
-        """Subject ids by decreasing score (ties by ascending id)."""
-        if self._order is None:
-            self._order = tuple(self.ids)
-        return self._order
-
-    def pairs(self) -> list[tuple[float, str]]:
-        """The ``(negated score, id)`` keys, ascending (export path)."""
-        return list(zip(self.neg_scores.tolist(), self.ids))
-
-    def _locate(self, neg_score: float, subject_id: str) -> tuple[int, bool]:
-        lo = int(np.searchsorted(self.neg_scores, neg_score, side="left"))
-        hi = int(np.searchsorted(self.neg_scores, neg_score, side="right"))
-        index = bisect_left(self.ids, subject_id, lo, hi)
-        found = index < hi and self.ids[index] == subject_id
-        return index, found
-
-    def remove(self, score: float, subject_id: str) -> bool:
-        """Drop the key ``(-score, subject_id)`` when present."""
-        index, found = self._locate(-score, subject_id)
-        if not found:
-            return False
-        self.neg_scores = np.delete(self.neg_scores, index)
-        del self.ids[index]
-        self._order = None
-        return True
-
-    def insert(self, score: float, subject_id: str) -> None:
-        """Insert the key ``(-score, subject_id)`` at its sorted position."""
-        neg = -score
-        index, _ = self._locate(neg, subject_id)
-        self.neg_scores = np.insert(self.neg_scores, index, neg)
-        self.ids.insert(index, subject_id)
-        self._order = None
+    if not len(subject_ids):
+        return ()
+    order = np.lexsort(
+        (np.asarray(subject_ids), np.negative(np.asarray(scores, dtype=np.float64)))
+    )
+    return tuple(subject_ids[i] for i in order.tolist())
 
 
 @dataclass
 class AssessmentColumns:
     """The columnar core of one assessment context.
 
-    Row *i* of every array belongs to ``subject_ids[i]``; ``index`` is
-    the stable subject → row map patchers address changed rows through.
-    All arrays are float64 and frozen once published.
+    Row *i* of every array belongs to ``subject_ids[i]``; ``order`` is
+    the ranking (:func:`rank_order` over ``overall``).  All arrays are
+    float64 and frozen once published.
     """
 
     subject_ids: tuple[str, ...]
@@ -250,84 +175,11 @@ class AssessmentColumns:
     overall: np.ndarray
     dimension_scores: "dict[QualityDimension, np.ndarray]"
     attribute_scores: "dict[QualityAttribute, np.ndarray]"
-    rank: SortedRankKeys
-    index: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.index:
-            self.index = {
-                subject_id: i for i, subject_id in enumerate(self.subject_ids)
-            }
+    order: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.subject_ids)
 
-    def row(self, subject_id: str) -> int:
-        """The row index of ``subject_id`` (KeyError when absent)."""
-        return self.index[subject_id]
-
     def ranking_ids(self) -> tuple[str, ...]:
         """Subject ids by decreasing overall score (ties by id)."""
-        return self.rank.order()
-
-    def gather(self, subject_ids: Sequence[str]) -> "dict[str, np.ndarray]":
-        """Raw columns re-ordered/filtered to ``subject_ids`` (exact copies)."""
-        rows = np.asarray([self.index[subject_id] for subject_id in subject_ids])
-        return {
-            name: freeze(column[rows] if len(rows) else column[:0].copy())
-            for name, column in self.raw.items()
-        }
-
-
-def confine_renormalization_columns(
-    normalizer: Any,
-    counters: Any,
-    raw_columns: Mapping[str, np.ndarray],
-    fresh_rows: np.ndarray,
-    previous_normalized: Optional[Mapping[str, np.ndarray]],
-    previous_signature: Mapping[str, tuple],
-    fit_signature: Mapping[str, tuple],
-) -> dict[str, np.ndarray]:
-    """Normalise a patched column set after a refit, confined per measure.
-
-    Shared by both quality models.  ``fresh_rows`` indexes the rows whose
-    raw vector changed (or that are new); ``previous_normalized`` holds
-    the prior normalized columns
-    *already aligned to the current row order* (fresh rows may carry
-    stale values — they are overwritten).  Measures whose fit signature
-    moved are renormalised as whole columns; for the rest only the fresh
-    rows are recomputed and every other value is carried over verbatim.
-    When either signature or the previous columns are unavailable, every
-    column is renormalised.  Bit-identical to a full ``normalize_columns``
-    pass in every branch, because each element is produced by the same
-    per-value arithmetic.  ``counters`` (a
-    :class:`~repro.perf.counters.PerfCounters`) records which branch ran
-    (``fit_signature_skips`` / ``partial_renormalisations`` +
-    ``measures_renormalized``).
-    """
-    if not previous_signature or not fit_signature or previous_normalized is None:
-        return normalizer.normalize_columns(raw_columns)
-    stale = {
-        name
-        for name, signature in fit_signature.items()
-        if previous_signature.get(name) != signature
-    }
-    have_fresh = fresh_rows.size > 0
-    normalized: dict[str, np.ndarray] = {}
-    for name, column in raw_columns.items():
-        if name in stale or name not in previous_normalized:
-            normalized[name] = normalizer.normalize_column(name, column)
-        elif have_fresh:
-            patched = previous_normalized[name].copy()
-            patched[fresh_rows] = normalizer.normalize_column(
-                name, column[fresh_rows]
-            )
-            normalized[name] = freeze(patched)
-        else:
-            normalized[name] = previous_normalized[name]
-    if not stale:
-        counters.increment("fit_signature_skips")
-    elif len(stale) < len(fit_signature):
-        counters.increment("partial_renormalisations")
-        counters.increment("measures_renormalized", len(stale))
-    return normalized
+        return self.order

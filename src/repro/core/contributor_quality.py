@@ -24,13 +24,14 @@ flag fires, the community is re-crawled in one shared walk that is
 itself *diff-restricted*: per-discussion fingerprints are diffed against
 the cached :class:`~repro.sources.crawler.CommunityWalkCache` and only
 the touched threads are re-visited (an explicit ``touch()`` cannot be
-localised and forces a full walk).  The normaliser is re-fitted and
-users re-scored only when their raw measure vectors actually changed —
-and a refit renormalises only the measures whose per-measure fit
-signature moved; untouched assessments are reused verbatim.  Growth
-through the mutation helpers and announced ``Source.touch()`` edits
-raise the flag automatically; pass ``deep=True`` after unannounced
-growth that bypasses the helpers, and call
+localised and forces a full walk).  The scores are derived, not patched:
+when any raw measure vector or the user order changed, the normaliser is
+fitted once and every column normalised and scored, exactly as a first
+read does; otherwise the previous scores are carried over.  Either way a
+user whose snapshot and score did not change keeps its assessment
+object.  Growth through the mutation helpers and announced
+``Source.touch()`` edits raise the flag automatically; pass
+``deep=True`` after unannounced growth that bypasses the helpers, and call
 :meth:`ContributorQualityModel.invalidate` only after unannounced
 count-preserving in-place mutations.
 
@@ -52,15 +53,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import AbstractSet, Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional
 
-import numpy as np
-
-from repro.core.columnar import (
-    columns_from_vectors,
-    confine_renormalization_columns,
-    ensure_finite_columns,
-)
+from repro.core.columnar import columns_from_vectors, ensure_finite_columns
 from repro.core.contributor_measures import (
     ContributorMeasurementContext,
     compute_contributor_measures,
@@ -157,10 +152,6 @@ class _CommunityEntry:
     #: None until the first patch: an empty entry.
     fingerprint: Optional[tuple] = None
     context: tuple = field(default_factory=lambda: ({}, {}, {}))
-    fit_token: int = -1
-    #: Per-measure fit signature of the context's normalised matrix
-    #: (``Normalizer.fit_signature``); empty means "unknown".
-    fit_signature: dict = field(default_factory=dict)
 
 
 class ContributorQualityModel:
@@ -256,75 +247,20 @@ class ContributorQualityModel:
             return tuple(sorted(source.contributors()))
         return tuple(user_ids)
 
-    def _assess_columns(
-        self,
-        source: Source,
-        snapshots: Mapping[str, ContributorSnapshot],
-        raw_vectors: Mapping[str, Mapping[str, float]],
-        refit: bool,
-        previous: _CommunityEntry,
-        changed_ids: AbstractSet[str],
-    ) -> tuple[dict[str, ContributorAssessment], dict]:
-        """The columnar tail of a community patch.
-
-        Pivots the raw vectors into columns, refits the shared normaliser
-        when ``refit`` is set, normalises — confined, against the
-        ``previous`` entry, to the measures whose fit moved and to the
-        rows of ``changed_ids`` and new users — then scores every row and
-        materialises the assessments.  Users outside ``changed_ids``
-        whose score did not change keep their previous assessment object.
-        Without a refit the population is unchanged, so every previously
-        normalised value still holds.  Returns the assessments plus the
-        fit signature they correspond to.
-        """
+    def _derive_scores(
+        self, raw_vectors: Mapping[str, Mapping[str, float]]
+    ) -> dict[str, QualityScore]:
+        """Fit the normaliser on the community, normalise and score it whole."""
         names, _ = self._registry.column_layout()
         user_ids, measures, raw_columns = columns_from_vectors(raw_vectors, names)
         ensure_finite_columns(raw_columns)
-        kept = previous.context[2]
-        previous_signature = previous.fit_signature
-        previous_normalized = None
-        if kept:
-            # Prior normalised columns aligned to the current user order;
-            # a new user's row is a placeholder, always recomputed below.
-            _, _, previous_normalized = columns_from_vectors(
-                {
-                    user_id: (
-                        kept[user_id].score.normalized_values
-                        if user_id in kept
-                        else raw_vectors[user_id]
-                    )
-                    for user_id in user_ids
-                },
-                measures,
-            )
-        if refit:
-            fresh_rows = np.asarray(
-                [
-                    row
-                    for row, user_id in enumerate(user_ids)
-                    if user_id in changed_ids or user_id not in kept
-                ],
-                dtype=np.intp,
-            )
-            self._normalizer.fit_columns(raw_columns)  # advances its fit_count
-            self.counters.increment("normalizer_fits")
-            fit_signature = self._normalizer.fit_signature()
-            normalized = confine_renormalization_columns(
-                self._normalizer,
-                self.counters,
-                raw_columns,
-                fresh_rows,
-                previous_normalized,
-                previous_signature,
-                fit_signature,
-            )
-        else:
-            fit_signature = previous_signature
-            normalized = previous_normalized
+        self._normalizer.fit_columns(raw_columns)
+        self.counters.increment("normalizer_fits")
+        normalized = self._normalizer.normalize_columns(raw_columns)
         overall, dimension_scores, attribute_scores = build_quality_score_columns(
             user_ids, measures, normalized, self._registry, self._scheme
         )
-        scores = scores_from_columns(
+        return scores_from_columns(
             user_ids,
             measures,
             raw_columns,
@@ -334,30 +270,14 @@ class ContributorQualityModel:
             attribute_scores,
             self._scheme.name,
         )
-        assessments: dict[str, ContributorAssessment] = {}
-        for user_id in user_ids:
-            assessment = kept.get(user_id)
-            if (
-                assessment is None
-                or user_id in changed_ids
-                or assessment.score != scores[user_id]
-            ):
-                assessment = ContributorAssessment(
-                    user_id=user_id,
-                    source_id=source.source_id,
-                    score=scores[user_id],
-                    snapshot=snapshots[user_id],
-                )
-            assessments[user_id] = assessment
-        return assessments, fit_signature
 
     def _patch_community(
         self,
         entry: _CommunityEntry,
         source: Source,
         resolved_ids: tuple[str, ...],
-    ) -> tuple[tuple, int, dict]:
-        """Re-derive the community context, reusing everything unchanged.
+    ) -> tuple:
+        """Re-derive the community context over a diff-restricted walk.
 
         The community is re-crawled in one shared walk — and the walk
         itself is *diff-restricted* (ROADMAP (e)): the entry's
@@ -365,15 +285,14 @@ class ContributorQualityModel:
         re-visit only the discussions whose per-discussion fingerprint
         moved, falling back to a full walk only after an explicit
         ``touch()`` (which cannot be localised).  Measures are recomputed
-        only for users whose snapshot changed, the normaliser is re-fitted
-        only when some raw vector (or the user set) actually changed — and
-        a refit renormalises only the measures whose fit signature moved
-        (ROADMAP (f)) — and assessments of untouched users are reused
-        verbatim, so a ``touch()`` that did not alter any contributor's
-        observable activity costs one walk and zero re-scoring.  A first
-        read is this patch over an empty entry (every user measured, one
-        fit) and counts only ``context_builds``.  Returns the patched
-        context plus the fit token and fit signature it corresponds to.
+        only for users whose snapshot changed.  When any raw vector or
+        the user order changed, :meth:`_derive_scores` fits, normalises
+        and scores the whole community; otherwise every previous score
+        stands, so a ``touch()`` that did not alter any contributor's
+        observable activity costs one walk and no fit.  A user keeps its
+        assessment object unless its snapshot or score changed.  A first
+        read is this patch over an empty entry and counts only
+        ``context_builds``.
         """
         previous_snapshots, previous_raw, previous_assessments = entry.context
         snapshots = self._crawler.crawl_contributors_batched(
@@ -385,7 +304,6 @@ class ContributorQualityModel:
             )
 
         raw_vectors: dict[str, dict[str, float]] = {}
-        changed_vector_ids: set[str] = set()
         snapshot_changed: set[str] = set()
         for user_id, snapshot in snapshots.items():
             if snapshot == previous_snapshots.get(user_id):
@@ -400,27 +318,26 @@ class ContributorQualityModel:
                 raw_vectors[user_id] = compute_contributor_measures(
                     context, registry=self._registry
                 )
-            if raw_vectors[user_id] != previous_raw.get(user_id):
-                changed_vector_ids.add(user_id)
 
-        population_changed = bool(changed_vector_ids) or list(raw_vectors) != list(
-            previous_raw
-        )
-        needs_refit = population_changed or entry.fit_token != self._normalizer.fit_count
-        if needs_refit or snapshot_changed:
-            # A raw vector changes only with its snapshot (new users have
-            # none), so ``snapshot_changed`` covers every changed row.
-            assessments, fit_signature = self._assess_columns(
-                source,
-                snapshots,
-                raw_vectors,
-                needs_refit,
-                previous=entry,
-                changed_ids=snapshot_changed,
-            )
-        else:
-            # No contributor's activity changed: every assessment stands.
-            assessments, fit_signature = dict(previous_assessments), entry.fit_signature
+        scores = None
+        if raw_vectors != previous_raw or list(raw_vectors) != list(previous_raw):
+            scores = self._derive_scores(raw_vectors)
+        assessments: dict[str, ContributorAssessment] = {}
+        for user_id in raw_vectors:
+            assessment = previous_assessments.get(user_id)
+            score = scores[user_id] if scores is not None else assessment.score
+            if (
+                assessment is None
+                or user_id in snapshot_changed
+                or assessment.score != score
+            ):
+                assessment = ContributorAssessment(
+                    user_id=user_id,
+                    source_id=source.source_id,
+                    score=score,
+                    snapshot=snapshots[user_id],
+                )
+            assessments[user_id] = assessment
         if entry.fingerprint is None:
             self.counters.increment("context_builds")
         else:
@@ -439,11 +356,7 @@ class ContributorQualityModel:
             )
             self.counters.increment("contributors_remeasured", len(snapshot_changed))
             self.counters.increment("context_patches")
-        return (
-            (snapshots, raw_vectors, assessments),
-            (self._normalizer.fit_count if needs_refit else entry.fit_token),
-            fit_signature,
-        )
+        return snapshots, raw_vectors, assessments
 
     def _context(
         self, source: Source, user_ids: Optional[Iterable[str]], deep: bool = False
@@ -497,7 +410,7 @@ class ContributorQualityModel:
                     # context is still exact.
                     self.counters.increment("context_hits")
                     return entry.context
-                context, fit_token, fit_signature = self._patch_community(
+                context = self._patch_community(
                     entry, source, self._resolve_user_ids(source, user_key)
                 )
             except BaseException:
@@ -511,8 +424,6 @@ class ContributorQualityModel:
             with self._rwlock.write_lock():
                 entry.fingerprint = fingerprint
                 entry.context = context
-                entry.fit_token = fit_token
-                entry.fit_signature = fit_signature
                 if fresh_entry:
                     while len(self._incremental) >= 2 * self.CONTEXT_CACHE_SIZE:
                         self._incremental.pop(next(iter(self._incremental)))

@@ -11,7 +11,10 @@ All normalizers map raw values into ``[0, 1]`` where 1 is best, taking the
 ``higher_is_better`` flag of each measure into account (e.g. traffic rank
 and bounce rate improve as they decrease).  Every strategy is one pair of
 column kernels (fit, normalise); the per-value :meth:`Normalizer.fit` /
-:meth:`Normalizer.normalize` forms are thin wrappers over them.
+:meth:`Normalizer.normalize` forms are thin wrappers over them.  The
+quality models use them whole: whenever their raw columns or reference
+population change they fit once and normalise every column, so no
+consumer needs to know which measures a refit moved.
 """
 
 from __future__ import annotations
@@ -66,11 +69,12 @@ class Normalizer(ABC):
     def fit_count(self) -> int:
         """Monotonic count of :meth:`fit` calls.
 
-        Incremental consumers record the count their cached normalised
-        values were computed with; a mismatch means the normalizer was
-        re-fitted in between — possibly by *another* model sharing this
-        instance, or by code calling :meth:`fit` directly — and the cached
-        fit must be re-established before the instance is reused.
+        A source model ranked against a fixed benchmark corpus records
+        the count its benchmark fit left; a mismatch means the normalizer
+        was re-fitted in between — possibly by *another* model sharing
+        this instance, or by code calling :meth:`fit` directly — and the
+        benchmark fit must be re-established before the instance is
+        reused.
         """
         return self._fit_count
 
@@ -86,24 +90,6 @@ class Normalizer(ABC):
                 for name, values in reference_values.items()
             }
         )
-
-    def fit_signature(self) -> dict[str, tuple]:
-        """Per-measure signature of the fitted state, for refit confinement.
-
-        Each entry captures *everything* :meth:`_normalize_column` reads
-        for that measure, so two fits with equal signatures for a measure
-        are guaranteed to normalise it identically — a refit whose
-        signature did not move for a measure leaves every previously
-        normalised value of that measure valid bit for bit.  Incremental
-        consumers (the quality models) compare signatures across refits and
-        re-normalise only the measures whose fit actually moved
-        (see :func:`~repro.core.columnar.confine_renormalization_columns`).
-
-        The base implementation returns ``{}``, meaning "signatures
-        unavailable": consumers must then treat every measure as moved.
-        The built-in normalizers all override it.
-        """
-        return {}
 
     def fit_state(self) -> Optional[dict]:
         """JSON-serialisable snapshot of the fitted state, or None.
@@ -259,17 +245,6 @@ class BenchmarkNormalizer(Normalizer):
         """Per-measure benchmark values (after fitting)."""
         return dict(self._benchmarks)
 
-    def fit_signature(self) -> dict[str, tuple]:
-        """Per-measure ``(benchmark, floor, log-scaled)`` fit signature."""
-        return {
-            name: (
-                self._benchmarks[name],
-                self._floors[name],
-                name in self._log_scaled,
-            )
-            for name in self._benchmarks
-        }
-
     def fit_state(self) -> dict:
         """Transportable ``{benchmarks, floors, log_scaled}`` fit snapshot."""
         return {
@@ -360,12 +335,6 @@ class MinMaxNormalizer(Normalizer):
         self._minima: dict[str, float] = {}
         self._maxima: dict[str, float] = {}
 
-    def fit_signature(self) -> dict[str, tuple]:
-        """Per-measure ``(minimum, maximum)`` fit signature."""
-        return {
-            name: (self._minima[name], self._maxima[name]) for name in self._minima
-        }
-
     def fit_state(self) -> dict:
         """Transportable ``{minima, maxima}`` fit snapshot."""
         return {
@@ -405,10 +374,6 @@ class ZScoreNormalizer(Normalizer):
         self._scale = scale
         self._means: dict[str, float] = {}
         self._stds: dict[str, float] = {}
-
-    def fit_signature(self) -> dict[str, tuple]:
-        """Per-measure ``(mean, standard deviation)`` fit signature."""
-        return {name: (self._means[name], self._stds[name]) for name in self._means}
 
     def fit_state(self) -> dict:
         """Transportable ``{means, stds}`` fit snapshot.

@@ -32,22 +32,17 @@ the corpus's invalidation bus (see
 corpus are an O(1) dirty-flag check — no per-read fingerprint scan.  When
 the flag fires, the corpus is diffed against the state's per-source
 fingerprints and only the added/changed sources are re-crawled and
-re-measured (a first build is the same patch over an empty base); the
-tail re-normalises only the rows whose raw values changed, the normaliser
-is re-fitted only when the reference population actually changed, and
-the ranking is patched via ``np.searchsorted`` surgery on the columnar
-sort keys (:class:`~repro.core.columnar.SortedRankKeys`) instead of
-re-sorted.  The
-patched context is indistinguishable from a from-scratch rebuild — the
-equivalence is pinned bit-for-bit by ``tests/test_incremental_assessment.py``.
+re-measured (a first build is the same patch over an empty base).
 
-When the patch needs a normaliser re-fit, renormalisation is further
-confined through per-measure *fit signatures*
-(:meth:`~repro.core.normalization.Normalizer.fit_signature`): measures
-whose fitted parameters did not move keep their previously normalised
-values verbatim, so a refit that only shifted one benchmark renormalises
-one measure, and a refit that reproduced the previous fit exactly
-renormalises nothing.
+The tail is *derived, not patched*: whenever the raw columns, their row
+order or the benchmark population changed, the normaliser is fitted once
+(skipped while a fixed benchmark corpus's state and the normaliser's
+``fit_count`` are unchanged), every column is normalised and scored, and
+the ranking is one sort (:func:`~repro.core.columnar.rank_order`).
+Otherwise the previous context's derived columns are carried over, so a
+touch that changed no raw measure re-fits nothing.  A derived context is
+therefore bit-identical to a from-scratch rebuild because it is one —
+pinned bit-for-bit by ``tests/test_incremental_assessment.py``.
 
 Announced mutations — corpus ``add``/``remove``/``touch`` and in-place
 growth through the ``Source`` helpers (which announce themselves to their
@@ -77,10 +72,9 @@ import numpy as np
 
 from repro.core.columnar import (
     AssessmentColumns,
-    SortedRankKeys,
-    confine_renormalization_columns,
     ensure_finite_columns,
     freeze,
+    rank_order,
     vectors_from_columns,
 )
 from repro.core.domain import DomainOfInterest
@@ -107,7 +101,6 @@ from repro.sources.diffing import (
     BusSubscription,
     diff_fingerprint_maps,
     diff_fingerprints,
-    gather_rows,
     patch_measure_columns,
     scoped_fingerprints,
 )
@@ -169,8 +162,8 @@ class AssessmentContext:
 
     The primary state is *columnar* (:class:`~repro.core.columnar.AssessmentColumns`):
     one frozen float64 array per measure, plus the overall / dimension /
-    attribute score arrays and the sorted rank keys, all aligned on the
-    stable source-index map.  The dict-shaped surface the rest of the
+    attribute score arrays, row-aligned with the source ids, and the
+    ranking.  The dict-shaped surface the rest of the
     system consumes (``normalized_vectors``, ``assessments``,
     ``ranking``) is materialised lazily from the columns on first access
     and cached — bit-exact, because ``tolist()`` round-trips float64
@@ -183,8 +176,8 @@ class AssessmentContext:
     materialise the same view twice.
     """
 
-    #: The columnar core: raw/normalized measure columns, score arrays and
-    #: the sorted rank keys, row-aligned with ``columns.subject_ids``.
+    #: The columnar core: raw/normalized measure columns and score arrays,
+    #: row-aligned with ``columns.subject_ids``, and the ranking.
     columns: AssessmentColumns
     #: Name of the weighting scheme the scores were computed under.
     scheme_name: str
@@ -194,12 +187,10 @@ class AssessmentContext:
     #: entries' current states.
     state: _MeasureState
     benchmark_state: Optional[_MeasureState]
-    #: The normaliser ``fit_count`` and per-measure fit signature the
-    #: normalised matrix corresponds to (see ``Normalizer.fit_signature``):
-    #: the next tail re-fits on a token mismatch and confines its
-    #: renormalisation to measures whose signature moved.
+    #: The normaliser ``fit_count`` the normalised matrix was computed
+    #: under: against a fixed benchmark, the next derivation re-fits only
+    #: on a mismatch.
     fit_token: int
-    fit_signature: dict
     _normalized_vectors: Optional[dict[str, dict[str, float]]] = field(
         default=None, init=False, repr=False
     )
@@ -655,34 +646,19 @@ class SourceQualityModel:
     def _patch_context(
         self, entry: _IncrementalEntry, benchmark: Optional[_MeasureState]
     ) -> AssessmentContext:
-        """Derive the fit-and-score tail over ``entry.state``, patching its context.
+        """Derive the fit-and-score tail over ``entry.state`` whole.
 
         ``benchmark`` is the benchmark corpus's measure state the
-        normaliser is fitted on (None: the corpus itself).  The patch is
-        built so that every float in the result is produced by the same
-        function, in the same state, over the same inputs, in the same
-        iteration order as a derivation without a previous context (the
-        first read, or the first after a restore) — the two are
-        bit-identical:
-
-        * a row is *fresh* when it is new or any of its raw values
-          differs from the previous context's, so the tail is exact
-          however many measure patches ran in between (through
-          :meth:`raw_measures`, an export or a shard read);
-        * the normaliser is re-fitted only when the reference population
-          changed (content or order, or another benchmark state) or when
-          it was re-fitted for another corpus in between (fit-token
-          mismatch); without a re-fit, only the fresh rows are
-          re-normalised.  When a re-fit does run, its per-measure fit
-          signatures are compared to the previous fit's and
-          renormalisation is confined to measures whose fit actually
-          moved (see
-          :func:`~repro.core.columnar.confine_renormalization_columns`);
-        * unchanged normalised values are carried over with one gather
-          per column; scoring re-runs as whole-column kernels (identical
-          inputs → identical bits), and the cached rank keys are patched
-          via ``np.searchsorted`` for just the sources whose overall
-          moved.
+        normaliser is fitted on (None: the corpus itself).  When the
+        previous context read the same benchmark state and raw columns
+        bit-equal to the state's, in the same row order, its derived
+        columns still hold and are carried over.  Otherwise the normaliser
+        is fitted — unless a fixed benchmark's state and the normaliser's
+        ``fit_count`` are still the previous context's, whose fit it
+        holds — then every column is normalised and scored and the rows
+        are sorted once: the derivation a first read runs.  Every
+        derivation after the first counts ``context_patches``, a
+        carried-over one included.
         """
         state = entry.state
         previous = entry.context
@@ -690,81 +666,30 @@ class SourceQualityModel:
         subject_ids = tuple(state.sources)
         raw_columns = state.columns
         ensure_finite_columns(raw_columns)
-        rows = gather_rows(
-            previous.columns.index if previous is not None else {}, subject_ids
-        )
-        safe = np.where(rows < 0, 0, rows)
-        fresh = rows < 0
-        if previous is not None:
-            for name in names:
-                fresh |= previous.columns.raw[name][safe] != raw_columns[name]
-        fresh_rows = np.flatnonzero(fresh)
-
-        if benchmark is not None:
-            reference = benchmark.columns
-            ensure_finite_columns(reference)
-        else:
-            reference = raw_columns
-        if previous is None:
-            needs_refit = True
-            previous_normalized = None
-        else:
-            population_changed = previous.benchmark_state is not benchmark or (
-                benchmark is None
-                and (bool(fresh_rows.size) or subject_ids != previous.columns.subject_ids)
+        same_benchmark = previous is not None and previous.benchmark_state is benchmark
+        if (
+            same_benchmark
+            and subject_ids == previous.columns.subject_ids
+            and all(
+                previous.columns.raw[name].tobytes() == raw_columns[name].tobytes()
+                for name in names
             )
-            needs_refit = (
-                population_changed or previous.fit_token != self._normalizer.fit_count
-            )
-            previous_normalized = {
-                name: previous.columns.normalized[name][safe] for name in names
-            }
-        if needs_refit:
-            self._fit_normalizer_columns(reference)
+        ):
+            columns, fit_token = previous.columns, previous.fit_token
+        else:
+            if benchmark is None:
+                self._fit_normalizer_columns(raw_columns)
+            elif not (
+                same_benchmark and previous.fit_token == self._normalizer.fit_count
+            ):
+                ensure_finite_columns(benchmark.columns)
+                self._fit_normalizer_columns(benchmark.columns)
             fit_token = self._normalizer.fit_count
-            fit_signature = self._normalizer.fit_signature()
-            # ROADMAP (f): confine renormalisation to measures whose fit
-            # actually moved; bit-identical to a full normalize_columns pass.
-            normalized = confine_renormalization_columns(
-                self._normalizer,
-                self.counters,
-                raw_columns,
-                fresh_rows,
-                previous_normalized,
-                previous.fit_signature if previous is not None else {},
-                fit_signature,
+            normalized = self._normalizer.normalize_columns(raw_columns)
+            overall, dimension_scores, attribute_scores = build_quality_score_columns(
+                subject_ids, names, normalized, self._registry, self._scheme
             )
-        else:
-            fit_token, fit_signature = previous.fit_token, previous.fit_signature
-            normalized = previous_normalized
-            if fresh_rows.size:
-                for name in names:
-                    normalized[name][fresh_rows] = self._normalizer.normalize_column(
-                        name, raw_columns[name][fresh_rows]
-                    )
-        normalized = {name: freeze(column) for name, column in normalized.items()}
-
-        # Scoring is a pure per-row function of the normalised columns;
-        # recomputing every row over bit-identical inputs reproduces the
-        # unchanged scores bit for bit, so no per-source reuse set is
-        # needed — the whole corpus re-scores in a handful of array ops.
-        overall, dimension_scores, attribute_scores = build_quality_score_columns(
-            subject_ids, names, normalized, self._registry, self._scheme
-        )
-        if previous is None:
-            rank = SortedRankKeys.from_scores(overall, subject_ids)
-        else:
-            removed = tuple(
-                source_id
-                for source_id in previous.columns.subject_ids
-                if source_id not in state.sources
-            )
-            rank = self._patch_ranking(
-                previous.columns, removed, subject_ids, overall, rows
-            )
-            self.counters.increment("context_patches")
-        return AssessmentContext(
-            columns=AssessmentColumns(
+            columns = AssessmentColumns(
                 subject_ids=subject_ids,
                 measures=names,
                 raw=raw_columns,
@@ -772,57 +697,17 @@ class SourceQualityModel:
                 overall=overall,
                 dimension_scores=dimension_scores,
                 attribute_scores=attribute_scores,
-                rank=rank,
-            ),
+                order=rank_order(overall, subject_ids),
+            )
+        if previous is not None:
+            self.counters.increment("context_patches")
+        return AssessmentContext(
+            columns=columns,
             scheme_name=self._scheme.name,
             state=state,
             benchmark_state=benchmark,
             fit_token=fit_token,
-            fit_signature=fit_signature,
         )
-
-    def _patch_ranking(
-        self,
-        previous_columns: AssessmentColumns,
-        removed: tuple[str, ...],
-        subject_ids: tuple[str, ...],
-        overall: np.ndarray,
-        rows: np.ndarray,
-    ) -> SortedRankKeys:
-        """Update the cached rank keys for the scores that moved.
-
-        Sources whose ``(overall, source_id)`` sort key is unchanged keep
-        their position; moved sources are removed at their old key and
-        inserted at the new one via ``np.searchsorted`` on the sorted
-        score array (see :class:`~repro.core.columnar.SortedRankKeys`) —
-        O(k·n) array surgery instead of an O(n log n) re-sort.  When most
-        of the corpus moved, one vectorized sort is cheaper, so the patch
-        falls back to it.  ``rows`` is the gather map from the previous
-        row order (``-1`` marks newly added sources).
-        """
-        previous_overall = previous_columns.overall
-        present = rows >= 0
-        gathered = previous_overall[np.where(present, rows, 0)]
-        moved_mask = ~present | (gathered != overall)
-        moved = np.nonzero(moved_mask)[0]
-        if len(moved) + len(removed) > max(8, len(subject_ids) // 2):
-            self.counters.increment("ranking_rebuilds")
-            return SortedRankKeys.from_scores(overall, subject_ids)
-        rank = previous_columns.rank.copy()
-        previous_index = previous_columns.index
-        for source_id in removed:
-            row = previous_index.get(source_id)
-            if row is not None:
-                rank.remove(float(previous_overall[row]), source_id)
-        overall_list = overall.tolist()
-        for i in moved.tolist():
-            source_id = subject_ids[i]
-            row = previous_index.get(source_id)
-            if row is not None:
-                rank.remove(float(previous_overall[row]), source_id)
-            rank.insert(overall_list[i], source_id)
-        self.counters.increment("ranking_patches")
-        return rank
 
     def assessment_context(
         self,
@@ -835,7 +720,7 @@ class SourceQualityModel:
         The common path — no announced mutation since the last call — is an
         O(1) dirty-flag check.  A dirty corpus (or benchmark corpus) first
         gets its measure state patched (see :meth:`_refresh_state`), then
-        the fit-and-score tail is patched over it (see
+        the fit-and-score tail is derived over it (see
         :meth:`_patch_context`).  ``deep=True`` skips the flag and forces
         the full fingerprint scan; use it after *unannounced* in-place
         growth (objects appended directly into a source's internal lists,
@@ -1098,10 +983,9 @@ class SourceQualityModel:
         """Assess and rank the corpus by decreasing overall quality.
 
         Ties are broken deterministically by source identifier.  The sort is
-        computed once per assessment context, patched incrementally under
-        mutations, and reused by repeated calls.  The returned list is
-        fresh but its :class:`SourceAssessment` elements are shared with
-        the cache — treat them as read-only.
+        computed once per assessment context and reused by repeated calls.
+        The returned list is fresh but its :class:`SourceAssessment`
+        elements are shared with the cache — treat them as read-only.
         """
         context = self.assessment_context(corpus, benchmark_corpus, deep=deep)
         return list(context.ranking)
@@ -1166,7 +1050,7 @@ class SourceQualityModel:
         overall, dimension_scores, attribute_scores = build_quality_score_columns(
             subject_ids, measures, normalized, self._registry, self._scheme
         )
-        chosen = SortedRankKeys.from_scores(overall, subject_ids).order()
+        chosen = rank_order(overall, subject_ids)
         if limit is not None:
             chosen = chosen[: max(0, limit)]
         index = {source_id: row for row, source_id in enumerate(subject_ids)}
@@ -1224,29 +1108,26 @@ class SourceQualityModel:
     def shard_sorted_fit_columns(
         self, corpus: SourceCorpus, *, corpus_max_open_discussions: int
     ) -> "tuple[int, dict[str, np.ndarray]]":
-        """Per-measure *sorted* columns of this shard, for the pre-merge fit.
+        """This shard's row count and raw columns, for the pre-merge fit.
 
-        The benchmark normaliser's fit reads only each measure's sorted
-        values and sorts its input itself, so the coordinator fits on the
-        shards' columns simply concatenated (:meth:`premerge_fit_state`).
-        Returns the row count plus the sorted columns.
+        The columns are :meth:`shard_measure_columns`' own, in row order:
+        the benchmark normaliser's fit sorts its input itself, so the
+        coordinator fits on the shards' columns simply concatenated
+        (:meth:`premerge_fit_state`).  The method keeps its name and
+        shape only for ``perfbench/shard_twin.py`` and goes with the twin.
         """
         subject_ids, _, columns = self.shard_measure_columns(
             corpus, corpus_max_open_discussions=corpus_max_open_discussions
         )
-        return len(subject_ids), {
-            name: freeze(np.sort(column)) for name, column in columns.items()
-        }
+        return len(subject_ids), columns
 
-    def premerge_fit_state(
-        self, sorted_columns: Mapping[str, np.ndarray]
-    ) -> dict:
+    def premerge_fit_state(self, fit_columns: Mapping[str, np.ndarray]) -> dict:
         """Fit the normaliser on pooled shard fit columns; return its fit state.
 
-        Coordinator side of the pre-merge: ``sorted_columns`` are the
-        shards' fit columns (:meth:`shard_sorted_fit_columns`) concatenated
-        in any order, which hold exactly the multiset of every measure's
-        values; the default
+        Coordinator side of the pre-merge: ``fit_columns`` are the shards'
+        raw columns (:meth:`shard_sorted_fit_columns`) concatenated in any
+        order, which hold exactly the multiset of every measure's values;
+        the default
         :class:`~repro.core.normalization.BenchmarkNormalizer` fit sorts
         that multiset and reads nothing else, so the resulting state is
         bit-identical to a fit on the whole corpus's columns.  The
@@ -1255,7 +1136,7 @@ class SourceQualityModel:
         foreign strategy with :class:`~repro.errors.NormalizationError`.
         """
         with ordered(self._refresh_mutex, "consumer.gate"):
-            self._fit_normalizer_columns(sorted_columns)
+            self._fit_normalizer_columns(fit_columns)
             state = self._normalizer.fit_state()
         if state is None:
             raise AssessmentError("normalizer has no transportable fit state")

@@ -15,11 +15,11 @@ produces the substantial displacements reported in Section 4.1.
 
 The query hot path is index-driven: the engine materialises an inverted
 index mapping each term to the sources containing it (postings map each
-source id to the precomputed term-frequency/document-length ratio),
-static scores and the static ordering, so :meth:`SearchEngine.search`
-scores only the union of the query terms' postings instead of scanning
-every indexed source, hoists each term's IDF out of the per-source loop
-and selects the top-k with a bounded heap.  Two kernels do that work,
+source id to the precomputed term-frequency/document-length ratio) and
+the static scores, so :meth:`SearchEngine.search` scores only the union
+of the query terms' postings instead of scanning every indexed source,
+hoists each term's IDF out of the per-source loop and selects the top-k
+with a bounded heap.  Two kernels do that work,
 ``_score`` (raw topical scores and the statics to blend with) and
 ``_select`` (the blend and the top-k cut): :meth:`SearchEngine.search`
 runs them over the index's own statistics and the shard phases over the
@@ -35,16 +35,17 @@ check fed by the subscription (announced mutations: everything made
 through the corpus API or the ``Source`` mutation helpers, which announce
 themselves to their owning corpora).  Only when the flag fires does the
 engine compute the full fingerprint diff and apply an *incremental*
-update: postings, document frequencies, static scores and the static
-order are patched for just the added/removed/changed sources (the static
-order via ``np.searchsorted`` on the sorted score array, not a re-sort),
-and only the affected result-cache entries are dropped.  The first build
-is the same patch over an empty index.  A changed source is not re-read
-in full: the snapshot records the source's text as *fragment groups* (a
-header, then one group per discussion thread), and a patch tokenises
-only the groups that differ from the recorded ones, adjusts the source's
-term counts by their tokens and rewrites the source's postings entries
-in place.  ``refresh(deep=True)`` remains the
+update: postings, document frequencies and static scores are patched for
+just the added/removed/changed sources, and only the affected
+result-cache entries are dropped.  The first build is the same patch over
+an empty index.  The static order is derived, not patched:
+:meth:`SearchEngine.static_rank` sorts a snapshot's static scores once,
+on its first call, and memoises the order on that snapshot.  A changed
+source is not re-read in full: the snapshot records the source's text
+as *fragment groups* (a header, then one group per discussion thread),
+and a patch tokenises only the groups that differ from the recorded
+ones, adjusts the source's term counts by their tokens and rewrites the
+source's postings entries in place.  ``refresh(deep=True)`` remains the
 escape hatch forcing a full fingerprint scan for *unannounced* mutations
 (direct appends into a source's internal lists); see
 :meth:`SearchEngine.refresh` and ``docs/PERFORMANCE.md`` for the cost
@@ -85,9 +86,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
-from repro.core.columnar import SortedRankKeys
+from repro.core.columnar import rank_order
 from repro.errors import SearchError, UnsearchableQueryError
 from repro.perf.cache import LRUCache, compose_source_fingerprint, source_fingerprint
 from repro.perf.counters import PerfCounters
@@ -316,13 +315,6 @@ class _IndexState:
     #: persisted; a source without an entry (a restored snapshot, a new
     #: source) is counted in full by its next index.
     fragment_groups: dict[str, FragmentGroups] = field(default_factory=dict)
-    static_order: tuple[str, ...] = ()
-    #: Sorted ``(-static score, source_id)`` rank keys backing the static
-    #: order (a columnar :class:`~repro.core.columnar.SortedRankKeys`);
-    #: single-source updates patch it via ``np.searchsorted``.
-    static_keys: SortedRankKeys = field(
-        default_factory=lambda: SortedRankKeys.from_pairs(())
-    )
     #: Per-source raw panel observations backing the static scores.
     observations: dict[str, PanelObservation] = field(default_factory=dict)
     max_visitors: float = 1.0
@@ -336,6 +328,12 @@ class _IndexState:
     source_fingerprints: dict[str, tuple] = field(default_factory=dict)
     anchored_sources: dict[str, Source] = field(default_factory=dict)
     result_cache: LRUCache = field(default_factory=lambda: LRUCache(0))
+    #: ``static_scores`` ranked, set by the first :meth:`SearchEngine.static_rank`
+    #: on this snapshot (a plain attribute write; racing readers at worst
+    #: sort twice).
+    _static_rank: Optional[tuple[str, ...]] = field(
+        default=None, init=False, repr=False
+    )
 
 
 class SearchEngine:
@@ -533,32 +531,6 @@ class SearchEngine:
                 del postings[token]
                 copied.discard(token)
 
-    def _patch_static_order(
-        self,
-        state: _IndexState,
-        old_scores: dict[str, float],
-        updated: Iterable[str],
-    ) -> None:
-        """Patch the static ordering via ``np.searchsorted``, not a re-sort.
-
-        ``old_scores`` maps every removed or changed source to the score it
-        held in the previous ordering (its key is deleted); ``updated``
-        names the changed/added sources whose fresh ``static_scores``
-        entry is re-inserted at its sorted position.  Keys are unique
-        (score, id) pairs, so the patched rank keys are exactly what a
-        full sort of the new score map would produce — O(k·n) array
-        surgery versus O(n log n) sorting per refresh.
-        ``state.static_keys`` is this build's private copy of the previous
-        snapshot's keys, so the surgery never disturbs concurrent readers.
-        """
-        keys = state.static_keys
-        for source_id, score in old_scores.items():
-            keys.remove(score, source_id)
-        for source_id in updated:
-            keys.insert(state.static_scores[source_id], source_id)
-        state.static_order = keys.order()
-        self.counters.increment("static_order_patches")
-
     def _static_score(
         self, observation: PanelObservation, max_visitors: float, max_links: int
     ) -> float:
@@ -609,9 +581,6 @@ class SearchEngine:
                 term: [[source_id, ratio] for source_id, ratio in entries.items()]
                 for term, entries in state.postings.items()
             },
-            "static_keys": [
-                [score, source_id] for score, source_id in state.static_keys.pairs()
-            ],
             "observations": {
                 source_id: observation.to_dict()
                 for source_id, observation in state.observations.items()
@@ -627,7 +596,11 @@ class SearchEngine:
         }
 
     def _restore_index(self, payload: dict) -> _IndexState:
-        """Rebuild an :class:`_IndexState` from :meth:`export_index_state` output."""
+        """Rebuild an :class:`_IndexState` from :meth:`export_index_state` output.
+
+        A section written before the static order was derived on read
+        also holds its ``static_keys``; they are ignored.
+        """
         if len(self._corpus) == 0:
             raise SearchError("cannot index an empty corpus")
         state = _IndexState(
@@ -641,9 +614,6 @@ class SearchEngine:
             postings={
                 term: dict(entries) for term, entries in payload["postings"].items()
             },
-            static_keys=SortedRankKeys.from_pairs(
-                (score, source_id) for score, source_id in payload["static_keys"]
-            ),
             observations={
                 source_id: PanelObservation.from_dict(observation)
                 for source_id, observation in payload["observations"].items()
@@ -653,7 +623,6 @@ class SearchEngine:
             n_documents=payload["n_documents"],
             result_cache=LRUCache(maxsize=self.RESULT_CACHE_SIZE),
         )
-        state.static_order = state.static_keys.order()
         # ROADMAP open item 3: compose the indexed-epoch fingerprints from
         # the section-carried post totals (O(1) per source) instead of
         # rescanning every discussion; sources missing from the hints
@@ -717,10 +686,8 @@ class SearchEngine:
 
         When stale, the index is patched *incrementally*: only the
         added/removed/changed sources are (un)indexed, static scores are
-        renormalised only when the traffic/link maxima moved (and the
-        static order is then patched via ``np.searchsorted`` rather than
-        re-sorted),
-        and only the result-cache entries whose terms intersect the changed
+        renormalised only when the traffic/link maxima moved, and only
+        the result-cache entries whose terms intersect the changed
         sources' terms survive into the patched snapshot (none, when the
         corpus size or the maxima changed — document frequencies and
         static normalisation are global in those cases).
@@ -766,7 +733,7 @@ class SearchEngine:
 
         ``previous`` is the indexed epoch; None patches an empty index,
         which is the engine's first build: it counts only
-        ``fragment_groups_tokenised`` and sorts the static order once.
+        ``fragment_groups_tokenised``.
 
         ``pending`` is the drained invalidation burst: when it carries
         source ids, content fingerprinting is scoped to exactly those
@@ -826,8 +793,6 @@ class SearchEngine:
             static_scores=dict(previous.static_scores),
             postings=dict(previous.postings),
             fragment_groups=dict(previous.fragment_groups),
-            static_order=previous.static_order,
-            static_keys=previous.static_keys.copy(),
             observations=dict(previous.observations),
             max_visitors=previous.max_visitors,
             max_links=previous.max_links,
@@ -838,13 +803,6 @@ class SearchEngine:
         )
         #: Postings dicts this build already owns (safe to mutate in place).
         copied: set[str] = set()
-        #: Scores currently keyed into the static order, captured before the
-        #: patch so their (score, id) keys can be bisect-removed.
-        displaced_scores = {
-            source_id: state.static_scores[source_id]
-            for source_id in (*removed, *changed)
-            if source_id in state.static_scores
-        }
         for source_id in removed:
             self._unindex_source(state, source_id, copied)
             self._panel.invalidate(source_id)
@@ -858,9 +816,8 @@ class SearchEngine:
 
         # Static scores: the normalisation denominators are corpus-wide
         # maxima, so a moved maximum (or a first build) scores every source
-        # and re-sorts the static order (O(source count) arithmetic — still
-        # no re-tokenisation); an unchanged maximum only needs scores for
-        # the patched sources, bisected in and out of the order.
+        # (O(source count) arithmetic — still no re-tokenisation); an
+        # unchanged maximum only needs scores for the patched sources.
         observations = state.observations
         max_visitors = max(
             (observation.daily_visitors for observation in observations.values()),
@@ -882,11 +839,6 @@ class SearchEngine:
                 state.static_scores[source_id] = self._static_score(
                     observation, max_visitors, max_links
                 )
-            state.static_keys = SortedRankKeys.from_scores(
-                np.asarray(list(state.static_scores.values()), dtype=np.float64),
-                list(state.static_scores),
-            )
-            state.static_order = state.static_keys.order()
             if not build:
                 self.counters.increment("static_renormalisations")
         else:
@@ -894,7 +846,6 @@ class SearchEngine:
                 state.static_scores[source_id] = self._static_score(
                     observations[source_id], max_visitors, max_links
                 )
-            self._patch_static_order(state, displaced_scores, (*changed, *added))
         if build:
             return state, True
 
@@ -937,12 +888,18 @@ class SearchEngine:
     def static_rank(self) -> list[str]:
         """Source identifiers ordered by the static (popularity) score alone.
 
-        The ordering is maintained by the index (rebuilt on refresh when
-        static scores move); this accessor only copies it.
+        Ties break by source id.  The first call on a published snapshot
+        sorts its static scores once (:func:`~repro.core.columnar.rank_order`)
+        and memoises the order on it; later calls only copy it.
         """
         self.refresh()
         with self._rwlock.read_lock():
-            return list(self._state.static_order)
+            state = self._state
+        if state._static_rank is None:
+            state._static_rank = rank_order(
+                list(state.static_scores.values()), tuple(state.static_scores)
+            )
+        return list(state._static_rank)
 
     def static_score(self, source_id: str) -> float:
         """Cached static (popularity) score of one source."""

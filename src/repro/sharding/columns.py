@@ -2,7 +2,7 @@
 
 Bridges :func:`repro.persistence.codec.encode_column_block` payloads and
 the columnar assessment kernels: workers encode their per-shard measure
-matrices, sorted fit columns and pre-merge candidate slices as raw
+matrices, fit columns and pre-merge candidate slices as raw
 ``float64`` buffers, and the coordinator turns the blobs straight back
 into numpy columns with ``np.frombuffer`` — a memcpy-free
 reinterpretation of the exact IEEE-754 bytes the worker held — and pools

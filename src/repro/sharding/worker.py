@@ -52,7 +52,7 @@ Read requests implement the worker-side phases of the scatter-gather
 protocols (``shard_term_stats`` / ``shard_score`` / ``shard_select`` on
 the engine, ``largest_source_open_discussions`` / ``shard_measure_columns``
 and the ``shard_*`` pre-merge phases on the model).  The ``rank_*``
-phases reply with binary column blocks — raw columns, sorted fit
+phases reply with binary column blocks — raw columns, id-less fit
 columns, and for ``rank_score`` only the raw and normalised columns of
 the shard's top rows — which the coordinator pools by concatenation and
 merges into results bit-identical to a single-process build — see
@@ -401,11 +401,11 @@ class ShardWorker:
     def _handle_rank_fit(
         self, message: dict[str, Any]
     ) -> tuple[dict[str, Any], bytes]:
-        """Pre-merge phase 2a: this shard's sorted fit columns."""
-        count, sorted_columns = self._require_model().shard_sorted_fit_columns(
+        """Pre-merge phase 2a: this shard's fit columns, without ids."""
+        _, fit_columns = self._require_model().shard_sorted_fit_columns(
             self._corpus, corpus_max_open_discussions=int(message["max_open"])
         )
-        return {"count": count}, encode_columns((), sorted_columns)
+        return {}, encode_columns((), fit_columns)
 
     def _handle_rank_score(
         self, message: dict[str, Any]

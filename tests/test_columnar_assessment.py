@@ -28,9 +28,9 @@ from _reference import (
     reference_values,
 )
 from repro.core.columnar import (
-    SortedRankKeys,
     columns_from_vectors,
     ensure_finite_columns,
+    rank_order,
     vectors_from_columns,
 )
 from repro.core.measures import source_measure_registry
@@ -96,14 +96,12 @@ def _assert_scalar_columnar_equal(raw_vectors, make_normalizer) -> None:
     subject_ids, measures, raw_columns = columns_from_vectors(raw_vectors, MEASURES)
     ensure_finite_columns(raw_columns)
     columnar_norm.fit_columns(raw_columns)
-    assert columnar_norm.fit_signature() == scalar_norm.fit_signature()
+    assert columnar_norm.fit_state() == scalar_norm.fit_state()
     normalized_columns = columnar_norm.normalize_columns(raw_columns)
     overall, dims, attrs = build_quality_score_columns(
         subject_ids, measures, normalized_columns, REGISTRY, scheme
     )
-    rank = SortedRankKeys.from_scores(overall, subject_ids)
-
-    assert list(rank.order()) == scalar_order
+    assert list(rank_order(overall, subject_ids)) == scalar_order
     for row, subject_id in enumerate(subject_ids):
         score = scores[subject_id]
         assert overall[row] == score.overall  # exact
@@ -153,7 +151,7 @@ class TestKernelEquality:
         reference = reference_values(raw.values())
         wrapped = type(normalizer)(REGISTRY).fit(reference)
         scalar = fit_scalar(type(normalizer)(REGISTRY), reference)
-        assert wrapped.fit_signature() == scalar.fit_signature()
+        assert wrapped.fit_state() == scalar.fit_state()
         probes = [-1e6, -1.0, 0.0, 1e-9, 0.5, 7.25, 49.9, 50.0, 1e9]
         for name in MEASURES:
             for value in probes + reference[name]:
@@ -239,29 +237,20 @@ class TestDegenerateShapes:
         assert vectors_from_columns(subject_ids, measures, columns) == raw
 
 
-class TestSortedRankKeysSurgery:
-    def test_remove_insert_stream_matches_rebuild(self):
+class TestRankOrder:
+    def test_equals_python_sorted_on_ties_and_signed_zeros(self):
         rng = np.random.default_rng(23)
-        scores = {f"s{i:02d}": float(rng.uniform(0.0, 1.0)) for i in range(40)}
-        # Duplicate scores on purpose: ties must stay ordered by id.
-        for i in range(0, 40, 5):
-            scores[f"s{i:02d}"] = 0.5
-        keys = SortedRankKeys.from_scores(
-            np.asarray(list(scores.values())), list(scores)
-        )
-        for step in range(200):
-            subject_id = f"s{int(rng.integers(0, 40)):02d}"
-            if subject_id in scores and rng.uniform() < 0.5:
-                assert keys.remove(scores.pop(subject_id), subject_id)
-            else:
-                if subject_id in scores:
-                    keys.remove(scores[subject_id], subject_id)
-                scores[subject_id] = float(rng.uniform(0.0, 1.0))
-                keys.insert(scores[subject_id], subject_id)
-            rebuilt = SortedRankKeys.from_scores(
-                np.asarray(list(scores.values())), list(scores)
-            )
-            assert keys.order() == rebuilt.order(), f"diverged at step {step}"
+        for trial in range(50):
+            count = int(rng.integers(1, 40))
+            # Few distinct values, so most scores tie; 0.0 and -0.0 compare
+            # equal and must order by id like any other tie.
+            values = np.asarray([0.0, -0.0, 0.5, 0.25, 1.0])
+            scores = values[rng.integers(0, len(values), count)]
+            ids = [f"s{int(i):03d}" for i in rng.permutation(count)]
+            score_of = dict(zip(ids, scores.tolist()))
+            expected = sorted(ids, key=lambda s: (-score_of[s], s))
+            assert list(rank_order(scores, ids)) == expected, f"trial {trial}"
+        assert rank_order(np.asarray([]), []) == ()
 
 
 def _grow(source: Source, tag: int) -> None:

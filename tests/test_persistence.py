@@ -239,6 +239,29 @@ class TestIndexCodec:
             ]
             assert codec_hits == export_hits
 
+    def test_a_section_with_static_keys_still_restores(self, index_state):
+        # Sections written before the static order was derived on read
+        # also hold its sorted ``[-score, source_id]`` keys.
+        corpus = make_corpus(count=8, seed=31, budget=5)
+        cold = SearchEngine(corpus)
+        assert "static_keys" not in index_state
+        older = dict(index_state)
+        older["static_keys"] = [
+            [-cold.static_score(source_id), source_id]
+            for source_id in cold.static_rank()
+        ]
+        for payload in (older, decode_index_state(encode_index_state(older))):
+            warm = SearchEngine(corpus, index_state=payload)
+            assert warm.static_rank() == cold.static_rank()
+            for query in ("travel flight", "food dinner", "music festival"):
+                assert [
+                    (r.source_id, r.score, r.static_score, r.topical_score)
+                    for r in warm.search(query, 10)
+                ] == [
+                    (r.source_id, r.score, r.static_score, r.topical_score)
+                    for r in cold.search(query, 10)
+                ]
+
     def test_decode_preserves_orders_and_values(self, index_state):
         decoded = decode_index_state(encode_index_state(index_state))
         assert list(decoded["postings"]) == list(index_state["postings"])

@@ -369,23 +369,25 @@ class TestColumnBlockCodec:
         assert concat_columns([((), {}), ((), {})]) == ((), {})
 
     def test_a_fit_on_concatenated_shard_fit_columns_equals_the_whole_column_fit(self):
-        # Workers ship id-less fit blocks, each column sorted per shard;
-        # the benchmark fit sorts the pooled column itself.
+        # Workers ship id-less fit blocks in row order (sorted ones pool
+        # the same way); the benchmark fit sorts the pooled column itself.
         registry = source_measure_registry()
         names, _ = registry.column_layout()
         full = np.asarray(EDGE_FLOATS, dtype=np.float64)
-        first, second = (
-            ((), {name: np.sort(part) for name in names}) for part in (full[:4], full[4:])
-        )
-        _, pooled = concat_columns([second, ((), {}), first])
         whole = BenchmarkNormalizer(registry).fit_columns({name: full for name in names})
-        merged = BenchmarkNormalizer(registry).fit_columns(pooled)
-        assert merged.fit_state() == whole.fit_state()
-        for name in names:
-            assert (
-                merged.normalize_column(name, full).tobytes()
-                == whole.normalize_column(name, full).tobytes()
+        for arrange in (np.sort, np.asarray):
+            first, second = (
+                ((), {name: arrange(part) for name in names})
+                for part in (full[:4], full[4:])
             )
+            _, pooled = concat_columns([second, ((), {}), first])
+            merged = BenchmarkNormalizer(registry).fit_columns(pooled)
+            assert merged.fit_state() == whole.fit_state()
+            for name in names:
+                assert (
+                    merged.normalize_column(name, full).tobytes()
+                    == whole.normalize_column(name, full).tobytes()
+                )
 
 
 class TestBinaryWire:
